@@ -1,0 +1,55 @@
+"""Byte-for-byte command line outputs pinned under tests/golden.
+
+golden/cases.txt lists one case per line: the file under golden/expected
+holding the exact stdout, then the argv.  Each case runs through
+hyperq.cli.main in-process with tests/golden as the working directory
+and must exit 0.  `PYTHONPATH=src python tests/test_golden.py` rewrites
+the expected files; do that only for an output that is meant to change.
+"""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+from hyperq.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_cases():
+    for line in (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, *argv = line.split()
+            yield name, argv
+
+
+def run_case(argv):
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue().encode("utf-8")
+
+
+def test_golden_outputs():
+    cases = list(golden_cases())
+    assert len(cases) >= 40
+    wrong = []
+    for name, argv in cases:
+        code, out = run_case(argv)
+        if code != 0 or out != (GOLDEN / "expected" / name).read_bytes():
+            wrong.append(f"{name} (exit {code})")
+    assert not wrong, f"outputs differ from tests/golden/expected: {wrong}"
+
+
+if __name__ == "__main__":
+    for name, argv in golden_cases():
+        code, out = run_case(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN / "expected" / name).write_bytes(out)
