@@ -43,6 +43,20 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, default=str))
 
 
+def _components_doc(components) -> list:
+    return [
+        {
+            "sign": sign,
+            "weight": str(weight),
+            "terms": [
+                {"exponents": list(alpha), "re": str(poly[alpha].re), "im": str(poly[alpha].im)}
+                for alpha in sorted(poly, key=grlex_key)
+            ],
+        }
+        for sign, weight, poly in components
+    ]
+
+
 def _map_doc(m: QuadricMap) -> dict:
     return {
         "n": m.n,
@@ -51,21 +65,7 @@ def _map_doc(m: QuadricMap) -> dict:
         "homogeneous": m.homogeneous,
         "denominator": m.denominator,
         "target": list(m.target()),
-        "components": [
-            {
-                "sign": sign,
-                "weight": str(weight),
-                "terms": [
-                    {
-                        "exponents": list(alpha),
-                        "re": str(poly[alpha].re),
-                        "im": str(poly[alpha].im),
-                    }
-                    for alpha in sorted(poly, key=grlex_key)
-                ],
-            }
-            for sign, weight, poly in m.components.components
-        ],
+        "components": _components_doc(m.components.components),
     }
 
 
@@ -102,36 +102,21 @@ def _emit_value(args, command: str, inputs: dict, value) -> int:
     return 0
 
 
-def cmd_bound_g(args) -> int:
-    v = green_G(args.n, args.d, args.N)
-    return _emit_value(args, "bound.g", {"n": args.n, "d": args.d, "N": args.N}, v)
+# kind -> (function, argument names in order, help text)
+_BOUNDS = {
+    "g": (green_G, ("n", "d", "N"), "Green's bound G(n, d, N)"),
+    "k": (green_K, ("n", "k"), "the subspace-restriction bound K_n(k)"),
+    "compose": (compose_K, ("m", "n", "k"), "composed bound for m-plane restrictions"),
+    "hermitian": (hermitian_R, ("m", "n", "k"), "Hermitian-form variant R(m, n, k)"),
+    "rigidity": (rigidity_bound, ("a", "b", "B"), "largest target A for maps Q(a,b) -> Q(A,B)"),
+    "stability": (stability_region, ("a", "b", "A", "B"), "membership in the constructive sector"),
+}
 
 
-def cmd_bound_k(args) -> int:
-    v = green_K(args.n, args.k)
-    return _emit_value(args, "bound.k", {"n": args.n, "k": args.k}, v)
-
-
-def cmd_bound_compose(args) -> int:
-    v = compose_K(args.m, args.n, args.k)
-    return _emit_value(args, "bound.compose", {"m": args.m, "n": args.n, "k": args.k}, v)
-
-
-def cmd_bound_hermitian(args) -> int:
-    v = hermitian_R(args.m, args.n, args.k)
-    return _emit_value(args, "bound.hermitian", {"m": args.m, "n": args.n, "k": args.k}, v)
-
-
-def cmd_bound_rigidity(args) -> int:
-    v = rigidity_bound(args.a, args.b, args.B)
-    return _emit_value(args, "bound.rigidity", {"a": args.a, "b": args.b, "B": args.B}, v)
-
-
-def cmd_bound_stability(args) -> int:
-    v = stability_region(args.a, args.b, args.A, args.B)
-    return _emit_value(
-        args, "bound.stability", {"a": args.a, "b": args.b, "A": args.A, "B": args.B}, v
-    )
+def cmd_bound(args) -> int:
+    func, names, _ = _BOUNDS[args.subcommand]
+    inputs = {name: getattr(args, name) for name in names}
+    return _emit_value(args, f"bound.{args.subcommand}", inputs, func(*inputs.values()))
 
 
 def cmd_form_rank(args) -> int:
@@ -158,21 +143,7 @@ def cmd_form_decompose(args) -> int:
                 "command": "form.decompose",
                 "file": args.file,
                 "signature": list(holo.signature()),
-                "components": [
-                    {
-                        "sign": sign,
-                        "weight": str(weight),
-                        "terms": [
-                            {
-                                "exponents": list(alpha),
-                                "re": str(poly[alpha].re),
-                                "im": str(poly[alpha].im),
-                            }
-                            for alpha in sorted(poly, key=grlex_key)
-                        ],
-                    }
-                    for sign, weight, poly in holo.components
-                ],
+                "components": _components_doc(holo.components),
             }
         )
         return 0
@@ -357,18 +328,19 @@ def cmd_quadric_region(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for randomized operations")
-    common.add_argument("--trials", type=int, default=3, help="independent random trials")
-    common.add_argument(
+    common.add_argument("--json", action="store_true", help="emit one machine-readable JSON document")
+    common.add_argument("--quiet", action="store_true", help="suppress supplementary text output")
+    randomized = argparse.ArgumentParser(add_help=False, parents=[common])
+    randomized.add_argument("--seed", type=int, default=0, help="master seed for randomized operations")
+    randomized.add_argument(
         "--coeff-bound",
         dest="coeff_bound",
         type=int,
         default=10**6,
         help="random rational coefficients use numerators and denominators up to this bound",
     )
-    common.add_argument("--budget", type=int, default=10**5, help="search budget for lattice walks")
-    common.add_argument("--json", action="store_true", help="emit one machine-readable JSON document")
-    common.add_argument("--quiet", action="store_true", help="suppress supplementary text output")
+    searched = argparse.ArgumentParser(add_help=False, parents=[common])
+    searched.add_argument("--budget", type=int, default=10**5, help="search budget for lattice walks")
 
     parser = argparse.ArgumentParser(
         prog="hyperq",
@@ -384,41 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="combinatorial rank bounds")
     bsub = bound.add_subparsers(dest="subcommand", required=True, metavar="kind")
 
-    p = bsub.add_parser("g", parents=[common], help="Green's bound G(n, d, N)")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_bound_g)
-
-    p = bsub.add_parser("k", parents=[common], help="the subspace-restriction bound K_n(k)")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_bound_k)
-
-    p = bsub.add_parser("compose", parents=[common], help="composed bound for m-plane restrictions")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_bound_compose)
-
-    p = bsub.add_parser("hermitian", parents=[common], help="Hermitian-form variant R(m, n, k)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_bound_hermitian)
-
-    p = bsub.add_parser("rigidity", parents=[common], help="largest target A for maps Q(a,b) -> Q(A,B)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("B", type=int)
-    p.set_defaults(func=cmd_bound_rigidity)
-
-    p = bsub.add_parser("stability", parents=[common], help="membership in the constructive sector")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("A", type=int)
-    p.add_argument("B", type=int)
-    p.set_defaults(func=cmd_bound_stability)
+    for kind, (_, names, text) in _BOUNDS.items():
+        p = bsub.add_parser(kind, parents=[common], help=text)
+        for name in names:
+            p.add_argument(name, type=int)
+        p.set_defaults(func=cmd_bound)
 
     form = sub.add_parser("form", help="Hermitian form operations")
     fsub = form.add_subparsers(dest="subcommand", required=True, metavar="op")
@@ -438,12 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
     restrict = sub.add_parser("restrict", help="restriction ranks on random subspaces")
     rsub = restrict.add_subparsers(dest="subcommand", required=True, metavar="op")
 
-    p = rsub.add_parser("generic", parents=[common], help="rank on a generic linear subspace")
+    p = rsub.add_parser("generic", parents=[randomized], help="rank on a generic linear subspace")
     p.add_argument("file")
+    p.add_argument("--trials", type=int, default=3, help="independent random trials")
     p.add_argument("--dim", type=int, required=True, help="subspace dimension")
     p.set_defaults(func=cmd_restrict_generic)
 
-    p = rsub.add_parser("max", parents=[common], help="max rank over sampled affine subspaces")
+    p = rsub.add_parser("max", parents=[randomized], help="max rank over sampled affine subspaces")
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True, help="subspace dimension")
     p.add_argument("--samples", type=int, default=8, help="number of sampled subspaces")
@@ -452,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     quadric = sub.add_parser("quadric", help="maps between hyperquadrics")
     qsub = quadric.add_subparsers(dest="subcommand", required=True, metavar="op")
 
-    p = qsub.add_parser("construct", parents=[common], help="search for HQ(a,b) -> HQ(A,B)")
+    p = qsub.add_parser("construct", parents=[searched], help="search for HQ(a,b) -> HQ(A,B)")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("A", type=int)
@@ -476,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_quadric_admissible)
 
-    p = qsub.add_parser("region", parents=[common], help="text grid of reachable target signatures")
+    p = qsub.add_parser("region", parents=[searched], help="text grid of reachable target signatures")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--max", type=int, required=True, help="grid extent in each coordinate")

@@ -158,6 +158,8 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
     b = _integer(fields["b"], filename, lineno)
     big_a = _integer(fields["A"], filename, lineno)
     big_b = _integer(fields["B"], filename, lineno)
+    if a < 1 or b < 0:
+        raise ParseError(filename, lineno, "the split needs a >= 1 and b >= 0")
     if n != a + b:
         raise ParseError(filename, lineno, f"n={n} does not equal a+b={a + b}")
     if fields["homogeneous"] not in ("0", "1"):
@@ -205,6 +207,8 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
             filename, header_lineno,
             f"header says A={big_a} B={big_b} but the components count ({pos}, {neg})",
         )
+    if denominator is not None and not (0 <= denominator < len(comps) and comps[denominator][0] < 0):
+        raise ParseError(filename, header_lineno, f"denominator={denominator} names no negative component")
     return QuadricMap(a, b, homogeneous, WeightedHoloMap(n, tuple(comps)), denominator)
 
 

@@ -21,7 +21,7 @@ from .linalg import inertia as _matrix_inertia
 from .linalg import ldl_components, rank as _matrix_rank
 from .multiindex import MultiIndex, sorted_grlex, total_degree, unit, zero_index
 from .polys import Poly, poly_mul
-from .scalars import GR_ONE, GaussianRational, gr
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr
 
 
 class SignaturePair(NamedTuple):
@@ -242,18 +242,21 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
     return HermitianForm(n, entries)
 
 
-def _linear_substitutions(
-    n_src: int,
-    n_dst: int,
+def _expansions(
     matrix: Sequence[Sequence[object]],
     translation: Optional[Sequence[object]],
-) -> List[Poly]:
-    if len(matrix) != n_src:
-        raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {n_src} variables")
+    n_dst: int,
+    monomials: Iterable[MultiIndex],
+) -> Dict[MultiIndex, Poly]:
+    """(Ez + t)^alpha in the n_dst new variables, for each alpha given.
+
+    Row i of E with t_i substitutes for variable i; the powers of each
+    substitution are cached, so a monomial costs one product per variable.
+    """
     origin = zero_index(n_dst)
-    subs: List[Poly] = []
-    for i in range(n_src):
-        row = matrix[i]
+    one: Poly = {origin: GR_ONE}
+    powers: List[List[Poly]] = []
+    for i, row in enumerate(matrix):
         if len(row) != n_dst:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
         li: Poly = {}
@@ -265,34 +268,17 @@ def _linear_substitutions(
             t = GaussianRational.coerce(translation[i])
             if t:
                 li[origin] = t
-        subs.append(li)
-    return subs
-
-
-class _PowerCache:
-    """Memoized powers and monomials of the substitution polynomials."""
-
-    def __init__(self, subs: List[Poly], n_dst: int):
-        self.subs = subs
-        self.one: Poly = {zero_index(n_dst): GR_ONE}
-        self.cache: Dict[Tuple[int, int], Poly] = {}
-
-    def power(self, i: int, e: int) -> Poly:
-        if e == 0:
-            return self.one
-        key = (i, e)
-        got = self.cache.get(key)
-        if got is None:
-            got = self.subs[i] if e == 1 else poly_mul(self.power(i, e - 1), self.subs[i])
-            self.cache[key] = got
-        return got
-
-    def monomial(self, alpha: MultiIndex) -> Poly:
-        out = self.one
+        powers.append([one, li])
+    table: Dict[MultiIndex, Poly] = {}
+    for alpha in monomials:
+        out = one
         for i, e in enumerate(alpha):
             if e:
-                out = poly_mul(out, self.power(i, e))
-        return out
+                while len(powers[i]) <= e:
+                    powers[i].append(poly_mul(powers[i][-1], powers[i][1]))
+                out = poly_mul(out, powers[i][e])
+        table[alpha] = out
+    return table
 
 
 def compose_linear(
@@ -310,21 +296,21 @@ def compose_linear(
         raise DimensionMismatch(
             f"translation has {len(translation)} entries, form has {form.n} variables"
         )
+    if len(matrix) != form.n:
+        raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
     n_dst = len(matrix[0]) if form.n else 0
-    subs = _linear_substitutions(form.n, n_dst, matrix, translation)
-    cache = _PowerCache(subs, n_dst)
+    table = _expansions(matrix, translation, n_dst, form.support())
 
-    # r(Ez+t) = sum c * (Lz)^alpha * conj((Lz)^beta); the conjugate of the
-    # beta expansion conjugates its coefficients against zbar^delta.
+    # r(Ez+t) = sum c * (Ez+t)^alpha * conj((Ez+t)^beta); the conjugate of
+    # the beta expansion conjugates its coefficients against zbar^delta.
     acc: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
     for (alpha, beta), c in form.entries.items():
-        holo = cache.monomial(alpha)
-        anti = cache.monomial(beta)
-        for gamma, u in holo.items():
+        anti = table[beta]
+        for gamma, u in table[alpha].items():
             cu = c * u
             for delta, v in anti.items():
                 key = (gamma, delta)
-                w = acc.get(key, gr(0)) + cu * v.conjugate()
+                w = acc.get(key, GR_ZERO) + cu * v.conjugate()
                 if w:
                     acc[key] = w
                 else:

@@ -9,15 +9,11 @@ stored.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .multiindex import MultiIndex, add as mi_add
 
 Poly = Dict[MultiIndex, object]
-
-
-def poly_clean(p: Poly) -> Poly:
-    return {k: c for k, c in p.items() if c}
 
 
 def poly_add_inplace(acc: Poly, p: Poly, scale=None) -> None:
@@ -38,24 +34,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for k, c in q.items():
-        s = out.get(k)
-        s = -c if s is None else s - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    if not c:
-        return {}
-    return {k: v * c for k, v in p.items()}
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     if len(p) > len(q):
@@ -71,26 +49,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
             else:
                 out.pop(k, None)
     return out
-
-
-def poly_pow(p: Poly, e: int, one) -> Poly:
-    """p**e by repeated squaring; `one` is the multiplicative identity."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    n_vars = len(next(iter(p))) if p else None
-    if n_vars is None:
-        if e == 0:
-            raise ValueError("0**0 of unknown arity; pass a nonempty poly")
-        return {}
-    result: Poly = {(0,) * n_vars: one}
-    base = dict(p)
-    while e:
-        if e & 1:
-            result = poly_mul(result, base)
-        e >>= 1
-        if e:
-            base = poly_mul(base, base)
-    return result
 
 
 def poly_shift(p: Poly, mono: MultiIndex) -> Poly:

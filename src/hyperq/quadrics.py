@@ -14,6 +14,12 @@ lattice, a breadth-first search assembling mappings from those moves,
 exact divisibility verification of any candidate map, tensor
 extensions, and dehomogenization to rational maps between affine
 hyperquadrics.
+
+Admissibility and verification share one divisibility routine: solve
+s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
+is complexified to w, substitute cached powers, and test for zero.  A
+diagonal form is P(zw) with zw ranging over C^n, so s - c divides it
+exactly when s(x) - c divides P(x): it is tested in n real variables.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinat import stability_region
 from .errors import (
@@ -35,11 +41,12 @@ from .errors import (
     NotVanishing,
 )
 from .forms import HermitianForm, SignaturePair, WeightedHoloMap, decompose, norm_difference
-from .multiindex import MultiIndex, grlex_key, total_degree, unit, zero_index
+from .multiindex import MultiIndex, add as mi_add, grlex_key, total_degree, unit, zero_index
 from .polys import Poly, poly_add, poly_add_inplace, poly_mul, poly_shift
-from .scalars import GR_ONE, gr
+from .scalars import GR_ONE
 
 RealTerms = Dict[MultiIndex, Fraction]
+Term = Tuple[int, MultiIndex, object]
 
 _F1 = Fraction(1)
 
@@ -102,32 +109,39 @@ def s_poly(a: int, b: int) -> SignedRealPoly:
     return SignedRealPoly(a, b, _s_terms(a, b))
 
 
-# Powers of the substitution x_1 = -(x_2+..+x_a) + (x_{a+1}+..+x_n),
-# cached per source split; the admissibility test reuses them heavily.
-_ELIM_POWERS: Dict[Tuple[int, int], List[Poly]] = {}
+# powers of the solved relation, per (a, b, affine, complexified)
+_RELATION_POWERS: Dict[Tuple[int, int, bool, bool], List[Poly]] = {}
 
 
-def _elim_power(a: int, b: int, e: int) -> Poly:
-    n = a + b
-    powers = _ELIM_POWERS.setdefault((a, b), [{zero_index(n): _F1}])
-    if len(powers) <= e:
-        base: Poly = {unit(n, j): (-_F1 if j < a else _F1) for j in range(1, n)}
+def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[Term]) -> bool:
+    """Whether s - c divides the sum of coeff * q^e * rest over the terms.
+
+    c is 1 when affine, else 0.  q is x_1 with rest in x_2..x_n, or
+    z_1 w_1 with rest in z_1..z_n, w_2..w_n when complexified; q is
+    replaced by its solution of s = c and the result tested for zero.
+    """
+    key = (a, b, affine, complexified)
+    powers = _RELATION_POWERS.get(key)
+    if powers is None:
+        n = a + b
+        width = 2 * n - 1 if complexified else n - 1
+        solved: Poly = {zero_index(width): _F1} if affine else {}
+        for j in range(1, n):
+            mono = mi_add(unit(width, j), unit(width, n + j - 1)) if complexified else unit(width, j - 1)
+            solved[mono] = -_F1 if j < a else _F1
+        powers = _RELATION_POWERS[key] = [{zero_index(width): _F1}, solved]
+    acc: Poly = {}
+    for e, rest, coeff in terms:
         while len(powers) <= e:
-            powers.append(poly_mul(powers[-1], base))
-    return powers[e]
+            powers.append(poly_mul(powers[-1], powers[1]))
+        poly_add_inplace(acc, poly_shift(powers[e], rest), coeff)
+    return not acc
 
 
 def is_admissible(p: SignedRealPoly) -> Tuple[bool, SignaturePair]:
-    """Whether s divides p, plus the signature (positive, negative counts).
-
-    Tested exactly by solving s = 0 for x_1, substituting, and checking
-    that the result is identically zero.
-    """
-    acc: Poly = {}
-    for alpha, c in p.terms.items():
-        rest = (0,) + alpha[1:]
-        poly_add_inplace(acc, poly_shift(_elim_power(p.a, p.b, alpha[0]), rest), c)
-    return (not acc, p.signature())
+    """Whether s divides p, plus the signature (positive, negative counts)."""
+    terms = ((alpha[0], alpha[1:], c) for alpha, c in p.terms.items())
+    return (_divides(p.a, p.b, False, False, terms), p.signature())
 
 
 def _require_admissible(p: SignedRealPoly, who: str) -> SignaturePair:
@@ -334,42 +348,25 @@ def identity_map(a: int, b: int) -> QuadricMap:
     return QuadricMap(a, b, False, WeightedHoloMap(n, comps), None)
 
 
+def _real_terms(form: HermitianForm) -> Iterator[Term]:
+    # a diagonal form read as P(x) with x_j = z_j w_j; Hermitian diagonals are real
+    return ((alpha[0], alpha[1:], c.re) for (alpha, _), c in form.entries.items())
+
+
+def _complexified_terms(form: HermitianForm) -> Iterator[Term]:
+    # zbar_j -> w_j; w_1^e = (z_1 w_1)^e / z_1^e, so z_1^top clears denominators
+    top = max((beta[0] for _, beta in form.entries), default=0)
+    return (
+        (beta[0], (alpha[0] + top - beta[0],) + alpha[1:] + beta[1:], c)
+        for (alpha, beta), c in form.entries.items()
+    )
+
+
 def _vanishes_on_quadric(form: HermitianForm, a: int, b: int, affine: bool) -> bool:
-    """Exact divisibility of the complexified form by the defining polynomial.
-
-    The complexification replaces zbar_j by an independent w_j; the
-    divisor is sum_{j<=a} z_j w_j - sum_{j>a} z_j w_j - (1 if affine).
-    Since the divisor is linear in w_1 we solve for z_1 w_1, substitute,
-    clear the z_1 denominator, and test for the zero polynomial.
-    """
-    n = a + b
-    if form.n != n:
-        raise DimensionMismatch(f"form has {form.n} variables, quadric has {n}")
-    if not form.entries:
-        return True
-    top = max(beta[0] for _, beta in form.entries)
-    nv = n + (n - 1)
-
-    # z_1 w_1 = (1 if affine) - sum_{2<=j<=a} z_j w_j + sum_{j>a} z_j w_j
-    solved: Poly = {}
-    if affine:
-        solved[zero_index(nv)] = GR_ONE
-    for j in range(1, n):
-        mono = [0] * nv
-        mono[j] = 1
-        mono[n + j - 1] = 1
-        solved[tuple(mono)] = gr(-1) if j < a else GR_ONE
-
-    powers: List[Poly] = [{zero_index(nv): GR_ONE}]
-    while len(powers) <= top:
-        powers.append(poly_mul(powers[-1], solved))
-
-    acc: Poly = {}
-    for (alpha, beta), c in form.entries.items():
-        b1 = beta[0]
-        mono = (alpha[0] + top - b1,) + alpha[1:] + beta[1:]
-        poly_add_inplace(acc, poly_shift(powers[b1], mono), c)
-    return not acc
+    """Exact divisibility of the form (on a + b variables) by the quadric's equation."""
+    if all(alpha == beta for alpha, beta in form.entries):
+        return _divides(a, b, affine, False, _real_terms(form))
+    return _divides(a, b, affine, True, _complexified_terms(form))
 
 
 def verify_map(m: QuadricMap) -> bool:

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .forms import HermitianForm, _PowerCache, _linear_substitutions, form_rank
+from .forms import HermitianForm, _expansions, compose_linear, form_rank
 from .linalg import identity, invert, matmul, rank as matrix_rank
 from .multiindex import MultiIndex, monomials_of_degree, monomials_up_to, unit
-from .polys import Poly
 from .scalars import GR_ZERO, GaussianRational, gr
 
 
@@ -97,12 +96,6 @@ class RestrictionMatrix:
     entries: Tuple[Tuple[GaussianRational, ...], ...]
 
 
-def _expansions(E: AffineEmbedding, rows: Sequence[MultiIndex]) -> Dict[MultiIndex, Poly]:
-    subs = _linear_substitutions(E.n_ambient, E.n_sub, E.linear, E.translation)
-    cache = _PowerCache(subs, E.n_sub)
-    return {alpha: cache.monomial(alpha) for alpha in rows}
-
-
 def restriction_matrix(E: AffineEmbedding, d: int) -> RestrictionMatrix:
     """The matrix T of the embedding acting on degree-d coefficients."""
     if d < 0:
@@ -113,7 +106,7 @@ def restriction_matrix(E: AffineEmbedding, d: int) -> RestrictionMatrix:
     else:
         rows = monomials_up_to(E.n_ambient, d)
         cols = monomials_up_to(E.n_sub, d)
-    table = _expansions(E, rows)
+    table = _expansions(E.linear, E.translation, E.n_sub, rows)
     entries = tuple(
         tuple(table[alpha].get(gamma, GR_ZERO) for gamma in cols) for alpha in rows
     )
@@ -126,23 +119,7 @@ def restrict_form(form: HermitianForm, E: AffineEmbedding) -> HermitianForm:
         raise DimensionMismatch(
             f"form has {form.n} variables, embedding has {E.n_ambient} ambient rows"
         )
-    if form.is_zero():
-        return HermitianForm(E.n_sub, {})
-    table = _expansions(E, form.support())
-    acc: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
-    for (alpha, beta), c in form.entries.items():
-        ta = table[alpha]
-        tb = table[beta]
-        for gamma, u in ta.items():
-            cu = c * u
-            for delta, v in tb.items():
-                key = (gamma, delta)
-                w = acc.get(key, GR_ZERO) + cu * v.conjugate()
-                if w:
-                    acc[key] = w
-                else:
-                    acc.pop(key, None)
-    return HermitianForm(E.n_sub, acc)
+    return compose_linear(form, E.linear, E.translation)
 
 
 def _random_fraction(rng: Random, bound: int) -> Fraction:
@@ -208,7 +185,6 @@ def max_affine_rank(
     sub_dim: int,
     samples: int = 8,
     seed: int = 0,
-    translations: bool = True,
     coeff_bound: int = 10**6,
 ) -> int:
     """Largest restriction rank seen over sampled affine subspaces.
@@ -216,9 +192,7 @@ def max_affine_rank(
     Samples graph-form subspaces: the first sub_dim ambient coordinates
     are free and the rest are random affine functions of them.  This is
     a lower bound for the true supremum that reaches the generic value
-    for generic samples.  With translations=False the sample family and
-    seed stream are exactly those of generic_restriction_rank, so the
-    two agree on homogeneous data when samples == trials.
+    for generic samples.
     """
     if not 1 <= sub_dim < form.n:
         raise ValueError("sub_dim must satisfy 1 <= sub_dim < n")
@@ -226,19 +200,15 @@ def max_affine_rank(
         raise ValueError("samples must be at least 1")
     best = 0
     for t in range(samples):
-        if translations:
-            rng = Random(f"{seed}:affine:{t}")
-            rows: List[List[GaussianRational]] = []
-            for i in range(sub_dim):
-                rows.append([GaussianRational.coerce(1 if j == i else 0) for j in range(sub_dim)])
-            trans: List[GaussianRational] = [GR_ZERO] * sub_dim
-            for _ in range(form.n - sub_dim):
-                rows.append([_random_scalar(rng, coeff_bound) for _ in range(sub_dim)])
-                trans.append(_random_scalar(rng, coeff_bound))
-            E = embedding(rows, trans)
-        else:
-            rng = Random(f"{seed}:generic:{t}")
-            E = _generic_embedding(rng, form.n, sub_dim, coeff_bound)
+        rng = Random(f"{seed}:affine:{t}")
+        rows: List[List[GaussianRational]] = []
+        for i in range(sub_dim):
+            rows.append([GaussianRational.coerce(1 if j == i else 0) for j in range(sub_dim)])
+        trans: List[GaussianRational] = [GR_ZERO] * sub_dim
+        for _ in range(form.n - sub_dim):
+            rows.append([_random_scalar(rng, coeff_bound) for _ in range(sub_dim)])
+            trans.append(_random_scalar(rng, coeff_bound))
+        E = embedding(rows, trans)
         best = max(best, form_rank(restrict_form(form, E)))
     return best
 

@@ -223,3 +223,30 @@ def test_usage_errors(capsys):
     assert run(capsys, ["quadric"])[0] == 2
     assert run(capsys, ["bound", "nope", "1"])[0] == 2
     assert run(capsys, ["macaulay", "ten", "3"])[0] == 2
+
+
+def test_unread_flags_are_usage_errors(capsys):
+    assert run(capsys, ["bound", "k", "2", "3", "--budget", "5"])[0] == 2
+    assert run(capsys, ["macaulay", "10", "3", "--seed", "1"])[0] == 2
+    assert run(capsys, ["quadric", "construct", "2", "2", "4", "4", "--trials", "2"])[0] == 2
+    assert run(capsys, ["bound", "k", "2", "3", "--quiet", "--json"])[0] == 0
+
+
+MAP_ROWS = "+ 1 :: 1,0 1 0 0\n+ 1 :: 1,0 0 1 0\n- 1 :: 1,0 0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "map n=3 a=0 b=3 A=2 B=1 homogeneous=1 denominator=none",
+        "map n=3 a=2 b=1 A=2 B=1 homogeneous=0 denominator=5",
+        "map n=3 a=2 b=1 A=2 B=1 homogeneous=0 denominator=0",
+    ],
+    ids=["split", "denominator-range", "denominator-sign"],
+)
+def test_bad_map_header_is_parse_error(capsys, tmp_path, header):
+    path = tmp_path / "m.txt"
+    path.write_text(header + "\n" + MAP_ROWS, encoding="utf-8")
+    code, out, err = run(capsys, ["quadric", "verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:")

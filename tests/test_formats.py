@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from hyperq.errors import IndexOutOfRange, ParseError
+from hyperq.errors import ParseError
 from hyperq.formats import (
     component_str,
     dump_form,
@@ -166,21 +166,23 @@ def test_parse_map_header_count_mismatch():
     assert "count (1, 1)" in exc.value.message
 
 
-def test_parse_map_bad_denominator_is_domain_error():
+def test_parse_map_bad_denominator_is_parse_error():
     text = (
         "map n=2 a=1 b=1 A=1 B=1 homogeneous=0 denominator=0\n"
         "+ 1 :: 1,0 1 0\n"
         "- 1 :: 1,0 0 1\n"
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError) as exc:
         parse_map(text)
+    assert exc.value.lineno == 1
     text2 = (
         "map n=2 a=1 b=1 A=1 B=1 homogeneous=0 denominator=9\n"
         "+ 1 :: 1,0 1 0\n"
         "- 1 :: 1,0 0 1\n"
     )
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ParseError) as exc:
         parse_map(text2)
+    assert exc.value.lineno == 1
 
 
 def test_pretty_printers():

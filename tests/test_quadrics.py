@@ -14,10 +14,13 @@ from hyperq.errors import (
     NotReached,
     NotVanishing,
 )
-from hyperq.forms import WeightedHoloMap, form_from_entries, form_from_real_poly
+from hyperq.forms import WeightedHoloMap, form_from_entries, form_from_real_poly, norm_difference
 from hyperq.quadrics import (
     QuadricMap,
     SignedRealPoly,
+    _complexified_terms,
+    _divides,
+    _real_terms,
     construct_map,
     corner_move,
     dehomogenize,
@@ -416,3 +419,29 @@ def test_quadric_map_validation():
         QuadricMap(2, 1, False, comps, 7)
     with pytest.raises(ValueError):
         QuadricMap(2, 1, False, comps, 0)
+
+
+def _branch_verdicts(m):
+    form = norm_difference(m.components, not m.homogeneous and m.denominator is None)
+    assert all(alpha == beta for alpha, beta in form.entries)
+    affine = not m.homogeneous
+    return (
+        _divides(m.a, m.b, affine, False, _real_terms(form)),
+        _divides(m.a, m.b, affine, True, _complexified_terms(form)),
+    )
+
+
+def _bent(m):
+    sign, weight, poly = m.components.components[0]
+    comps = ((sign, weight * 2, poly),) + m.components.components[1:]
+    return QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(m.n, comps), m.denominator)
+
+
+def test_divisibility_branches_agree_on_diagonal_forms():
+    maps = [construct_map(4, 2, A, B) for A, B in ((9, 8), (10, 14), (12, 12), (13, 12))]
+    witnesses, _ = reachable_signatures(2, 2, 6)
+    maps += [dehomogenize(p) for p in witnesses.values()]
+    maps += [identity_map(a, b) for a, b in ((1, 0), (2, 1), (3, 2))]
+    for m in maps:
+        assert _branch_verdicts(m) == (True, True)
+        assert _branch_verdicts(_bent(m)) == (False, False)

@@ -112,7 +112,7 @@ def test_max_affine_rank_sees_constant_term():
     f = form_from_real_poly({(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert form_rank(f) == 3
     assert max_affine_rank(f, 1, samples=4, seed=1) == 3
-    assert max_affine_rank(f, 1, samples=4, seed=1, translations=False) == 1
+    assert generic_restriction_rank(f, 1, trials=4, seed=1) == 1
 
 
 def test_cayley_unitary_exact():
