@@ -198,6 +198,8 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
                 poly[alpha] = value
             else:
                 poly.pop(alpha, None)
+        if not poly:
+            raise ParseError(filename, lineno, "the terms of this component cancel to zero")
         comps.append((sign, weight, poly))
 
     pos = sum(1 for s, _, _ in comps if s > 0)

@@ -10,10 +10,19 @@ mapping HQ(a, b) -> HQ(A, B).
 
 This module implements the admissibility test, the eight lattice moves
 that walk an admissible polynomial's signature around the (A, B)
-lattice, a breadth-first search assembling mappings from those moves,
-exact divisibility verification of any candidate map, tensor
+lattice, a lowest-degree-first search assembling mappings from those
+moves, exact divisibility verification of any candidate map, tensor
 extensions, and dehomogenization to rational maps between affine
 hyperquadrics.
+
+The search is shared: one resumable walk per source split, kept for the
+last few splits, answers every construct_map and reachable_signatures
+call whose box lies in its region, resuming only as far as the answer
+needs.  Every move raises both signature coordinates, so nodes outside a
+down-closed box never push nodes inside it: the in-box pops and their
+witnesses come in the order of a walk of that box alone.  A search
+budget (`--budget`) still counts the expansions of that lone walk, so no
+answer or NotReached message depends on earlier calls.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
@@ -25,6 +34,8 @@ exactly when s(x) - c divides P(x): it is tested in n real variables.
 from __future__ import annotations
 
 import heapq
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -397,55 +408,141 @@ def _map_from_admissible(p: SignedRealPoly, verify: bool = True) -> QuadricMap:
     return out
 
 
+Sig = Tuple[int, int]
+
+
+class _LatticeSearch:
+    """A resumable walk of the signature lattice over a down-closed region.
+
+    The region is A <= box_a, B <= box_b, A + B <= total.  Nodes are
+    expanded lowest degree first, then fewest terms, then push order, and
+    each settled signature keeps one witness polynomial, in settle order.
+    `pending` maps each unsettled signature with a heap entry to the
+    polynomial of its best entry, the one that pops first; heap entries
+    hold no polynomial.
+    """
+
+    def __init__(self, a: int, b: int, box_a: int, box_b: int, total: int):
+        self.region = (box_a, box_b, total)
+        self.routes = _routes(a, b)
+        self.witnesses: Dict[Sig, SignedRealPoly] = {}
+        self.pending: Dict[Sig, SignedRealPoly] = {}
+        self.heap: List[Tuple[int, int, int, Sig]] = []
+        self.tick = count()
+        self.shared: Dict[object, object] = {}
+        seed = s_poly(a, b)
+        self._push((a, b), seed)
+        self._push((b, a), SignedRealPoly(a, b, {al: -c for al, c in seed.terms.items()}))
+
+    def holds(self, sig: Sig) -> bool:
+        # the region is down-closed, so it holds a box when it holds the box's corner
+        ra, rb, total = self.region
+        return sig[0] <= ra and sig[1] <= rb and sig[0] + sig[1] <= total
+
+    def _push(self, sig: Sig, poly: SignedRealPoly) -> None:
+        # an entry that would pop after the signature's best one is never used
+        key = (poly.degree(), len(poly.terms))
+        best = self.pending.get(sig)
+        if best is None or key < (best.degree(), len(best.terms)):
+            # kept polynomials share a few hundred monomials and a dozen coefficients
+            share = self.shared.setdefault
+            terms = [(share(al, al), share(c, c)) for al, c in poly.terms.items()]
+            poly.terms.clear()
+            poly.terms.update(terms)
+            self.pending[sig] = poly
+            heapq.heappush(self.heap, key + (next(self.tick), sig))
+
+    def answer(
+        self, box_a: int, box_b: int, budget: int, goal: Optional[Sig]
+    ) -> Optional[Tuple[Dict[Sig, SignedRealPoly], bool]]:
+        """What a fresh search of the box [box_a] x [box_b] returns.
+
+        Resumes the walk until the answer is settled: the goal is
+        witnessed, more than `budget` signatures in the box are, or no
+        heap entry is left in the box.  Returns None instead once this
+        call has expanded more than `budget` nodes without settling it.
+        """
+        budget = max(budget, 0)
+
+        def inside(sig: Sig) -> bool:
+            return sig[0] <= box_a and sig[1] <= box_b
+
+        found = [sig for sig in self.witnesses if inside(sig)]
+        live = sum(1 for sig in self.pending if inside(sig))
+        expanded = 0
+        while live and len(found) <= budget and goal not in self.witnesses:
+            if expanded > budget:
+                return None
+            sig = heapq.heappop(self.heap)[3]
+            if sig in self.witnesses:
+                continue
+            poly = self.witnesses[sig] = self.pending.pop(sig)
+            if inside(sig):
+                found.append(sig)
+                live -= 1
+            expanded += 1
+            for shift, route in self.routes.items():
+                nsig = (sig[0] + shift[0], sig[1] + shift[1])
+                if not self.holds(nsig) or nsig in self.witnesses:
+                    continue
+                if inside(nsig) and nsig not in self.pending:
+                    live += 1
+                if route[0] == "grow":
+                    self._push(nsig, grow(poly, route[1], verify=False))
+                else:
+                    self._push(nsig, corner_move(poly, shift, verify=False))
+        if goal in self.witnesses and found.index(goal) <= budget:
+            return {sig: self.witnesses[sig] for sig in found[: found.index(goal) + 1]}, False
+        return {sig: self.witnesses[sig] for sig in found[: budget + 1]}, len(found) > budget
+
+
+_SEARCHES: "OrderedDict[Tuple[int, int], _LatticeSearch]" = OrderedDict()
+_SEARCH_SPLITS = 4
+_SEARCH_LOCK = threading.Lock()
+
+
+def _clear_search_cache() -> None:
+    """Forget every shared search, so the next one starts cold."""
+    with _SEARCH_LOCK:
+        _SEARCHES.clear()
+
+
 def _search(
     a: int,
     b: int,
     box_a: int,
     box_b: int,
     budget: int,
-    goal: Optional[Tuple[int, int]] = None,
-) -> Tuple[Dict[Tuple[int, int], SignedRealPoly], bool]:
-    """Breadth-first walk of the signature lattice from the two seeds.
+    goal: Optional[Sig] = None,
+) -> Tuple[Dict[Sig, SignedRealPoly], bool]:
+    """Lowest-degree-first walk of the signature lattice from the two seeds.
 
-    Expands lowest degree first (then fewest terms) and memoizes one
-    witness polynomial per signature inside the box.  Every move shifts
-    both signature coordinates up by at least one, so pruning at the box
-    is exact.  Returns the witnesses and whether the budget ran out.
+    Returns the witnesses, in settle order, and whether the budget ran
+    out, exactly as a walk pruned at the box [box_a] x [box_b] that stops
+    at the goal or after `budget` expansions would.  The walk is shared:
+    one resumable search per source split, kept for the last few splits,
+    answers every box inside its region.  The first region is the first
+    box; a box outside it rebuilds the search over A + B <= T, T at least
+    doubling.  This is exact because every move raises both coordinates
+    (b >= 2): nodes outside a down-closed box never push nodes inside it,
+    so the in-box pops and their witnesses come in the fresh order.  The
+    budget still counts the fresh walk's expansions; a call that expands
+    more than `budget` shared nodes without an answer walks the box alone.
     """
-    routes = _routes(a, b)
-    seed = s_poly(a, b)
-    mirrored = SignedRealPoly(a, b, {al: -c for al, c in seed.terms.items()})
-    witnesses: Dict[Tuple[int, int], SignedRealPoly] = {}
-    tick = count()
-    heap: List[Tuple[int, int, int, Tuple[int, int], SignedRealPoly]] = []
-
-    def push(sig: Tuple[int, int], poly: SignedRealPoly) -> None:
-        if sig[0] <= box_a and sig[1] <= box_b and sig not in witnesses:
-            heapq.heappush(heap, (poly.degree(), len(poly.terms), next(tick), sig, poly))
-
-    push((a, b), seed)
-    push((b, a), mirrored)
-    expansions = 0
-    while heap:
-        _, _, _, sig, poly = heapq.heappop(heap)
-        if sig in witnesses:
-            continue
-        witnesses[sig] = poly
-        if goal is not None and sig == goal:
-            return witnesses, False
-        if expansions >= budget:
-            return witnesses, True
-        expansions += 1
-        for shift, route in routes.items():
-            nsig = (sig[0] + shift[0], sig[1] + shift[1])
-            if nsig[0] > box_a or nsig[1] > box_b or nsig in witnesses:
-                continue
-            if route[0] == "grow":
-                child = grow(poly, route[1], verify=False)
-            else:
-                child = corner_move(poly, shift, verify=False)
-            push(nsig, child)
-    return witnesses, False
+    with _SEARCH_LOCK:
+        state = _SEARCHES.pop((a, b), None)
+        if state is None:
+            state = _LatticeSearch(a, b, box_a, box_b, box_a + box_b)
+        elif not state.holds((box_a, box_b)):
+            total = max(box_a + box_b, 2 * state.region[2])
+            state = _LatticeSearch(a, b, total, total, total)
+        _SEARCHES[(a, b)] = state
+        while len(_SEARCHES) > _SEARCH_SPLITS:
+            _SEARCHES.popitem(last=False)
+        found = state.answer(box_a, box_b, budget, goal)
+    if found is None:
+        found = _LatticeSearch(a, b, box_a, box_b, box_a + box_b).answer(box_a, box_b, budget, goal)
+    return found
 
 
 def reachable_signatures(
@@ -497,7 +594,9 @@ def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
     On the source quadric |f|^2 equals |f|^2 (sum_{j<=a} |z_j|^2 -
     sum_{j>a} |z_j|^2), so tensoring a positive component adds the block
     split (a-1, b) to the target and tensoring a negative one adds
-    (b, a-1).  The output is re-verified.
+    (b, a-1).  The output is re-verified.  On HQ(a, b) with a + b >= 2
+    the block sums to |f|^2 s = 0 instead, so homogeneous maps are
+    refused up front.
     """
     comps = m.components.components
     if not 0 <= component_index < len(comps):
@@ -506,6 +605,11 @@ def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
         )
     if m.denominator == component_index:
         raise IndexOutOfRange("the denominator component cannot be tensored")
+    if m.homogeneous and m.a + m.b >= 2:
+        raise NotVanishing(
+            "tensor extension needs a map between affine quadrics: on HQ(a, b) the "
+            "tensored block sums to |f|^2 s, which vanishes there instead of giving |f|^2"
+        )
     if not verify_map(m):
         raise NotVanishing("input map does not verify; refusing to tensor")
     n, a = m.n, m.a

@@ -250,3 +250,25 @@ def test_bad_map_header_is_parse_error(capsys, tmp_path, header):
     code, out, err = run(capsys, ["quadric", "verify", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("parse error:")
+
+
+def test_cancelling_component_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(
+        "map n=3 a=2 b=1 A=2 B=1 homogeneous=0 denominator=none\n"
+        "+ 1 :: 1,0 1 0 0 ; -1,0 1 0 0\n+ 1 :: 1,0 0 1 0\n- 1 :: 1,0 0 0 1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["quadric", "verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: {path}:2:")
+
+
+def test_tensor_of_homogeneous_map_is_domain_error(capsys, tmp_path):
+    code, text, _ = run(capsys, ["quadric", "construct", "2", "2", "5", "4"])
+    assert code == 0
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["quadric", "tensor", str(path), "--component", "0"])
+    assert code == 1 and out == ""
+    assert err.startswith("NotVanishing:") and "affine" in err

@@ -154,6 +154,18 @@ def test_parse_map_component_errors():
         parse_map(header + "+ 1 :: 1 1 0\n- 1 :: 1,0 0 1\n")
 
 
+def test_parse_map_cancelling_component_is_parse_error():
+    text = (
+        "map n=2 a=1 b=1 A=1 B=1 homogeneous=0 denominator=none\n"
+        "+ 1 :: 1,0 1 0 ; -1,0 1 0\n"
+        "- 1 :: 1,0 0 1\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_map(text, "m.txt")
+    assert exc.value.lineno == 2
+    assert "cancel" in exc.value.message
+
+
 def test_parse_map_header_count_mismatch():
     text = (
         "map n=2 a=1 b=1 A=2 B=0 homogeneous=0 denominator=none\n"

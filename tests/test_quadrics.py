@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from hyperq.combinat import stability_region
 from hyperq.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -16,8 +17,10 @@ from hyperq.errors import (
 )
 from hyperq.forms import WeightedHoloMap, form_from_entries, form_from_real_poly, norm_difference
 from hyperq.quadrics import (
+    _SEARCHES,
     QuadricMap,
     SignedRealPoly,
+    _clear_search_cache,
     _complexified_terms,
     _divides,
     _real_terms,
@@ -249,6 +252,66 @@ def test_construct_validation():
         construct_map(2, 2, 4, 4, search_budget=0)
 
 
+def _outcome(call):
+    try:
+        out = call()
+    except NotReached as exc:
+        return ("NotReached", str(exc))
+    if isinstance(out, tuple):  # reachable_signatures: keep the settle order
+        return (list(out[0].items()), out[1])
+    return out
+
+
+def test_shared_search_matches_fresh_search():
+    sector = [
+        (A, B)
+        for A in range(2, 27)
+        for B in range(2, 27)
+        if 17 <= A + B <= 27 and stability_region(4, 2, A, B)
+    ]
+    calls = [lambda A=A, B=B: construct_map(4, 2, A, B) for A, B in Random(7).sample(sector, 8)]
+    calls += [
+        # in the box, never reached: unmarked on the `quadric region 4 2` grid
+        lambda: construct_map(4, 2, 5, 8),
+        lambda: construct_map(4, 2, 9, 3),
+        # the budget counts fresh expansions even when the shared walk went further
+        lambda: construct_map(4, 2, 20, 20, search_budget=2),
+        lambda: construct_map(4, 2, 14, 9, search_budget=300),
+        lambda: construct_map(4, 2, 14, 9, search_budget=20),
+        lambda: reachable_signatures(4, 2, 12, budget=50),
+        lambda: reachable_signatures(4, 2, 12),
+    ]
+    _clear_search_cache()
+    shared = [_outcome(call) for call in calls]
+    fresh = []
+    for call in calls:
+        _clear_search_cache()
+        fresh.append(_outcome(call))
+    assert shared == fresh
+    assert sum(isinstance(out, QuadricMap) for out in shared) == 9
+    assert shared[10][0] == "NotReached" and "budget 2 exhausted" in shared[10][1]
+    assert shared[-2][1] is True and len(shared[-2][0]) == 51
+
+    witnesses, _ = reachable_signatures(4, 2, 12)
+    witnesses.clear()
+    witnesses.update(reachable_signatures(2, 2, 6)[0])
+    assert _outcome(lambda: reachable_signatures(4, 2, 12)) == shared[-1]
+    _clear_search_cache()
+
+
+def test_shared_search_work_is_bounded():
+    # (5, 20) lies outside the first box, so the walk is rebuilt over A + B <= 34,
+    # where low-degree nodes outside the thin box come first
+    _clear_search_cache()
+    construct_map(4, 2, 9, 8)
+    shared = _outcome(lambda: construct_map(4, 2, 5, 20, search_budget=30))
+    assert len(_SEARCHES[(4, 2)].witnesses) <= 31
+    _clear_search_cache()
+    assert shared == _outcome(lambda: construct_map(4, 2, 5, 20, search_budget=30))
+    assert shared[0] == "NotReached" and "exhausted the box" in shared[1]
+    _clear_search_cache()
+
+
 def test_reachable_signatures_box():
     witnesses, hit = reachable_signatures(2, 2, 6)
     assert not hit
@@ -342,6 +405,17 @@ def test_tensor_errors():
     assert rational.denominator is not None
     with pytest.raises(IndexOutOfRange):
         tensor_extend(rational, rational.denominator)
+
+
+def test_tensor_refuses_homogeneous_maps():
+    m = construct_map(2, 2, 5, 4)
+    assert verify_map(m)
+    with pytest.raises(NotVanishing) as exc:
+        tensor_extend(m, 0)
+    assert "affine" in str(exc.value)
+    # on HQ(1, 0) the block |f|^2 s is |f z_1|^2 itself, so the extension verifies
+    line = QuadricMap(1, 0, True, WeightedHoloMap(1, ((1, F1, {(1,): gr(1)}),)), None)
+    assert verify_map(tensor_extend(line, 0))
 
 
 def test_dehomogenize_s_times_x1():
