@@ -429,10 +429,11 @@ class _LatticeSearch:
         self.pending: Dict[Sig, SignedRealPoly] = {}
         self.heap: List[Tuple[int, int, int, Sig]] = []
         self.tick = count()
-        self.shared: Dict[object, object] = {}
         seed = s_poly(a, b)
-        self._push((a, b), seed)
-        self._push((b, a), SignedRealPoly(a, b, {al: -c for al, c in seed.terms.items()}))
+        mirrored = SignedRealPoly(a, b, {al: -c for al, c in seed.terms.items()})
+        for sig, poly in (((a, b), seed), ((b, a), mirrored)):
+            if self.holds(sig):
+                self._push(sig, poly)
 
     def holds(self, sig: Sig) -> bool:
         # the region is down-closed, so it holds a box when it holds the box's corner
@@ -444,23 +445,20 @@ class _LatticeSearch:
         key = (poly.degree(), len(poly.terms))
         best = self.pending.get(sig)
         if best is None or key < (best.degree(), len(best.terms)):
-            # kept polynomials share a few hundred monomials and a dozen coefficients
-            share = self.shared.setdefault
-            terms = [(share(al, al), share(c, c)) for al, c in poly.terms.items()]
-            poly.terms.clear()
-            poly.terms.update(terms)
             self.pending[sig] = poly
             heapq.heappush(self.heap, key + (next(self.tick), sig))
 
     def answer(
-        self, box_a: int, box_b: int, budget: int, goal: Optional[Sig]
+        self, box_a: int, box_b: int, budget: int, goal: Optional[Sig], shared: bool = True
     ) -> Optional[Tuple[Dict[Sig, SignedRealPoly], bool]]:
         """What a fresh search of the box [box_a] x [box_b] returns.
 
         Resumes the walk until the answer is settled: the goal is
         witnessed, more than `budget` signatures in the box are, or no
-        heap entry is left in the box.  Returns None instead once this
-        call has expanded more than `budget` nodes without settling it.
+        heap entry is left in the box.  A shared walk returns None instead
+        once this call has expanded more nodes outside the box than the
+        box holds witnesses, or more than `budget` nodes in all; a walk
+        that is not shared always settles the answer.
         """
         budget = max(budget, 0)
 
@@ -469,9 +467,9 @@ class _LatticeSearch:
 
         found = [sig for sig in self.witnesses if inside(sig)]
         live = sum(1 for sig in self.pending if inside(sig))
-        expanded = 0
+        spent = outside = 0
         while live and len(found) <= budget and goal not in self.witnesses:
-            if expanded > budget:
+            if shared and (outside > len(found) or spent > budget):
                 return None
             sig = heapq.heappop(self.heap)[3]
             if sig in self.witnesses:
@@ -480,7 +478,9 @@ class _LatticeSearch:
             if inside(sig):
                 found.append(sig)
                 live -= 1
-            expanded += 1
+            else:
+                outside += 1
+            spent += 1
             for shift, route in self.routes.items():
                 nsig = (sig[0] + shift[0], sig[1] + shift[1])
                 if not self.holds(nsig) or nsig in self.witnesses:
@@ -526,8 +526,10 @@ def _search(
     doubling.  This is exact because every move raises both coordinates
     (b >= 2): nodes outside a down-closed box never push nodes inside it,
     so the in-box pops and their witnesses come in the fresh order.  The
-    budget still counts the fresh walk's expansions; a call that expands
-    more than `budget` shared nodes without an answer walks the box alone.
+    budget still counts the fresh walk's expansions.  A call that expands
+    more shared nodes outside the box than the box holds witnesses, or more
+    than `budget` in all, walks the box alone: no call expands more than
+    about three times the nodes of that lone walk, nor about 2 x budget.
     """
     with _SEARCH_LOCK:
         state = _SEARCHES.pop((a, b), None)
@@ -541,7 +543,8 @@ def _search(
             _SEARCHES.popitem(last=False)
         found = state.answer(box_a, box_b, budget, goal)
     if found is None:
-        found = _LatticeSearch(a, b, box_a, box_b, box_a + box_b).answer(box_a, box_b, budget, goal)
+        alone = _LatticeSearch(a, b, box_a, box_b, box_a + box_b)
+        found = alone.answer(box_a, box_b, budget, goal, shared=False)
     return found
 
 

@@ -1,6 +1,8 @@
 """Signed polynomials, the eight lattice moves, and quadric map synthesis."""
 
+import heapq
 from fractions import Fraction
+from itertools import count
 from random import Random
 
 import pytest
@@ -24,6 +26,8 @@ from hyperq.quadrics import (
     _complexified_terms,
     _divides,
     _real_terms,
+    _routes,
+    _search,
     construct_map,
     corner_move,
     dehomogenize,
@@ -299,17 +303,82 @@ def test_shared_search_matches_fresh_search():
     _clear_search_cache()
 
 
+def _lone_walk(a, b, box_a, box_b, budget, goal=None):
+    """The move search as one walk of the box from the two seeds, nothing shared."""
+    routes = _routes(a, b)
+    seed = s_poly(a, b)
+    mirrored = SignedRealPoly(a, b, {al: -c for al, c in seed.terms.items()})
+    witnesses = {}
+    tick = count()
+    heap = []
+
+    def push(sig, poly):
+        if sig[0] <= box_a and sig[1] <= box_b and sig not in witnesses:
+            heapq.heappush(heap, (poly.degree(), len(poly.terms), next(tick), sig, poly))
+
+    push((a, b), seed)
+    push((b, a), mirrored)
+    expansions = 0
+    while heap:
+        _, _, _, sig, poly = heapq.heappop(heap)
+        if sig in witnesses:
+            continue
+        witnesses[sig] = poly
+        if sig == goal:
+            return witnesses, False
+        if expansions >= budget:
+            return witnesses, True
+        expansions += 1
+        for shift, route in routes.items():
+            nsig = (sig[0] + shift[0], sig[1] + shift[1])
+            if nsig[0] <= box_a and nsig[1] <= box_b and nsig not in witnesses:
+                if route[0] == "grow":
+                    push(nsig, grow(poly, route[1], verify=False))
+                else:
+                    push(nsig, corner_move(poly, shift, verify=False))
+    return witnesses, False
+
+
+def test_shared_search_matches_lone_walk():
+    # boxes that hold one seed but not the other, tiny budgets, cold and warm
+    cold = [(4, 2, 7, 3, 1), (4, 2, 3, 7, 1), (4, 2, 8, 3, 2), (4, 2, 3, 8, 2), (3, 2, 3, 3, 0)]
+    for a, b, A, B, budget in cold:
+        _clear_search_cache()
+        got = _search(a, b, A, B, budget, goal=(A, B))
+        want = _lone_walk(a, b, A, B, budget, goal=(A, B))
+        assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
+    _clear_search_cache()
+    rng = Random(3)
+    for _ in range(120):
+        if rng.random() < 0.15:
+            _clear_search_cache()
+        a, b = rng.choice([(4, 2), (2, 2), (3, 2), (3, 3)])
+        A, B = rng.randint(2, 22), rng.randint(2, 22)
+        if rng.random() < 0.5:
+            A, B = rng.choice([(A, rng.randint(2, 5)), (rng.randint(2, 5), B)])
+        budget = rng.choice([0, 1, 2, 3, 10, 40, 10**5])
+        goal = (A, B) if rng.random() < 0.7 else None
+        got = _search(a, b, A, B, budget, goal)
+        want = _lone_walk(a, b, A, B, budget, goal)
+        assert list(got[0].items()) == list(want[0].items()), (a, b, A, B, budget, goal)
+        assert got[1] == want[1], (a, b, A, B, budget, goal)
+    _clear_search_cache()
+
+
 def test_shared_search_work_is_bounded():
     # (5, 20) lies outside the first box, so the walk is rebuilt over A + B <= 34,
     # where low-degree nodes outside the thin box come first
     _clear_search_cache()
-    construct_map(4, 2, 9, 8)
-    shared = _outcome(lambda: construct_map(4, 2, 5, 20, search_budget=30))
-    assert len(_SEARCHES[(4, 2)].witnesses) <= 31
-    _clear_search_cache()
-    assert shared == _outcome(lambda: construct_map(4, 2, 5, 20, search_budget=30))
-    assert shared[0] == "NotReached" and "exhausted the box" in shared[1]
-    _clear_search_cache()
+    lone = _lone_walk(4, 2, 5, 20, 10**5, goal=(5, 20))[0]
+    for budget in (30, 10**5):
+        construct_map(4, 2, 9, 8)
+        shared = _outcome(lambda: construct_map(4, 2, 5, 20, search_budget=budget))
+        # the shared walk gives up after as many nodes outside the box as in it
+        assert len(_SEARCHES[(4, 2)].witnesses) <= min(2 * len(lone) + 1, budget + 1)
+        _clear_search_cache()
+        assert shared == _outcome(lambda: construct_map(4, 2, 5, 20, search_budget=budget))
+        assert shared[0] == "NotReached" and "exhausted the box" in shared[1]
+        _clear_search_cache()
 
 
 def test_reachable_signatures_box():
