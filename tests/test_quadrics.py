@@ -1,6 +1,8 @@
 """Signed polynomials, the eight lattice moves, and quadric map synthesis."""
 
 import heapq
+import sys
+import threading
 from fractions import Fraction
 from itertools import count
 from random import Random
@@ -363,6 +365,36 @@ def test_shared_search_matches_lone_walk():
         assert list(got[0].items()) == list(want[0].items()), (a, b, A, B, budget, goal)
         assert got[1] == want[1], (a, b, A, B, budget, goal)
     _clear_search_cache()
+
+
+def test_shared_search_across_threads():
+    queries = [(4, 2, A, B, budget) for A, B in [(9, 8), (14, 9), (7, 3), (5, 20), (12, 12)]
+               for budget in (2, 40, 10**5)] + [(3, 2, 8, 7, 10**5), (2, 2, 6, 6, 10**5)]
+    want = [_lone_walk(a, b, A, B, budget, goal=(A, B)) for a, b, A, B, budget in queries]
+    got = {}
+
+    def worker(k):
+        order = Random(k).sample(range(len(queries)), len(queries))
+        for i in order:
+            a, b, A, B, budget = queries[i]
+            got[k, i] = _search(a, b, A, B, budget, goal=(A, B))
+
+    _clear_search_cache()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        _clear_search_cache()
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6 * len(queries)
+    for (k, i), out in got.items():
+        assert list(out[0].items()) == list(want[i][0].items()) and out[1] == want[i][1]
 
 
 def test_shared_search_work_is_bounded():
