@@ -9,6 +9,7 @@ on domain errors, 2 on parse or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -326,7 +327,9 @@ def cmd_quadric_region(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first main() call and reused."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one machine-readable JSON document")
     common.add_argument("--quiet", action="store_true", help="suppress supplementary text output")

@@ -11,6 +11,7 @@ arbitrary-precision integer; nothing here can overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from math import comb
 from typing import Tuple
 
@@ -36,31 +37,58 @@ class MacaulayRep:
 
     def lower(self) -> int:
         """Value after replacing every binom(k_i, i) by binom(k_i - 1, i)."""
-        return sum(comb(k - 1, i) for k, i in self.terms() if k >= 1)
+        return _lower_sum(self.terms())
 
 
-def macaulay_rep(c: int, d: int) -> MacaulayRep:
-    """Greedy construction: the largest k_d with binom(k_d, d) <= c, recurse."""
+def _last_true(pred, lo: int, hi: int | None = None) -> int:
+    """Largest x >= lo with pred(x), for pred true at lo and false from some
+    point on (at hi, if given): gallop up by doubling steps, then bisect."""
+    if hi is None:
+        step, hi = 1, lo + 1
+        while pred(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo
+
+
+def _rep_head(c: int, d: int) -> tuple[list[int], int]:
+    """The leading k_d, k_{d-1}, ... of the rep of c, and the remainder: stops
+    at the first level i with rem <= i, since every later k_j is then j or
+    j - 1 and adds binom(k_j - 1, j) = 0 to lower()."""
     if c < 0:
         raise ValueError("c must be nonnegative")
     if d < 1:
         raise ValueError("d must be positive")
-    ks = []
-    rem = c
-    for i in range(d, 0, -1):
-        # smallest k gives binom(k, i) = 0 at k = i - 1; grow while it fits
-        k = i - 1
-        while comb(k + 1, i) <= rem:
-            k += 1
-        ks.append(k)
-        rem -= comb(k, i)
-    assert rem == 0
+    ks, rem, i = [], c, d
+    while rem > i:
+        # binom(k, 1) = k; below the top, binom(k_{i+1}, i) > rem bounds k_i
+        hi = ks[-1] if ks else None
+        ks.append(rem if i == 1 else _last_true(lambda k: comb(k, i) <= rem, i + 1, hi))
+        rem -= comb(ks[-1], i)
+        i -= 1
+    return ks, rem
+
+
+def _lower_sum(terms) -> int:
+    """Sum of binom(k_i - 1, i) over the leading terms with k_i > i."""
+    return sum(comb(k - 1, i) for k, i in takewhile(lambda t: t[0] > t[1], terms))
+
+
+def macaulay_rep(c: int, d: int) -> MacaulayRep:
+    """Greedy: each k_i is the largest k with binom(k, i) <= rem, bisected in
+    the head; the tail takes k_j = j for the next rem levels, then j - 1."""
+    ks, rem = _rep_head(c, d)
+    top = d - len(ks)
+    ks += [j if j > top - rem else j - 1 for j in range(top, 0, -1)]
     return MacaulayRep(c, d, tuple(ks))
 
 
 def macaulay_lower(c: int, d: int) -> int:
     """The operator c -> c_<d>; monotone nondecreasing in c for fixed d."""
-    return macaulay_rep(c, d).lower()
+    return _lower_sum(zip(_rep_head(c, d)[0], range(d, 0, -1)))
 
 
 def green_G(n: int, d: int, N: int) -> int:
@@ -82,31 +110,22 @@ def green_G(n: int, d: int, N: int) -> int:
 
 
 def _min_degree_for(n: int, N: int) -> int:
-    d = 1
-    while comb(n + d, d) < N:
-        d += 1
-    return d
+    """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N."""
+    return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
 
 
 def green_K(n: int, k: int) -> int:
     """Largest system rank whose generic hyperplane restriction rank is <= k.
 
-    Scans N upward, using for each N the smallest d whose monomial count
-    covers N; degree invariance makes that choice harmless, and G is
-    nondecreasing in N, so the first violation ends the scan.
+    Gallops and bisects over N, using for each N the smallest d whose
+    monomial count covers N; degree invariance makes that choice
+    harmless, and G is nondecreasing in N, so O(log K) probes of G suffice.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    best = -1
-    N = 0
-    while True:
-        d = _min_degree_for(n, N)
-        if green_G(n, d, N) > k:
-            return best
-        best = N
-        N += 1
+    return _last_true(lambda N: green_G(n, _min_degree_for(n, N), N) <= k, 0)
 
 
 def compose_K(m: int, n: int, k: int) -> int:
