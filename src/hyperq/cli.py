@@ -4,6 +4,9 @@ One subcommand per library operation, text output by default, a single
 JSON document with --json.  Identical invocations produce byte-identical
 output.  Exit codes: 0 on success (a false verdict is still success), 1
 on domain errors, 2 on parse or usage errors.
+
+Each cmd_* returns (doc, text): the JSON fields and the exact text
+output, --quiet already applied; main prints one of the two.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .combinat import (
     compose_K,
@@ -39,11 +42,6 @@ from .quadrics import (
 from .restrict import generic_restriction_rank, max_affine_rank, sz_failure_bound
 
 
-def _print_json(doc: dict) -> None:
-    doc["schema"] = 1
-    print(json.dumps(doc, sort_keys=True, default=str))
-
-
 def _components_doc(components) -> list:
     return [
         {
@@ -58,49 +56,34 @@ def _components_doc(components) -> list:
     ]
 
 
-def _map_doc(m: QuadricMap) -> dict:
-    return {
-        "n": m.n,
-        "a": m.a,
-        "b": m.b,
-        "homogeneous": m.homogeneous,
-        "denominator": m.denominator,
-        "target": list(m.target()),
-        "components": _components_doc(m.components.components),
-    }
+def _lines(*values) -> str:
+    """Text output, one value per line; booleans print as true/false."""
+    words = (("true" if v else "false") if isinstance(v, bool) else v for v in values)
+    return "".join(f"{word}\n" for word in words)
 
 
-def cmd_macaulay(args) -> int:
+def _map_output(doc: dict, m: QuadricMap) -> Tuple[dict, str]:
+    """doc with the map's fields added, and the map file text."""
+    doc.update(
+        {
+            "n": m.n,
+            "a": m.a,
+            "b": m.b,
+            "homogeneous": m.homogeneous,
+            "denominator": m.denominator,
+            "target": list(m.target()),
+            "components": _components_doc(m.components.components),
+        }
+    )
+    return doc, dump_map(m)
+
+
+def cmd_macaulay(args) -> Tuple[dict, str]:
     rep = macaulay_rep(args.c, args.d)
     terms = list(rep.terms())
-    if args.json:
-        _print_json(
-            {
-                "command": "macaulay",
-                "c": args.c,
-                "d": args.d,
-                "terms": [[k, i] for k, i in terms],
-                "lower": rep.lower(),
-            }
-        )
-        return 0
-    body = " + ".join(f"C({k},{i})" for k, i in terms) if terms else "0"
-    print(f"{args.c} = {body}")
-    print(f"lower: {rep.lower()}")
-    return 0
-
-
-def _emit_value(args, command: str, inputs: dict, value) -> int:
-    if args.json:
-        doc = {"command": command, "value": value}
-        doc.update(inputs)
-        _print_json(doc)
-    else:
-        if isinstance(value, bool):
-            print("true" if value else "false")
-        else:
-            print(value)
-    return 0
+    doc = {"c": args.c, "d": args.d, "terms": [[k, i] for k, i in terms], "lower": rep.lower()}
+    body = " + ".join(f"C({k},{i})" for k, i in terms)
+    return doc, _lines(f"{args.c} = {body}", f"lower: {rep.lower()}")
 
 
 # kind -> (function, argument names in order, help text)
@@ -114,217 +97,131 @@ _BOUNDS = {
 }
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> Tuple[dict, str]:
     func, names, _ = _BOUNDS[args.subcommand]
     inputs = {name: getattr(args, name) for name in names}
-    return _emit_value(args, f"bound.{args.subcommand}", inputs, func(*inputs.values()))
+    value = func(*inputs.values())
+    return {**inputs, "value": value}, _lines(value)
 
 
-def cmd_form_rank(args) -> int:
-    form = load_form(args.file)
-    return _emit_value(args, "form.rank", {"file": args.file}, form_rank(form))
+def cmd_form_rank(args) -> Tuple[dict, str]:
+    rank = form_rank(load_form(args.file))
+    return {"file": args.file, "value": rank}, _lines(rank)
 
 
-def cmd_form_inertia(args) -> int:
-    form = load_form(args.file)
-    sig = form_inertia(form)
-    if args.json:
-        _print_json({"command": "form.inertia", "file": args.file, "value": list(sig)})
-        return 0
-    print(sig)
-    return 0
+def cmd_form_inertia(args) -> Tuple[dict, str]:
+    sig = form_inertia(load_form(args.file))
+    return {"file": args.file, "value": list(sig)}, _lines(sig)
 
 
-def cmd_form_decompose(args) -> int:
-    form = load_form(args.file)
-    holo = decompose(form)
-    if args.json:
-        _print_json(
-            {
-                "command": "form.decompose",
-                "file": args.file,
-                "signature": list(holo.signature()),
-                "components": _components_doc(holo.components),
-            }
-        )
-        return 0
-    for sign, weight, poly in holo.components:
-        print(component_str(sign, weight, poly))
+def cmd_form_decompose(args) -> Tuple[dict, str]:
+    holo = decompose(load_form(args.file))
+    doc = {
+        "file": args.file,
+        "signature": list(holo.signature()),
+        "components": _components_doc(holo.components),
+    }
+    lines = [component_str(sign, weight, poly) for sign, weight, poly in holo.components]
     if not args.quiet:
-        print(f"signature: {holo.signature()}")
-    return 0
+        lines.append(f"signature: {holo.signature()}")
+    return doc, _lines(*lines)
 
 
-def cmd_restrict_generic(args) -> int:
+def cmd_restrict_generic(args) -> Tuple[dict, str]:
     form = load_form(args.file)
     rank = generic_restriction_rank(
         form, args.dim, trials=args.trials, seed=args.seed, coeff_bound=args.coeff_bound
     )
-    if args.json:
-        bound = sz_failure_bound(form, args.dim, args.trials, args.coeff_bound)
-        _print_json(
-            {
-                "command": "restrict.generic",
-                "file": args.file,
-                "dim": args.dim,
-                "trials": args.trials,
-                "seed": args.seed,
-                "value": rank,
-                "failure_bound": str(bound),
-            }
-        )
-        return 0
-    print(rank)
-    if not args.quiet:
-        bound = sz_failure_bound(form, args.dim, args.trials, args.coeff_bound)
-        print(f"failure bound: {bound}")
-    return 0
+    bound = sz_failure_bound(form, args.dim, args.trials, args.coeff_bound)
+    doc = {
+        "file": args.file,
+        "dim": args.dim,
+        "trials": args.trials,
+        "seed": args.seed,
+        "value": rank,
+        "failure_bound": str(bound),
+    }
+    lines = [rank] if args.quiet else [rank, f"failure bound: {bound}"]
+    return doc, _lines(*lines)
 
 
-def cmd_restrict_max(args) -> int:
+def cmd_restrict_max(args) -> Tuple[dict, str]:
     form = load_form(args.file)
     rank = max_affine_rank(
         form, args.dim, samples=args.samples, seed=args.seed, coeff_bound=args.coeff_bound
     )
-    if args.json:
-        _print_json(
-            {
-                "command": "restrict.max",
-                "file": args.file,
-                "dim": args.dim,
-                "samples": args.samples,
-                "seed": args.seed,
-                "value": rank,
-            }
-        )
-        return 0
-    print(rank)
-    return 0
+    doc = {"file": args.file, "dim": args.dim, "samples": args.samples, "seed": args.seed, "value": rank}
+    return doc, _lines(rank)
 
 
-def cmd_quadric_construct(args) -> int:
+def cmd_quadric_construct(args) -> Tuple[dict, str]:
     m = construct_map(args.a, args.b, args.A, args.B, search_budget=args.budget)
-    if args.json:
-        doc = {"command": "quadric.construct", "source": [args.a, args.b]}
-        doc.update(_map_doc(m))
-        _print_json(doc)
-        return 0
-    sys.stdout.write(dump_map(m))
-    return 0
+    return _map_output({"source": [args.a, args.b]}, m)
 
 
-def cmd_quadric_verify(args) -> int:
+def cmd_quadric_verify(args) -> Tuple[dict, str]:
     m = load_map(args.file)
     verdict = verify_map(m)
-    if args.json:
-        _print_json(
-            {
-                "command": "quadric.verify",
-                "file": args.file,
-                "source": [m.a, m.b],
-                "target": list(m.target()),
-                "value": verdict,
-            }
-        )
-        return 0
-    print("true" if verdict else "false")
-    return 0
+    doc = {"file": args.file, "source": [m.a, m.b], "target": list(m.target()), "value": verdict}
+    return doc, _lines(verdict)
 
 
-def cmd_quadric_tensor(args) -> int:
-    m = load_map(args.file)
-    out = tensor_extend(m, args.component)
-    if args.json:
-        doc = {"command": "quadric.tensor", "file": args.file, "component": args.component}
-        doc.update(_map_doc(out))
-        _print_json(doc)
-        return 0
-    sys.stdout.write(dump_map(out))
-    return 0
+def cmd_quadric_tensor(args) -> Tuple[dict, str]:
+    out = tensor_extend(load_map(args.file), args.component)
+    return _map_output({"file": args.file, "component": args.component}, out)
 
 
-def cmd_quadric_dehomogenize(args) -> int:
-    p = load_realpoly(args.file)
-    out = dehomogenize(p)
-    if args.json:
-        doc = {"command": "quadric.dehomogenize", "file": args.file}
-        doc.update(_map_doc(out))
-        _print_json(doc)
-        return 0
-    sys.stdout.write(dump_map(out))
-    return 0
+def cmd_quadric_dehomogenize(args) -> Tuple[dict, str]:
+    out = dehomogenize(load_realpoly(args.file))
+    return _map_output({"file": args.file}, out)
 
 
-def cmd_quadric_admissible(args) -> int:
-    p = load_realpoly(args.file)
-    ok, sig = is_admissible(p)
-    if args.json:
-        _print_json(
-            {
-                "command": "quadric.admissible",
-                "file": args.file,
-                "value": ok,
-                "signature": list(sig),
-            }
-        )
-        return 0
-    print(f"admissible: {'true' if ok else 'false'}")
-    print(f"signature: {sig}")
-    return 0
+def cmd_quadric_admissible(args) -> Tuple[dict, str]:
+    ok, sig = is_admissible(load_realpoly(args.file))
+    doc = {"file": args.file, "value": ok, "signature": list(sig)}
+    return doc, _lines(f"admissible: {'true' if ok else 'false'}", f"signature: {sig}")
 
 
-def _sector(a: int, b: int, A: int, B: int) -> bool:
-    return A >= 2 and B >= 2 and stability_region(a, b, A, B)
-
-
-def cmd_quadric_region(args) -> int:
+def cmd_quadric_region(args) -> Tuple[dict, str]:
     a, b, size = args.a, args.b, args.max
     witnesses, hit = reachable_signatures(a, b, size, budget=args.budget)
+    sector_only = {
+        (A, B)
+        for A in range(2, size + 1)
+        for B in range(2, size + 1)
+        if (A, B) not in witnesses and stability_region(a, b, A, B)
+    }
     floor = a * a + a * b - 2 * a + 1
-    lines = [
+    sector_lines = [
         f"A + B = {floor}",
         f"{a}*(B - {b - 1}) = {b - 1}*A",
         f"{a}*(A - {b - 1}) = {b - 1}*B",
     ]
-    if args.json:
-        sector_only = sorted(
-            (A, B)
-            for A in range(1, size + 1)
-            for B in range(1, size + 1)
-            if (A, B) not in witnesses and _sector(a, b, A, B)
-        )
-        _print_json(
-            {
-                "command": "quadric.region",
-                "a": a,
-                "b": b,
-                "max": size,
-                "budget": args.budget,
-                "constructed": sorted(list(s) for s in witnesses),
-                "sector_only": [list(s) for s in sector_only],
-                "lines": lines,
-                "budget_exhausted": hit,
-            }
-        )
-        return 0
+    doc = {
+        "a": a,
+        "b": b,
+        "max": size,
+        "budget": args.budget,
+        "constructed": sorted(list(s) for s in witnesses),
+        "sector_only": sorted(list(s) for s in sector_only),
+        "lines": sector_lines,
+        "budget_exhausted": hit,
+    }
     width = len(str(size))
+    lines = []
     for B in range(size, 0, -1):
-        cells = []
-        for A in range(1, size + 1):
-            if (A, B) in witnesses:
-                cells.append("@")
-            elif _sector(a, b, A, B):
-                cells.append("#")
-            else:
-                cells.append(".")
-        print(f"B={B:<{width}} {''.join(cells)}")
-    print(f"{' ' * (width + 2)} A=1..{size}")
+        cells = "".join(
+            "@" if (A, B) in witnesses else "#" if (A, B) in sector_only else "."
+            for A in range(1, size + 1)
+        )
+        lines.append(f"B={B:<{width}} {cells}")
+    lines.append(f"{' ' * (width + 2)} A=1..{size}")
     if not args.quiet:
-        print("legend: @ constructed, # in sector without a witness, . unknown")
-        print(f"sector lines: {lines[0]}; {lines[1]}; {lines[2]}")
+        lines.append("legend: @ constructed, # in sector without a witness, . unknown")
+        lines.append(f"sector lines: {'; '.join(sector_lines)}")
         if hit:
-            print("note: search budget exhausted; unmarked points may be reachable")
-    return 0
+            lines.append("note: search budget exhausted; unmarked points may be reachable")
+    return doc, _lines(*lines)
 
 
 @functools.cache
@@ -351,82 +248,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("macaulay", parents=[common], help="Macaulay representation of c in degree d")
-    p.add_argument("c", type=int)
-    p.add_argument("d", type=int)
-    p.set_defaults(func=cmd_macaulay)
+    def leaf(group, name, func, text, *positionals, parent=common):
+        # positionals are ints, except a file name
+        p = group.add_parser(name, parents=[parent], help=text)
+        for arg in positionals:
+            p.add_argument(arg, type=str if arg == "file" else int)
+        p.set_defaults(func=func)
+        return p
+
+    leaf(sub, "macaulay", cmd_macaulay, "Macaulay representation of c in degree d", "c", "d")
 
     bound = sub.add_parser("bound", help="combinatorial rank bounds")
     bsub = bound.add_subparsers(dest="subcommand", required=True, metavar="kind")
-
     for kind, (_, names, text) in _BOUNDS.items():
-        p = bsub.add_parser(kind, parents=[common], help=text)
-        for name in names:
-            p.add_argument(name, type=int)
-        p.set_defaults(func=cmd_bound)
+        leaf(bsub, kind, cmd_bound, text, *names)
 
     form = sub.add_parser("form", help="Hermitian form operations")
     fsub = form.add_subparsers(dest="subcommand", required=True, metavar="op")
-
-    p = fsub.add_parser("rank", parents=[common], help="exact rank of a form file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_form_rank)
-
-    p = fsub.add_parser("inertia", parents=[common], help="exact signature pair of a form file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_form_inertia)
-
-    p = fsub.add_parser("decompose", parents=[common], help="signed weighted squares decomposition")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_form_decompose)
+    leaf(fsub, "rank", cmd_form_rank, "exact rank of a form file", "file")
+    leaf(fsub, "inertia", cmd_form_inertia, "exact signature pair of a form file", "file")
+    leaf(fsub, "decompose", cmd_form_decompose, "signed weighted squares decomposition", "file")
 
     restrict = sub.add_parser("restrict", help="restriction ranks on random subspaces")
     rsub = restrict.add_subparsers(dest="subcommand", required=True, metavar="op")
-
-    p = rsub.add_parser("generic", parents=[randomized], help="rank on a generic linear subspace")
-    p.add_argument("file")
+    p = leaf(
+        rsub, "generic", cmd_restrict_generic, "rank on a generic linear subspace", "file", parent=randomized
+    )
     p.add_argument("--trials", type=int, default=3, help="independent random trials")
     p.add_argument("--dim", type=int, required=True, help="subspace dimension")
-    p.set_defaults(func=cmd_restrict_generic)
-
-    p = rsub.add_parser("max", parents=[randomized], help="max rank over sampled affine subspaces")
-    p.add_argument("file")
+    p = leaf(
+        rsub, "max", cmd_restrict_max, "max rank over sampled affine subspaces", "file", parent=randomized
+    )
     p.add_argument("--dim", type=int, required=True, help="subspace dimension")
     p.add_argument("--samples", type=int, default=8, help="number of sampled subspaces")
-    p.set_defaults(func=cmd_restrict_max)
 
     quadric = sub.add_parser("quadric", help="maps between hyperquadrics")
     qsub = quadric.add_subparsers(dest="subcommand", required=True, metavar="op")
-
-    p = qsub.add_parser("construct", parents=[searched], help="search for HQ(a,b) -> HQ(A,B)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("A", type=int)
-    p.add_argument("B", type=int)
-    p.set_defaults(func=cmd_quadric_construct)
-
-    p = qsub.add_parser("verify", parents=[common], help="exact verification of a map file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_quadric_verify)
-
-    p = qsub.add_parser("tensor", parents=[common], help="tensor one component by the coordinates")
-    p.add_argument("file")
+    leaf(
+        qsub, "construct", cmd_quadric_construct, "search for HQ(a,b) -> HQ(A,B)",
+        "a", "b", "A", "B", parent=searched,
+    )
+    leaf(qsub, "verify", cmd_quadric_verify, "exact verification of a map file", "file")
+    p = leaf(qsub, "tensor", cmd_quadric_tensor, "tensor one component by the coordinates", "file")
     p.add_argument("--component", type=int, required=True, help="index of the component to tensor")
-    p.set_defaults(func=cmd_quadric_tensor)
-
-    p = qsub.add_parser("dehomogenize", parents=[common], help="rational affine map from a realpoly file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_quadric_dehomogenize)
-
-    p = qsub.add_parser("admissible", parents=[common], help="admissibility and signature of a realpoly file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_quadric_admissible)
-
-    p = qsub.add_parser("region", parents=[searched], help="text grid of reachable target signatures")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    leaf(qsub, "dehomogenize", cmd_quadric_dehomogenize, "rational affine map from a realpoly file", "file")
+    leaf(qsub, "admissible", cmd_quadric_admissible, "admissibility and signature of a realpoly file", "file")
+    p = leaf(
+        qsub, "region", cmd_quadric_region, "text grid of reachable target signatures",
+        "a", "b", parent=searched,
+    )
     p.add_argument("--max", type=int, required=True, help="grid extent in each coordinate")
-    p.set_defaults(func=cmd_quadric_region)
 
     return parser
 
@@ -438,7 +309,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        doc, text = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -451,6 +322,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        leaf = [args.command] + ([args.subcommand] if "subcommand" in args else [])
+        doc.update(command=".".join(leaf), schema=1)
+        print(json.dumps(doc, sort_keys=True, default=str))
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

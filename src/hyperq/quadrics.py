@@ -392,20 +392,22 @@ def verify_map(m: QuadricMap) -> bool:
     return _vanishes_on_quadric(diff, m.a, m.b, affine=not m.homogeneous)
 
 
-def _map_from_admissible(p: SignedRealPoly, verify: bool = True) -> QuadricMap:
-    """Monomial map obtained from an admissible polynomial via x_k = |z_k|^2."""
-    if verify:
-        _require_admissible(p, "map construction")
-    pos = sorted((al for al, c in p.terms.items() if c > 0), key=grlex_key)
-    neg = sorted((al for al, c in p.terms.items() if c < 0), key=grlex_key)
+def _diagonal_map(a: int, b: int, terms: RealTerms, denominator: bool) -> QuadricMap:
+    """The monomial map of sum c x^alpha via x_k = |z_k|^2, one component per term.
+
+    Positive terms come first in grlex order, then negative ones, each
+    weighted by |c|.  With denominator, the map is affine and the first
+    negative term is its denominator; otherwise it is homogeneous.
+    """
+    pos = sorted((al for al, c in terms.items() if c > 0), key=grlex_key)
+    neg = sorted((al for al, c in terms.items() if c < 0), key=grlex_key)
     comps = tuple(
-        [(1, p.terms[al], {al: GR_ONE}) for al in pos]
-        + [(-1, -p.terms[al], {al: GR_ONE}) for al in neg]
+        [(1, terms[al], {al: GR_ONE}) for al in pos]
+        + [(-1, -terms[al], {al: GR_ONE}) for al in neg]
     )
-    out = QuadricMap(p.a, p.b, True, WeightedHoloMap(p.n, comps), None)
-    if verify and not verify_map(out):
-        raise NotVanishing("constructed map failed verification")
-    return out
+    return QuadricMap(
+        a, b, not denominator, WeightedHoloMap(a + b, comps), len(pos) if denominator else None
+    )
 
 
 Sig = Tuple[int, int]
@@ -588,7 +590,10 @@ def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) ->
             f"({A}, {B}) is outside the constructive sector for source ({a}, {b}) "
             "and the move search exhausted the box without reaching it"
         )
-    return _map_from_admissible(witnesses[(A, B)], verify=True)
+    out = _diagonal_map(a, b, witnesses[(A, B)].terms, denominator=False)
+    if not verify_map(out):
+        raise NotVanishing("constructed map failed verification")
+    return out
 
 
 def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
@@ -645,32 +650,16 @@ def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
 def dehomogenize(p: SignedRealPoly) -> QuadricMap:
     """Rational map Q(a, b-1) -> Q(A, B-1) from an admissible polynomial.
 
-    Builds the monomial map of p, checks it in homogeneous form, sets
-    the last variable to 1, and designates the negative component with
-    the smallest leading monomial as the denominator (a constant
-    denominator, when present, makes the result a polynomial map).
+    Sets the last variable of p to 1, builds the monomial map, verifies
+    it, and designates the negative component with the smallest leading
+    monomial as the denominator (a constant denominator, when present,
+    makes the result a polynomial map).
     """
     sig = _require_admissible(p, "dehomogenize")
     if sig.neg == 0:
         raise NoNegativeComponent("the polynomial has no negative terms to divide by")
-    homogeneous = _map_from_admissible(p, verify=False)
-    if not verify_map(homogeneous):
-        raise NotVanishing("homogeneous verification failed")
-    pos = sorted((al[:-1] for al, c in p.terms.items() if c > 0), key=grlex_key)
-    neg = sorted((al[:-1] for al, c in p.terms.items() if c < 0), key=grlex_key)
-    weights = {al[:-1]: abs(c) for al, c in p.terms.items()}
-    n_new = p.n - 1
-    comps = tuple(
-        [(1, weights[al], {al: GR_ONE}) for al in pos]
-        + [(-1, weights[al], {al: GR_ONE}) for al in neg]
-    )
-    out = QuadricMap(
-        p.a,
-        p.b - 1,
-        False,
-        WeightedHoloMap(n_new, comps),
-        len(pos),
-    )
+    terms = {al[:-1]: c for al, c in p.terms.items()}
+    out = _diagonal_map(p.a, p.b - 1, terms, denominator=True)
     if not verify_map(out):
         raise NotVanishing("dehomogenized map failed verification")
     return out

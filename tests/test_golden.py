@@ -7,12 +7,13 @@ and must exit 0.  `PYTHONPATH=src python tests/test_golden.py` rewrites
 the expected files; do that only for an output that is meant to change.
 """
 
+import argparse
 import contextlib
 import io
 import os
 from pathlib import Path
 
-from hyperq.cli import main
+from hyperq.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,6 +46,30 @@ def test_golden_outputs():
         if code != 0 or out != (GOLDEN / "expected" / name).read_bytes():
             wrong.append(f"{name} (exit {code})")
     assert not wrong, f"outputs differ from tests/golden/expected: {wrong}"
+
+
+
+def leaves(parser, path=()):
+    """The argv prefix of every leaf command under parser."""
+    groups = [act for act in parser._actions if isinstance(act, argparse._SubParsersAction)]
+    if not groups:
+        yield path
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from leaves(child, path + (name,))
+
+
+def test_every_leaf_has_text_and_json_goldens():
+    all_leaves = list(leaves(_build_parser()))
+    assert len(all_leaves) == 18
+    missing = []
+    for leaf in all_leaves:
+        argvs = [argv for _, argv in golden_cases() if tuple(argv[: len(leaf)]) == leaf]
+        if not any("--json" not in argv for argv in argvs):
+            missing.append(" ".join(leaf))
+        if not any("--json" in argv for argv in argvs):
+            missing.append(" ".join(leaf) + " --json")
+    assert not missing, f"no golden case pins: {missing}"
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from hyperq import quadrics
 from hyperq.combinat import stability_region
 from hyperq.errors import (
     DimensionMismatch,
@@ -26,6 +27,7 @@ from hyperq.quadrics import (
     SignedRealPoly,
     _clear_search_cache,
     _complexified_terms,
+    _diagonal_map,
     _divides,
     _real_terms,
     _routes,
@@ -612,7 +614,7 @@ def _bent(m):
     return QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(m.n, comps), m.denominator)
 
 
-def test_divisibility_branches_agree_on_diagonal_forms():
+def test_divisibility_branches_agree_on_diagonal_forms(monkeypatch):
     maps = [construct_map(4, 2, A, B) for A, B in ((9, 8), (10, 14), (12, 12), (13, 12))]
     witnesses, _ = reachable_signatures(2, 2, 6)
     maps += [dehomogenize(p) for p in witnesses.values()]
@@ -620,3 +622,21 @@ def test_divisibility_branches_agree_on_diagonal_forms():
     for m in maps:
         assert _branch_verdicts(m) == (True, True)
         assert _branch_verdicts(_bent(m)) == (False, False)
+
+    # verifying the diagonal map of p is the admissibility test of p over again,
+    # so each built map runs _divides once on its own terms
+    sector = [p for sig, p in reachable_signatures(4, 2, 14)[0].items() if stability_region(4, 2, *sig)]
+    assert len(sector) > 50
+    for p in sector + list(witnesses.values()):
+        first = next(iter(p.terms))
+        doubled = SignedRealPoly(p.a, p.b, {**p.terms, first: 2 * p.terms[first]})
+        for q, verdict in ((p, True), (doubled, False)):
+            built = _diagonal_map(q.a, q.b, q.terms, denominator=False)
+            assert is_admissible(q)[0] == verify_map(built) == verdict
+    calls = []
+    divides = quadrics._divides
+    monkeypatch.setattr(quadrics, "_divides", lambda *args: calls.append(args) or divides(*args))
+    construct_map(4, 2, 10, 14)
+    assert len(calls) == 1
+    dehomogenize(witnesses[(4, 4)])
+    assert len(calls) == 3
