@@ -48,7 +48,6 @@ def test_golden_outputs():
     assert not wrong, f"outputs differ from tests/golden/expected: {wrong}"
 
 
-
 def leaves(parser, path=()):
     """The argv prefix of every leaf command under parser."""
     groups = [act for act in parser._actions if isinstance(act, argparse._SubParsersAction)]

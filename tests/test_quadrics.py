@@ -623,8 +623,8 @@ def test_divisibility_branches_agree_on_diagonal_forms(monkeypatch):
         assert _branch_verdicts(m) == (True, True)
         assert _branch_verdicts(_bent(m)) == (False, False)
 
-    # verifying the diagonal map of p is the admissibility test of p over again,
-    # so each built map runs _divides once on its own terms
+    # verifying the diagonal map of p repeats the admissibility test of p, so
+    # construct_map tests only its output and dehomogenize tests p and its output
     sector = [p for sig, p in reachable_signatures(4, 2, 14)[0].items() if stability_region(4, 2, *sig)]
     assert len(sector) > 50
     for p in sector + list(witnesses.values()):
