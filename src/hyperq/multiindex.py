@@ -9,6 +9,7 @@ first, so for two variables degree 2 reads z1^2, z1 z2, z2^2.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, List, Tuple
 
 MultiIndex = Tuple[int, ...]
@@ -48,7 +49,7 @@ def sorted_grlex(indices: Iterable[MultiIndex]) -> List[MultiIndex]:
 
 
 def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(alpha, beta))
+    return tuple(map(operator.add, alpha, beta))
 
 
 def unit(n_vars: int, i: int) -> MultiIndex:

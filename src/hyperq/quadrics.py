@@ -11,24 +11,18 @@ mapping HQ(a, b) -> HQ(A, B).
 This module implements the admissibility test, the eight lattice moves
 that walk an admissible polynomial's signature around the (A, B)
 lattice, a lowest-degree-first search assembling mappings from those
-moves, exact divisibility verification of any candidate map, tensor
-extensions, and dehomogenization to rational maps between affine
-hyperquadrics.
-
-The search is shared: one resumable walk per source split, kept for the
-last few splits, answers every construct_map and reachable_signatures
-call whose box lies in its region, resuming only as far as the answer
-needs.  Every move raises both signature coordinates, so nodes outside a
-down-closed box never push nodes inside it: the in-box pops and their
-witnesses come in the order of a walk of that box alone.  A search
-budget (`--budget`) still counts the expansions of that lone walk, so no
-answer or NotReached message depends on earlier calls.
+moves (one resumable walk per source split answers every box in its
+region exactly as a lone walk of that box would; see `_search`), exact
+divisibility verification of any candidate map, tensor extensions, and
+dehomogenization to rational maps between affine hyperquadrics.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
 is complexified to w, substitute cached powers, and test for zero.  A
 diagonal form is P(zw) with zw ranging over C^n, so s - c divides it
 exactly when s(x) - c divides P(x): it is tested in n real variables.
+The routine runs on integer coefficients and packed exponents, and the
+API keeps exponent tuples and Fractions (see `_divides`).
 """
 
 from __future__ import annotations
@@ -39,6 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinat import stability_region
@@ -52,8 +47,8 @@ from .errors import (
     NotVanishing,
 )
 from .forms import HermitianForm, SignaturePair, WeightedHoloMap, decompose, norm_difference
-from .multiindex import MultiIndex, add as mi_add, grlex_key, total_degree, unit, zero_index
-from .polys import Poly, poly_add, poly_add_inplace, poly_mul, poly_shift
+from .multiindex import MultiIndex, grlex_key, total_degree, unit
+from .polys import Poly, poly_add, poly_mul, poly_shift
 from .scalars import GR_ONE
 
 RealTerms = Dict[MultiIndex, Fraction]
@@ -80,18 +75,21 @@ class SignedRealPoly:
         n = self.a + self.b
         cleaned: RealTerms = {}
         degrees = set()
+        pos = 0
         for alpha, c in self.terms.items():
             if len(alpha) != n:
                 raise DimensionMismatch(f"exponent tuple {alpha} has length {len(alpha)}, expected {n}")
-            if any(e < 0 for e in alpha):
+            if min(alpha) < 0:
                 raise ValueError(f"negative exponent in {alpha}")
-            v = Fraction(c)
+            v = c if type(c) is Fraction else Fraction(c)
             if v:
                 cleaned[tuple(alpha)] = v
-                degrees.add(total_degree(alpha))
+                degrees.add(sum(alpha))
+                pos += v.numerator > 0
         if len(degrees) > 1:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_signature", SignaturePair(pos, len(cleaned) - pos))
 
     @property
     def n(self) -> int:
@@ -106,8 +104,7 @@ class SignedRealPoly:
         return total_degree(next(iter(self.terms)))
 
     def signature(self) -> SignaturePair:
-        pos = sum(1 for c in self.terms.values() if c > 0)
-        return SignaturePair(pos, len(self.terms) - pos)
+        return self._signature
 
 
 def _s_terms(a: int, b: int) -> RealTerms:
@@ -120,33 +117,55 @@ def s_poly(a: int, b: int) -> SignedRealPoly:
     return SignedRealPoly(a, b, _s_terms(a, b))
 
 
-# powers of the solved relation, per (a, b, affine, complexified)
-_RELATION_POWERS: Dict[Tuple[int, int, bool, bool], List[Poly]] = {}
+# packed powers of the solved relation, per (a, b, affine, complexified, field bits)
+_RELATION_POWERS: Dict[Tuple[int, int, bool, bool, int], List[Dict[int, int]]] = {}
+_POWERS_LOCK = threading.Lock()
 
 
 def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[Term]) -> bool:
     """Whether s - c divides the sum of coeff * q^e * rest over the terms.
 
     c is 1 when affine, else 0.  q is x_1 with rest in x_2..x_n, or
-    z_1 w_1 with rest in z_1..z_n, w_2..w_n when complexified; q is
-    replaced by its solution of s = c and the result tested for zero.
+    z_1 w_1 with rest in z_1..z_n, w_2..w_n when complexified (the
+    coefficients are then Gaussian); q is replaced by its solution of
+    s = c and the result tested for zero.  s - c is real, so it divides
+    the sum exactly when it divides the real and the imaginary part, and
+    each part is scaled to integers by the lcm of its denominators.  An
+    exponent tuple is packed into one int of `bits`-bit fields, where
+    2^bits exceeds the largest e + sum(rest): no exponent of a product
+    reaches that, so adding packed monomials multiplies them and no
+    field carries into the next.
     """
-    key = (a, b, affine, complexified)
-    powers = _RELATION_POWERS.get(key)
-    if powers is None:
-        n = a + b
-        width = 2 * n - 1 if complexified else n - 1
-        solved: Poly = {zero_index(width): _F1} if affine else {}
-        for j in range(1, n):
-            mono = mi_add(unit(width, j), unit(width, n + j - 1)) if complexified else unit(width, j - 1)
-            solved[mono] = -_F1 if j < a else _F1
-        powers = _RELATION_POWERS[key] = [{zero_index(width): _F1}, solved]
-    acc: Poly = {}
-    for e, rest, coeff in terms:
-        while len(powers) <= e:
-            powers.append(poly_mul(powers[-1], powers[1]))
-        poly_add_inplace(acc, poly_shift(powers[e], rest), coeff)
-    return not acc
+    terms = list(terms)
+    n, top = a + b, max((e for e, _, _ in terms), default=0)
+    bits = max((e + sum(rest) for e, rest, _ in terms), default=1).bit_length() or 1
+    key = (a, b, affine, complexified, bits)
+    with _POWERS_LOCK:  # two threads extending one list would both append the same power
+        powers = _RELATION_POWERS.get(key)
+        if powers is None:
+            solved = {0: 1} if affine else {}
+            for j in range(1, n):
+                fields = (j, n + j - 1) if complexified else (j - 1,)
+                solved[sum(1 << bits * f for f in fields)] = -1 if j < a else 1
+            powers = _RELATION_POWERS[key] = [{0: 1}, solved]
+        while len(powers) <= top:
+            nxt: Dict[int, int] = {}
+            for m, c in powers[-1].items():
+                for m1, c1 in powers[1].items():
+                    nxt[m + m1] = nxt.get(m + m1, 0) + c * c1
+            powers.append(nxt)
+    shifts = [sum(x << bits * i for i, x in enumerate(rest)) for _, rest, _ in terms]
+    coeffs = [c for _, _, c in terms]
+    for part in ([c.re for c in coeffs], [c.im for c in coeffs]) if complexified else (coeffs,):
+        scale = lcm(*(c.denominator for c in part))
+        acc: Dict[int, int] = {}
+        for (e, _, _), shift, c in zip(terms, shifts, part):
+            k = c.numerator * (scale // c.denominator)
+            for mono, v in powers[e].items() if k else ():
+                acc[mono + shift] = acc.get(mono + shift, 0) + k * v
+        if any(acc.values()):
+            return False
+    return True
 
 
 def is_admissible(p: SignedRealPoly) -> Tuple[bool, SignaturePair]:
@@ -220,20 +239,6 @@ def _routes(a: int, b: int) -> Dict[Tuple[int, int], Tuple]:
     return routes
 
 
-def _sigma_adjusted(a: int, b: int, elim: str) -> Poly:
-    # s + x_e for elimination of the last variable, -s + x_1 for the first;
-    # either way the eliminated variable drops out of the linear form.
-    n = a + b
-    out: Poly = {}
-    if elim == "last":
-        for j in range(n - 1):
-            out[unit(n, j)] = _F1 if j < a else -_F1
-    else:
-        for j in range(1, n):
-            out[unit(n, j)] = -_F1 if j < a else _F1
-    return out
-
-
 def corner_move(p: SignedRealPoly, shift: Tuple[int, int], verify: bool = True) -> SignedRealPoly:
     """Apply the move realizing the given signature shift.
 
@@ -274,7 +279,9 @@ def corner_move(p: SignedRealPoly, shift: Tuple[int, int], verify: bool = True) 
     piv = min(candidates, key=grlex_key)
     c0 = terms[piv]
 
-    sigma = _sigma_adjusted(a, b, elim)
+    # s + x_e when eliminating the last variable, -s + x_1 for the first: x_e drops out
+    sign = 1 if elim == "last" else -1
+    sigma = {al: sign * c for al, c in _s_terms(a, b).items() if not al[e]}
     e_unit = unit(n, e)
     if kind == "tilde":
         remainder = dict(terms)

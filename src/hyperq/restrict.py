@@ -157,6 +157,8 @@ def generic_restriction_rank(
         raise ValueError("sub_dim must satisfy 1 <= sub_dim < n")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be at least 1")
     best = 0
     for t in range(trials):
         rng = Random(f"{seed}:generic:{t}")
@@ -174,6 +176,8 @@ def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound
     denominators doubles that.  One trial fails with probability at
     most 4Dr/coeff_bound, and trials are independent.
     """
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be at least 1")
     D = form.max_degree()
     r = min(len(form.support()), comb(sub_dim + D, D))
     per_trial = min(Fraction(1), Fraction(4 * D * r, coeff_bound))
@@ -198,6 +202,8 @@ def max_affine_rank(
         raise ValueError("sub_dim must satisfy 1 <= sub_dim < n")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be at least 1")
     best = 0
     for t in range(samples):
         rng = Random(f"{seed}:affine:{t}")

@@ -104,6 +104,15 @@ def test_restrict_max(capsys, tmp_path):
     assert out.strip().isdigit()
 
 
+@pytest.mark.parametrize("leaf", ["generic", "max"])
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_restrict_coeff_bound_must_be_positive(capsys, tmp_path, leaf, bound):
+    path = tmp_path / "f.txt"
+    path.write_text(FORM_DIAG3, encoding="utf-8")
+    code, out, err = run(capsys, ["restrict", leaf, str(path), "--dim", "2", "--coeff-bound", bound])
+    assert (code, out, err) == (1, "", "error: coeff_bound must be at least 1\n")
+
+
 def test_construct_verify_roundtrip(capsys, tmp_path):
     code, out, err = run(capsys, ["quadric", "construct", "2", "2", "4", "4"])
     assert code == 0 and err == ""

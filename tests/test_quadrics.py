@@ -21,6 +21,8 @@ from hyperq.errors import (
     NotVanishing,
 )
 from hyperq.forms import WeightedHoloMap, form_from_entries, form_from_real_poly, norm_difference
+from hyperq.multiindex import add as mi_add, unit, zero_index
+from hyperq.polys import poly_add_inplace, poly_mul, poly_shift
 from hyperq.quadrics import (
     _SEARCHES,
     QuadricMap,
@@ -97,9 +99,17 @@ def test_signed_real_poly_validation():
         SignedRealPoly(2, 1, {(1, 0, -1): 1})
     with pytest.raises(ValueError):
         SignedRealPoly(0, 1, {})
+    with pytest.raises(ValueError):
+        SignedRealPoly(2, 1, {(-1, 1, 1): 1})
     p = SignedRealPoly(2, 1, {(1, 0, 0): 1, (0, 1, 0): 0})
     assert p.terms == {(1, 0, 0): 1}
     assert SignedRealPoly(2, 1, {}).is_zero()
+    # the signature is counted once, at construction, and skips dropped zeros
+    assert p.signature() == (1, 0)
+    q = SignedRealPoly(2, 1, {(1, 0, 0): Fraction(0), (0, 1, 0): -2, (0, 0, 1): Fraction(-1, 3)})
+    assert q.terms == {(0, 1, 0): -2, (0, 0, 1): Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in q.terms.values())
+    assert q.signature() == (0, 2) and SignedRealPoly(2, 1, {}).signature() == (0, 0)
 
 
 def test_is_admissible_examples():
@@ -216,6 +226,8 @@ def test_all_shifts_sound_on_random_seeds():
                 except NoPivotMonomial:
                     skipped += 1
                     continue
+                pos = sum(1 for c in out.terms.values() if c > 0)
+                assert out.signature() == (pos, len(out.terms) - pos)
                 assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
                 assert is_admissible(out)[0]
                 checked += 1
@@ -640,3 +652,121 @@ def test_divisibility_branches_agree_on_diagonal_forms(monkeypatch):
     assert len(calls) == 1
     dehomogenize(witnesses[(4, 4)])
     assert len(calls) == 3
+
+
+def test_relation_powers_across_threads():
+    # verify_map extends the shared cache of relation powers; a power appended
+    # twice would shift every later one and flip verdicts, then and afterwards
+    maps = [construct_map(4, 2, A, B) for A, B in ((20, 20), (18, 22), (25, 15), (22, 18))]
+    maps += [_bent(m) for m in maps]
+    want = [verify_map(m) for m in maps]
+    assert want == [True] * 4 + [False] * 4
+    got = {}
+
+    def worker(k):
+        for i in Random(k).sample(range(len(maps)), len(maps)):
+            got[k, i] = verify_map(maps[i])
+
+    quadrics._RELATION_POWERS.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 * len(maps)
+        assert [got[k, i] for k in range(8) for i in range(len(maps))] == want * 8
+        assert [verify_map(m) for m in maps] == want
+    finally:
+        quadrics._RELATION_POWERS.clear()
+
+
+def _tuple_divides(a, b, affine, complexified, terms):
+    """The tuple-exponent Fraction routine that _divides replaced, kept as the reference."""
+    n = a + b
+    width = 2 * n - 1 if complexified else n - 1
+    solved = {zero_index(width): F1} if affine else {}
+    for j in range(1, n):
+        mono = mi_add(unit(width, j), unit(width, n + j - 1)) if complexified else unit(width, j - 1)
+        solved[mono] = -F1 if j < a else F1
+    powers = [{zero_index(width): F1}, solved]
+    acc = {}
+    for e, rest, coeff in terms:
+        while len(powers) <= e:
+            powers.append(poly_mul(powers[-1], powers[1]))
+        poly_add_inplace(acc, poly_shift(powers[e], rest), coeff)
+    return not acc
+
+
+def _random_multiple(rng, a, b, affine, complexified, degree):
+    """Terms (e, rest, coeff) of (s - c) Q for a sparse random Q; the largest e + |rest| is degree.
+
+    Monomials are exponent tuples of x, or of z followed by w when
+    complexified; coefficients have denominators 3, 7 and 12, and
+    Gaussian ones have nonzero imaginary parts.
+    """
+    n = a + b
+    width = 2 * n if complexified else n
+    rel = {}
+    for j in range(n):
+        mono = mi_add(unit(width, j), unit(width, n + j)) if complexified else unit(width, j)
+        rel[mono] = F1 if j < a else -F1
+    if affine:
+        rel[zero_index(width)] = -F1
+
+    def coeff():
+        parts = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([3, 7, 12])) for _ in range(2)]
+        return gr(*parts) if complexified else parts[0]
+
+    while True:
+        q, top_q = {}, rng.randint(0, 2)
+        for _ in range(rng.randint(2, 5)):
+            d = rng.randint(0, top_q) if affine else top_q
+            cuts = sorted(rng.randint(0, d) for _ in range(width - 1))
+            q[tuple(y - x for x, y in zip([0] + cuts, cuts + [d]))] = coeff()
+        product = rp_mul(rel, q)
+        if complexified:
+            top = max(al[n] for al in product)
+            terms = [(al[n], (al[0] + top - al[n],) + al[1:n] + al[n + 1:], c) for al, c in product.items()]
+        else:
+            terms = [(al[0], al[1:], c) for al, c in product.items()]
+        reach = max(e + sum(rest) for e, rest, _ in terms)
+        if reach <= degree:
+            break
+    # times x_2, or z_1: still a multiple, and the largest e + |rest| becomes degree
+    return [(e, (rest[0] + degree - reach,) + rest[1:], c) for e, rest, c in terms]
+
+
+def test_packed_divides_matches_tuple_routine():
+    cases = 0
+    for degree in (7, 8, 15, 16, 31, 32):
+        for affine in (False, True):
+            for complexified in (False, True):
+                for a, b in [(2, 1), (1, 2), (2, 2), (3, 2)][: 2 if degree > 16 else 4]:
+                    rng = Random(f"{degree}:{affine}:{complexified}:{a}:{b}")
+                    terms = _random_multiple(rng, a, b, affine, complexified, degree)
+                    assert max(e + sum(rest) for e, rest, _ in terms) == degree
+                    i = rng.randrange(len(terms))
+                    delta = Fraction(rng.randint(1, 5), rng.choice([3, 7, 12]))
+                    if complexified:
+                        delta = gr(0, delta) if rng.random() < 0.5 else gr(delta, 0)
+                    e, rest, c = terms[i]
+                    bent = terms[:i] + [(e, rest, c + delta)] + terms[i + 1:]
+                    for t, verdict in ((terms, True), (bent, False)):
+                        assert _tuple_divides(a, b, affine, complexified, t) is verdict
+                        assert _divides(a, b, affine, complexified, iter(t)) is verdict
+                    cases += 1
+    assert cases == 4 * (4 * 4 + 2 * 2)
+    # non-multiples whose two monomials would share one packed int if the fields
+    # were any narrower than the width rule makes them: x_2^d against x_3 and x_3^(d/2)
+    for d in (8, 16, 32):
+        for other in ((0, 1), (0, d // 2)):
+            for affine in (False, True):
+                terms = [(0, (d, 0), F1), (0, other, -F1)]
+                assert _tuple_divides(2, 1, affine, False, terms) is _divides(2, 1, affine, False, terms) is False

@@ -99,6 +99,19 @@ def test_generic_restriction_rank_values():
         generic_restriction_rank(f, 0)
 
 
+def test_samplers_reject_nonpositive_coeff_bound():
+    f = form_from_real_poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    for bound in (0, -3):
+        for call in (
+            lambda: generic_restriction_rank(f, 2, coeff_bound=bound),
+            lambda: max_affine_rank(f, 2, coeff_bound=bound),
+            lambda: sz_failure_bound(f, 2, 1, bound),
+        ):
+            with pytest.raises(ValueError, match="coeff_bound must be at least 1"):
+                call()
+    assert 0 < sz_failure_bound(f, 2, 1, 1) <= 1
+
+
 def test_sz_failure_bound_shrinks():
     f = form_from_real_poly({(2, 0, 0): 1, (0, 2, 0): 1})
     loose = sz_failure_bound(f, 2, 1, 10**3)
