@@ -3,25 +3,27 @@
 A real-valued polynomial r(z, zbar) is stored as its sparse coefficient
 matrix: entry (alpha, beta) is the coefficient of z^alpha * zbar^beta,
 and real-valuedness is exactly the Hermitian symmetry of that matrix.
-Rank, inertia (signature pair), and the weighted holomorphic square
-decomposition are all computed without ever leaving the Gaussian
-rationals.  The monomial basis is ordered graded lexicographically
-everywhere, so matrices, files, and decompositions are reproducible
-byte for byte.
+Rank, inertia and weighted holomorphic squares are exact over the
+Gaussian rationals.  Substitution and norm differences run one sandwich
+loop over Gaussian integers as (re, im) int pairs; each output entry has
+a denominator known up front and becomes a rational once.  The monomial
+basis is graded lexicographic everywhere, so matrices, files and
+decompositions are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from math import lcm, prod
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import inertia as _matrix_inertia
 from .linalg import ldl_components, rank as _matrix_rank
-from .multiindex import MultiIndex, sorted_grlex, total_degree, unit, zero_index
-from .polys import Poly, poly_mul
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr
+from .multiindex import MultiIndex, add as mi_add, sorted_grlex, total_degree, unit, zero_index
+from .polys import Poly
+from .scalars import GR_ONE, GaussianRational, gr
 
 
 class SignaturePair(NamedTuple):
@@ -197,28 +199,22 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
 
 
 def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
-    """The form sum(sign * weight * |component|^2), minus 1 if requested."""
-    acc: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
-    for sign, weight, poly in holo.components:
-        scale = gr(weight if sign > 0 else -weight)
-        for alpha, ca in poly.items():
-            left = scale * ca
-            for beta, cb in poly.items():
-                key = (alpha, beta)
-                v = acc.get(key, gr(0)) + left * cb.conjugate()
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+    """The form sum(sign * weight * |component|^2), minus 1 if requested.
+
+    Component P / d with weight a / b adds sign * a * (D / (b d^2)) P conj(P)
+    in Z[i] to one accumulator over D, the lcm of every b d^2.
+    """
+    comps = [(s, Fraction(w), *_cleared(p.values()), p) for s, w, p in holo.components]
+    common = lcm(*(w.denominator * d * d for _, w, _, d, _ in comps))
+    acc: _PairForm = {}
+    for sign, w, pairs, d, poly in comps:
+        k = w.numerator * (common // (w.denominator * d * d))
+        p = dict(zip(poly, pairs))
+        _sandwich(acc, (k if sign > 0 else -k, 0), p, p)
     if subtract_one:
-        origin = zero_index(holo.n)
-        key = (origin, origin)
-        v = acc.get(key, gr(0)) - GR_ONE
-        if v:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
-    return HermitianForm(holo.n, acc)
+        one = {zero_index(holo.n): (1, 0)}
+        _sandwich(acc, (-common, 0), one, one)
+    return _to_form(holo.n, acc, lambda gamma, delta: common)
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -242,43 +238,77 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
     return HermitianForm(n, entries)
 
 
-def _expansions(
-    matrix: Sequence[Sequence[object]],
-    translation: Optional[Sequence[object]],
-    n_dst: int,
-    monomials: Iterable[MultiIndex],
-) -> Dict[MultiIndex, Poly]:
-    """(Ez + t)^alpha in the n_dst new variables, for each alpha given.
+_Pair = Tuple[int, int]  # a Gaussian integer re + i im
+_PairPoly = Dict[MultiIndex, _Pair]
+_PairForm = Dict[Tuple[MultiIndex, MultiIndex], _Pair]
 
-    Row i of E with t_i substitutes for variable i; the powers of each
-    substitution are cached, so a monomial costs one product per variable.
+
+def _cleared(values: Iterable[object]) -> Tuple[List[_Pair], int]:
+    """Gaussian integers P and the lcm d of the denominators, with value k = P[k] / d."""
+    vals = [GaussianRational.coerce(v) for v in values]
+    d = lcm(*(q for v in vals for q in (v.re.denominator, v.im.denominator)))
+    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals], d
+
+
+def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:
+    out: _PairPoly = {}
+    for ka, (ar, ai) in p.items():
+        for kb, (br, bi) in q.items():
+            k = mi_add(ka, kb)
+            r, i = out.get(k, (0, 0))
+            out[k] = (r + ar * br - ai * bi, i + ar * bi + ai * br)
+    return out
+
+
+def _sandwich(acc: _PairForm, c: _Pair, left: _PairPoly, right: _PairPoly) -> None:
+    """acc[(gamma, delta)] += c * u * conj(v) over left[gamma] = u and right[delta] = v."""
+    cr, ci = c
+    for gamma, (ur, ui) in left.items():
+        xr, xi = cr * ur - ci * ui, cr * ui + ci * ur
+        for delta, (vr, vi) in right.items():
+            key = (gamma, delta)
+            r, i = acc.get(key, (0, 0))
+            acc[key] = (r + xr * vr + xi * vi, i + xi * vr - xr * vi)
+
+
+def _to_form(n: int, acc: _PairForm, den: Callable[[MultiIndex, MultiIndex], int]) -> HermitianForm:
+    """The form with entry acc[key] / den(*key); entries that cancelled are dropped."""
+    return HermitianForm(n, {key: GaussianRational(Fraction(re, d), Fraction(im, d))
+                             for key, (re, im) in acc.items() if re or im for d in (den(*key),)})
+
+
+def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]], n_dst: int,
+                monomials: Iterable[MultiIndex]) -> Tuple[Dict[MultiIndex, _PairPoly], Callable[[MultiIndex, int], int]]:
+    """(Ez + t)^alpha = sum over gamma of P_alpha[gamma] z^gamma / den(gamma, |alpha|).
+
+    Column j of E is cleared by the lcm M_j of its denominators over the
+    rows that some alpha uses, and t by the lcm M_0 of its own, so P_alpha
+    is over Z[i] and den(gamma, k) = M^gamma M_0^(k - |gamma|).  The powers
+    of each row are cached: a monomial costs one product per variable.
     """
-    origin = zero_index(n_dst)
-    one: Poly = {origin: GR_ONE}
-    powers: List[List[Poly]] = []
+    monomials = list(monomials)
+    rows = []
     for i, row in enumerate(matrix):
         if len(row) != n_dst:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
-        li: Poly = {}
-        for j, c in enumerate(row):
-            v = GaussianRational.coerce(c)
-            if v:
-                li[unit(n_dst, j)] = v
-        if translation is not None:
-            t = GaussianRational.coerce(translation[i])
-            if t:
-                li[origin] = t
-        powers.append([one, li])
-    table: Dict[MultiIndex, Poly] = {}
+        if any(alpha[i] for alpha in monomials):
+            rows.append((i, list(row) + [0 if translation is None else translation[i]]))
+    cols = [_cleared(r[j] for _, r in rows) for j in range(n_dst + 1)]
+    origin = zero_index(n_dst)
+    one: _PairPoly = {origin: (1, 0)}
+    keys = [unit(n_dst, j) for j in range(n_dst)] + [origin]
+    powers = {i: [one, {k: c[r] for k, (c, _) in zip(keys, cols) if c[r] != (0, 0)}]
+              for r, (i, _) in enumerate(rows)}
+    table: Dict[MultiIndex, _PairPoly] = {}
     for alpha in monomials:
         out = one
         for i, e in enumerate(alpha):
             if e:
                 while len(powers[i]) <= e:
-                    powers[i].append(poly_mul(powers[i][-1], powers[i][1]))
-                out = poly_mul(out, powers[i][e])
+                    powers[i].append(_pair_mul(powers[i][-1], powers[i][1]))
+                out = _pair_mul(out, powers[i][e])
         table[alpha] = out
-    return table
+    return table, lambda gamma, k: cols[-1][1] ** (k - sum(gamma)) * prod(m**e for (_, m), e in zip(cols, gamma))
 
 
 def compose_linear(
@@ -291,28 +321,23 @@ def compose_linear(
     E has one row per source variable and one column per new variable.
     When E is square invertible and t = 0 the rank and inertia are
     preserved; a thin E restricts the form to a subspace.
+
+    With c = C / D over the lcm of the form's denominators, P and M from
+    _expansions and K the top |alpha| + |beta|, entry c at (alpha, beta) adds
+    C M_0^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in Z[i] at
+    (gamma, delta), whose denominator is D M^gamma M^delta M_0^(K-|gamma|-|delta|).
     """
     if translation is not None and len(translation) != form.n:
-        raise DimensionMismatch(
-            f"translation has {len(translation)} entries, form has {form.n} variables"
-        )
+        raise DimensionMismatch(f"translation has {len(translation)} entries, form has {form.n} variables")
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
     n_dst = len(matrix[0]) if form.n else 0
-    table = _expansions(matrix, translation, n_dst, form.support())
-
-    # r(Ez+t) = sum c * (Ez+t)^alpha * conj((Ez+t)^beta); the conjugate of
-    # the beta expansion conjugates its coefficients against zbar^delta.
-    acc: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
-    for (alpha, beta), c in form.entries.items():
-        anti = table[beta]
-        for gamma, u in table[alpha].items():
-            cu = c * u
-            for delta, v in anti.items():
-                key = (gamma, delta)
-                w = acc.get(key, GR_ZERO) + cu * v.conjugate()
-                if w:
-                    acc[key] = w
-                else:
-                    acc.pop(key, None)
-    return HermitianForm(n_dst, acc)
+    table, den = _expansions(matrix, translation, n_dst, form.support())
+    pairs, d = _cleared(form.entries.values())
+    top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
+    m0 = den(zero_index(n_dst), 1)
+    acc: _PairForm = {}
+    for ((alpha, beta), (cr, ci)) in zip(form.entries, pairs):
+        k = m0 ** (top - sum(alpha) - sum(beta))
+        _sandwich(acc, (cr * k, ci * k), table[alpha], table[beta])
+    return _to_form(n_dst, acc, lambda gamma, delta: d * den(gamma, top - sum(delta)) * den(delta, sum(delta)))

@@ -16,10 +16,8 @@ from .multiindex import MultiIndex, add as mi_add
 Poly = Dict[MultiIndex, object]
 
 
-def poly_add_inplace(acc: Poly, p: Poly, scale=None) -> None:
+def poly_add_inplace(acc: Poly, p: Poly) -> None:
     for k, c in p.items():
-        if scale is not None:
-            c = c * scale
         s = acc.get(k)
         s = c if s is None else s + c
         if s:

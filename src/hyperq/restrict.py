@@ -106,10 +106,15 @@ def restriction_matrix(E: AffineEmbedding, d: int) -> RestrictionMatrix:
     else:
         rows = monomials_up_to(E.n_ambient, d)
         cols = monomials_up_to(E.n_sub, d)
-    table = _expansions(E.linear, E.translation, E.n_sub, rows)
-    entries = tuple(
-        tuple(table[alpha].get(gamma, GR_ZERO) for gamma in cols) for alpha in rows
-    )
+    table, den = _expansions(E.linear, E.translation, E.n_sub, rows)
+
+    def entry(alpha: MultiIndex, gamma: MultiIndex) -> GaussianRational:
+        if gamma not in table[alpha]:
+            return GR_ZERO
+        (re, im), q = table[alpha][gamma], den(gamma, sum(alpha))
+        return gr(Fraction(re, q), Fraction(im, q))
+
+    entries = tuple(tuple(entry(alpha, gamma) for gamma in cols) for alpha in rows)
     return RestrictionMatrix(d, tuple(rows), tuple(cols), entries)
 
 

@@ -16,8 +16,12 @@ from hyperq.forms import (
     form_inertia,
     form_rank,
     norm_difference,
+    WeightedHoloMap,
 )
-from hyperq.scalars import gr
+from hyperq.multiindex import unit, zero_index
+from hyperq.polys import poly_mul
+from hyperq.restrict import cayley_unitary
+from hyperq.scalars import GR_ONE, GR_ZERO, gr
 
 
 def _random_form(rng, n, terms, span=5):
@@ -173,3 +177,160 @@ def test_norm_difference_subtract_one():
     holo = decompose(form_from_entries(1, [((1,), (1,), gr(1))]))
     d = norm_difference(holo, subtract_one=True)
     assert d.entries[((0,), (0,))] == gr(-1)
+
+
+# -- the GaussianRational sandwich loops the integer ones replaced, kept as the reference --
+
+
+def _gr_expansions(matrix, translation, n_dst, monomials):
+    origin = zero_index(n_dst)
+    one = {origin: GR_ONE}
+    powers = []
+    for i, row in enumerate(matrix):
+        li = {unit(n_dst, j): gr(0) + c for j, c in enumerate(row) if c}
+        if translation is not None and translation[i]:
+            li[origin] = gr(0) + translation[i]
+        powers.append([one, li])
+    table = {}
+    for alpha in monomials:
+        out = one
+        for i, e in enumerate(alpha):
+            if e:
+                while len(powers[i]) <= e:
+                    powers[i].append(poly_mul(powers[i][-1], powers[i][1]))
+                out = poly_mul(out, powers[i][e])
+        table[alpha] = out
+    return table
+
+
+def _gr_compose_linear(form, matrix, translation=None):
+    n_dst = len(matrix[0]) if form.n else 0
+    table = _gr_expansions(matrix, translation, n_dst, form.support())
+    acc = {}
+    for (alpha, beta), c in form.entries.items():
+        anti = table[beta]
+        for gamma, u in table[alpha].items():
+            cu = c * u
+            for delta, v in anti.items():
+                key = (gamma, delta)
+                w = acc.get(key, GR_ZERO) + cu * v.conjugate()
+                if w:
+                    acc[key] = w
+                else:
+                    acc.pop(key, None)
+    return HermitianForm(n_dst, acc)
+
+
+def _gr_norm_difference(holo, subtract_one):
+    acc = {}
+    for sign, weight, poly in holo.components:
+        scale = gr(weight if sign > 0 else -weight)
+        for alpha, ca in poly.items():
+            left = scale * ca
+            for beta, cb in poly.items():
+                key = (alpha, beta)
+                v = acc.get(key, gr(0)) + left * cb.conjugate()
+                if v:
+                    acc[key] = v
+                else:
+                    acc.pop(key, None)
+    if subtract_one:
+        origin = zero_index(holo.n)
+        key = (origin, origin)
+        v = acc.get(key, gr(0)) - GR_ONE
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return HermitianForm(holo.n, acc)
+
+
+def _assert_hermitian(form):
+    for (alpha, beta), v in form.entries.items():
+        assert v, f"zero stored at {(alpha, beta)}"
+        assert form.entries[(beta, alpha)] == v.conjugate()
+
+
+def _rational(rng, dens=(1, 2, 3, 7, 12)):
+    return Fraction(rng.randint(-20, 20), rng.choice(dens))
+
+
+def _gaussian(rng):
+    return gr(_rational(rng), _rational(rng))
+
+
+def _mixed_form(rng, n, terms, top=3):
+    """Gaussian entries over 3, 7 and 12 between monomials of degrees 0..top."""
+    entries = []
+    for _ in range(terms):
+        alpha, beta = (tuple(rng.randint(0, top) for _ in range(n)) for _ in range(2))
+        if sum(alpha) > top or sum(beta) > top:
+            continue
+        if alpha > beta:
+            alpha, beta = beta, alpha
+        entries.append((alpha, beta, _gaussian(rng) if alpha != beta else gr(_rational(rng))))
+    return form_from_entries(n, entries)
+
+
+def _embeddings(rng, n):
+    """Thin, square unimodular and Cayley-unitary E with rational Gaussian entries."""
+    m = rng.randint(1, n)
+    yield [[_gaussian(rng) for _ in range(m)] for _ in range(n)]
+    upper = [[gr(1) if i == j else (_gaussian(rng) if j > i else gr(0)) for j in range(n)] for i in range(n)]
+    yield [upper[i] for i in rng.sample(range(n), n)]
+    yield cayley_unitary(n, rng, 12)
+
+
+def test_integer_compose_matches_gaussian_rational_loop():
+    rng = Random(2024)
+    cases = 0
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        form = _mixed_form(rng, n, rng.randint(1, 7))
+        for E in _embeddings(rng, n):
+            for trans in (None, [_gaussian(rng) for _ in range(n)], [gr(0)] * (n - 1) + [_gaussian(rng)]):
+                got = compose_linear(form, E, trans)
+                assert got.entries == _gr_compose_linear(form, E, trans).entries
+                assert got.n == len(E[0])
+                _assert_hermitian(got)
+                cases += 1
+    assert cases == 12 * 3 * 3
+
+
+def test_integer_compose_cancels_to_the_zero_form():
+    # |z1|^2 - |z2|^2 with both rows equal vanishes identically
+    form = form_from_entries(2, [((1, 0), (1, 0), gr(1)), ((0, 1), (0, 1), gr(-1))])
+    row = [gr(Fraction(2, 3), Fraction(-5, 7)), gr(Fraction(1, 12), 4)]
+    for trans in (None, [gr(Fraction(1, 3), 1)] * 2):
+        assert compose_linear(form, [row, row], trans).entries == {}
+        assert _gr_compose_linear(form, [row, row], trans).entries == {}
+
+
+def test_integer_norm_difference_matches_gaussian_rational_loop():
+    rng = Random(77)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        comps = []
+        for _ in range(rng.randint(1, 4)):
+            poly = {}
+            for _ in range(rng.randint(1, 4)):
+                alpha = tuple(rng.randint(0, 2) for _ in range(n))
+                poly[alpha] = _gaussian(rng) or gr(1)
+            weight = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 7, 12)))
+            comps.append((rng.choice((1, -1)), weight, poly))
+        holo = WeightedHoloMap(n, tuple(comps))
+        for subtract_one in (False, True):
+            got = norm_difference(holo, subtract_one)
+            assert got.entries == _gr_norm_difference(holo, subtract_one).entries
+            _assert_hermitian(got)
+
+
+def test_integer_norm_difference_cancels_the_origin():
+    # the + component is the constant 1, so subtracting 1 removes the origin entry
+    origin = (0, 0)
+    z1 = {(1, 0): gr(Fraction(1, 3), Fraction(2, 7))}
+    holo = WeightedHoloMap(2, ((1, Fraction(1), {origin: GR_ONE}), (-1, Fraction(5, 12), z1)))
+    got = norm_difference(holo, True)
+    assert (origin, origin) not in got.entries
+    assert got.entries == _gr_norm_difference(holo, True).entries
+    assert got.entries == {((1, 0), (1, 0)): gr(Fraction(-5, 12) * (Fraction(1, 9) + Fraction(4, 49)))}

@@ -700,7 +700,7 @@ def _tuple_divides(a, b, affine, complexified, terms):
     for e, rest, coeff in terms:
         while len(powers) <= e:
             powers.append(poly_mul(powers[-1], powers[1]))
-        poly_add_inplace(acc, poly_shift(powers[e], rest), coeff)
+        poly_add_inplace(acc, {k: c * coeff for k, c in poly_shift(powers[e], rest).items()})
     return not acc
 
 

@@ -74,6 +74,42 @@ def test_restrict_form_commutes_with_compose():
         assert restrict_form(form, e).entries == compose_linear(form, linear, trans).entries
 
 
+def test_sandwich_of_restriction_matrix_matches_compose():
+    # two code paths: T^t C conj(T) by matmul over T's GaussianRational entries,
+    # and compose_linear's integer sandwich, on degree-d forms
+    rng = Random(19)
+    checked = 0
+
+    def q():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 3, 7, 12)))
+
+    for trial in range(12):
+        n, m, d = rng.randint(2, 3), rng.randint(1, 2), rng.randint(1, 3)
+        linear = [[gr(q(), q()) for _ in range(m)] for _ in range(n)]
+        trans = [gr(q(), q()) for _ in range(n)] if trial % 2 else None
+        try:
+            E = embedding(linear, trans)
+        except ValueError:
+            continue
+        T = restriction_matrix(E, d)
+        rows, cols = list(T.rows), list(T.cols)
+        entries = []
+        for i, alpha in enumerate(rows):
+            for beta in rows[i:]:
+                if rng.random() < 0.5:
+                    entries.append((alpha, beta, gr(q()) if alpha == beta else gr(q(), q())))
+        form = form_from_entries(n, entries)
+        C = form.matrix(rows)
+        Tt = [[T.entries[i][j] for i in range(len(rows))] for j in range(len(cols))]
+        Tbar = [[x.conjugate() for x in row] for row in T.entries]
+        S = matmul(matmul(Tt, C), Tbar)
+        want = {(g, h): S[i][j] for i, g in enumerate(cols) for j, h in enumerate(cols) if S[i][j]}
+        assert compose_linear(form, linear, trans).entries == want
+        assert restrict_form(form, E).entries == want
+        checked += 1
+    assert checked == 12
+
+
 def test_restrict_form_dimension_check():
     f = form_from_entries(2, [((1, 0), (1, 0), gr(1))])
     with pytest.raises(DimensionMismatch):
