@@ -328,7 +328,9 @@ def compose_linear(
     (gamma, delta), whose denominator is D M^gamma M^delta M_0^(K-|gamma|-|delta|).
     """
     if translation is not None and len(translation) != form.n:
-        raise DimensionMismatch(f"translation has {len(translation)} entries, form has {form.n} variables")
+        raise DimensionMismatch(
+            f"translation has {len(translation)} entries, form has {form.n} variables"
+        )
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
     n_dst = len(matrix[0]) if form.n else 0
