@@ -1,26 +1,34 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Rank uses fraction-free Bareiss elimination on Gaussian integers after
-clearing denominators row by row, so intermediate entries stay integral
-and every division is exact.  Inertia and holomorphic decompositions
-come from a symmetric-pivoted block LDL* elimination in which 1x1 real
-pivots contribute their sign and a 2x2 block [[0,c],[conj(c),0]] is
-split into one positive and one negative rank-one piece with rational
-weights; Sylvester's law of inertia makes the sign counts independent
-of pivot order.
+The kernels eliminate fraction-free over Gaussian integers held as
+(re, im) int pairs (Bareiss 1968): every entry is a minor of the cleared
+matrix, so every division is exact.  `rank` clears row by row.
+`inertia` and `ldl_components` share one symmetric elimination of a
+Hermitian M, cleared as a whole by the lcm L of its denominators so that
+X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
+(p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
+c = X_ij, runs only when every remaining diagonal is 0 and sets X_kl to
+(-|c|^2 X_kl + c X_ki X_jl + conj(c) X_kj X_il) / prev^2.  prev starts
+at 1 and becomes p, or -|c|^2 / prev.  By Sylvester's identity each X_kl
+is prev L times the entry of the true Schur complement, a real factor
+common to all entries: the pivots are those of an elimination over Q(i),
+and the true 1x1 pivot p / (prev L) has the sign of p times that of
+prev.  By Sylvester's law of inertia the sign counts do not depend on
+the pivot order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
+from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 Matrix = List[List[GaussianRational]]
 
-# Gaussian integers as plain int pairs (re, im) for the Bareiss kernel.
+# Gaussian integers as plain int pairs (re, im) for the fraction-free kernels.
 _GIPair = Tuple[int, int]
 
 
@@ -28,10 +36,6 @@ def _gi_mul(x: _GIPair, y: _GIPair) -> _GIPair:
     a, b = x
     c, d = y
     return (a * c - b * d, a * d + b * c)
-
-
-def _gi_sub(x: _GIPair, y: _GIPair) -> _GIPair:
-    return (x[0] - y[0], x[1] - y[1])
 
 
 def _gi_div_exact(x: _GIPair, y: _GIPair) -> _GIPair:
@@ -46,58 +50,43 @@ def _gi_div_exact(x: _GIPair, y: _GIPair) -> _GIPair:
     return (qr, qi)
 
 
-def _clear_row(row: Sequence[object]) -> List[_GIPair]:
-    # Entries may be GaussianRational, Fraction, or plain int; integer rows
-    # pass through without any Fraction arithmetic.
-    pairs = []
-    denom = 1
-    for x in row:
-        if isinstance(x, GaussianRational):
-            re, im = x.re, x.im
-        else:
-            re, im = x, 0
-        pairs.append((re, im))
-        if isinstance(re, Fraction):
-            denom = lcm(denom, re.denominator)
-        if isinstance(im, Fraction):
-            denom = lcm(denom, im.denominator)
-    return [(int(re * denom), int(im * denom)) for re, im in pairs]
+def _cleared(rows: Sequence[Sequence[object]]) -> Tuple[int, List[List[_GIPair]]]:
+    """(L, L * rows as int pairs), L the lcm of every entry's denominators.
+
+    Entries may be GaussianRational, Fraction, or plain int.
+    """
+    parts = [[(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in row] for row in rows]
+    den = lcm(1, *(q.denominator for row in parts for pair in row for q in pair))
+    return den, [
+        [(re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)) for re, im in row]
+        for row in parts
+    ]
 
 
 def rank(rows: Sequence[Sequence[object]]) -> int:
     """Exact rank of a matrix with GaussianRational, Fraction, or int entries."""
-    m = [_clear_row(r) for r in rows if any(x for x in r)]
+    m = [_cleared([r])[1][0] for r in rows if any(x for x in r)]
     if not m:
         return 0
     n_rows = len(m)
-    n_cols = len(m[0])
-    rk = 0
     r = 0
     prev: _GIPair = (1, 0)
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if m[i][c] != (0, 0):
-                piv = i
-                break
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, n_rows) if m[i][c] != (0, 0)), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
+        p, row_r = m[r][c], m[r]
         for i in range(r + 1, n_rows):
-            mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, n_cols):
-                num = _gi_sub(_gi_mul(p, row_i[j]), _gi_mul(mic, row_r[j]))
-                row_i[j] = _gi_div_exact(num, prev)
-            row_i[c] = (0, 0)
+            mic, row_i = m[i][c], m[i]
+            for j in range(c + 1, len(row_i)):
+                a, b = _gi_mul(p, row_i[j]), _gi_mul(mic, row_r[j])
+                row_i[j] = _gi_div_exact((a[0] - b[0], a[1] - b[1]), prev)
         prev = p
         r += 1
-        rk += 1
         if r == n_rows:
             break
-    return rk
+    return r
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -154,96 +143,105 @@ def invert(mat: Matrix) -> Matrix:
 Component = Tuple[int, Fraction, List[GaussianRational]]
 
 
+def _hermitian_pairs(mat: Matrix) -> Tuple[int, List[List[_GIPair]]]:
+    """(L, L * mat) for a square Hermitian matrix; refuses any other."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise DimensionMismatch(f"matrix with {n} rows is not square")
+    den, x = _cleared(mat)
+    for k in range(n):
+        if x[k][k][1]:
+            raise NonRealDiagonal(f"diagonal entry ({k}, {k}) is not real")
+        for l in range(k):
+            re, im = x[k][l]
+            if x[l][k] != (re, -im):
+                raise ConjugateMismatch(f"entries ({k}, {l}) and ({l}, {k}) are not mutual conjugates")
+    return den, x
+
+
+def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:
+    """Yield (active indices, prev, pivot, its columns of X) before each step.
+
+    1x1: the largest |X_ii| (ties: smallest i) and column i; 2x2: the
+    first nonzero c = X_ij and columns i, j.
+    """
+    act = list(range(len(x)))
+    prev = 1
+    while act:
+        diag = [abs(row[k][0]) for k, row in enumerate(x)]
+        t = max(range(len(act)), key=diag.__getitem__)
+        if diag[t]:
+            p = x[t][t][0]
+            col = [row[t] for row in x]
+            yield act, prev, p, (col,)
+            keep = [k for k in range(len(act)) if k != t]
+            rt = [x[t][k] for k in keep]
+            x = [
+                [((p * xr - ar * br + ai * bi) // prev, (p * xi - ar * bi - ai * br) // prev)
+                 for (xr, xi), (br, bi) in zip([row[k] for k in keep], rt)]
+                for row, (ar, ai) in zip([x[k] for k in keep], [col[k] for k in keep])
+            ]
+            prev = p
+        else:
+            m = len(act)
+            pair = next(((s, t) for s in range(m) for t in range(s + 1, m) if x[s][t] != (0, 0)), None)
+            if pair is None:
+                return  # remaining block is identically zero
+            s, t = pair
+            cr, ci = c = x[s][t]
+            cols = ([row[s] for row in x], [row[t] for row in x])
+            yield act, prev, c, cols
+            keep = [k for k in range(m) if k != s and k != t]
+            rs, rt = [x[s][k] for k in keep], [x[t][k] for k in keep]
+            u = [(cr * pr - ci * pi, cr * pi + ci * pr) for pr, pi in (cols[0][k] for k in keep)]
+            v = [(cr * qr + ci * qi, cr * qi - ci * qr) for qr, qi in (cols[1][k] for k in keep)]
+            nc, d = cr * cr + ci * ci, prev * prev
+            x = [
+                [((-nc * xr + ur * tr - ui * ti + vr * sr - vi * si) // d,
+                  (-nc * xi + ur * ti + ui * tr + vr * si + vi * sr) // d)
+                 for (xr, xi), (tr, ti), (sr, si) in zip([row[k] for k in keep], rt, rs)]
+                for row, (ur, ui), (vr, vi) in zip([x[k] for k in keep], u, v)
+            ]
+            prev = -nc // prev
+        act = [act[k] for k in keep]
+
+
 def ldl_components(mat: Matrix) -> List[Component]:
     """Split a Hermitian matrix into signed weighted rank-one pieces.
 
-    Pivot policy: take the nonzero diagonal pivot of largest magnitude
-    (ties: smallest index); fall back to a 2x2 off-diagonal block only
-    when every remaining diagonal entry is zero.
+    From the fraction-free X = L M of the module docstring: a 1x1 pivot p
+    gives vec[k] = X_ki / p, weight |p| / (|prev| L), sign sign(p prev); a
+    2x2 pivot c gives vec[k] = X_kj / (prev L) +- c X_ki / |c|^2, weight 1/2.
     """
-    n = len(mat)
-    m = [row[:] for row in mat]
-    active = list(range(n))
+    den, x = _hermitian_pairs(mat)
+    n = len(x)
     comps: List[Component] = []
-    while active:
-        best = None
-        best_mag = None
-        for i in active:
-            d = m[i][i].re
-            if d:
-                mag = abs(d)
-                if best_mag is None or mag > best_mag:
-                    best, best_mag = i, mag
-        if best is not None:
-            i = best
-            d = m[i][i].re
-            d_gr = GaussianRational(d)
+    for act, prev, piv, cols in _symmetric_steps(x):
+        if len(cols) == 1:
             vec = [GR_ZERO] * n
-            col = {}
-            for k in active:
-                col[k] = m[k][i]
-                vec[k] = m[k][i] / d_gr
-            comps.append((1 if d > 0 else -1, abs(d), vec))
-            active.remove(i)
-            for j in active:
-                cji = col[j]
-                if not cji:
-                    continue
-                f = cji / d_gr
-                row_j = m[j]
-                row_i = m[i]
-                for k in active:
-                    if row_i[k]:
-                        row_j[k] = row_j[k] - f * row_i[k]
+            for k, (re, im) in zip(act, cols[0]):
+                vec[k] = GaussianRational(Fraction(re, piv), Fraction(im, piv))
+            comps.append((1 if (piv > 0) == (prev > 0) else -1, Fraction(abs(piv), abs(prev) * den), vec))
             continue
-        # every remaining diagonal is zero: look for a 2x2 block
-        pair = None
-        for ip in range(len(active)):
-            for jp in range(ip + 1, len(active)):
-                if m[active[ip]][active[jp]]:
-                    pair = (active[ip], active[jp])
-                    break
-            if pair:
-                break
-        if pair is None:
-            break  # remaining block is identically zero
-        i, j = pair
-        c = m[i][j]
-        gamma = c / GaussianRational(c.norm_sq())
-        gbar = gamma.conjugate()
-        p_col = {k: m[k][i] for k in active}
-        q_col = {k: m[k][j] for k in active}
-        vec_p = [GR_ZERO] * n
-        vec_m = [GR_ZERO] * n
-        for k in active:
-            gp = gamma * p_col[k]
-            vec_p[k] = q_col[k] + gp
-            vec_m[k] = q_col[k] - gp
-        comps.append((1, Fraction(1, 2), vec_p))
-        comps.append((-1, Fraction(1, 2), vec_m))
-        active.remove(i)
-        active.remove(j)
-        for k in active:
-            pk = p_col[k]
-            qk = q_col[k]
-            if not pk and not qk:
-                continue
-            row_k = m[k]
-            for l in active:
-                row_k[l] = (
-                    row_k[l]
-                    - gamma * pk * q_col[l].conjugate()
-                    - gbar * qk * p_col[l].conjugate()
-                )
+        (cr, ci), a = piv, prev * den
+        nc = cr * cr + ci * ci
+        for sign in (1, -1):
+            vec = [GR_ZERO] * n
+            for k, (pr, pi), (qr, qi) in zip(act, *cols):
+                ur, ui = sign * a * (cr * pr - ci * pi), sign * a * (cr * pi + ci * pr)
+                vec[k] = GaussianRational(Fraction(qr * nc + ur, a * nc), Fraction(qi * nc + ui, a * nc))
+            comps.append((sign, Fraction(1, 2), vec))
     return comps
 
 
 def inertia(mat: Matrix) -> Tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a Hermitian matrix."""
+    """(positive, negative) eigenvalue counts of a Hermitian matrix.
+
+    Counts the fraction-free pivots: sign(p prev) for a 1x1 pivot p, which
+    is the sign of the true pivot p / (prev L); one each way for a 2x2.
+    """
     pos = neg = 0
-    for sign, _, _ in ldl_components(mat):
-        if sign > 0:
-            pos += 1
-        else:
-            neg += 1
+    for _, prev, piv, cols in _symmetric_steps(_hermitian_pairs(mat)[1]):
+        pos += len(cols) == 2 or (piv > 0) == (prev > 0)
+        neg += len(cols) == 2 or (piv > 0) != (prev > 0)
     return pos, neg

@@ -157,7 +157,7 @@ def test_criterion_4(criterion):
 
 
 def test_criterion_5(criterion):
-    with criterion(5, "rank and inertia invariance"):
+    with criterion(5, "rank and inertia invariance", limit=15.0):
         rng = Random(5)
         n = 3
         forms = []

@@ -18,7 +18,7 @@ from hyperq.forms import (
     norm_difference,
     WeightedHoloMap,
 )
-from hyperq.multiindex import unit, zero_index
+from hyperq.multiindex import monomials_up_to, unit, zero_index
 from hyperq.polys import poly_mul
 from hyperq.restrict import cayley_unitary
 from hyperq.scalars import GR_ONE, GR_ZERO, gr
@@ -334,3 +334,29 @@ def test_integer_norm_difference_cancels_the_origin():
     assert (origin, origin) not in got.entries
     assert got.entries == _gr_norm_difference(holo, True).entries
     assert got.entries == {((1, 0), (1, 0)): gr(Fraction(-5, 12) * (Fraction(1, 9) + Fraction(4, 49)))}
+
+
+def _dense_form(rng, n, top, size):
+    """size monomials of degree <= top, nonzero integer diagonal, half the pairs in Z[i] filled."""
+    support = rng.sample(monomials_up_to(n, top), size)
+    nonzero = [v for v in range(-9, 10) if v]
+    entries = [(alpha, alpha, gr(rng.choice(nonzero))) for alpha in support]
+    pairs = [(support[i], beta) for i in range(size) for beta in support[i + 1:]]
+    for alpha, beta in rng.sample(pairs, len(pairs) // 2):
+        entries.append((alpha, beta, gr(rng.choice(nonzero), rng.randint(-9, 9))))
+    return form_from_entries(n, entries)
+
+
+def test_bareiss_rank_equals_symmetric_kernel_rank():
+    # two independent eliminations: Bareiss with row pivots, and the
+    # symmetric fraction-free LDL* behind form_inertia
+    rng = Random(1105)
+    for n, top, size in [(3, 3, 8), (3, 3, 12), (3, 3, 16), (3, 3, 20), (4, 2, 9), (4, 2, 15)]:
+        f = _dense_form(rng, n, top, size)
+        lower = [[1 if i == j else (rng.choice((-1, 1)) if i > j else 0) for j in range(n)] for i in range(n)]
+        upper = [[1 if i == j else (rng.choice((-1, 1)) if i < j else 0) for j in range(n)] for i in range(n)]
+        change = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        g = compose_linear(f, change)
+        for h in (f, g):
+            assert form_rank(h) == form_inertia(h).rank
+        assert form_inertia(g) == form_inertia(f)

@@ -1,12 +1,22 @@
-"""Fraction-free rank, exact inverse, and block LDL* inertia."""
+"""Fraction-free rank, exact inverse, and the fraction-free symmetric LDL* kernel."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from hyperq.linalg import identity, inertia, invert, ldl_components, matmul, rank
-from hyperq.scalars import GaussianRational, gr
+from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
+from hyperq.linalg import (
+    _hermitian_pairs,
+    _symmetric_steps,
+    identity,
+    inertia,
+    invert,
+    ldl_components,
+    matmul,
+    rank,
+)
+from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
 def _rand_gr(rng, span=9):
@@ -132,3 +142,207 @@ def test_offdiagonal_block_pivot():
 def test_zero_matrix_inertia():
     assert inertia([[gr(0)] * 3 for _ in range(3)]) == (0, 0)
     assert ldl_components([[gr(0)] * 3 for _ in range(3)]) == []
+
+
+def test_inertia_refuses_a_matrix_that_is_not_square():
+    for mat in ([[1, 2]], [[gr(1), gr(2)], [gr(2)]], [[gr(1)], [gr(2)]]):
+        with pytest.raises(DimensionMismatch):
+            inertia(mat)
+        with pytest.raises(DimensionMismatch):
+            ldl_components(mat)
+
+
+def test_inertia_refuses_a_non_real_diagonal():
+    for mat in ([[gr(1, 5), gr(0)], [gr(0), gr(-1)]], [[gr(Fraction(1, 3), Fraction(1, 7))]]):
+        with pytest.raises(NonRealDiagonal):
+            inertia(mat)
+        with pytest.raises(NonRealDiagonal):
+            ldl_components(mat)
+
+
+def test_inertia_refuses_a_matrix_that_is_not_hermitian():
+    for mat in ([[1, 2], [3, 1]], [[gr(0), gr(1, 2)], [gr(1, 2), gr(0)]]):
+        with pytest.raises(ConjugateMismatch):
+            inertia(mat)
+        with pytest.raises(ConjugateMismatch):
+            ldl_components(mat)
+
+
+# -- the GaussianRational LDL* the fraction-free kernel replaced, kept as the reference --
+
+
+def _gr_ldl_components(mat):
+    """Split a Hermitian matrix into signed weighted rank-one pieces.
+
+    Pivot policy: take the nonzero diagonal pivot of largest magnitude
+    (ties: smallest index); fall back to a 2x2 off-diagonal block only
+    when every remaining diagonal entry is zero.
+    """
+    n = len(mat)
+    m = [row[:] for row in mat]
+    active = list(range(n))
+    comps = []
+    while active:
+        best = None
+        best_mag = None
+        for i in active:
+            d = m[i][i].re
+            if d:
+                mag = abs(d)
+                if best_mag is None or mag > best_mag:
+                    best, best_mag = i, mag
+        if best is not None:
+            i = best
+            d = m[i][i].re
+            d_gr = GaussianRational(d)
+            vec = [GR_ZERO] * n
+            col = {}
+            for k in active:
+                col[k] = m[k][i]
+                vec[k] = m[k][i] / d_gr
+            comps.append((1 if d > 0 else -1, abs(d), vec))
+            active.remove(i)
+            for j in active:
+                cji = col[j]
+                if not cji:
+                    continue
+                f = cji / d_gr
+                row_j = m[j]
+                row_i = m[i]
+                for k in active:
+                    if row_i[k]:
+                        row_j[k] = row_j[k] - f * row_i[k]
+            continue
+        # every remaining diagonal is zero: look for a 2x2 block
+        pair = None
+        for ip in range(len(active)):
+            for jp in range(ip + 1, len(active)):
+                if m[active[ip]][active[jp]]:
+                    pair = (active[ip], active[jp])
+                    break
+            if pair:
+                break
+        if pair is None:
+            break  # remaining block is identically zero
+        i, j = pair
+        c = m[i][j]
+        gamma = c / GaussianRational(c.norm_sq())
+        gbar = gamma.conjugate()
+        p_col = {k: m[k][i] for k in active}
+        q_col = {k: m[k][j] for k in active}
+        vec_p = [GR_ZERO] * n
+        vec_m = [GR_ZERO] * n
+        for k in active:
+            gp = gamma * p_col[k]
+            vec_p[k] = q_col[k] + gp
+            vec_m[k] = q_col[k] - gp
+        comps.append((1, Fraction(1, 2), vec_p))
+        comps.append((-1, Fraction(1, 2), vec_m))
+        active.remove(i)
+        active.remove(j)
+        for k in active:
+            pk = p_col[k]
+            qk = q_col[k]
+            if not pk and not qk:
+                continue
+            row_k = m[k]
+            for l in active:
+                row_k[l] = (
+                    row_k[l]
+                    - gamma * pk * q_col[l].conjugate()
+                    - gbar * qk * p_col[l].conjugate()
+                )
+    return comps
+
+
+def _oracle_inertia(comps):
+    return sum(1 for s, _, _ in comps if s > 0), sum(1 for s, _, _ in comps if s < 0)
+
+
+def _step_kinds(mat):
+    """1 or 2 per pivot block of the fraction-free kernel, in order."""
+    return [len(cols) for _, _, _, cols in _symmetric_steps(_hermitian_pairs(mat)[1])]
+
+
+def _assert_matches_oracle(mat):
+    want = _gr_ldl_components(mat)
+    assert ldl_components(mat) == want
+    assert inertia(mat) == _oracle_inertia(want)
+    return want
+
+
+def _rational(rng, span=9, den=12):
+    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+def _dense(rng, n, zero_diagonal=False):
+    """Hermitian, denominators up to 12, about a fifth of the off-diagonal pairs zero."""
+    mat = [[GR_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        mat[i][i] = GR_ZERO if zero_diagonal else gr(_rational(rng))
+        for j in range(i + 1, n):
+            x = gr(_rational(rng), _rational(rng)) if rng.random() > 0.2 else GR_ZERO
+            mat[i][j], mat[j][i] = x, x.conjugate()
+    return mat
+
+
+def test_fraction_free_ldl_matches_oracle_on_dense_matrices():
+    rng = Random(1101)
+    for _ in range(60):
+        _assert_matches_oracle(_dense(rng, rng.randint(1, 12)))
+
+
+def test_fraction_free_ldl_matches_oracle_on_zero_diagonals():
+    rng = Random(1102)
+    kinds = set()
+    for _ in range(40):
+        mat = _dense(rng, rng.randint(2, 10), zero_diagonal=True)
+        _assert_matches_oracle(mat)
+        kinds.update(_step_kinds(mat)[:2])
+    assert kinds == {1, 2}
+
+
+def test_fraction_free_ldl_matches_oracle_after_a_negative_pivot():
+    # [[-D, b*], [b, Z]] with Z_kk = -|b_k|^2 / D: the first pivot is -D < 0
+    # and its Schur complement has a zero diagonal, so 2x2 steps run with
+    # prev < 0, and the 1x1 pivots after them see prev of either sign
+    rng = Random(1103)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        mat = _dense(rng, n)
+        big = Fraction(rng.randint(400, 900), rng.randint(1, 3))
+        mat[0][0] = gr(-big)
+        for k in range(1, n):
+            b = gr(rng.randint(-3, 3), rng.randint(-3, 3))
+            mat[k][0], mat[0][k] = b, b.conjugate()
+            mat[k][k] = gr(-b.norm_sq() / big)
+        assert _assert_matches_oracle(mat)[0][0] == -1
+        kinds = _step_kinds(mat)
+        assert kinds[0] == 1
+        if 2 in kinds:
+            seen.add(tuple(kinds[: kinds.index(2) + 2]))
+    assert (1, 2, 1) in seen
+
+
+def test_fraction_free_ldl_matches_oracle_on_rank_deficient_sums():
+    rng = Random(1104)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, n - 1)
+        mat = [[GR_ZERO] * n for _ in range(n)]
+        signs = [rng.choice((1, -1)) for _ in range(k)]
+        for s in signs:
+            v = [gr(_rational(rng, 4, 6), _rational(rng, 4, 6)) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    mat[i][j] = mat[i][j] + gr(s) * v[i] * v[j].conjugate()
+        comps = _assert_matches_oracle(mat)
+        assert len(comps) == rank(mat) <= k
+
+
+def test_fraction_free_ldl_matches_oracle_on_zero_and_one_by_one():
+    for n in (0, 1, 2, 5):
+        assert _assert_matches_oracle([[GR_ZERO] * n for _ in range(n)]) == []
+    for x in (Fraction(-5, 7), Fraction(12), Fraction(1, 12)):
+        assert _assert_matches_oracle([[gr(x)]]) == [(1 if x > 0 else -1, abs(x), [gr(1)])]
