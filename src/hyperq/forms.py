@@ -19,8 +19,8 @@ from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
+from .linalg import _checked_hermitian, _cleared, _pivot_count, ldl_components
 from .linalg import inertia as _matrix_inertia
-from .linalg import ldl_components, rank as _matrix_rank
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, total_degree, unit, zero_index
 from .polys import Poly
 from .scalars import GR_ONE, GaussianRational, gr
@@ -150,18 +150,13 @@ def form_from_entries(n: int, entries: Iterable[Tuple[Tuple[int, ...], Tuple[int
 
 
 def form_rank(form: HermitianForm) -> int:
-    """Exact rank of the coefficient matrix over the Gaussian rationals."""
-    if form.is_zero():
-        return 0
-    return _matrix_rank(form.matrix())
+    """Exact rank of the coefficient matrix: the symmetric pivot count of form_inertia."""
+    return form_inertia(form).rank
 
 
 def form_inertia(form: HermitianForm) -> SignaturePair:
     """Signature pair (positive count, negative count) of the matrix."""
-    if form.is_zero():
-        return SignaturePair(0, 0)
-    pos, neg = _matrix_inertia(form.matrix())
-    return SignaturePair(pos, neg)
+    return SignaturePair(*_matrix_inertia(form.matrix()))
 
 
 @dataclass(frozen=True)
@@ -191,10 +186,9 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
     """
     basis = form.support()
     comps = []
-    if basis:
-        for sign, weight, vec in ldl_components(form.matrix(basis)):
-            poly = {basis[i]: v for i, v in enumerate(vec) if v}
-            comps.append((sign, weight, poly))
+    for sign, weight, vec in ldl_components(form.matrix(basis)):
+        poly = {basis[i]: v for i, v in enumerate(vec) if v}
+        comps.append((sign, weight, poly))
     return WeightedHoloMap(form.n, tuple(comps))
 
 
@@ -241,13 +235,6 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
 _Pair = Tuple[int, int]  # a Gaussian integer re + i im
 _PairPoly = Dict[MultiIndex, _Pair]
 _PairForm = Dict[Tuple[MultiIndex, MultiIndex], _Pair]
-
-
-def _cleared(values: Iterable[object]) -> Tuple[List[_Pair], int]:
-    """Gaussian integers P and the lcm d of the denominators, with value k = P[k] / d."""
-    vals = [GaussianRational.coerce(v) for v in values]
-    d = lcm(*(q for v in vals for q in (v.re.denominator, v.im.denominator)))
-    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals], d
 
 
 def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:
@@ -311,16 +298,9 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
     return table, lambda gamma, k: cols[-1][1] ** (k - sum(gamma)) * prod(m**e for (_, m), e in zip(cols, gamma))
 
 
-def compose_linear(
-    form: HermitianForm,
-    matrix: Sequence[Sequence[object]],
-    translation: Optional[Sequence[object]] = None,
-) -> HermitianForm:
-    """Coefficient matrix of r(Ez + t) by exact substitution.
-
-    E has one row per source variable and one column per new variable.
-    When E is square invertible and t = 0 the rank and inertia are
-    preserved; a thin E restricts the form to a subspace.
+def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]],
+              translation: Optional[Sequence[object]]) -> Tuple[int, _PairForm, Callable[[MultiIndex, MultiIndex], int]]:
+    """(n_dst, acc, den): entry (gamma, delta) of r(Ez + t) is acc[(gamma, delta)] / den(gamma, delta).
 
     With c = C / D over the lcm of the form's denominators, P and M from
     _expansions and K the top |alpha| + |beta|, entry c at (alpha, beta) adds
@@ -342,4 +322,34 @@ def compose_linear(
     for ((alpha, beta), (cr, ci)) in zip(form.entries, pairs):
         k = m0 ** (top - sum(alpha) - sum(beta))
         _sandwich(acc, (cr * k, ci * k), table[alpha], table[beta])
-    return _to_form(n_dst, acc, lambda gamma, delta: d * den(gamma, top - sum(delta)) * den(delta, sum(delta)))
+    return n_dst, acc, lambda gamma, delta: d * den(gamma, top - sum(delta)) * den(delta, sum(delta))
+
+
+def compose_linear(
+    form: HermitianForm,
+    matrix: Sequence[Sequence[object]],
+    translation: Optional[Sequence[object]] = None,
+) -> HermitianForm:
+    """Coefficient matrix of r(Ez + t) by exact substitution.
+
+    E has one row per source variable and one column per new variable.
+    When E is square invertible and t = 0 the rank and inertia are
+    preserved; a thin E restricts the form to a subspace.
+    """
+    return _to_form(*_composed(form, matrix, translation))
+
+
+def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
+                   translation: Optional[Sequence[object]]) -> int:
+    """form_rank(compose_linear(form, matrix, translation)), read off the integer accumulator.
+
+    In _composed, den(gamma, delta) = D M^gamma M^delta M_0^(K-|gamma|-|delta|)
+    = D M_0^K f(gamma) f(delta) with f(gamma) = M^gamma / M_0^|gamma| > 0.
+    So the accumulator is D M_0^K F R F, for the composed matrix R and the
+    positive diagonal F = diag(f): a positive multiple of a congruence of R,
+    which keeps the rank.  It is refused unless Hermitian, as R must be, for
+    the kernel's exact divisions to hold.
+    """
+    acc = _composed(form, matrix, translation)[1]
+    basis = sorted({index for key, v in acc.items() if v != (0, 0) for index in key})
+    return _pivot_count(_checked_hermitian([[acc.get((g, d), (0, 0)) for d in basis] for g in basis]))

@@ -2,9 +2,10 @@
 
 The kernels eliminate fraction-free over Gaussian integers held as
 (re, im) int pairs (Bareiss 1968): every entry is a minor of the cleared
-matrix, so every division is exact.  `rank` clears row by row.
-`inertia` and `ldl_components` share one symmetric elimination of a
-Hermitian M, cleared as a whole by the lcm L of its denominators so that
+matrix, so every division is exact.  One symmetric elimination of a
+Hermitian M serves `inertia`, `ldl_components` and the rank, which is
+its pivot count; `rank` runs it on the Gram matrix of a general matrix.
+M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
 c = X_ij, runs only when every remaining diagonal is 0 and sets X_kl to
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
@@ -32,61 +33,32 @@ Matrix = List[List[GaussianRational]]
 _GIPair = Tuple[int, int]
 
 
-def _gi_mul(x: _GIPair, y: _GIPair) -> _GIPair:
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
+def _cleared(values: Iterable[object]) -> Tuple[List[_GIPair], int]:
+    """Gaussian integers P and the lcm d of the denominators, with value k = P[k] / d.
 
-
-def _gi_div_exact(x: _GIPair, y: _GIPair) -> _GIPair:
-    """x / y in Z[i]; the caller guarantees divisibility."""
-    c, d = y
-    n = c * c + d * d
-    num = _gi_mul(x, (c, -d))
-    qr, rr = divmod(num[0], n)
-    qi, ri = divmod(num[1], n)
-    if rr or ri:
-        raise ArithmeticError("inexact Gaussian-integer division in Bareiss step")
-    return (qr, qi)
-
-
-def _cleared(rows: Sequence[Sequence[object]]) -> Tuple[int, List[List[_GIPair]]]:
-    """(L, L * rows as int pairs), L the lcm of every entry's denominators.
-
-    Entries may be GaussianRational, Fraction, or plain int.
+    Values may be GaussianRational, Fraction, or plain int.
     """
-    parts = [[(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in row] for row in rows]
-    den = lcm(1, *(q.denominator for row in parts for pair in row for q in pair))
-    return den, [
-        [(re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)) for re, im in row]
-        for row in parts
-    ]
+    vals = [GaussianRational.coerce(v) for v in values]
+    d = lcm(*(q for v in vals for q in (v.re.denominator, v.im.denominator)))
+    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals], d
 
 
 def rank(rows: Sequence[Sequence[object]]) -> int:
-    """Exact rank of a matrix with GaussianRational, Fraction, or int entries."""
-    m = [_cleared([r])[1][0] for r in rows if any(x for x in r)]
-    if not m:
-        return 0
-    n_rows = len(m)
-    r = 0
-    prev: _GIPair = (1, 0)
-    for c in range(len(m[0])):
-        piv = next((i for i in range(r, n_rows) if m[i][c] != (0, 0)), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p, row_r = m[r][c], m[r]
-        for i in range(r + 1, n_rows):
-            mic, row_i = m[i][c], m[i]
-            for j in range(c + 1, len(row_i)):
-                a, b = _gi_mul(p, row_i[j]), _gi_mul(mic, row_r[j])
-                row_i[j] = _gi_div_exact((a[0] - b[0], a[1] - b[1]), prev)
-        prev = p
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    """Exact rank of a matrix with GaussianRational, Fraction, or int entries.
+
+    Each row is cleared by its own lcm, a positive scale that keeps the
+    rank, to A over Z[i].  Over C, rank A = rank A A*, so the rank is the
+    symmetric pivot count of the Hermitian Gram matrix of the shorter side.
+    """
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise DimensionMismatch(f"matrix rows have unequal lengths, the first has {width}")
+    a = [_cleared(row)[0] for row in rows]
+    if len(a) > width:
+        a = list(zip(*a))
+    gram = [[(sum(pr * qr + pi * qi for (pr, pi), (qr, qi) in zip(p, q)),
+              sum(pi * qr - pr * qi for (pr, pi), (qr, qi) in zip(p, q))) for q in a] for p in a]
+    return _pivot_count(gram)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -148,15 +120,25 @@ def _hermitian_pairs(mat: Matrix) -> Tuple[int, List[List[_GIPair]]]:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionMismatch(f"matrix with {n} rows is not square")
-    den, x = _cleared(mat)
-    for k in range(n):
-        if x[k][k][1]:
+    flat, den = _cleared(v for row in mat for v in row)
+    return den, _checked_hermitian([flat[k * n:(k + 1) * n] for k in range(n)])
+
+
+def _checked_hermitian(x: List[List[_GIPair]]) -> List[List[_GIPair]]:
+    """x itself, a square matrix of int pairs, if it is Hermitian; refuses any other."""
+    for k, row in enumerate(x):
+        if row[k][1]:
             raise NonRealDiagonal(f"diagonal entry ({k}, {k}) is not real")
         for l in range(k):
-            re, im = x[k][l]
+            re, im = row[l]
             if x[l][k] != (re, -im):
                 raise ConjugateMismatch(f"entries ({k}, {l}) and ({l}, {k}) are not mutual conjugates")
-    return den, x
+    return x
+
+
+def _pivot_count(x: List[List[_GIPair]]) -> int:
+    """Rank of a Hermitian matrix of int pairs: a 1x1 step is one pivot, a 2x2 step two."""
+    return sum(len(cols) for *_, cols in _symmetric_steps(x))
 
 
 def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:

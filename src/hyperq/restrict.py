@@ -19,7 +19,7 @@ from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .forms import HermitianForm, _expansions, compose_linear, form_rank
+from .forms import HermitianForm, _composed_rank, _expansions, compose_linear
 from .linalg import identity, invert, matmul, rank as matrix_rank
 from .multiindex import MultiIndex, monomials_of_degree, monomials_up_to, unit
 from .scalars import GR_ZERO, GaussianRational, gr
@@ -168,7 +168,7 @@ def generic_restriction_rank(
     for t in range(trials):
         rng = Random(f"{seed}:generic:{t}")
         E = _generic_embedding(rng, form.n, sub_dim, coeff_bound)
-        best = max(best, form_rank(restrict_form(form, E)))
+        best = max(best, _composed_rank(form, E.linear, E.translation))
     return best
 
 
@@ -220,7 +220,7 @@ def max_affine_rank(
             rows.append([_random_scalar(rng, coeff_bound) for _ in range(sub_dim)])
             trans.append(_random_scalar(rng, coeff_bound))
         E = embedding(rows, trans)
-        best = max(best, form_rank(restrict_form(form, E)))
+        best = max(best, _composed_rank(form, E.linear, E.translation))
     return best
 
 

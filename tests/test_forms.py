@@ -9,6 +9,7 @@ from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.forms import (
     HermitianForm,
     SignaturePair,
+    _composed_rank,
     compose_linear,
     decompose,
     form_from_entries,
@@ -18,6 +19,7 @@ from hyperq.forms import (
     norm_difference,
     WeightedHoloMap,
 )
+from hyperq.linalg import rank
 from hyperq.multiindex import monomials_up_to, unit, zero_index
 from hyperq.polys import poly_mul
 from hyperq.restrict import cayley_unitary
@@ -293,6 +295,7 @@ def test_integer_compose_matches_gaussian_rational_loop():
                 assert got.entries == _gr_compose_linear(form, E, trans).entries
                 assert got.n == len(E[0])
                 _assert_hermitian(got)
+                assert _composed_rank(form, E, trans) == form_rank(got)
                 cases += 1
     assert cases == 12 * 3 * 3
 
@@ -304,6 +307,24 @@ def test_integer_compose_cancels_to_the_zero_form():
     for trans in (None, [gr(Fraction(1, 3), 1)] * 2):
         assert compose_linear(form, [row, row], trans).entries == {}
         assert _gr_compose_linear(form, [row, row], trans).entries == {}
+        assert _composed_rank(form, [row, row], trans) == 0
+
+
+def test_rank_refuses_a_hand_built_form_that_is_not_hermitian():
+    # the dataclass does not validate; the kernels divide exactly only on Hermitian input
+    one_sided = HermitianForm(2, {((1, 0), (0, 1)): gr(1)})
+    not_conjugate = HermitianForm(2, {((1, 0), (0, 1)): gr(1), ((0, 1), (1, 0)): gr(2)})
+    complex_diagonal = HermitianForm(2, {((1, 0), (1, 0)): gr(1, 1)})
+    for form in (one_sided, not_conjugate):
+        with pytest.raises(ConjugateMismatch):
+            form_rank(form)
+    with pytest.raises(NonRealDiagonal):
+        form_rank(complex_diagonal)
+    swap = [[gr(0), gr(1)], [gr(1), gr(0)]]
+    with pytest.raises(ConjugateMismatch):
+        _composed_rank(one_sided, swap, None)
+    with pytest.raises(NonRealDiagonal):
+        _composed_rank(complex_diagonal, swap, None)
 
 
 def test_integer_norm_difference_matches_gaussian_rational_loop():
@@ -347,9 +368,10 @@ def _dense_form(rng, n, top, size):
     return form_from_entries(n, entries)
 
 
-def test_bareiss_rank_equals_symmetric_kernel_rank():
-    # two independent eliminations: Bareiss with row pivots, and the
-    # symmetric fraction-free LDL* behind form_inertia
+def test_gram_rank_equals_symmetric_kernel_rank():
+    # the pivot count of M, behind form_rank and form_inertia, against that
+    # of the Gram matrix M M* = M^2 behind linalg.rank, which test_linalg
+    # checks against a general Bareiss elimination
     rng = Random(1105)
     for n, top, size in [(3, 3, 8), (3, 3, 12), (3, 3, 16), (3, 3, 20), (4, 2, 9), (4, 2, 15)]:
         f = _dense_form(rng, n, top, size)
@@ -358,5 +380,5 @@ def test_bareiss_rank_equals_symmetric_kernel_rank():
         change = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         g = compose_linear(f, change)
         for h in (f, g):
-            assert form_rank(h) == form_inertia(h).rank
+            assert form_rank(h) == form_inertia(h).rank == rank(h.matrix())
         assert form_inertia(g) == form_inertia(f)

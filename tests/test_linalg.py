@@ -1,6 +1,7 @@
 """Fraction-free rank, exact inverse, and the fraction-free symmetric LDL* kernel."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -37,10 +38,85 @@ def _hermitian(rng, n, span=9):
     return mat
 
 
+# -- the general Bareiss rank the symmetric kernel replaced, kept as the reference --
+
+
+def _gi_mul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _gi_div_exact(x, y):
+    """x / y in Z[i]; divisibility is asserted."""
+    c, d = y
+    n = c * c + d * d
+    num = _gi_mul(x, (c, -d))
+    qr, rr = divmod(num[0], n)
+    qi, ri = divmod(num[1], n)
+    assert not rr and not ri, "inexact Gaussian-integer division in Bareiss step"
+    return (qr, qi)
+
+
+def _cleared_row(row):
+    vals = [GaussianRational.coerce(x) for x in row]
+    d = lcm(*(q.denominator for v in vals for q in (v.re, v.im)))
+    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals]
+
+
+def _bareiss_rank(rows):
+    """Rank by fraction-free Gaussian elimination with row pivots, each row cleared by its own lcm."""
+    m = [_cleared_row(r) for r in rows if any(x for x in r)]
+    if not m:
+        return 0
+    n_rows = len(m)
+    r = 0
+    prev = (1, 0)
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, n_rows) if m[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p, row_r = m[r][c], m[r]
+        for i in range(r + 1, n_rows):
+            mic, row_i = m[i][c], m[i]
+            for j in range(c + 1, len(row_i)):
+                a, b = _gi_mul(p, row_i[j]), _gi_mul(mic, row_r[j])
+                row_i[j] = _gi_div_exact((a[0] - b[0], a[1] - b[1]), prev)
+        prev = p
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
 def test_rank_int_rows():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 2], [0, 3]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([]) == rank([[]]) == rank([[], []]) == 0
+
+
+def test_rank_refuses_ragged_rows():
+    for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5]], [[1], [2, 3], [4]], [[gr(1)], []]):
+        with pytest.raises(DimensionMismatch):
+            rank(rows)
+
+
+def test_rank_matches_bareiss_on_products():
+    # A B with A n x k and B k x m has rank <= k: square, wide, tall, and rank-deficient
+    rng = Random(1201)
+    shapes = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(n, m) + 1)
+        a = [[_rand_gr(rng, 4) for _ in range(k)] for _ in range(n)]
+        b = [[_rand_gr(rng, 4) for _ in range(m)] for _ in range(k)]
+        mat = matmul(a, b) if k else [[GR_ZERO] * m for _ in range(n)]
+        want = _bareiss_rank(mat)
+        assert rank(mat) == want <= k
+        shapes.add(("square" if n == m else "wide" if n < m else "tall", want < min(n, m)))
+    assert len(shapes) == 6
 
 
 def test_rank_mixed_scalars():
@@ -63,7 +139,7 @@ def test_rank_of_outer_product_sums():
             for i in range(n):
                 for j in range(n):
                     mat[i][j] = mat[i][j] + v[i] * v[j].conjugate()
-        assert rank(mat) <= r
+        assert rank(mat) == _bareiss_rank(mat) <= r
 
 
 def test_invert_roundtrip():
@@ -98,7 +174,7 @@ def test_ldl_reconstructs_the_matrix():
                 for j in range(n):
                     acc[i][j] = acc[i][j] + si * vec[j].conjugate()
         assert acc == mat
-        assert len(comps) == rank(mat)
+        assert len(comps) == _bareiss_rank(mat)
 
 
 def test_inertia_matches_construction():
@@ -333,7 +409,7 @@ def test_fraction_free_ldl_matches_oracle_on_rank_deficient_sums():
                 for j in range(n):
                     mat[i][j] = mat[i][j] + gr(s) * v[i] * v[j].conjugate()
         comps = _assert_matches_oracle(mat)
-        assert len(comps) == rank(mat) <= k
+        assert len(comps) == rank(mat) == _bareiss_rank(mat) <= k
 
 
 def test_zero_matrix_inertia():

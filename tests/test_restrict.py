@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from hyperq.errors import DimensionMismatch
-from hyperq.forms import compose_linear, form_from_entries, form_from_real_poly, form_rank
+from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
+from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
 from hyperq.linalg import identity, matmul
 from hyperq.restrict import (
     cayley_unitary,
@@ -146,6 +146,15 @@ def test_samplers_reject_nonpositive_coeff_bound():
             with pytest.raises(ValueError, match="coeff_bound must be at least 1"):
                 call()
     assert 0 < sz_failure_bound(f, 2, 1, 1) <= 1
+
+
+def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
+    # z1 conj(z2) without its mirror; the dataclass does not validate, the rank kernel does
+    form = HermitianForm(3, {((1, 0, 0), (0, 1, 0)): gr(1)})
+    with pytest.raises(NonRealDiagonal):
+        generic_restriction_rank(form, 2)
+    with pytest.raises(ConjugateMismatch):
+        max_affine_rank(form, 2)  # z1 = w1 and z2 = w2: only w1 conj(w2) appears
 
 
 def test_sz_failure_bound_shrinks():
