@@ -4,11 +4,11 @@ A real-valued polynomial r(z, zbar) is stored as its sparse coefficient
 matrix: entry (alpha, beta) is the coefficient of z^alpha * zbar^beta,
 and real-valuedness is exactly the Hermitian symmetry of that matrix.
 Rank, inertia and weighted holomorphic squares are exact over the
-Gaussian rationals.  Substitution and norm differences run one sandwich
-loop over Gaussian integers as (re, im) int pairs; each output entry has
-a denominator known up front and becomes a rational once.  The monomial
-basis is graded lexicographic everywhere, so matrices, files and
-decompositions are reproducible byte for byte.
+Gaussian rationals.  Substitution (in two passes) and norm differences
+run one sandwich loop over Gaussian integers as (re, im) int pairs; each
+output entry has a denominator known up front and becomes a rational
+once.  The monomial basis is graded lexicographic everywhere, so
+matrices, files and decompositions are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -235,6 +235,7 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
 _Pair = Tuple[int, int]  # a Gaussian integer re + i im
 _PairPoly = Dict[MultiIndex, _Pair]
 _PairForm = Dict[Tuple[MultiIndex, MultiIndex], _Pair]
+_FormSide = Tuple[List[MultiIndex], Dict[MultiIndex, List[Tuple[MultiIndex, _Pair, int]]], int, int]
 
 
 def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:
@@ -298,14 +299,28 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
     return table, lambda gamma, k: cols[-1][1] ** (k - sum(gamma)) * prod(m**e for (_, m), e in zip(cols, gamma))
 
 
-def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]],
-              translation: Optional[Sequence[object]]) -> Tuple[int, _PairForm, Callable[[MultiIndex, MultiIndex], int]]:
+def _form_side(form: HermitianForm) -> _FormSide:
+    """(support, cols, D, K) as in _composed, where no embedding appears."""
+    pairs, d = _cleared(form.entries.values())
+    top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
+    cols: Dict[MultiIndex, List[Tuple[MultiIndex, _Pair, int]]] = {}
+    for (alpha, beta), c in zip(form.entries, pairs):
+        cols.setdefault(beta, []).append((alpha, c, top - sum(alpha) - sum(beta)))
+    return form.support(), cols, d, top
+
+
+def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]],
+              side: Optional[_FormSide] = None) -> Tuple[int, _PairForm, Callable[[MultiIndex, MultiIndex], int]]:
     """(n_dst, acc, den): entry (gamma, delta) of r(Ez + t) is acc[(gamma, delta)] / den(gamma, delta).
 
     With c = C / D over the lcm of the form's denominators, P and M from
     _expansions and K the top |alpha| + |beta|, entry c at (alpha, beta) adds
     C M_0^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in Z[i] at
     (gamma, delta), whose denominator is D M^gamma M^delta M_0^(K-|gamma|-|delta|).
+    Two passes group the sum by alpha: one sandwich per column cols[beta] = [(alpha, C, exponent)]
+    adds conj(C) M_0^exponent P_beta[delta] to V_alpha[delta], then acc[(gamma, delta)]
+    += P_alpha[gamma] conj(V_alpha[delta]): nnz k + |support| k^2 products for k terms per P,
+    not nnz k^2.  side, if given, is _form_side(form).
     """
     if translation is not None and len(translation) != form.n:
         raise DimensionMismatch(
@@ -314,14 +329,19 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]],
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
     n_dst = len(matrix[0]) if form.n else 0
-    table, den = _expansions(matrix, translation, n_dst, form.support())
-    pairs, d = _cleared(form.entries.values())
-    top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
+    support, cols, d, top = side or _form_side(form)
+    table, den = _expansions(matrix, translation, n_dst, support)
     m0 = den(zero_index(n_dst), 1)
+    scale = [m0**e for e in range(top + 1)]
+    v: _PairForm = {}  # v[(delta, alpha)] = V_alpha[delta]
+    for beta, col in cols.items():
+        _sandwich(v, (1, 0), table[beta], {alpha: (cr * scale[e], ci * scale[e]) for alpha, (cr, ci), e in col})
+    rows: Dict[MultiIndex, _PairPoly] = {}
+    for (delta, alpha), x in v.items():
+        rows.setdefault(alpha, {})[delta] = x
     acc: _PairForm = {}
-    for ((alpha, beta), (cr, ci)) in zip(form.entries, pairs):
-        k = m0 ** (top - sum(alpha) - sum(beta))
-        _sandwich(acc, (cr * k, ci * k), table[alpha], table[beta])
+    for alpha, row in rows.items():
+        _sandwich(acc, (1, 0), table[alpha], row)
     return n_dst, acc, lambda gamma, delta: d * den(gamma, top - sum(delta)) * den(delta, sum(delta))
 
 
@@ -340,7 +360,7 @@ def compose_linear(
 
 
 def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
-                   translation: Optional[Sequence[object]]) -> int:
+                   translation: Optional[Sequence[object]], side: Optional[_FormSide] = None) -> int:
     """form_rank(compose_linear(form, matrix, translation)), read off the integer accumulator.
 
     In _composed, den(gamma, delta) = D M^gamma M^delta M_0^(K-|gamma|-|delta|)
@@ -348,8 +368,8 @@ def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
     So the accumulator is D M_0^K F R F, for the composed matrix R and the
     positive diagonal F = diag(f): a positive multiple of a congruence of R,
     which keeps the rank.  It is refused unless Hermitian, as R must be, for
-    the kernel's exact divisions to hold.
+    the kernel's exact divisions to hold.  Samplers pass side on to _composed.
     """
-    acc = _composed(form, matrix, translation)[1]
+    acc = _composed(form, matrix, translation, side)[1]
     basis = sorted({index for key, v in acc.items() if v != (0, 0) for index in key})
     return _pivot_count(_checked_hermitian([[acc.get((g, d), (0, 0)) for d in basis] for g in basis]))

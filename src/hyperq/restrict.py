@@ -19,7 +19,7 @@ from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .forms import HermitianForm, _composed_rank, _expansions, compose_linear
+from .forms import HermitianForm, _composed_rank, _expansions, _form_side, compose_linear
 from .linalg import identity, invert, matmul, rank as matrix_rank
 from .multiindex import MultiIndex, monomials_of_degree, monomials_up_to, unit
 from .scalars import GR_ZERO, GaussianRational, gr
@@ -135,6 +135,15 @@ def _random_scalar(rng: Random, bound: int) -> GaussianRational:
     return gr(_random_fraction(rng, bound), _random_fraction(rng, bound))
 
 
+def _check_sampling(form: HermitianForm, sub_dim: int, name: str, count: int, coeff_bound: int) -> None:
+    if not 1 <= sub_dim < form.n:
+        raise ValueError("sub_dim must satisfy 1 <= sub_dim < n")
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be at least 1")
+
+
 def _generic_embedding(rng: Random, n_ambient: int, sub_dim: int, bound: int) -> AffineEmbedding:
     while True:
         rows = [[_random_scalar(rng, bound) for _ in range(sub_dim)] for _ in range(n_ambient)]
@@ -158,17 +167,15 @@ def generic_restriction_rank(
     maximum is a lower bound that equals the generic value except with
     probability at most sz_failure_bound(...) per trial.
     """
-    if not 1 <= sub_dim < form.n:
-        raise ValueError("sub_dim must satisfy 1 <= sub_dim < n")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be at least 1")
+    _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
+    if coeff_bound == 1 and sub_dim >= 2:  # every entry would be 1 + i: no draw has full rank
+        raise ValueError("coeff_bound must be at least 2 when sub_dim >= 2")
+    side = _form_side(form)
     best = 0
     for t in range(trials):
         rng = Random(f"{seed}:generic:{t}")
         E = _generic_embedding(rng, form.n, sub_dim, coeff_bound)
-        best = max(best, _composed_rank(form, E.linear, E.translation))
+        best = max(best, _composed_rank(form, E.linear, E.translation, side))
     return best
 
 
@@ -181,8 +188,7 @@ def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound
     denominators doubles that.  One trial fails with probability at
     most 4Dr/coeff_bound, and trials are independent.
     """
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be at least 1")
+    _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     D = form.max_degree()
     r = min(len(form.support()), comb(sub_dim + D, D))
     per_trial = min(Fraction(1), Fraction(4 * D * r, coeff_bound))
@@ -203,24 +209,18 @@ def max_affine_rank(
     a lower bound for the true supremum that reaches the generic value
     for generic samples.
     """
-    if not 1 <= sub_dim < form.n:
-        raise ValueError("sub_dim must satisfy 1 <= sub_dim < n")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be at least 1")
+    _check_sampling(form, sub_dim, "samples", samples, coeff_bound)
+    side = _form_side(form)
     best = 0
     for t in range(samples):
         rng = Random(f"{seed}:affine:{t}")
-        rows: List[List[GaussianRational]] = []
-        for i in range(sub_dim):
-            rows.append([GaussianRational.coerce(1 if j == i else 0) for j in range(sub_dim)])
+        rows = [[gr(int(j == i)) for j in range(sub_dim)] for i in range(sub_dim)]
         trans: List[GaussianRational] = [GR_ZERO] * sub_dim
         for _ in range(form.n - sub_dim):
             rows.append([_random_scalar(rng, coeff_bound) for _ in range(sub_dim)])
             trans.append(_random_scalar(rng, coeff_bound))
         E = embedding(rows, trans)
-        best = max(best, _composed_rank(form, E.linear, E.translation))
+        best = max(best, _composed_rank(form, E.linear, E.translation, side))
     return best
 
 

@@ -1,7 +1,11 @@
 """End-to-end command line tests through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,25 @@ def test_restrict_coeff_bound_must_be_positive(capsys, tmp_path, leaf, bound):
     path.write_text(FORM_DIAG3, encoding="utf-8")
     code, out, err = run(capsys, ["restrict", leaf, str(path), "--dim", "2", "--coeff-bound", bound])
     assert (code, out, err) == (1, "", "error: coeff_bound must be at least 1\n")
+
+
+def test_restrict_smallest_legal_values_finish():
+    # at --coeff-bound 1 every generic entry is 1 + i, which used to retry forever at --dim 2
+    root = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(root.parent / "src"))
+    for name in ("mixed.form", "quadratic.form"):
+        for leaf, count in (("generic", "--trials"), ("max", "--samples")):
+            for dim in ("1", "2"):
+                for bound in ("1", "2"):
+                    argv = ["restrict", leaf, str(root / "golden" / "inputs" / name), "--dim", dim,
+                            count, "1", "--coeff-bound", bound]
+                    done = subprocess.run([sys.executable, "-m", "hyperq.cli", *argv], env=env,
+                                          capture_output=True, text=True, timeout=20)
+                    if (leaf, dim, bound) == ("generic", "2", "1"):
+                        assert (done.returncode, done.stdout) == (1, ""), argv
+                        assert "coeff_bound" in done.stderr
+                    else:
+                        assert done.returncode == 0, (argv, done.stderr)
 
 
 def test_construct_verify_roundtrip(capsys, tmp_path):

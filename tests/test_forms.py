@@ -1,6 +1,7 @@
 """Hermitian forms: construction, rank, inertia, decomposition, substitution."""
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,7 +10,11 @@ from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.forms import (
     HermitianForm,
     SignaturePair,
+    _composed,
     _composed_rank,
+    _expansions,
+    _form_side,
+    _sandwich,
     compose_linear,
     decompose,
     form_from_entries,
@@ -19,7 +24,8 @@ from hyperq.forms import (
     norm_difference,
     WeightedHoloMap,
 )
-from hyperq.linalg import rank
+from hyperq.formats import load_form
+from hyperq.linalg import _cleared, rank
 from hyperq.multiindex import monomials_up_to, unit, zero_index
 from hyperq.polys import poly_mul
 from hyperq.restrict import cayley_unitary
@@ -298,6 +304,46 @@ def test_integer_compose_matches_gaussian_rational_loop():
                 assert _composed_rank(form, E, trans) == form_rank(got)
                 cases += 1
     assert cases == 12 * 3 * 3
+
+
+def _one_pass_composed(form, matrix, translation):
+    """The accumulator of _composed summed entry by entry: nnz k^2 products, no regrouping."""
+    n_dst = len(matrix[0]) if form.n else 0
+    table, den = _expansions(matrix, translation, n_dst, form.support())
+    pairs, d = _cleared(form.entries.values())
+    top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
+    m0 = den(zero_index(n_dst), 1)
+    acc = {}
+    for (alpha, beta), (cr, ci) in zip(form.entries, pairs):
+        k = m0 ** (top - sum(alpha) - sum(beta))
+        _sandwich(acc, (cr * k, ci * k), table[alpha], table[beta])
+    return acc
+
+
+def _nonzero(acc):
+    return {key: v for key, v in acc.items() if v != (0, 0)}
+
+
+def test_two_pass_compose_matches_the_one_pass_loop():
+    rng = Random(1313)
+    mixed = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
+    c = gr(Fraction(2, 7), Fraction(-5, 3))
+    # top |alpha| + |beta| is 3, below twice the top degree 3
+    short = form_from_entries(2, [((3, 0), (0, 0), c), ((0, 0), (3, 0), c.conjugate())])
+    forms = [mixed, short, HermitianForm(3, {})] + [_mixed_form(rng, n, rng.randint(2, 9)) for n in (1, 2, 3, 3)]
+    cases = 0
+    for form in forms:
+        side = _form_side(form)
+        for _ in range(2):
+            for E in _embeddings(rng, form.n):
+                for trans in (None, [_gaussian(rng) for _ in range(form.n)]):
+                    want = _nonzero(_one_pass_composed(form, E, trans))
+                    n_dst, acc, _ = _composed(form, E, trans)
+                    assert n_dst == len(E[0])
+                    assert _nonzero(acc) == want
+                    assert _nonzero(_composed(form, E, trans, side)[1]) == want
+                    cases += 1
+    assert cases == 7 * 2 * 3 * 2
 
 
 def test_integer_compose_cancels_to_the_zero_form():

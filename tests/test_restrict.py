@@ -2,14 +2,18 @@
 
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
+from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
 from hyperq.linalg import identity, matmul
 from hyperq.restrict import (
+    _generic_embedding,
+    _random_scalar,
     cayley_unitary,
     embedding,
     generic_restriction_rank,
@@ -146,6 +150,57 @@ def test_samplers_reject_nonpositive_coeff_bound():
             with pytest.raises(ValueError, match="coeff_bound must be at least 1"):
                 call()
     assert 0 < sz_failure_bound(f, 2, 1, 1) <= 1
+
+
+def test_generic_rank_refuses_bound_one_above_dimension_one():
+    # with coeff_bound 1 every entry is 1 + i: no draw of two or more columns has full rank
+    f = form_from_real_poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    with pytest.raises(ValueError, match="coeff_bound"):
+        generic_restriction_rank(f, 2, coeff_bound=1)
+    assert generic_restriction_rank(f, 1, trials=1, coeff_bound=1) == 1
+    assert max_affine_rank(f, 2, samples=1, coeff_bound=1) == 3
+
+
+def test_sz_failure_bound_checks_dimension_and_trials():
+    f = form_from_real_poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    for sub_dim in (0, 3):
+        with pytest.raises(ValueError, match="sub_dim must satisfy 1 <= sub_dim < n"):
+            sz_failure_bound(f, sub_dim, 1, 10**6)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            sz_failure_bound(f, 2, trials, 10**6)
+    assert sz_failure_bound(f, 2, 2, 10**6) == Fraction(4 * 3, 10**6) ** 2
+
+
+def _affine_embedding(rng, n, sub_dim, bound):
+    """The graph-form subspace that max_affine_rank draws from rng."""
+    rows = [[gr(int(j == i)) for j in range(sub_dim)] for i in range(sub_dim)]
+    trans = [gr(0)] * sub_dim
+    for _ in range(n - sub_dim):
+        rows.append([_random_scalar(rng, bound) for _ in range(sub_dim)])
+        trans.append(_random_scalar(rng, bound))
+    return embedding(rows, trans)
+
+
+def test_samplers_match_ranks_of_restricted_forms():
+    # the samplers rank the integer accumulator of each embedding; here the
+    # same seeded embeddings go through restrict_form and form_rank instead,
+    # for three forms in a row so that nothing carries over between calls
+    golden = Path(__file__).parent / "golden" / "inputs"
+    forms = [load_form(str(golden / "mixed.form")), load_form(str(golden / "quadratic.form")),
+             form_from_real_poly({(2, 0, 0, 0): 3, (1, 1, 0, 0): -1, (0, 0, 1, 1): 2, (0, 0, 0, 1): 5})]
+    seen = set()
+    for form in forms:
+        for sub_dim in range(1, form.n):
+            for seed, count, bound in ((0, 2, 10**6), (7, 3, 12)):
+                generic = max(form_rank(restrict_form(form, _generic_embedding(
+                    Random(f"{seed}:generic:{t}"), form.n, sub_dim, bound))) for t in range(count))
+                affine = max(form_rank(restrict_form(form, _affine_embedding(
+                    Random(f"{seed}:affine:{t}"), form.n, sub_dim, bound))) for t in range(count))
+                assert generic_restriction_rank(form, sub_dim, count, seed, bound) == generic
+                assert max_affine_rank(form, sub_dim, count, seed, bound) == affine
+                seen.add((generic, affine))
+    assert len(seen) > 3
 
 
 def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
