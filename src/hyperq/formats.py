@@ -23,9 +23,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
-from .forms import HermitianForm, WeightedHoloMap, form_from_entries
+from .forms import HermitianForm, Poly, WeightedHoloMap, form_from_entries
 from .multiindex import MultiIndex, grlex_key
-from .polys import Poly
 from .quadrics import QuadricMap, SignedRealPoly
 from .scalars import GR_ZERO, GaussianRational, gr
 

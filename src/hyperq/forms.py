@@ -22,7 +22,6 @@ from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _checked_hermitian, _cleared, _pivot_count, ldl_components
 from .linalg import inertia as _matrix_inertia
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, total_degree, unit, zero_index
-from .polys import Poly
 from .scalars import GR_ONE, GaussianRational, gr
 
 
@@ -54,31 +53,21 @@ class HermitianForm:
 
     def support(self) -> List[MultiIndex]:
         """Grlex-sorted list of multi-indices appearing in any entry."""
-        seen = set()
-        for alpha, beta in self.entries:
-            seen.add(alpha)
-            seen.add(beta)
-        return sorted_grlex(seen)
+        return sorted_grlex({index for key in self.entries for index in key})
 
     def matrix(self, basis: Optional[Sequence[MultiIndex]] = None) -> List[List[GaussianRational]]:
         """Dense coefficient matrix over the given (default: support) basis."""
         if basis is None:
             basis = self.support()
         zero = gr(0)
-        return [
-            [self.entries.get((a, b), zero) for b in basis]
-            for a in basis
-        ]
+        return [[self.entries.get((a, b), zero) for b in basis] for a in basis]
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def max_degree(self) -> int:
         """Largest holomorphic degree present (0 for the zero form)."""
-        deg = 0
-        for alpha, beta in self.entries:
-            deg = max(deg, total_degree(alpha), total_degree(beta))
-        return deg
+        return max((total_degree(index) for key in self.entries for index in key), default=0)
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Value of r at a point; real whenever the form is Hermitian."""
@@ -159,6 +148,9 @@ def form_inertia(form: HermitianForm) -> SignaturePair:
     return SignaturePair(*_matrix_inertia(form.matrix()))
 
 
+Poly = Dict[MultiIndex, object]  # a sparse polynomial: exponent tuple -> coefficient
+
+
 @dataclass(frozen=True)
 class WeightedHoloMap:
     """Signed, weighted holomorphic components representing a form.
@@ -193,7 +185,13 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
 
 
 def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
-    """The form sum(sign * weight * |component|^2), minus 1 if requested.
+    """The form sum(sign * weight * |component|^2), minus 1 if requested."""
+    acc, common = _norm_difference(holo, subtract_one)
+    return _to_form(holo.n, acc, lambda gamma, delta: common)
+
+
+def _norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> Tuple["_PairForm", int]:
+    """norm_difference as (acc, D): its entries are acc[key] / D.
 
     Component P / d with weight a / b adds sign * a * (D / (b d^2)) P conj(P)
     in Z[i] to one accumulator over D, the lcm of every b d^2.
@@ -208,7 +206,7 @@ def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
     if subtract_one:
         one = {zero_index(holo.n): (1, 0)}
         _sandwich(acc, (-common, 0), one, one)
-    return _to_form(holo.n, acc, lambda gamma, delta: common)
+    return acc, common
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:

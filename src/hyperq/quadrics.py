@@ -16,13 +16,17 @@ region exactly as a lone walk of that box would; see `_search`), exact
 divisibility verification of any candidate map, tensor extensions, and
 dehomogenization to rational maps between affine hyperquadrics.
 
+The moves and the divisibility routine run on integer coefficients and
+packed exponents: an exponent tuple is one int of fixed-width fields, so
+multiplying monomials adds ints.  The search walks packed polynomials
+(see `_move`) and builds a `SignedRealPoly` only for a settled witness;
+the public `grow` and `corner_move` pack, move and unpack.
+
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
 is complexified to w, substitute cached powers, and test for zero.  A
 diagonal form is P(zw) with zw ranging over C^n, so s - c divides it
 exactly when s(x) - c divides P(x): it is tested in n real variables.
-The routine runs on integer coefficients and packed exponents, and the
-API keeps exponent tuples and Fractions (see `_divides`).
 """
 
 from __future__ import annotations
@@ -37,22 +41,17 @@ from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinat import stability_region
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NoNegativeComponent,
-    NoPivotMonomial,
-    NotAdmissible,
-    NotReached,
-    NotVanishing,
-)
-from .forms import HermitianForm, SignaturePair, WeightedHoloMap, decompose, norm_difference
+from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
+                     NotReached, NotVanishing)
+from .forms import HermitianForm, Poly, SignaturePair, WeightedHoloMap, _norm_difference, _PairForm, decompose
+from .linalg import _cleared
 from .multiindex import MultiIndex, grlex_key, total_degree, unit
-from .polys import Poly, poly_add, poly_mul, poly_shift
 from .scalars import GR_ONE
 
 RealTerms = Dict[MultiIndex, Fraction]
 Term = Tuple[int, MultiIndex, object]
+# (degree, den, terms): terms maps packed exponents to int numerators over den
+Node = Tuple[int, int, Dict[int, int]]
 
 _F1 = Fraction(1)
 
@@ -107,14 +106,9 @@ class SignedRealPoly:
         return self._signature
 
 
-def _s_terms(a: int, b: int) -> RealTerms:
-    n = a + b
-    return {unit(n, j): (_F1 if j < a else -_F1) for j in range(n)}
-
-
 def s_poly(a: int, b: int) -> SignedRealPoly:
     """The defining linear form x_1 + .. + x_a - x_{a+1} - .. - x_{a+b}."""
-    return SignedRealPoly(a, b, _s_terms(a, b))
+    return SignedRealPoly(a, b, {unit(a + b, j): (_F1 if j < a else -_F1) for j in range(a + b)})
 
 
 # packed powers of the solved relation, per (a, b, affine, complexified, field bits)
@@ -126,15 +120,15 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
     """Whether s - c divides the sum of coeff * q^e * rest over the terms.
 
     c is 1 when affine, else 0.  q is x_1 with rest in x_2..x_n, or
-    z_1 w_1 with rest in z_1..z_n, w_2..w_n when complexified (the
-    coefficients are then Gaussian); q is replaced by its solution of
-    s = c and the result tested for zero.  s - c is real, so it divides
-    the sum exactly when it divides the real and the imaginary part, and
-    each part is scaled to integers by the lcm of its denominators.  An
-    exponent tuple is packed into one int of `bits`-bit fields, where
-    2^bits exceeds the largest e + sum(rest): no exponent of a product
-    reaches that, so adding packed monomials multiplies them and no
-    field carries into the next.
+    z_1 w_1 with rest in z_1..z_n, w_2..w_n when complexified; q is
+    replaced by its solution of s = c and the result tested for zero.
+    The coefficients are ints, or Gaussian integers as (re, im) pairs
+    when complexified: s - c is real, so it divides the sum exactly when
+    it divides the real and the imaginary part.  An exponent tuple is
+    packed into one int of `bits`-bit fields, where 2^bits exceeds the
+    largest e + sum(rest): no exponent of a product reaches that, so
+    adding packed monomials multiplies them and no field carries into
+    the next.
     """
     terms = list(terms)
     n, top = a + b, max((e for e, _, _ in terms), default=0)
@@ -156,11 +150,9 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
             powers.append(nxt)
     shifts = [sum(x << bits * i for i, x in enumerate(rest)) for _, rest, _ in terms]
     coeffs = [c for _, _, c in terms]
-    for part in ([c.re for c in coeffs], [c.im for c in coeffs]) if complexified else (coeffs,):
-        scale = lcm(*(c.denominator for c in part))
+    for part in ([re for re, _ in coeffs], [im for _, im in coeffs]) if complexified else (coeffs,):
         acc: Dict[int, int] = {}
-        for (e, _, _), shift, c in zip(terms, shifts, part):
-            k = c.numerator * (scale // c.denominator)
+        for (e, _, _), shift, k in zip(terms, shifts, part):
             for mono, v in powers[e].items() if k else ():
                 acc[mono + shift] = acc.get(mono + shift, 0) + k * v
         if any(acc.values()):
@@ -170,7 +162,8 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
 
 def is_admissible(p: SignedRealPoly) -> Tuple[bool, SignaturePair]:
     """Whether s divides p, plus the signature (positive, negative counts)."""
-    terms = ((alpha[0], alpha[1:], c) for alpha, c in p.terms.items())
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = ((alpha[0], alpha[1:], c.numerator * (den // c.denominator)) for alpha, c in p.terms.items())
     return (_divides(p.a, p.b, False, False, terms), p.signature())
 
 
@@ -181,40 +174,6 @@ def _require_admissible(p: SignedRealPoly, who: str) -> SignaturePair:
     if p.is_zero():
         raise NotAdmissible(f"{who} requires a nonzero polynomial")
     return sig
-
-
-def grow(p: SignedRealPoly, mirror: bool = False, verify: bool = True) -> SignedRealPoly:
-    """The degree-raising move p -> x_1^{k-m} p + x_2^{k-1} s.
-
-    k is minimal with the two supports disjoint, so the signature shifts
-    by exactly (a, b); with mirror=True the variable roles swap and -s
-    is used instead, shifting by (b, a).  verify=False skips the input
-    admissibility check for callers that already know it holds.
-    """
-    if verify:
-        sig = _require_admissible(p, "grow")
-    else:
-        sig = p.signature()
-    a, b, n = p.a, p.b, p.n
-    m = p.degree()
-    added = _s_terms(a, b)
-    if mirror:
-        added = {al: -c for al, c in added.items()}
-        head_var, tail_var = 1, 0
-    else:
-        head_var, tail_var = 0, 1
-    k = m + 1
-    while True:
-        head = poly_shift(p.terms, tuple((k - m) if j == head_var else 0 for j in range(n)))
-        tail = poly_shift(added, tuple((k - 1) if j == tail_var else 0 for j in range(n)))
-        if not (head.keys() & tail.keys()):
-            break
-        k += 1
-    head.update(tail)
-    out = SignedRealPoly(a, b, head)
-    shift = (a, b) if not mirror else (b, a)
-    assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
-    return out
 
 
 def _routes(a: int, b: int) -> Dict[Tuple[int, int], Tuple]:
@@ -239,6 +198,84 @@ def _routes(a: int, b: int) -> Dict[Tuple[int, int], Tuple]:
     return routes
 
 
+def _pack(p: SignedRealPoly, width: int) -> Node:
+    # x_1 in the top field: among monomials of one degree the grlex-first has the largest key
+    den, n = lcm(*(c.denominator for c in p.terms.values())), p.n
+    return p.degree(), den, {sum(x << width * (n - 1 - j) for j, x in enumerate(alpha)):
+                             c.numerator * (den // c.denominator) for alpha, c in p.terms.items()}
+
+
+def _unpack(a: int, b: int, width: int, node: Node) -> SignedRealPoly:
+    n, mask, (_, den, terms) = a + b, (1 << width) - 1, node
+    return SignedRealPoly(a, b, {tuple(key >> width * (n - 1 - j) & mask for j in range(n)): Fraction(c, den)
+                                 for key, c in terms.items()})
+
+
+def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node) -> Node:
+    """The move `route` of _routes(a, b), realizing `shift`, on a packed polynomial.
+
+    Each move is a union of two disjoint supports.  The hat moves halve
+    the pivot's coefficient: den and every other numerator double.
+    """
+    (m, den, terms), n = node, a + b
+    units = [1 << width * (n - 1 - j) for j in range(n)]
+    s = [(units[j], 1 if j < a else -1) for j in range(n)]
+    if route[0] == "grow":
+        # x_1^{k-m} p + x_2^{k-1} s, or x_2^{k-m} p - x_1^{k-1} s when mirrored, k minimal
+        head, tail, sign = (units[1], units[0], -1) if route[1] else (units[0], units[1], 1)
+        k = m + 1
+        while True:
+            out = {key + (k - m) * head: c for key, c in terms.items()}
+            added = {u + (k - 1) * tail: sign * c * den for u, c in s}
+            if not out.keys() & added.keys():
+                break
+            k += 1
+        out.update(added)
+        return k, den, out
+    kind, pivot_sign, elim = route
+    e = n - 1 if elim == "last" else 0
+    field, mask = width * (n - 1 - e), (1 << width) - 1
+    common = min((key >> field & mask for key in terms), default=0)
+    if common:
+        terms = {key - common * units[e]: c for key, c in terms.items()}
+    # every term has degree m - common, so the grlex-first candidate is the largest key
+    candidates = [key for key, c in terms.items() if not key >> field & mask and (c > 0) == (pivot_sign > 0)]
+    if not candidates:
+        word = "positive" if pivot_sign > 0 else "negative"
+        raise NoPivotMonomial(f"no {word} monomial free of x{e + 1} is available for shift {shift}")
+    piv = max(candidates)
+    c0 = terms[piv]
+    # s + x_e when eliminating the last variable, -s + x_1 for the first: x_e drops out
+    sign = 1 if elim == "last" else -1
+    out = {piv + u: sign * c * c0 for j, (u, c) in enumerate(s) if j != e}
+    if kind == "tilde":
+        out.update((key + units[e], c) for key, c in terms.items() if key != piv)
+    else:
+        den *= 2
+        out.update((key + units[e], c if key == piv else 2 * c) for key, c in terms.items())
+    return m - common + 1, den, out
+
+
+def _moved(p: SignedRealPoly, shift: Tuple[int, int], route: Tuple, sig: SignaturePair) -> SignedRealPoly:
+    # a move raises the degree by at most 2, so fields this wide hold every exponent it makes
+    width = (p.degree() + 2).bit_length()
+    out = _unpack(p.a, p.b, width, _move(p.a, p.b, width, shift, route, _pack(p, width)))
+    assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
+    return out
+
+
+def grow(p: SignedRealPoly, mirror: bool = False, verify: bool = True) -> SignedRealPoly:
+    """The degree-raising move p -> x_1^{k-m} p + x_2^{k-1} s.
+
+    k is minimal with the two supports disjoint, so the signature shifts
+    by exactly (a, b); with mirror=True the variable roles swap and -s
+    is used instead, shifting by (b, a).  verify=False skips the input
+    admissibility check for callers that already know it holds.
+    """
+    sig = _require_admissible(p, "grow") if verify else p.signature()
+    return _moved(p, (p.b, p.a) if mirror else (p.a, p.b), ("grow", mirror), sig)
+
+
 def corner_move(p: SignedRealPoly, shift: Tuple[int, int], verify: bool = True) -> SignedRealPoly:
     """Apply the move realizing the given signature shift.
 
@@ -249,7 +286,7 @@ def corner_move(p: SignedRealPoly, shift: Tuple[int, int], verify: bool = True) 
     variable.
     """
     shift = (int(shift[0]), int(shift[1]))
-    a, b, n = p.a, p.b, p.n
+    a, b = p.a, p.b
     route = _routes(a, b).get(shift)
     if route is None:
         raise ValueError(f"shift {shift} is not one of the eight moves for source ({a}, {b})")
@@ -257,47 +294,9 @@ def corner_move(p: SignedRealPoly, shift: Tuple[int, int], verify: bool = True) 
         return grow(p, route[1], verify=verify)
     if b < 2:
         raise ValueError("corner moves need b >= 2")
-    if verify:
-        sig = _require_admissible(p, "corner_move")
-    else:
-        sig = p.signature()
-    kind, pivot_sign, elim = route
-    e = n - 1 if elim == "last" else 0
-
-    terms = dict(p.terms)
-    while terms and all(al[e] >= 1 for al in terms):
-        terms = {al[:e] + (al[e] - 1,) + al[e + 1:]: c for al, c in terms.items()}
-
-    want_positive = pivot_sign > 0
-    candidates = [al for al, c in terms.items() if al[e] == 0 and (c > 0) == want_positive]
-    if not candidates:
-        word = "positive" if want_positive else "negative"
-        raise NoPivotMonomial(
-            f"no {word} monomial free of x{e + 1} is available for shift {shift}"
-        )
-    # earliest candidate in the graded lexicographic order used package-wide
-    piv = min(candidates, key=grlex_key)
-    c0 = terms[piv]
-
-    # s + x_e when eliminating the last variable, -s + x_1 for the first: x_e drops out
-    sign = 1 if elim == "last" else -1
-    sigma = {al: sign * c for al, c in _s_terms(a, b).items() if not al[e]}
-    e_unit = unit(n, e)
-    if kind == "tilde":
-        remainder = dict(terms)
-        del remainder[piv]
-        out_terms = poly_add(poly_mul({piv: c0}, sigma), poly_shift(remainder, e_unit))
-    else:
-        remainder = dict(terms)
-        remainder[piv] = c0 / 2
-        out_terms = poly_add(poly_mul({piv: c0 / 2}, sigma), poly_shift(remainder, e_unit))
-
-    out = SignedRealPoly(a, b, out_terms)
-    assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
-    if verify:
-        ok, _ = is_admissible(out)
-        if not ok:
-            raise NotAdmissible("corner move produced a non-admissible polynomial")
+    out = _moved(p, shift, route, _require_admissible(p, "corner_move") if verify else p.signature())
+    if verify and not is_admissible(out)[0]:
+        raise NotAdmissible("corner move produced a non-admissible polynomial")
     return out
 
 
@@ -366,25 +365,22 @@ def identity_map(a: int, b: int) -> QuadricMap:
     return QuadricMap(a, b, False, WeightedHoloMap(n, comps), None)
 
 
-def _real_terms(form: HermitianForm) -> Iterator[Term]:
+def _real_terms(acc: _PairForm) -> Iterator[Term]:
     # a diagonal form read as P(x) with x_j = z_j w_j; Hermitian diagonals are real
-    return ((alpha[0], alpha[1:], c.re) for (alpha, _), c in form.entries.items())
+    return ((alpha[0], alpha[1:], re) for (alpha, _), (re, _) in acc.items())
 
 
-def _complexified_terms(form: HermitianForm) -> Iterator[Term]:
+def _complexified_terms(acc: _PairForm) -> Iterator[Term]:
     # zbar_j -> w_j; w_1^e = (z_1 w_1)^e / z_1^e, so z_1^top clears denominators
-    top = max((beta[0] for _, beta in form.entries), default=0)
-    return (
-        (beta[0], (alpha[0] + top - beta[0],) + alpha[1:] + beta[1:], c)
-        for (alpha, beta), c in form.entries.items()
-    )
+    top = max((beta[0] for _, beta in acc), default=0)
+    return ((beta[0], (alpha[0] + top - beta[0],) + alpha[1:] + beta[1:], c) for (alpha, beta), c in acc.items())
 
 
-def _vanishes_on_quadric(form: HermitianForm, a: int, b: int, affine: bool) -> bool:
-    """Exact divisibility of the form (on a + b variables) by the quadric's equation."""
-    if all(alpha == beta for alpha, beta in form.entries):
-        return _divides(a, b, affine, False, _real_terms(form))
-    return _divides(a, b, affine, True, _complexified_terms(form))
+def _vanishes_on_quadric(acc: _PairForm, a: int, b: int, affine: bool) -> bool:
+    """Whether the quadric's equation divides the form acc / D on a + b variables, any D > 0."""
+    if all(alpha == beta for alpha, beta in acc):
+        return _divides(a, b, affine, False, _real_terms(acc))
+    return _divides(a, b, affine, True, _complexified_terms(acc))
 
 
 def verify_map(m: QuadricMap) -> bool:
@@ -395,8 +391,8 @@ def verify_map(m: QuadricMap) -> bool:
     the source defining polynomial.  False is a verdict, not an error.
     """
     subtract_one = (not m.homogeneous) and m.denominator is None
-    diff = norm_difference(m.components, subtract_one)
-    return _vanishes_on_quadric(diff, m.a, m.b, affine=not m.homogeneous)
+    acc, _ = _norm_difference(m.components, subtract_one)
+    return _vanishes_on_quadric(acc, m.a, m.b, affine=not m.homogeneous)
 
 
 def _diagonal_map(a: int, b: int, terms: RealTerms, denominator: bool) -> QuadricMap:
@@ -427,34 +423,37 @@ class _LatticeSearch:
     expanded lowest degree first, then fewest terms, then push order, and
     each settled signature keeps one witness polynomial, in settle order.
     `pending` maps each unsettled signature with a heap entry to the
-    polynomial of its best entry, the one that pops first; heap entries
-    hold no polynomial.
+    packed polynomial of its best entry, the one that pops first; heap
+    entries hold no polynomial.
     """
 
     def __init__(self, a: int, b: int, box_a: int, box_b: int, total: int):
-        self.region = (box_a, box_b, total)
+        self.split, self.region = (a, b), (box_a, box_b, total)
         self.routes = _routes(a, b)
+        # A move adds at least a + b - 2 >= 2 to A + B and at most 2 to the degree (a grow's
+        # k = m + 1 collides only on x_2^m), so from the degree-1 seeds every node has degree
+        # <= A + B - (a + b) + 1 <= total: fields this wide hold every exponent in the region.
+        self.width = total.bit_length()
         self.witnesses: Dict[Sig, SignedRealPoly] = {}
-        self.pending: Dict[Sig, SignedRealPoly] = {}
+        self.pending: Dict[Sig, Node] = {}
         self.heap: List[Tuple[int, int, int, Sig]] = []
         self.tick = count()
-        seed = s_poly(a, b)
-        mirrored = SignedRealPoly(a, b, {al: -c for al, c in seed.terms.items()})
-        for sig, poly in (((a, b), seed), ((b, a), mirrored)):
+        seed = _pack(s_poly(a, b), self.width)
+        for sig, node in (((a, b), seed), ((b, a), (1, 1, {key: -c for key, c in seed[2].items()}))):
             if self.holds(sig):
-                self._push(sig, poly)
+                self._push(sig, node)
 
     def holds(self, sig: Sig) -> bool:
         # the region is down-closed, so it holds a box when it holds the box's corner
         ra, rb, total = self.region
         return sig[0] <= ra and sig[1] <= rb and sig[0] + sig[1] <= total
 
-    def _push(self, sig: Sig, poly: SignedRealPoly) -> None:
+    def _push(self, sig: Sig, node: Node) -> None:
         # an entry that would pop after the signature's best one is never used
-        key = (poly.degree(), len(poly.terms))
+        key = (node[0], len(node[2]))
         best = self.pending.get(sig)
-        if best is None or key < (best.degree(), len(best.terms)):
-            self.pending[sig] = poly
+        if best is None or key < (best[0], len(best[2])):
+            self.pending[sig] = node
             heapq.heappush(self.heap, key + (next(self.tick), sig))
 
     def answer(
@@ -470,6 +469,7 @@ class _LatticeSearch:
         that is not shared always settles the answer.
         """
         budget = max(budget, 0)
+        a, b = self.split
 
         def inside(sig: Sig) -> bool:
             return sig[0] <= box_a and sig[1] <= box_b
@@ -483,7 +483,9 @@ class _LatticeSearch:
             sig = heapq.heappop(self.heap)[3]
             if sig in self.witnesses:
                 continue
-            poly = self.witnesses[sig] = self.pending.pop(sig)
+            node = self.pending.pop(sig)
+            poly = self.witnesses[sig] = _unpack(a, b, self.width, node)
+            assert poly.signature() == sig
             if inside(sig):
                 found.append(sig)
                 live -= 1
@@ -496,10 +498,7 @@ class _LatticeSearch:
                     continue
                 if inside(nsig) and nsig not in self.pending:
                     live += 1
-                if route[0] == "grow":
-                    self._push(nsig, grow(poly, route[1], verify=False))
-                else:
-                    self._push(nsig, corner_move(poly, shift, verify=False))
+                self._push(nsig, _move(a, b, self.width, shift, route, node))
         if goal in self.witnesses and found.index(goal) <= budget:
             return {sig: self.witnesses[sig] for sig in found[: found.index(goal) + 1]}, False
         return {sig: self.witnesses[sig] for sig in found[: budget + 1]}, len(found) > budget
@@ -632,8 +631,8 @@ def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
     for idx, (sign, weight, poly) in enumerate(comps):
         if idx == component_index:
             for j in range(n):
-                new_sign = sign if j < a else -sign
-                tagged.append((new_sign, weight, poly_shift(poly, unit(n, j)), False))
+                shifted = {al[:j] + (al[j] + 1,) + al[j + 1:]: c for al, c in poly.items()}
+                tagged.append((sign if j < a else -sign, weight, shifted, False))
         else:
             tagged.append((sign, weight, poly, idx == m.denominator))
     ordered = [t for t in tagged if t[0] > 0] + [t for t in tagged if t[0] < 0]
@@ -683,7 +682,8 @@ def map_from_form(form: HermitianForm, a: int, b: int) -> QuadricMap:
         raise ValueError("source split needs a >= 1 and b >= 0")
     if form.n != a + b:
         raise DimensionMismatch(f"form has {form.n} variables, quadric has {a + b}")
-    if not _vanishes_on_quadric(form, a, b, affine=True):
+    pairs, _ = _cleared(form.entries.values())
+    if not _vanishes_on_quadric(dict(zip(form.entries, pairs)), a, b, affine=True):
         raise NotVanishing(f"the form does not vanish on Q({a}, {b})")
     holo = decompose(form)
 

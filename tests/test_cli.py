@@ -136,6 +136,18 @@ def test_restrict_smallest_legal_values_finish():
                         assert done.returncode == 0, (argv, done.stderr)
 
 
+def test_cli_imports_only_the_standard_library():
+    # isolated (-I) and without site (-S), so only what importing hyperq.cli loads is new
+    src = str(Path(__file__).parent.parent / "src")
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); import hyperq.cli; "
+            "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    tops = done.stdout.split()
+    assert "hyperq" in tops
+    assert [name for name in tops if name != "hyperq" and name not in sys.stdlib_module_names] == []
+
+
 def test_construct_verify_roundtrip(capsys, tmp_path):
     code, out, err = run(capsys, ["quadric", "construct", "2", "2", "4", "4"])
     assert code == 0 and err == ""

@@ -27,9 +27,9 @@ from hyperq.forms import (
 from hyperq.formats import load_form
 from hyperq.linalg import _cleared, rank
 from hyperq.multiindex import monomials_up_to, unit, zero_index
-from hyperq.polys import poly_mul
 from hyperq.restrict import cayley_unitary
 from hyperq.scalars import GR_ONE, GR_ZERO, gr
+from tuple_polys import poly_mul
 
 
 def _random_form(rng, n, terms, span=5):

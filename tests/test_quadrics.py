@@ -20,9 +20,9 @@ from hyperq.errors import (
     NotReached,
     NotVanishing,
 )
-from hyperq.forms import WeightedHoloMap, form_from_entries, form_from_real_poly, norm_difference
+from hyperq.forms import WeightedHoloMap, _norm_difference, form_from_entries, form_from_real_poly
+from hyperq.linalg import _cleared
 from hyperq.multiindex import add as mi_add, unit, zero_index
-from hyperq.polys import poly_add_inplace, poly_mul, poly_shift
 from hyperq.quadrics import (
     _SEARCHES,
     QuadricMap,
@@ -31,9 +31,11 @@ from hyperq.quadrics import (
     _complexified_terms,
     _diagonal_map,
     _divides,
+    _pack,
     _real_terms,
     _routes,
     _search,
+    _unpack,
     construct_map,
     corner_move,
     dehomogenize,
@@ -47,6 +49,7 @@ from hyperq.quadrics import (
     verify_map,
 )
 from hyperq.scalars import gr
+from tuple_polys import criterion_8_seeds, poly_add_inplace, poly_mul, poly_shift, tuple_corner_move, tuple_grow
 
 F1 = Fraction(1)
 
@@ -235,6 +238,73 @@ def test_all_shifts_sound_on_random_seeds():
     assert skipped == 0
 
 
+def _move_outcome(move, p, *args):
+    try:
+        return move(p, *args)
+    except NoPivotMonomial as exc:
+        return ("NoPivotMonomial", str(exc))
+
+
+def _with_factor(p, e, power):
+    return SignedRealPoly(p.a, p.b, {al[:e] + (al[e] + power,) + al[e + 1:]: c for al, c in p.terms.items()})
+
+
+def test_packed_moves_match_tuple_moves():
+    seeds = list(criterion_8_seeds())
+    assert len(seeds) == 200
+    rng = Random(11)
+    # the same products with coefficients over 3, 4 and 7, and with a common x_1 or x_n factor
+    inputs = seeds + [
+        SignedRealPoly(p.a, p.b, poly_mul(s_poly(p.a, p.b).terms, {al: Fraction(rng.randint(1, 9), d)
+                                                                   for al in list(p.terms)[:3]}))
+        for p in seeds[::4] for d in (3, 4, 7)
+    ]
+    inputs += [_with_factor(p, e, power) for p in seeds[::5] for e in (0, p.n - 1) for power in (1, 3)]
+    assert any(c.denominator == 7 for p in inputs for c in p.terms.values())
+    # verify=False lets a polynomial with no pivot of the wanted sign through
+    negative = SignedRealPoly(3, 2, {al: -c for al, c in s_poly(3, 2).terms.items() if c > 0})
+    moved = missing = 0
+    for p in inputs + [negative]:
+        verify = p is not negative
+        for shift, route in _routes(p.a, p.b).items():
+            got = _move_outcome(corner_move, p, shift, verify)
+            assert got == _move_outcome(tuple_corner_move, p, shift, verify), (p, shift)
+            moved += isinstance(got, SignedRealPoly)
+            missing += not isinstance(got, SignedRealPoly)
+        for mirror in (False, True):  # on a == b the mirrored grow has no route of its own
+            assert grow(p, mirror, verify) == tuple_grow(p, mirror, verify)
+    assert moved >= 1800 and missing >= 1
+
+
+def test_packed_walk_matches_tuple_walk():
+    # full walks: every signature in the box, in the settle order of the tuple moves
+    for a, b, size in [(2, 2, 10), (3, 2, 12), (3, 3, 12), (4, 2, 14), (5, 3, 16)]:
+        _clear_search_cache()
+        got = reachable_signatures(a, b, size)
+        want = _lone_walk(a, b, size, size, 10**5, moves=(tuple_grow, tuple_corner_move))
+        assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1] is False
+        assert len(got[0]) >= 25
+    _clear_search_cache()
+
+
+def test_search_field_width_holds_every_exponent():
+    for a, b, size in [(2, 2, 12), (3, 3, 14), (4, 2, 20), (5, 3, 16)]:
+        _clear_search_cache()
+        reachable_signatures(a, b, size)
+        state = _SEARCHES[(a, b)]
+        top = (1 << state.width) - 1
+        assert top >= state.region[2]
+        for (A, B), poly in state.witnesses.items():
+            assert poly.degree() <= A + B - (a + b) + 1 <= state.region[2]
+        # fields this wide hold 2^width - 1 in every position, next to full fields
+        n = a + b
+        full = {tuple(top if j == i else 0 for j in range(n)): Fraction(2 * i - 3, 7) for i in range(n)}
+        full[(top - 1, 1) + (0,) * (n - 2)] = F1
+        p = SignedRealPoly(a, b, full)
+        assert _unpack(a, b, state.width, _pack(p, state.width)) == p
+    _clear_search_cache()
+
+
 def test_construct_one_grow():
     m = construct_map(2, 2, 4, 4)
     assert m.homogeneous
@@ -319,8 +389,10 @@ def test_shared_search_matches_fresh_search():
     _clear_search_cache()
 
 
-def _lone_walk(a, b, box_a, box_b, budget, goal=None):
-    """The move search as one walk of the box from the two seeds, nothing shared."""
+def _lone_walk(a, b, box_a, box_b, budget, goal=None, moves=(grow, corner_move)):
+    """The move search as one walk of the box from the two seeds, nothing shared,
+    with the public moves or the given (grow, corner_move) pair."""
+    grow_move, corner = moves
     routes = _routes(a, b)
     seed = s_poly(a, b)
     mirrored = SignedRealPoly(a, b, {al: -c for al, c in seed.terms.items()})
@@ -349,9 +421,9 @@ def _lone_walk(a, b, box_a, box_b, budget, goal=None):
             nsig = (sig[0] + shift[0], sig[1] + shift[1])
             if nsig[0] <= box_a and nsig[1] <= box_b and nsig not in witnesses:
                 if route[0] == "grow":
-                    push(nsig, grow(poly, route[1], verify=False))
+                    push(nsig, grow_move(poly, route[1], verify=False))
                 else:
-                    push(nsig, corner_move(poly, shift, verify=False))
+                    push(nsig, corner(poly, shift, verify=False))
     return witnesses, False
 
 
@@ -611,12 +683,12 @@ def test_quadric_map_validation():
 
 
 def _branch_verdicts(m):
-    form = norm_difference(m.components, not m.homogeneous and m.denominator is None)
-    assert all(alpha == beta for alpha, beta in form.entries)
+    acc, _ = _norm_difference(m.components, not m.homogeneous and m.denominator is None)
+    assert all(alpha == beta for alpha, beta in acc)
     affine = not m.homogeneous
     return (
-        _divides(m.a, m.b, affine, False, _real_terms(form)),
-        _divides(m.a, m.b, affine, True, _complexified_terms(form)),
+        _divides(m.a, m.b, affine, False, _real_terms(acc)),
+        _divides(m.a, m.b, affine, True, _complexified_terms(acc)),
     )
 
 
@@ -743,6 +815,12 @@ def _random_multiple(rng, a, b, affine, complexified, degree):
     return [(e, (rest[0] + degree - reach,) + rest[1:], c) for e, rest, c in terms]
 
 
+def _integer_terms(terms, complexified):
+    """The terms over the lcm of every denominator: ints, or (re, im) pairs when complexified."""
+    pairs, _ = _cleared(c for _, _, c in terms)
+    return [(e, rest, p if complexified else p[0]) for (e, rest, _), p in zip(terms, pairs)]
+
+
 def test_packed_divides_matches_tuple_routine():
     cases = 0
     for degree in (7, 8, 15, 16, 31, 32):
@@ -760,7 +838,7 @@ def test_packed_divides_matches_tuple_routine():
                     bent = terms[:i] + [(e, rest, c + delta)] + terms[i + 1:]
                     for t, verdict in ((terms, True), (bent, False)):
                         assert _tuple_divides(a, b, affine, complexified, t) is verdict
-                        assert _divides(a, b, affine, complexified, iter(t)) is verdict
+                        assert _divides(a, b, affine, complexified, iter(_integer_terms(t, complexified))) is verdict
                     cases += 1
     assert cases == 4 * (4 * 4 + 2 * 2)
     # non-multiples whose two monomials would share one packed int if the fields
@@ -769,4 +847,5 @@ def test_packed_divides_matches_tuple_routine():
         for other in ((0, 1), (0, d // 2)):
             for affine in (False, True):
                 terms = [(0, (d, 0), F1), (0, other, -F1)]
-                assert _tuple_divides(2, 1, affine, False, terms) is _divides(2, 1, affine, False, terms) is False
+                assert _tuple_divides(2, 1, affine, False, terms) is False
+                assert _divides(2, 1, affine, False, _integer_terms(terms, False)) is False

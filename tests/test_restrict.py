@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from hyperq import linalg, restrict
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
@@ -201,6 +202,20 @@ def test_samplers_match_ranks_of_restricted_forms():
                 assert max_affine_rank(form, sub_dim, count, seed, bound) == affine
                 seen.add((generic, affine))
     assert len(seen) > 3
+
+
+def test_max_affine_rank_runs_no_matrix_rank(monkeypatch):
+    # a graph-form subspace has full column rank by its identity block
+    form = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
+    want = [max_affine_rank(form, sub_dim, 3, 6, 1000) for sub_dim in range(1, form.n)]
+    calls = []
+    rank = linalg.rank
+    for module, name in ((linalg, "rank"), (restrict, "matrix_rank")):
+        monkeypatch.setattr(module, name, lambda rows: calls.append(rows) or rank(rows))
+    assert [max_affine_rank(form, sub_dim, 3, 6, 1000) for sub_dim in range(1, form.n)] == want
+    assert calls == []
+    generic_restriction_rank(form, 2, trials=2, seed=4)  # each generic draw is still checked
+    assert len(calls) == 2
 
 
 def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():

@@ -1,0 +1,136 @@
+"""Polynomials as dicts from exponent tuples to exact coefficients.
+
+The sparse helpers and the tuple/Fraction lattice moves that
+hyperq.quadrics replaced with packed-integer ones, kept as test oracles.
+Coefficients only need ring arithmetic and truthiness, so the helpers
+serve Fraction and GaussianRational polynomials alike; zero
+coefficients are never stored.
+"""
+
+from random import Random
+
+from hyperq.errors import NoPivotMonomial, NotAdmissible
+from hyperq.multiindex import add as mi_add, grlex_key, monomials_of_degree, unit
+from hyperq.quadrics import SignedRealPoly, _require_admissible, _routes, is_admissible, s_poly
+
+
+def poly_add_inplace(acc, p):
+    for k, c in p.items():
+        s = acc.get(k)
+        s = c if s is None else s + c
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
+def poly_add(p, q):
+    out = dict(p)
+    poly_add_inplace(out, q)
+    return out
+
+
+def poly_mul(p, q):
+    out = {}
+    if len(p) > len(q):
+        p, q = q, p
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            k = mi_add(ka, kb)
+            c = ca * cb
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def poly_shift(p, mono):
+    """Multiply by the monomial with exponent tuple `mono`."""
+    return {mi_add(k, mono): c for k, c in p.items()}
+
+
+def tuple_grow(p, mirror=False, verify=True):
+    """quadrics.grow on exponent tuples and Fractions."""
+    sig = _require_admissible(p, "grow") if verify else p.signature()
+    a, b, n = p.a, p.b, p.n
+    m = p.degree()
+    added = s_poly(a, b).terms
+    if mirror:
+        added = {al: -c for al, c in added.items()}
+        head_var, tail_var = 1, 0
+    else:
+        head_var, tail_var = 0, 1
+    k = m + 1
+    while True:
+        head = poly_shift(p.terms, tuple((k - m) if j == head_var else 0 for j in range(n)))
+        tail = poly_shift(added, tuple((k - 1) if j == tail_var else 0 for j in range(n)))
+        if not (head.keys() & tail.keys()):
+            break
+        k += 1
+    head.update(tail)
+    out = SignedRealPoly(a, b, head)
+    shift = (a, b) if not mirror else (b, a)
+    assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
+    return out
+
+
+def tuple_corner_move(p, shift, verify=True):
+    """quadrics.corner_move on exponent tuples and Fractions."""
+    shift = (int(shift[0]), int(shift[1]))
+    a, b, n = p.a, p.b, p.n
+    route = _routes(a, b).get(shift)
+    if route is None:
+        raise ValueError(f"shift {shift} is not one of the eight moves for source ({a}, {b})")
+    if route[0] == "grow":
+        return tuple_grow(p, route[1], verify=verify)
+    if b < 2:
+        raise ValueError("corner moves need b >= 2")
+    sig = _require_admissible(p, "corner_move") if verify else p.signature()
+    kind, pivot_sign, elim = route
+    e = n - 1 if elim == "last" else 0
+
+    terms = dict(p.terms)
+    while terms and all(al[e] >= 1 for al in terms):
+        terms = {al[:e] + (al[e] - 1,) + al[e + 1:]: c for al, c in terms.items()}
+
+    want_positive = pivot_sign > 0
+    candidates = [al for al, c in terms.items() if al[e] == 0 and (c > 0) == want_positive]
+    if not candidates:
+        word = "positive" if want_positive else "negative"
+        raise NoPivotMonomial(f"no {word} monomial free of x{e + 1} is available for shift {shift}")
+    piv = min(candidates, key=grlex_key)
+    c0 = terms[piv]
+
+    sign = 1 if elim == "last" else -1
+    sigma = {al: sign * c for al, c in s_poly(a, b).terms.items() if not al[e]}
+    e_unit = unit(n, e)
+    remainder = dict(terms)
+    if kind == "tilde":
+        del remainder[piv]
+        out_terms = poly_add(poly_mul({piv: c0}, sigma), poly_shift(remainder, e_unit))
+    else:
+        remainder[piv] = c0 / 2
+        out_terms = poly_add(poly_mul({piv: c0 / 2}, sigma), poly_shift(remainder, e_unit))
+
+    out = SignedRealPoly(a, b, out_terms)
+    assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
+    if verify and not is_admissible(out)[0]:
+        raise NotAdmissible("corner move produced a non-admissible polynomial")
+    return out
+
+
+def criterion_8_seeds():
+    """The 200 admissible (split, s * q) seeds of acceptance criterion 8, in its order."""
+    rng = Random(99)
+    for a, b in [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]:
+        s = s_poly(a, b).terms
+        for _ in range(40):
+            monos = list(monomials_of_degree(a + b, rng.randint(1, 3)))
+            q = {}
+            for _ in range(rng.randint(1, 4)):
+                mono = rng.choice(monos)
+                q[mono] = q.get(mono, 0) + rng.randint(1, 5)
+            yield SignedRealPoly(a, b, poly_mul(s, q))
