@@ -430,9 +430,9 @@ class _LatticeSearch:
     def __init__(self, a: int, b: int, box_a: int, box_b: int, total: int):
         self.split, self.region = (a, b), (box_a, box_b, total)
         self.routes = _routes(a, b)
-        # A move adds at least a + b - 2 >= 2 to A + B and at most 2 to the degree (a grow's
-        # k = m + 1 collides only on x_2^m), so from the degree-1 seeds every node has degree
-        # <= A + B - (a + b) + 1 <= total: fields this wide hold every exponent in the region.
+        # With b >= 2 a move adds at least a + b - 2 >= 2 to A + B and at most 2 to the degree
+        # (a grow's k = m + 1 fails only on x_2^m, or x_1^m mirrored), so from the degree-1 seeds
+        # every node has degree <= A + B - (a + b) + 1 <= total: this width holds every exponent.
         self.width = total.bit_length()
         self.witnesses: Dict[Sig, SignedRealPoly] = {}
         self.pending: Dict[Sig, Node] = {}
