@@ -266,7 +266,7 @@ def test_packed_moves_match_tuple_moves():
     moved = missing = 0
     for p in inputs + [negative]:
         verify = p is not negative
-        for shift, route in _routes(p.a, p.b).items():
+        for shift in _routes(p.a, p.b):
             got = _move_outcome(corner_move, p, shift, verify)
             assert got == _move_outcome(tuple_corner_move, p, shift, verify), (p, shift)
             moved += isinstance(got, SignedRealPoly)
