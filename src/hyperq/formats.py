@@ -26,7 +26,7 @@ from .errors import ParseError
 from .forms import HermitianForm, Poly, WeightedHoloMap, form_from_entries
 from .multiindex import MultiIndex, grlex_key
 from .quadrics import QuadricMap, SignedRealPoly
-from .scalars import GR_ZERO, GaussianRational, gr
+from .scalars import GaussianRational, gr
 
 
 def _content_lines(text: str):
@@ -192,7 +192,7 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
             re_tok, _, im_tok = tokens[0].partition(",")
             coeff = gr(_fraction(re_tok, filename, lineno), _fraction(im_tok, filename, lineno))
             alpha = _exponents(tokens[1:], n, filename, lineno)
-            value = poly.get(alpha, GR_ZERO) + coeff
+            value = poly[alpha] + coeff if alpha in poly else coeff
             if value:
                 poly[alpha] = value
             else:

@@ -4,11 +4,13 @@ A real-valued polynomial r(z, zbar) is stored as its sparse coefficient
 matrix: entry (alpha, beta) is the coefficient of z^alpha * zbar^beta,
 and real-valuedness is exactly the Hermitian symmetry of that matrix.
 Rank, inertia and weighted holomorphic squares are exact over the
-Gaussian rationals.  Substitution (in two passes) and norm differences
-run one sandwich loop over Gaussian integers as (re, im) int pairs; each
-output entry has a denominator known up front and becomes a rational
-once.  The monomial basis is graded lexicographic everywhere, so
-matrices, files and decompositions are reproducible byte for byte.
+Gaussian rationals and read one elimination per form, memoized with its
+entries cleared to Gaussian integers over one lcm.  Substitution (in two
+passes) and norm differences run one sandwich loop over Gaussian integers
+as (re, im) int pairs; each output entry has a denominator known up front
+and becomes a rational once.  The monomial basis is graded lexicographic
+everywhere, so matrices, files and decompositions are reproducible byte
+for byte.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from .linalg import _checked_hermitian, _cleared, _pivot_count, ldl_components
-from .linalg import inertia as _matrix_inertia
+from .linalg import _checked_hermitian, _cleared, _components, _pivot_count, _signs, _symmetric_steps
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, total_degree, unit, zero_index
 from .scalars import GR_ONE, GaussianRational, gr
 
@@ -45,11 +46,12 @@ class HermitianForm:
 
     entries maps (alpha, beta) to the coefficient of z^alpha zbar^beta.
     Both mirror entries are stored; zero entries are omitted.  Treat
-    instances as immutable.
+    instances as immutable: a private memo keeps their cleared view and elimination.
     """
 
     n: int
     entries: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = field(default_factory=dict)
+    _memo: Dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def support(self) -> List[MultiIndex]:
         """Grlex-sorted list of multi-indices appearing in any entry."""
@@ -67,7 +69,7 @@ class HermitianForm:
 
     def max_degree(self) -> int:
         """Largest holomorphic degree present (0 for the zero form)."""
-        return max((total_degree(index) for key in self.entries for index in key), default=0)
+        return max(map(total_degree, _form_side(self)[0]), default=0)
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Value of r at a point; real whenever the form is Hermitian."""
@@ -145,7 +147,24 @@ def form_rank(form: HermitianForm) -> int:
 
 def form_inertia(form: HermitianForm) -> SignaturePair:
     """Signature pair (positive count, negative count) of the matrix."""
-    return SignaturePair(*_matrix_inertia(form.matrix()))
+    return SignaturePair(*_signs(_elimination(form)[2]))
+
+
+def _elimination(form: HermitianForm) -> Tuple[int, int, list]:
+    """(L, size, steps) of L times the matrix over the support, placed from _form_side.
+
+    Stored once fully built, so a refused non-Hermitian form stores nothing.
+    """
+    steps = form._memo.get("steps")
+    if steps is None:
+        support, cols, d, _ = _form_side(form)
+        at = {alpha: k for k, alpha in enumerate(support)}
+        x = [[(0, 0)] * len(support) for _ in support]
+        for beta, col in cols.items():
+            for alpha, c, _ in col:
+                x[at[alpha]][at[beta]] = c
+        steps = form._memo["steps"] = (d, len(support), list(_symmetric_steps(_checked_hermitian(x))))
+    return steps
 
 
 Poly = Dict[MultiIndex, object]  # a sparse polynomial: exponent tuple -> coefficient
@@ -176,9 +195,9 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
     inertia; the components come from a symmetric-pivoted block LDL*
     factorization and are linearly independent.
     """
-    basis = form.support()
+    basis = _form_side(form)[0]
     comps = []
-    for sign, weight, vec in ldl_components(form.matrix(basis)):
+    for sign, weight, vec in _components(*_elimination(form)):
         poly = {basis[i]: v for i, v in enumerate(vec) if v}
         comps.append((sign, weight, poly))
     return WeightedHoloMap(form.n, tuple(comps))
@@ -298,17 +317,20 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
 
 
 def _form_side(form: HermitianForm) -> _FormSide:
-    """(support, cols, D, K) as in _composed, where no embedding appears."""
-    pairs, d = _cleared(form.entries.values())
-    top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
-    cols: Dict[MultiIndex, List[Tuple[MultiIndex, _Pair, int]]] = {}
-    for (alpha, beta), c in zip(form.entries, pairs):
-        cols.setdefault(beta, []).append((alpha, c, top - sum(alpha) - sum(beta)))
-    return form.support(), cols, d, top
+    """(support, cols, D, K) as in _composed, where no embedding appears; memoized on the form."""
+    side = form._memo.get("side")
+    if side is None:
+        pairs, d = _cleared(form.entries.values())
+        top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
+        cols: Dict[MultiIndex, List[Tuple[MultiIndex, _Pair, int]]] = {}
+        for (alpha, beta), c in zip(form.entries, pairs):
+            cols.setdefault(beta, []).append((alpha, c, top - sum(alpha) - sum(beta)))
+        side = form._memo["side"] = (form.support(), cols, d, top)
+    return side
 
 
-def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]],
-              side: Optional[_FormSide] = None) -> Tuple[int, _PairForm, Callable[[MultiIndex, MultiIndex], int]]:
+def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]],
+              translation: Optional[Sequence[object]]) -> Tuple[int, _PairForm, Callable[[MultiIndex, MultiIndex], int]]:
     """(n_dst, acc, den): entry (gamma, delta) of r(Ez + t) is acc[(gamma, delta)] / den(gamma, delta).
 
     With c = C / D over the lcm of the form's denominators, P and M from
@@ -318,7 +340,7 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     Two passes group the sum by alpha: one sandwich per column cols[beta] = [(alpha, C, exponent)]
     adds conj(C) M_0^exponent P_beta[delta] to V_alpha[delta], then acc[(gamma, delta)]
     += P_alpha[gamma] conj(V_alpha[delta]): nnz k + |support| k^2 products for k terms per P,
-    not nnz k^2.  side, if given, is _form_side(form).
+    not nnz k^2.  den reads M^gamma from a dict over the indices and D M_0^e from a list.
     """
     if translation is not None and len(translation) != form.n:
         raise DimensionMismatch(
@@ -327,7 +349,7 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
     n_dst = len(matrix[0]) if form.n else 0
-    support, cols, d, top = side or _form_side(form)
+    support, cols, d, top = _form_side(form)
     table, den = _expansions(matrix, translation, n_dst, support)
     m0 = den(zero_index(n_dst), 1)
     scale = [m0**e for e in range(top + 1)]
@@ -340,7 +362,9 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     acc: _PairForm = {}
     for alpha, row in rows.items():
         _sandwich(acc, (1, 0), table[alpha], row)
-    return n_dst, acc, lambda gamma, delta: d * den(gamma, top - sum(delta)) * den(delta, sum(delta))
+    dm0 = [d * s for s in scale]
+    power = {g: den(g, sum(g)) for g in {g for p in table.values() for g in p}}  # M^gamma
+    return n_dst, acc, lambda gamma, delta: dm0[top - sum(gamma) - sum(delta)] * power[gamma] * power[delta]
 
 
 def compose_linear(
@@ -358,7 +382,7 @@ def compose_linear(
 
 
 def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
-                   translation: Optional[Sequence[object]], side: Optional[_FormSide] = None) -> int:
+                   translation: Optional[Sequence[object]]) -> int:
     """form_rank(compose_linear(form, matrix, translation)), read off the integer accumulator.
 
     In _composed, den(gamma, delta) = D M^gamma M^delta M_0^(K-|gamma|-|delta|)
@@ -366,8 +390,8 @@ def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
     So the accumulator is D M_0^K F R F, for the composed matrix R and the
     positive diagonal F = diag(f): a positive multiple of a congruence of R,
     which keeps the rank.  It is refused unless Hermitian, as R must be, for
-    the kernel's exact divisions to hold.  Samplers pass side on to _composed.
+    the kernel's exact divisions to hold.
     """
-    acc = _composed(form, matrix, translation, side)[1]
+    acc = _composed(form, matrix, translation)[1]
     basis = sorted({index for key, v in acc.items() if v != (0, 0) for index in key})
     return _pivot_count(_checked_hermitian([[acc.get((g, d), (0, 0)) for d in basis] for g in basis]))

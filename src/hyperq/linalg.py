@@ -3,8 +3,9 @@
 The kernels eliminate fraction-free over Gaussian integers held as
 (re, im) int pairs (Bareiss 1968): every entry is a minor of the cleared
 matrix, so every division is exact.  One symmetric elimination of a
-Hermitian M serves `inertia`, `ldl_components` and the rank, which is
-its pivot count; `rank` runs it on the Gram matrix of a general matrix.
+Hermitian M gives the rank, its pivot count, and steps that `_signs` and
+`_components` read for `inertia` and `ldl_components`, or for a form's
+memoized steps in forms; `rank` runs it on the Gram matrix of a general matrix.
 M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
@@ -189,16 +190,20 @@ def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:
 
 
 def ldl_components(mat: Matrix) -> List[Component]:
-    """Split a Hermitian matrix into signed weighted rank-one pieces.
+    """Split a Hermitian matrix into signed weighted rank-one pieces."""
+    den, x = _hermitian_pairs(mat)
+    return _components(den, len(x), _symmetric_steps(x))
+
+
+def _components(den: int, n: int, steps: Iterable[tuple]) -> List[Component]:
+    """The pieces of ldl_components, read off the steps of X = den M of size n.
 
     From the fraction-free X = L M of the module docstring: a 1x1 pivot p
     gives vec[k] = X_ki / p, weight |p| / (|prev| L), sign sign(p prev); a
     2x2 pivot c gives vec[k] = X_kj / (prev L) +- c X_ki / |c|^2, weight 1/2.
     """
-    den, x = _hermitian_pairs(mat)
-    n = len(x)
     comps: List[Component] = []
-    for act, prev, piv, cols in _symmetric_steps(x):
+    for act, prev, piv, cols in steps:
         if len(cols) == 1:
             vec = [GR_ZERO] * n
             for k, (re, im) in zip(act, cols[0]):
@@ -217,13 +222,15 @@ def ldl_components(mat: Matrix) -> List[Component]:
 
 
 def inertia(mat: Matrix) -> Tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a Hermitian matrix.
+    """(positive, negative) eigenvalue counts of a Hermitian matrix."""
+    return _signs(_symmetric_steps(_hermitian_pairs(mat)[1]))
 
-    Counts the fraction-free pivots: sign(p prev) for a 1x1 pivot p, which
-    is the sign of the true pivot p / (prev L); one each way for a 2x2.
-    """
+
+def _signs(steps: Iterable[tuple]) -> Tuple[int, int]:
+    """(positive, negative) pivot counts: sign(p prev) for a 1x1 pivot p, which is
+    the sign of the true pivot p / (prev L); one each way for a 2x2."""
     pos = neg = 0
-    for _, prev, piv, cols in _symmetric_steps(_hermitian_pairs(mat)[1]):
+    for _, prev, piv, cols in steps:
         pos += len(cols) == 2 or (piv > 0) == (prev > 0)
         neg += len(cols) == 2 or (piv > 0) != (prev > 0)
     return pos, neg

@@ -170,12 +170,11 @@ def generic_restriction_rank(
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     if coeff_bound == 1 and sub_dim >= 2:  # every entry would be 1 + i: no draw has full rank
         raise ValueError("coeff_bound must be at least 2 when sub_dim >= 2")
-    side = _form_side(form)
     best = 0
     for t in range(trials):
         rng = Random(f"{seed}:generic:{t}")
         E = _generic_embedding(rng, form.n, sub_dim, coeff_bound)
-        best = max(best, _composed_rank(form, E.linear, E.translation, side))
+        best = max(best, _composed_rank(form, E.linear, E.translation))
     return best
 
 
@@ -190,7 +189,7 @@ def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound
     """
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     D = form.max_degree()
-    r = min(len(form.support()), comb(sub_dim + D, D))
+    r = min(len(_form_side(form)[0]), comb(sub_dim + D, D))
     per_trial = min(Fraction(1), Fraction(4 * D * r, coeff_bound))
     return per_trial**trials
 
@@ -210,7 +209,6 @@ def max_affine_rank(
     for generic samples.
     """
     _check_sampling(form, sub_dim, "samples", samples, coeff_bound)
-    side = _form_side(form)
     best = 0
     for t in range(samples):
         rng = Random(f"{seed}:affine:{t}")
@@ -220,7 +218,7 @@ def max_affine_rank(
             rows.append([_random_scalar(rng, coeff_bound) for _ in range(sub_dim)])
             trans.append(_random_scalar(rng, coeff_bound))
         # the identity block gives full column rank: no embedding() check needed
-        best = max(best, _composed_rank(form, rows, trans, side))
+        best = max(best, _composed_rank(form, rows, trans))
     return best
 
 

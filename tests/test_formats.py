@@ -166,6 +166,17 @@ def test_parse_map_cancelling_component_is_parse_error():
     assert "cancel" in exc.value.message
 
 
+def test_parse_map_drops_zero_and_cancelled_terms():
+    # a new monomial's coefficient is stored as read, but only when nonzero
+    text = (
+        "map n=2 a=1 b=1 A=1 B=1 homogeneous=0 denominator=none\n"
+        "+ 1 :: 0,0 1 0 ; 1,0 0 1 ; 2,1 1 1 ; -2,-1 1 1 ; 1/2,0 0 1\n"
+        "- 1 :: 0,1 1 0\n"
+    )
+    comps = parse_map(text).components.components
+    assert [poly for _, _, poly in comps] == [{(0, 1): gr(Fraction(3, 2))}, {(1, 0): gr(0, 1)}]
+
+
 def test_parse_map_header_count_mismatch():
     text = (
         "map n=2 a=1 b=1 A=2 B=0 homogeneous=0 denominator=none\n"

@@ -1,19 +1,23 @@
 """Hermitian forms: construction, rank, inertia, decomposition, substitution."""
 
+import sys
+import threading
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import hyperq.forms as forms_module
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.forms import (
     HermitianForm,
     SignaturePair,
     _composed,
     _composed_rank,
+    _elimination,
     _expansions,
-    _form_side,
     _sandwich,
     compose_linear,
     decompose,
@@ -24,8 +28,8 @@ from hyperq.forms import (
     norm_difference,
     WeightedHoloMap,
 )
-from hyperq.formats import load_form
-from hyperq.linalg import _cleared, rank
+from hyperq.formats import dump_form, load_form
+from hyperq.linalg import _cleared, inertia, ldl_components, rank
 from hyperq.multiindex import monomials_up_to, unit, zero_index
 from hyperq.restrict import cayley_unitary
 from hyperq.scalars import GR_ONE, GR_ZERO, gr
@@ -333,7 +337,6 @@ def test_two_pass_compose_matches_the_one_pass_loop():
     forms = [mixed, short, HermitianForm(3, {})] + [_mixed_form(rng, n, rng.randint(2, 9)) for n in (1, 2, 3, 3)]
     cases = 0
     for form in forms:
-        side = _form_side(form)
         for _ in range(2):
             for E in _embeddings(rng, form.n):
                 for trans in (None, [_gaussian(rng) for _ in range(form.n)]):
@@ -341,7 +344,8 @@ def test_two_pass_compose_matches_the_one_pass_loop():
                     n_dst, acc, _ = _composed(form, E, trans)
                     assert n_dst == len(E[0])
                     assert _nonzero(acc) == want
-                    assert _nonzero(_composed(form, E, trans, side)[1]) == want
+                    # form reads its memoized side from the first call on; a fresh copy has none
+                    assert _nonzero(_composed(HermitianForm(form.n, form.entries), E, trans)[1]) == want
                     cases += 1
     assert cases == 7 * 2 * 3 * 2
 
@@ -361,11 +365,12 @@ def test_rank_refuses_a_hand_built_form_that_is_not_hermitian():
     one_sided = HermitianForm(2, {((1, 0), (0, 1)): gr(1)})
     not_conjugate = HermitianForm(2, {((1, 0), (0, 1)): gr(1), ((0, 1), (1, 0)): gr(2)})
     complex_diagonal = HermitianForm(2, {((1, 0), (1, 0)): gr(1, 1)})
-    for form in (one_sided, not_conjugate):
-        with pytest.raises(ConjugateMismatch):
-            form_rank(form)
-    with pytest.raises(NonRealDiagonal):
-        form_rank(complex_diagonal)
+    # a refused form memoizes no elimination, so every call refuses it again
+    for form, error in ((one_sided, ConjugateMismatch), (not_conjugate, ConjugateMismatch),
+                        (complex_diagonal, NonRealDiagonal)):
+        for call in (form_rank, form_inertia, decompose) * 2:
+            with pytest.raises(error):
+                call(form)
     swap = [[gr(0), gr(1)], [gr(1), gr(0)]]
     with pytest.raises(ConjugateMismatch):
         _composed_rank(one_sided, swap, None)
@@ -428,3 +433,85 @@ def test_gram_rank_equals_symmetric_kernel_rank():
         for h in (f, g):
             assert form_rank(h) == form_inertia(h).rank == rank(h.matrix())
         assert form_inertia(g) == form_inertia(f)
+
+
+def _zero_diagonal_form(rng, n, terms):
+    """Off-diagonal Gaussian entries only, so the first step, and any later one
+    whose remaining diagonal is zero, is a 2x2 pivot."""
+    entries = []
+    for _ in range(terms):
+        alpha, beta = sorted(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2))
+        if alpha != beta:
+            entries.append((alpha, beta, _gaussian(rng) or gr(1)))
+    return form_from_entries(n, entries)
+
+
+def _matrix_path(form):
+    """(rank, inertia, components) from the dense matrix through linalg's matrix-level functions."""
+    basis = form.support()
+    mat = form.matrix(basis)
+    pos, neg = inertia(mat)
+    comps = tuple((s, w, {basis[i]: v for i, v in enumerate(vec) if v}) for s, w, vec in ldl_components(mat))
+    return {"rank": pos + neg, "inertia": SignaturePair(pos, neg), "decompose": comps}
+
+
+def test_memoized_elimination_matches_the_matrix_path():
+    rng = Random(1515)
+    mixed = [_mixed_form(rng, n, rng.randint(1, 12)) for n in (1, 2, 3, 3, 4)]
+    hollow = [_zero_diagonal_form(rng, n, rng.randint(2, 10)) for n in (2, 2, 3, 3, 4)]
+    assert all(len(_elimination(HermitianForm(f.n, f.entries))[2][0][3]) == 2 for f in hollow)
+    calls = {"rank": form_rank, "inertia": form_inertia, "decompose": lambda f: decompose(f).components}
+    for form in mixed + hollow + [_dense_form(rng, 3, 3, 14), HermitianForm(2, {})]:
+        want = _matrix_path(form)
+        for order in permutations(calls):
+            fresh = HermitianForm(form.n, form.entries)
+            for name in order * 2:  # the first round builds the memo, the second reads it
+                assert calls[name](fresh) == want[name], (order, name)
+
+
+def test_one_elimination_per_form(monkeypatch):
+    walks, clears = [], []
+    steps, cleared = forms_module._symmetric_steps, forms_module._cleared
+    monkeypatch.setattr(forms_module, "_symmetric_steps", lambda x: walks.append(len(x)) or steps(x))
+    monkeypatch.setattr(forms_module, "_cleared", lambda values: clears.append(1) or cleared(values))
+    rng = Random(1516)
+    for form in (_mixed_form(rng, 3, 9), _zero_diagonal_form(rng, 3, 6), _dense_form(rng, 4, 2, 12)):
+        walks.clear()
+        clears.clear()
+        for _ in range(2):
+            form_rank(form), form_inertia(form), decompose(form)
+        assert walks == [len(form.support())]
+        assert clears == [1]
+
+
+def test_memo_changes_neither_equality_nor_repr_nor_dump():
+    rng = Random(1517)
+    form = _mixed_form(rng, 3, 10)
+    plain = HermitianForm(form.n, dict(form.entries))
+    shown, text = repr(form), dump_form(form)
+    form_rank(form), decompose(form), compose_linear(form, [[1, 0, 0], [1, 1, 0], [0, -1, 1]])
+    assert form._memo and not plain._memo
+    assert form == plain and plain == form
+    assert repr(form) == repr(plain) == shown
+    assert "_memo" not in shown
+    assert dump_form(form) == dump_form(plain) == text
+
+
+def test_threads_share_one_inertia():
+    rng = Random(1518)
+    forms = [_dense_form(rng, 3, 3, 20), _zero_diagonal_form(rng, 4, 14)]
+    wants = [_matrix_path(f)["inertia"] for f in forms]
+    results = [[] for _ in forms]
+    threads = [threading.Thread(target=lambda k=k: results[k].append(form_inertia(forms[k])))
+               for k in range(len(forms)) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[want] * 6 for want in wants]

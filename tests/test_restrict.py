@@ -218,6 +218,19 @@ def test_max_affine_rank_runs_no_matrix_rank(monkeypatch):
     assert len(calls) == 2
 
 
+def test_one_op_clears_the_form_once(monkeypatch):
+    # both samplers and the failure bound read the form side memoized on the form
+    form = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
+    want = (generic_restriction_rank(form, 2, 2, 3), max_affine_rank(form, 2, 2, 3), sz_failure_bound(form, 2, 2, 10**6))
+    calls = []
+    support = HermitianForm.support
+    monkeypatch.setattr(HermitianForm, "support", lambda self: calls.append(self) or support(self))
+    fresh = HermitianForm(form.n, form.entries)
+    assert (generic_restriction_rank(fresh, 2, 2, 3), max_affine_rank(fresh, 2, 2, 3),
+            sz_failure_bound(fresh, 2, 2, 10**6)) == want
+    assert calls == [fresh]
+
+
 def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
     # z1 conj(z2) without its mirror; the dataclass does not validate, the rank kernel does
     form = HermitianForm(3, {((1, 0, 0), (0, 1, 0)): gr(1)})

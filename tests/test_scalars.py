@@ -57,6 +57,19 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert x / 2 == gr(Fraction(1, 4), Fraction(1, 2))
 
 
+def test_fraction_parts_are_kept_and_others_converted():
+    class Half(Fraction):
+        pass
+
+    x, y = Fraction(3, 4), Fraction(-1, 6)
+    g = GaussianRational(x, y)
+    assert g.re is x and g.im is y
+    h = GaussianRational(Half(3, 4), Half(-1, 6))
+    assert type(h.re) is Fraction and type(h.im) is Fraction
+    assert h == g and hash(h) == hash(g)
+    assert [type(part) for part in (gr(2, -5).re, gr(2, -5).im)] == [Fraction, Fraction]
+
+
 def test_equality_and_hash_for_real_values():
     assert gr(Fraction(3, 4)) == Fraction(3, 4)
     assert hash(gr(5)) == hash(5)
