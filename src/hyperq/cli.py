@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="coeff_bound",
         type=int,
         default=10**6,
-        help="random rational coefficients use numerators and denominators up to this bound",
+        help="random parameters x + iy use 1 <= x, y <= this bound",
     )
     searched = argparse.ArgumentParser(add_help=False, parents=[common])
     searched.add_argument("--budget", type=int, default=10**5, help="search budget for lattice walks")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
-from math import comb
+from math import comb, factorial
 from typing import Tuple
 
 
@@ -110,8 +110,21 @@ def green_G(n: int, d: int, N: int) -> int:
 
 
 def _min_degree_for(n: int, N: int) -> int:
-    """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N."""
-    return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
+    """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N.
+
+    (d + 1)^n <= n! binom(n + d, d) <= (d + n)^n, so with x = (N n!)^(1/n)
+    the answer is at least x - n and below max(x, 2): start at x - n and
+    step exactly.  Past float range, gallop instead.
+    """
+    try:
+        d = max(1, int((N * factorial(n)) ** (1 / n)) - n)
+    except OverflowError:
+        return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
+    while d > 1 and comb(n + d - 1, n) >= N:
+        d -= 1
+    while comb(n + d, n) < N:
+        d += 1
+    return d
 
 
 def green_K(n: int, k: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _checked_hermitian, _cleared, _components, _pivot_count, _signs, _symmetric_steps
@@ -206,18 +206,18 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
 def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
     """The form sum(sign * weight * |component|^2), minus 1 if requested."""
     acc, common = _norm_difference(holo, subtract_one)
-    return _to_form(holo.n, acc, lambda gamma, delta: common)
+    return _to_form(holo.n, ((key, v, common) for key, v in acc.items()))
 
 
 def _norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> Tuple["_PairForm", int]:
     """norm_difference as (acc, D): its entries are acc[key] / D.
 
     Component P / d with weight a / b adds sign * a * (D / (b d^2)) P conj(P)
-    in Z[i] to one accumulator over D, the lcm of every b d^2.
+    in Z[i] to one accumulator over D, the lcm of every b d^2, read flat.
     """
     comps = [(s, Fraction(w), *_cleared(p.values()), p) for s, w, p in holo.components]
     common = lcm(*(w.denominator * d * d for _, w, _, d, _ in comps))
-    acc: _PairForm = {}
+    acc: _Rows = {}
     for sign, w, pairs, d, poly in comps:
         k = w.numerator * (common // (w.denominator * d * d))
         p = dict(zip(poly, pairs))
@@ -225,7 +225,7 @@ def _norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> Tuple["_PairF
     if subtract_one:
         one = {zero_index(holo.n): (1, 0)}
         _sandwich(acc, (-common, 0), one, one)
-    return acc, common
+    return {(gamma, delta): v for gamma, row in acc.items() for delta, v in row.items()}, common
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -252,6 +252,7 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
 _Pair = Tuple[int, int]  # a Gaussian integer re + i im
 _PairPoly = Dict[MultiIndex, _Pair]
 _PairForm = Dict[Tuple[MultiIndex, MultiIndex], _Pair]
+_Rows = Dict[Hashable, Dict[Hashable, _Pair]]  # acc[gamma][delta], keyed by monomials or basis indices
 _FormSide = Tuple[List[MultiIndex], Dict[MultiIndex, List[Tuple[MultiIndex, _Pair, int]]], int, int]
 
 
@@ -265,21 +266,21 @@ def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:
     return out
 
 
-def _sandwich(acc: _PairForm, c: _Pair, left: _PairPoly, right: _PairPoly) -> None:
-    """acc[(gamma, delta)] += c * u * conj(v) over left[gamma] = u and right[delta] = v."""
+def _sandwich(acc: _Rows, c: _Pair, left: Dict[Hashable, _Pair], right: Dict[Hashable, _Pair]) -> None:
+    """acc[gamma][delta] += c * u * conj(v) over left[gamma] = u and right[delta] = v."""
     cr, ci = c
     for gamma, (ur, ui) in left.items():
         xr, xi = cr * ur - ci * ui, cr * ui + ci * ur
+        row = acc.setdefault(gamma, {})
         for delta, (vr, vi) in right.items():
-            key = (gamma, delta)
-            r, i = acc.get(key, (0, 0))
-            acc[key] = (r + xr * vr + xi * vi, i + xi * vr - xr * vi)
+            r, i = row.get(delta, (0, 0))
+            row[delta] = (r + xr * vr + xi * vi, i + xi * vr - xr * vi)
 
 
-def _to_form(n: int, acc: _PairForm, den: Callable[[MultiIndex, MultiIndex], int]) -> HermitianForm:
-    """The form with entry acc[key] / den(*key); entries that cancelled are dropped."""
+def _to_form(n: int, entries: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair, int]]) -> HermitianForm:
+    """The form with entry (re + i im) / d at each (key, (re, im), d); entries that cancelled are dropped."""
     return HermitianForm(n, {key: GaussianRational(Fraction(re, d), Fraction(im, d))
-                             for key, (re, im) in acc.items() if re or im for d in (den(*key),)})
+                             for key, (re, im), d in entries if re or im})
 
 
 def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]], n_dst: int,
@@ -329,9 +330,9 @@ def _form_side(form: HermitianForm) -> _FormSide:
     return side
 
 
-def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]],
-              translation: Optional[Sequence[object]]) -> Tuple[int, _PairForm, Callable[[MultiIndex, MultiIndex], int]]:
-    """(n_dst, acc, den): entry (gamma, delta) of r(Ez + t) is acc[(gamma, delta)] / den(gamma, delta).
+def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]]
+              ) -> Tuple[int, List[MultiIndex], _Rows, Callable[[int, int], int]]:
+    """(n_dst, basis, acc, den): entry (basis[i], basis[j]) of r(Ez + t) is acc[i][j] / den(i, j).
 
     With c = C / D over the lcm of the form's denominators, P and M from
     _expansions and K the top |alpha| + |beta|, entry c at (alpha, beta) adds
@@ -340,7 +341,8 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]],
     Two passes group the sum by alpha: one sandwich per column cols[beta] = [(alpha, C, exponent)]
     adds conj(C) M_0^exponent P_beta[delta] to V_alpha[delta], then acc[(gamma, delta)]
     += P_alpha[gamma] conj(V_alpha[delta]): nnz k + |support| k^2 products for k terms per P,
-    not nnz k^2.  den reads M^gamma from a dict over the indices and D M_0^e from a list.
+    not nnz k^2.  Each gamma is keyed by its index in one grlex basis of the monomials the P
+    reach, so a product hashes one small int; den reads M^gamma and D M_0^e from lists.
     """
     if translation is not None and len(translation) != form.n:
         raise DimensionMismatch(
@@ -351,20 +353,24 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]],
     n_dst = len(matrix[0]) if form.n else 0
     support, cols, d, top = _form_side(form)
     table, den = _expansions(matrix, translation, n_dst, support)
+    basis = sorted_grlex({g for p in table.values() for g in p})
+    at = {g: i for i, g in enumerate(basis)}
+    table = {alpha: {at[g]: x for g, x in p.items()} for alpha, p in table.items()}
     m0 = den(zero_index(n_dst), 1)
     scale = [m0**e for e in range(top + 1)]
-    v: _PairForm = {}  # v[(delta, alpha)] = V_alpha[delta]
+    v: _Rows = {}  # v[delta][alpha] = V_alpha[delta]
     for beta, col in cols.items():
         _sandwich(v, (1, 0), table[beta], {alpha: (cr * scale[e], ci * scale[e]) for alpha, (cr, ci), e in col})
-    rows: Dict[MultiIndex, _PairPoly] = {}
-    for (delta, alpha), x in v.items():
-        rows.setdefault(alpha, {})[delta] = x
-    acc: _PairForm = {}
+    rows: Dict[MultiIndex, Dict[Hashable, _Pair]] = {}
+    for delta, row in v.items():
+        for alpha, x in row.items():
+            rows.setdefault(alpha, {})[delta] = x
+    acc: _Rows = {}
     for alpha, row in rows.items():
         _sandwich(acc, (1, 0), table[alpha], row)
     dm0 = [d * s for s in scale]
-    power = {g: den(g, sum(g)) for g in {g for p in table.values() for g in p}}  # M^gamma
-    return n_dst, acc, lambda gamma, delta: dm0[top - sum(gamma) - sum(delta)] * power[gamma] * power[delta]
+    deg, power = [sum(g) for g in basis], [den(g, sum(g)) for g in basis]  # |gamma|, M^gamma
+    return n_dst, basis, acc, lambda i, j: dm0[top - deg[i] - deg[j]] * power[i] * power[j]
 
 
 def compose_linear(
@@ -378,7 +384,8 @@ def compose_linear(
     When E is square invertible and t = 0 the rank and inertia are
     preserved; a thin E restricts the form to a subspace.
     """
-    return _to_form(*_composed(form, matrix, translation))
+    n_dst, basis, acc, den = _composed(form, matrix, translation)
+    return _to_form(n_dst, (((basis[i], basis[j]), v, den(i, j)) for i, row in acc.items() for j, v in row.items()))
 
 
 def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
@@ -392,6 +399,6 @@ def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
     which keeps the rank.  It is refused unless Hermitian, as R must be, for
     the kernel's exact divisions to hold.
     """
-    acc = _composed(form, matrix, translation)[1]
-    basis = sorted({index for key, v in acc.items() if v != (0, 0) for index in key})
-    return _pivot_count(_checked_hermitian([[acc.get((g, d), (0, 0)) for d in basis] for g in basis]))
+    acc = _composed(form, matrix, translation)[2]
+    live = sorted({k for i, row in acc.items() for j, v in row.items() if v != (0, 0) for k in (i, j)})
+    return _pivot_count(_checked_hermitian([[acc.get(i, {}).get(j, (0, 0)) for j in live] for i in live]))

@@ -5,9 +5,9 @@ E of a subspace induces a matrix T acting on monomial coefficients,
 with (Ew + t)^alpha = sum over gamma of T[alpha, gamma] w^gamma.
 Restricting a Hermitian form is the sandwich T* C T, and generic or
 maximal restriction ranks are estimated by exact evaluation at random
-rational parameters.  Randomized answers can only undershoot the true
-generic rank, and the per-trial failure probability has a computable
-Schwartz-Zippel bound.
+Gaussian-integer parameters x + iy with 1 <= x, y <= coeff_bound.
+Randomized answers can only undershoot the true generic rank, and the
+per-trial failure probability has a computable Schwartz-Zippel bound.
 """
 
 from __future__ import annotations
@@ -127,12 +127,8 @@ def restrict_form(form: HermitianForm, E: AffineEmbedding) -> HermitianForm:
     return compose_linear(form, E.linear, E.translation)
 
 
-def _random_fraction(rng: Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(1, bound), rng.randint(1, bound))
-
-
 def _random_scalar(rng: Random, bound: int) -> GaussianRational:
-    return gr(_random_fraction(rng, bound), _random_fraction(rng, bound))
+    return gr(rng.randint(1, bound), rng.randint(1, bound))
 
 
 def _check_sampling(form: HermitianForm, sub_dim: int, name: str, count: int, coeff_bound: int) -> None:
@@ -142,15 +138,6 @@ def _check_sampling(form: HermitianForm, sub_dim: int, name: str, count: int, co
         raise ValueError(f"{name} must be at least 1")
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
-
-
-def _generic_embedding(rng: Random, n_ambient: int, sub_dim: int, bound: int) -> AffineEmbedding:
-    while True:
-        rows = [[_random_scalar(rng, bound) for _ in range(sub_dim)] for _ in range(n_ambient)]
-        try:
-            return embedding(rows)
-        except ValueError:
-            continue  # rank-deficient draw; vanishingly rare
 
 
 def generic_restriction_rank(
@@ -163,9 +150,10 @@ def generic_restriction_rank(
     """Rank of the restriction to a generic linear subspace of dimension sub_dim.
 
     Takes the maximum of `trials` exact ranks at independent random
-    rational specializations; specialization can only lose rank, so the
-    maximum is a lower bound that equals the generic value except with
-    probability at most sz_failure_bound(...) per trial.
+    Gaussian-integer specializations; specialization can only lose rank,
+    so the maximum is a lower bound that equals the generic value except
+    with probability at most sz_failure_bound(...).  A draw without full
+    column rank is ranked like any other; the bound already counts it.
     """
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     if coeff_bound == 1 and sub_dim >= 2:  # every entry would be 1 + i: no draw has full rank
@@ -173,24 +161,28 @@ def generic_restriction_rank(
     best = 0
     for t in range(trials):
         rng = Random(f"{seed}:generic:{t}")
-        E = _generic_embedding(rng, form.n, sub_dim, coeff_bound)
-        best = max(best, _composed_rank(form, E.linear, E.translation))
+        rows = [[_random_scalar(rng, coeff_bound) for _ in range(sub_dim)] for _ in range(form.n)]
+        best = max(best, _composed_rank(form, rows, None))
     return best
 
 
 def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound: int) -> Fraction:
     """Upper bound on the probability that every trial undershoots.
 
-    Each restricted entry has degree at most 2D in the embedding
-    parameters (D = top degree of the form), so a certifying minor of
-    size r has degree at most 2Dr; clearing the rational parameters'
-    denominators doubles that.  One trial fails with probability at
-    most 4Dr/coeff_bound, and trials are independent.
+    Write each parameter as x + iy.  A restricted entry sums terms
+    C P_alpha conj(P_beta) with |alpha|, |beta| <= D, the top degree of
+    the form, so it has degree at most 2D in the real x and y.  If r is
+    the generic rank, some r x r minor is a nonzero polynomial of degree
+    at most 2Dr, and a trial undershoots, rank-deficient draws included,
+    only if that minor vanishes at the draw: with x and y uniform on
+    {1..coeff_bound}, Schwartz-Zippel bounds that by 2Dr/coeff_bound.
+    Trials are independent; r is at most the support size of the form
+    and the restricted matrix's size.
     """
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     D = form.max_degree()
     r = min(len(_form_side(form)[0]), comb(sub_dim + D, D))
-    per_trial = min(Fraction(1), Fraction(4 * D * r, coeff_bound))
+    per_trial = min(Fraction(1), Fraction(2 * D * r, coeff_bound))
     return per_trial**trials
 
 

@@ -1,12 +1,14 @@
 """Macaulay representations and the derived rank bounds."""
 
 import time
+from itertools import accumulate
 from math import comb
 from random import Random
 
 import pytest
 
 from hyperq.combinat import (
+    _last_true,
     _min_degree_for,
     compose_K,
     green_G,
@@ -17,6 +19,10 @@ from hyperq.combinat import (
     rigidity_bound,
     stability_region,
 )
+from hyperq.forms import form_from_real_poly
+from hyperq.linalg import rank as linalg_rank
+from hyperq.multiindex import monomials_of_degree
+from hyperq.restrict import embedding, generic_restriction_rank, restriction_matrix
 
 
 def test_rep_examples():
@@ -197,10 +203,24 @@ def test_rep_matches_scan():
             assert rem == 0
 
 
+def gallop_min_degree(n, N):
+    return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
+
+
 def test_min_degree_matches_scan():
     for n in range(2, 8):
         for N in range(3000):
             assert _min_degree_for(n, N) == scan_min_degree(n, N), (n, N)
+
+
+def test_min_degree_matches_gallop():
+    # the float estimate is corrected by exact steps; near powers of ten and
+    # past float range (10^400 overflows and falls back) it must still agree
+    for n in range(2, 9):
+        for N in [*range(5000), *(10**k + s for k in range(1, 14) for s in (-1, 1))]:
+            assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
+    for N in (10**400 - 1, 10**400):
+        assert _min_degree_for(2, N) == gallop_min_degree(2, N)
 
 
 def test_green_K_matches_scan():
@@ -209,6 +229,52 @@ def test_green_K_matches_scan():
     for n in range(3, 7):
         for k in range(121):
             assert green_K(n, k) == scan_K(n, k), (n, k)
+
+
+def test_lex_segments_attain_green_bound():
+    """Green's bound G(n, d, N) is the restriction dimension of a lex segment.
+
+    L(N) is the span of the first N degree-d monomials in x_1 > ... > x_{n+1},
+    lex order.  It is strongly stable: with m in L(N) and x_j | m, so is
+    m x_i / x_j for every i < j.  Restrict to a hyperplane x_{n+1} = l(x_1..x_n).
+    A monomial m' x_{n+1}^e of L(N) becomes m' l^e, whose monomials move the
+    e factors x_{n+1} to smaller variables and so lie in L(N), free of x_{n+1};
+    those free monomials restrict to themselves.  So dim L(N)|_H is the number
+    of monomials of L(N) free of x_{n+1}, for every such H, a general one
+    included.  Green's theorem (Green 1989) bounds dim V|_H by G(n, d, N) for
+    every N-dimensional V at a general H; the count shows lex segments attain it.
+
+    The count is checked against green_G directly, then as the exact rank of
+    L(N) on a random integer hyperplane, then as the generic restriction rank
+    of sum |m|^2 over L(N) to n-planes: a sum of squares restricts to the span
+    of its restricted terms.  Last, green_K is sharp: L(K_n(k)) restricts to
+    rank <= k and L(K_n(k) + 1) to more.
+    """
+    def lex(n, d):
+        return list(monomials_of_degree(n + 1, d))  # lex order within one degree
+
+    def squares(monos):
+        return form_from_real_poly({m: 1 for m in monos}, len(monos[0]))
+
+    for n in range(2, 7):
+        for d in range(1, (8 if n < 5 else 5) + 1):
+            free = [0, *accumulate(not m[-1] for m in lex(n, d))]
+            assert free == [green_G(n, d, N) for N in range(len(free))], (n, d)
+    rng = Random(11)
+    for n, d in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2)]:
+        T = restriction_matrix(embedding([[rng.randint(-999, 999) for _ in range(n)] for _ in range(n + 1)]), d)
+        assert list(T.rows) == lex(n, d)
+        for N in range(len(T.rows) + 1):
+            assert linalg_rank(T.entries[:N]) == green_G(n, d, N), (n, d, N)
+    for n, d in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]:
+        monos = lex(n, d)
+        for N in range(1, len(monos) + 1):
+            assert generic_restriction_rank(squares(monos[:N]), n, trials=1, seed=N) == green_G(n, d, N), (n, d, N)
+    for n, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]:
+        K = green_K(n, k)
+        monos = lex(n, _min_degree_for(n, K + 1))
+        assert generic_restriction_rank(squares(monos[:K]), n, trials=1) <= k
+        assert generic_restriction_rank(squares(monos[:K + 1]), n, trials=1) > k
 
 
 @pytest.mark.parametrize(

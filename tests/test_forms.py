@@ -30,7 +30,7 @@ from hyperq.forms import (
 )
 from hyperq.formats import dump_form, load_form
 from hyperq.linalg import _cleared, inertia, ldl_components, rank
-from hyperq.multiindex import monomials_up_to, unit, zero_index
+from hyperq.multiindex import monomials_up_to, sorted_grlex, unit, zero_index
 from hyperq.restrict import cayley_unitary
 from hyperq.scalars import GR_ONE, GR_ZERO, gr
 from tuple_polys import poly_mul
@@ -311,7 +311,10 @@ def test_integer_compose_matches_gaussian_rational_loop():
 
 
 def _one_pass_composed(form, matrix, translation):
-    """The accumulator of _composed summed entry by entry: nnz k^2 products, no regrouping."""
+    """The accumulator of _composed summed entry by entry: nnz k^2 products, no regrouping.
+
+    Its rows are keyed by the monomials gamma themselves, not by their basis indices.
+    """
     n_dst = len(matrix[0]) if form.n else 0
     table, den = _expansions(matrix, translation, n_dst, form.support())
     pairs, d = _cleared(form.entries.values())
@@ -324,8 +327,10 @@ def _one_pass_composed(form, matrix, translation):
     return acc
 
 
-def _nonzero(acc):
-    return {key: v for key, v in acc.items() if v != (0, 0)}
+def _nonzero(acc, basis=None):
+    """The nonzero entries of a row accumulator, flat and keyed by monomials."""
+    key = (lambda i: i) if basis is None else basis.__getitem__
+    return {(key(i), key(j)): v for i, row in acc.items() for j, v in row.items() if v != (0, 0)}
 
 
 def test_two_pass_compose_matches_the_one_pass_loop():
@@ -341,11 +346,13 @@ def test_two_pass_compose_matches_the_one_pass_loop():
             for E in _embeddings(rng, form.n):
                 for trans in (None, [_gaussian(rng) for _ in range(form.n)]):
                     want = _nonzero(_one_pass_composed(form, E, trans))
-                    n_dst, acc, _ = _composed(form, E, trans)
+                    n_dst, basis, acc, _ = _composed(form, E, trans)
                     assert n_dst == len(E[0])
-                    assert _nonzero(acc) == want
+                    assert basis == sorted_grlex(basis)
+                    assert _nonzero(acc, basis) == want
                     # form reads its memoized side from the first call on; a fresh copy has none
-                    assert _nonzero(_composed(HermitianForm(form.n, form.entries), E, trans)[1]) == want
+                    _, basis, acc, _ = _composed(HermitianForm(form.n, form.entries), E, trans)
+                    assert _nonzero(acc, basis) == want
                     cases += 1
     assert cases == 7 * 2 * 3 * 2
 

@@ -13,7 +13,7 @@ from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
 from hyperq.linalg import identity, matmul
 from hyperq.restrict import (
-    _generic_embedding,
+    AffineEmbedding,
     _random_scalar,
     cayley_unitary,
     embedding,
@@ -170,7 +170,14 @@ def test_sz_failure_bound_checks_dimension_and_trials():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             sz_failure_bound(f, 2, trials, 10**6)
-    assert sz_failure_bound(f, 2, 2, 10**6) == Fraction(4 * 3, 10**6) ** 2
+    # D = 1 and r = min(rank 3, binom(2 + 1, 1) = 3): 2Dr / coeff_bound per trial
+    assert sz_failure_bound(f, 2, 2, 10**6) == Fraction(2 * 3, 10**6) ** 2
+
+
+def _generic_embedding(rng, n, sub_dim, bound):
+    """The linear subspace that generic_restriction_rank draws from rng, unchecked as there."""
+    rows = tuple(tuple(_random_scalar(rng, bound) for _ in range(sub_dim)) for _ in range(n))
+    return AffineEmbedding(rows, (gr(0),) * n)
 
 
 def _affine_embedding(rng, n, sub_dim, bound):
@@ -205,17 +212,18 @@ def test_samplers_match_ranks_of_restricted_forms():
 
 
 def test_max_affine_rank_runs_no_matrix_rank(monkeypatch):
-    # a graph-form subspace has full column rank by its identity block
+    # neither sampler checks its draw's column rank: a rank-deficient draw can only
+    # undershoot, which sz_failure_bound already counts
     form = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
-    want = [max_affine_rank(form, sub_dim, 3, 6, 1000) for sub_dim in range(1, form.n)]
+    want = [(max_affine_rank(form, sub_dim, 3, 6, 1000), generic_restriction_rank(form, sub_dim, 2, 4))
+            for sub_dim in range(1, form.n)]
     calls = []
     rank = linalg.rank
     for module, name in ((linalg, "rank"), (restrict, "matrix_rank")):
         monkeypatch.setattr(module, name, lambda rows: calls.append(rows) or rank(rows))
-    assert [max_affine_rank(form, sub_dim, 3, 6, 1000) for sub_dim in range(1, form.n)] == want
+    assert [(max_affine_rank(form, sub_dim, 3, 6, 1000), generic_restriction_rank(form, sub_dim, 2, 4))
+            for sub_dim in range(1, form.n)] == want
     assert calls == []
-    generic_restriction_rank(form, 2, trials=2, seed=4)  # each generic draw is still checked
-    assert len(calls) == 2
 
 
 def test_one_op_clears_the_form_once(monkeypatch):
@@ -245,6 +253,14 @@ def test_sz_failure_bound_shrinks():
     loose = sz_failure_bound(f, 2, 1, 10**3)
     tight = sz_failure_bound(f, 2, 3, 10**6)
     assert 0 < tight < loose <= 1
+
+
+def test_generic_rank_of_degree_40_difference_of_squares():
+    # |z1^40|^2 - |z2^40|^2 on a generic plane in C^3: (e1 . w)^40 and (e2 . w)^40
+    # are independent, so the restriction keeps one square of each sign
+    f = form_from_real_poly({(40, 0, 0): 1, (0, 40, 0): -1})
+    assert generic_restriction_rank(f, 2, trials=1) == 2
+    assert sz_failure_bound(f, 2, 1, 10**6) == Fraction(2 * 40 * 2, 10**6)
 
 
 def test_max_affine_rank_sees_constant_term():
