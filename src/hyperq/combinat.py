@@ -113,18 +113,18 @@ def _min_degree_for(n: int, N: int) -> int:
     """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N.
 
     (d + 1)^n <= n! binom(n + d, d) <= (d + n)^n, so with x = (N n!)^(1/n)
-    the answer is at least x - n and below max(x, 2): start at x - n and
-    step exactly.  Past float range, gallop instead.
+    the answer is at least x - n and below max(x, 2).  Bisect that bracket,
+    widened by far more than the float error of x; past float range,
+    gallop from 0.
     """
+    def short(e: int) -> bool:
+        return e == 0 or comb(n + e, e) < N
+
     try:
-        d = max(1, int((N * factorial(n)) ** (1 / n)) - n)
+        x = (N * factorial(n)) ** (1 / n)
     except OverflowError:
-        return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
-    while d > 1 and comb(n + d - 1, n) >= N:
-        d -= 1
-    while comb(n + d, n) < N:
-        d += 1
-    return d
+        return 1 + _last_true(short, 0)
+    return 1 + _last_true(short, max(0, int(x * (1 - 1e-9)) - n - 1), int(x * (1 + 1e-9)) + 2)
 
 
 def green_K(n: int, k: int) -> int:

@@ -339,7 +339,7 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     C M_0^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in Z[i] at
     (gamma, delta), whose denominator is D M^gamma M^delta M_0^(K-|gamma|-|delta|).
     Two passes group the sum by alpha: one sandwich per column cols[beta] = [(alpha, C, exponent)]
-    adds conj(C) M_0^exponent P_beta[delta] to V_alpha[delta], then acc[(gamma, delta)]
+    adds conj(C) M_0^exponent P_beta[delta] to V_alpha[delta], then acc[gamma][delta]
     += P_alpha[gamma] conj(V_alpha[delta]): nnz k + |support| k^2 products for k terms per P,
     not nnz k^2.  Each gamma is keyed by its index in one grlex basis of the monomials the P
     reach, so a product hashes one small int; den reads M^gamma and D M_0^e from lists.
@@ -392,7 +392,7 @@ def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
                    translation: Optional[Sequence[object]]) -> int:
     """form_rank(compose_linear(form, matrix, translation)), read off the integer accumulator.
 
-    In _composed, den(gamma, delta) = D M^gamma M^delta M_0^(K-|gamma|-|delta|)
+    In _composed, the denominator at (gamma, delta) is D M^gamma M^delta M_0^(K-|gamma|-|delta|)
     = D M_0^K f(gamma) f(delta) with f(gamma) = M^gamma / M_0^|gamma| > 0.
     So the accumulator is D M_0^K F R F, for the composed matrix R and the
     positive diagonal F = diag(f): a positive multiple of a congruence of R,

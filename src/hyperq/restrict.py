@@ -209,7 +209,6 @@ def max_affine_rank(
         for _ in range(form.n - sub_dim):
             rows.append([_random_scalar(rng, coeff_bound) for _ in range(sub_dim)])
             trans.append(_random_scalar(rng, coeff_bound))
-        # the identity block gives full column rank: no embedding() check needed
         best = max(best, _composed_rank(form, rows, trans))
     return best
 

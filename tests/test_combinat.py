@@ -214,13 +214,15 @@ def test_min_degree_matches_scan():
 
 
 def test_min_degree_matches_gallop():
-    # the float estimate is corrected by exact steps; near powers of ten and
-    # past float range (10^400 overflows and falls back) it must still agree
+    # the float estimate only brackets the answer; near powers of ten, where the
+    # float error of the estimate spans many degrees (10^60, 10^300), and past
+    # float range (10^400 overflows and falls back) it must still agree
     for n in range(2, 9):
         for N in [*range(5000), *(10**k + s for k in range(1, 14) for s in (-1, 1))]:
             assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
-    for N in (10**400 - 1, 10**400):
-        assert _min_degree_for(2, N) == gallop_min_degree(2, N)
+    for n in (2, 5):
+        for N in (10**60 - 1, 10**60, 10**300 + 1, 10**400 - 1, 10**400):
+            assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
 
 
 def test_green_K_matches_scan():
