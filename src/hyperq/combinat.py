@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Tuple
 
 
@@ -112,19 +112,21 @@ def green_G(n: int, d: int, N: int) -> int:
 def _min_degree_for(n: int, N: int) -> int:
     """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N.
 
-    (d + 1)^n <= n! binom(n + d, d) <= (d + n)^n, so with x = (N n!)^(1/n)
-    the answer is at least x - n and below max(x, 2).  Bisect that bracket,
-    widened by far more than the float error of x; past float range,
-    gallop from 0.
+    n! binom(n + d, d) = (d + 1) ... (d + n) lies between (d + 1)^n and, by
+    AM-GM, (d + (n + 1) / 2)^n.  So with x = (N n!)^(1/n) the answer is at
+    least x - (n + 1) / 2 and below max(x, 2): at most (n + 3) / 2 exact steps
+    up from there.  Past 2^40, where the float error of x nears a degree, gallop.
     """
-    def short(e: int) -> bool:
-        return e == 0 or comb(n + e, e) < N
-
     try:
         x = (N * factorial(n)) ** (1 / n)
     except OverflowError:
-        return 1 + _last_true(short, 0)
-    return 1 + _last_true(short, max(0, int(x * (1 - 1e-9)) - n - 1), int(x * (1 + 1e-9)) + 2)
+        x = inf
+    if x > 2**40:
+        return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
+    d = max(1, int(x - (n + 1) / 2))
+    while comb(n + d, d) < N:
+        d += 1
+    return d
 
 
 def green_K(n: int, k: int) -> int:
