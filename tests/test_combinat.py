@@ -214,9 +214,10 @@ def test_min_degree_matches_scan():
 
 
 def test_min_degree_matches_gallop():
-    # the float estimate starts an exact walk; near powers of ten, across the
-    # 2^40 switch to the gallop (10^24 for n = 2), where the float error spans
-    # many degrees (10^60, 10^300) and past float range (10^400) it must agree
+    # the float estimate only starts an exact walk; it must agree with the gallop
+    # near powers of ten, across the switch to the gallop at x = 2^40 (10^24 for
+    # n = 2), where the float error spans many degrees (10^60, 10^300), and past
+    # float range (10^400)
     for n in range(2, 9):
         for N in [*range(5000), *(10**k + s for k in range(1, 41) for s in (-1, 1))]:
             assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
