@@ -37,8 +37,8 @@ def _content_lines(text: str):
 
 
 def _fraction(token: str, filename: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(token)
+    try:  # int() skips Fraction's string parser, and reads every digit string as Fraction() would
+        return Fraction(int(token) if token.lstrip("+-").isdigit() else token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(filename, lineno, f"expected a rational number, got {token!r}") from None
 

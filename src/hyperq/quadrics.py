@@ -18,15 +18,18 @@ dehomogenization to rational maps between affine hyperquadrics.
 
 The moves and the divisibility routine run on integer coefficients and
 packed exponents: an exponent tuple is one int of fixed-width fields, so
-multiplying monomials adds ints.  The search walks packed polynomials
-(see `_move`) and builds a `SignedRealPoly` only for a settled witness;
-the public `grow` and `corner_move` pack, move and unpack.
+multiplying monomials adds ints.  The search walks and keeps packed
+polynomials (see `_move`) and builds a `SignedRealPoly` only for a
+witness it returns; the public `grow` and `corner_move` pack, move and
+unpack.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
-is complexified to w, substitute cached powers, and test for zero.  A
-diagonal form is P(zw) with zw ranging over C^n, so s - c divides it
-exactly when s(x) - c divides P(x): it is tested in n real variables.
+is complexified to w, divide by Horner's rule in that quantity, and test
+the remainder for zero (see `_divides`).  A map whose components are
+single monomials has the diagonal norm difference P(zw), with zw
+ranging over C^n, so s - c divides it exactly when s(x) - c divides
+P(x): `verify_map` tests it in n real variables.
 """
 
 from __future__ import annotations
@@ -38,14 +41,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .combinat import stability_region
 from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
                      NotReached, NotVanishing)
 from .forms import HermitianForm, Poly, SignaturePair, WeightedHoloMap, _norm_difference, _PairForm, decompose
 from .linalg import _cleared
-from .multiindex import MultiIndex, grlex_key, total_degree, unit
+from .multiindex import MultiIndex, grlex_key, total_degree, unit, zero_index
 from .scalars import GR_ONE
 
 RealTerms = Dict[MultiIndex, Fraction]
@@ -111,51 +114,46 @@ def s_poly(a: int, b: int) -> SignedRealPoly:
     return SignedRealPoly(a, b, {unit(a + b, j): (_F1 if j < a else -_F1) for j in range(a + b)})
 
 
-# packed powers of the solved relation, per (a, b, affine, complexified, field bits)
-_RELATION_POWERS: Dict[Tuple[int, int, bool, bool, int], List[Dict[int, int]]] = {}
-_POWERS_LOCK = threading.Lock()
-
-
 def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[Term]) -> bool:
     """Whether s - c divides the sum of coeff * q^e * rest over the terms.
 
     c is 1 when affine, else 0.  q is x_1 with rest in x_2..x_n, or
-    z_1 w_1 with rest in z_1..z_n, w_2..w_n when complexified; q is
-    replaced by its solution of s = c and the result tested for zero.
-    The coefficients are ints, or Gaussian integers as (re, im) pairs
-    when complexified: s - c is real, so it divides the sum exactly when
-    it divides the real and the imaginary part.  An exponent tuple is
-    packed into one int of `bits`-bit fields, where 2^bits exceeds the
-    largest e + sum(rest): no exponent of a product reaches that, so
-    adding packed monomials multiplies them and no field carries into
-    the next.
+    z_1 w_1 with rest in z_1..z_n, w_2..w_n when complexified, and
+    s - c = q - L.  The coefficients are ints, or Gaussian integers as
+    (re, im) pairs when complexified: s - c is real, so it divides the
+    sum exactly when it divides the real and the imaginary part.  Each
+    part P = sum_e P_e q^e, P_e free of q, is divided by Horner's rule:
+    R_top = P_top and R_e = P_e + L R_{e+1}.  As L R_{e+1} = R_e - P_e,
+    Q = sum_{e>=1} R_e q^(e-1) has (q - L) Q = sum_{e>=1} R_e q^e -
+    sum_{e<top} (R_e - P_e) q^e = P - R_0, with R_0 free of q: q - L
+    divides P exactly when R_0 = 0, the intermediates are the quotient's
+    coefficients, and the cost is |Q| |L|.  Exponents are packed into one
+    int of `bits`-bit fields, where 2^bits exceeds the largest e + sum(rest):
+    a field of R_e comes from a term with e' >= e times L^(e' - e), so it
+    stays below e' + sum(rest) and no field carries into the next.
     """
     terms = list(terms)
-    n, top = a + b, max((e for e, _, _ in terms), default=0)
+    n = a + b
     bits = max((e + sum(rest) for e, rest, _ in terms), default=1).bit_length() or 1
-    key = (a, b, affine, complexified, bits)
-    with _POWERS_LOCK:  # two threads extending one list would both append the same power
-        powers = _RELATION_POWERS.get(key)
-        if powers is None:
-            solved = {0: 1} if affine else {}
-            for j in range(1, n):
-                fields = (j, n + j - 1) if complexified else (j - 1,)
-                solved[sum(1 << bits * f for f in fields)] = -1 if j < a else 1
-            powers = _RELATION_POWERS[key] = [{0: 1}, solved]
-        while len(powers) <= top:
-            nxt: Dict[int, int] = {}
-            for m, c in powers[-1].items():
-                for m1, c1 in powers[1].items():
-                    nxt[m + m1] = nxt.get(m + m1, 0) + c * c1
-            powers.append(nxt)
+    rel = [(0, 1)] if affine else []  # L as (packed monomial, coefficient) pairs
+    for j in range(1, n):
+        rel.append((sum(1 << bits * f for f in ((j, n + j - 1) if complexified else (j - 1,))), -1 if j < a else 1))
     shifts = [sum(x << bits * i for i, x in enumerate(rest)) for _, rest, _ in terms]
     coeffs = [c for _, _, c in terms]
     for part in ([re for re, _ in coeffs], [im for _, im in coeffs]) if complexified else (coeffs,):
-        acc: Dict[int, int] = {}
+        rows: Dict[int, Dict[int, int]] = {}
         for (e, _, _), shift, k in zip(terms, shifts, part):
-            for mono, v in powers[e].items() if k else ():
-                acc[mono + shift] = acc.get(mono + shift, 0) + k * v
-        if any(acc.values()):
+            if k:
+                row = rows.setdefault(e, {})
+                row[shift] = row.get(shift, 0) + k
+        r: Dict[int, int] = {}
+        for e in range(max(rows, default=-1), -1, -1):
+            acc = rows.get(e, {})
+            for m, k in r.items():
+                for u, sign in rel:
+                    acc[m + u] = acc.get(m + u, 0) + sign * k
+            r = {m: k for m, k in acc.items() if k}
+        if r:
             return False
     return True
 
@@ -365,22 +363,12 @@ def identity_map(a: int, b: int) -> QuadricMap:
     return QuadricMap(a, b, False, WeightedHoloMap(n, comps), None)
 
 
-def _real_terms(acc: _PairForm) -> Iterator[Term]:
-    # a diagonal form read as P(x) with x_j = z_j w_j; Hermitian diagonals are real
-    return ((alpha[0], alpha[1:], re) for (alpha, _), (re, _) in acc.items())
-
-
-def _complexified_terms(acc: _PairForm) -> Iterator[Term]:
-    # zbar_j -> w_j; w_1^e = (z_1 w_1)^e / z_1^e, so z_1^top clears denominators
-    top = max((beta[0] for _, beta in acc), default=0)
-    return ((beta[0], (alpha[0] + top - beta[0],) + alpha[1:] + beta[1:], c) for (alpha, beta), c in acc.items())
-
-
 def _vanishes_on_quadric(acc: _PairForm, a: int, b: int, affine: bool) -> bool:
     """Whether the quadric's equation divides the form acc / D on a + b variables, any D > 0."""
-    if all(alpha == beta for alpha, beta in acc):
-        return _divides(a, b, affine, False, _real_terms(acc))
-    return _divides(a, b, affine, True, _complexified_terms(acc))
+    # zbar_j -> w_j; w_1^e = (z_1 w_1)^e / z_1^e, so z_1^top clears denominators
+    top = max((beta[0] for _, beta in acc), default=0)
+    terms = ((beta[0], (alpha[0] + top - beta[0],) + alpha[1:] + beta[1:], c) for (alpha, beta), c in acc.items())
+    return _divides(a, b, affine, True, terms)
 
 
 def verify_map(m: QuadricMap) -> bool:
@@ -389,8 +377,19 @@ def verify_map(m: QuadricMap) -> bool:
     Forms the signed norm difference of the components (minus 1 for a
     polynomial map between affine quadrics) and checks divisibility by
     the source defining polynomial.  False is a verdict, not an error.
+    When every component is one monomial, |c z^alpha|^2 = |c|^2 x^alpha
+    with x_j = |z_j|^2: the norm difference is a real polynomial in x.
     """
-    subtract_one = (not m.homogeneous) and m.denominator is None
+    subtract_one, comps = (not m.homogeneous) and m.denominator is None, m.components.components
+    if all(len(poly) == 1 for _, _, poly in comps):
+        # sign w |c|^2 over the lcm wd of the weights' and cd of the coefficients' denominators
+        wd = lcm(*(w.denominator for _, w, _ in comps))
+        coeffs, cd = _cleared(c for _, _, poly in comps for c in poly.values())
+        real: Dict[MultiIndex, int] = {zero_index(m.n): -wd * cd * cd} if subtract_one else {}
+        for (sign, w, poly), (x, y) in zip(comps, coeffs):
+            (alpha,) = poly
+            real[alpha] = real.get(alpha, 0) + sign * w.numerator * (wd // w.denominator) * (x * x + y * y)
+        return _divides(m.a, m.b, not m.homogeneous, False, ((al[0], al[1:], v) for al, v in real.items()))
     acc, _ = _norm_difference(m.components, subtract_one)
     return _vanishes_on_quadric(acc, m.a, m.b, affine=not m.homogeneous)
 
@@ -421,7 +420,7 @@ class _LatticeSearch:
 
     The region is A <= box_a, B <= box_b, A + B <= total.  Nodes are
     expanded lowest degree first, then fewest terms, then push order, and
-    each settled signature keeps one witness polynomial, in settle order.
+    each settled signature keeps one packed witness, in settle order.
     `pending` maps each unsettled signature with a heap entry to the
     packed polynomial of its best entry, the one that pops first; heap
     entries hold no polynomial.
@@ -434,7 +433,7 @@ class _LatticeSearch:
         # (a grow's k = m + 1 fails only on x_2^m, or x_1^m mirrored), so from the degree-1 seeds
         # every node has degree <= A + B - (a + b) + 1 <= total: this width holds every exponent.
         self.width = total.bit_length()
-        self.witnesses: Dict[Sig, SignedRealPoly] = {}
+        self.witnesses: Dict[Sig, Node] = {}
         self.pending: Dict[Sig, Node] = {}
         self.heap: List[Tuple[int, int, int, Sig]] = []
         self.tick = count()
@@ -458,8 +457,8 @@ class _LatticeSearch:
 
     def answer(
         self, box_a: int, box_b: int, budget: int, goal: Optional[Sig], shared: bool = True
-    ) -> Optional[Tuple[Dict[Sig, SignedRealPoly], bool]]:
-        """What a fresh search of the box [box_a] x [box_b] returns.
+    ) -> Optional[Tuple[Dict[Sig, Node], bool, int]]:
+        """What a fresh search of the box [box_a] x [box_b] returns, and the field width.
 
         Resumes the walk until the answer is settled: the goal is
         witnessed, more than `budget` signatures in the box are, or no
@@ -483,9 +482,8 @@ class _LatticeSearch:
             sig = heapq.heappop(self.heap)[3]
             if sig in self.witnesses:
                 continue
-            node = self.pending.pop(sig)
-            poly = self.witnesses[sig] = _unpack(a, b, self.width, node)
-            assert poly.signature() == sig
+            node = self.witnesses[sig] = self.pending.pop(sig)
+            assert (sum(c > 0 for c in node[2].values()), len(node[2])) == (sig[0], sig[0] + sig[1])
             if inside(sig):
                 found.append(sig)
                 live -= 1
@@ -500,8 +498,8 @@ class _LatticeSearch:
                     live += 1
                 self._push(nsig, _move(a, b, self.width, shift, route, node))
         if goal in self.witnesses and found.index(goal) <= budget:
-            return {sig: self.witnesses[sig] for sig in found[: found.index(goal) + 1]}, False
-        return {sig: self.witnesses[sig] for sig in found[: budget + 1]}, len(found) > budget
+            return {sig: self.witnesses[sig] for sig in found[: found.index(goal) + 1]}, False, self.width
+        return {sig: self.witnesses[sig] for sig in found[: budget + 1]}, len(found) > budget, self.width
 
 
 _SEARCHES: "OrderedDict[Tuple[int, int], _LatticeSearch]" = OrderedDict()
@@ -522,12 +520,13 @@ def _search(
     box_b: int,
     budget: int,
     goal: Optional[Sig] = None,
-) -> Tuple[Dict[Sig, SignedRealPoly], bool]:
+) -> Tuple[Dict[Sig, Node], bool, int]:
     """Lowest-degree-first walk of the signature lattice from the two seeds.
 
-    Returns the witnesses, in settle order, and whether the budget ran
-    out, exactly as a walk pruned at the box [box_a] x [box_b] that stops
-    at the goal or after `budget` expansions would.  The walk is shared:
+    Returns the packed witnesses, in settle order, whether the budget ran
+    out, and the field width to `_unpack` them with, exactly as a walk
+    pruned at the box [box_a] x [box_b] that stops at the goal or after
+    `budget` expansions would.  The walk is shared:
     one resumable search per source split, kept for the last few splits,
     answers every box inside its region.  The first region is the first
     box; a box outside it rebuilds the search over A + B <= T, T at least
@@ -564,7 +563,8 @@ def reachable_signatures(
         raise ValueError("requires a >= b >= 2")
     if size < 2:
         raise ValueError("size must be at least 2")
-    return _search(a, b, size, size, budget)
+    nodes, hit, width = _search(a, b, size, size, budget)
+    return {sig: _unpack(a, b, width, node) for sig, node in nodes.items()}, hit
 
 
 def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) -> QuadricMap:
@@ -580,8 +580,8 @@ def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) ->
         raise ValueError("requires A >= 2 and B >= 2")
     if search_budget < 1:
         raise ValueError("search budget must be positive")
-    witnesses, hit_budget = _search(a, b, A, B, search_budget, goal=(A, B))
-    if (A, B) not in witnesses:
+    nodes, hit_budget, width = _search(a, b, A, B, search_budget, goal=(A, B))
+    if (A, B) not in nodes:
         if hit_budget:
             raise NotReached(
                 f"search budget {search_budget} exhausted before reaching ({A}, {B}); "
@@ -596,7 +596,7 @@ def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) ->
             f"({A}, {B}) is outside the constructive sector for source ({a}, {b}) "
             "and the move search exhausted the box without reaching it"
         )
-    out = _diagonal_map(a, b, witnesses[(A, B)].terms, denominator=False)
+    out = _diagonal_map(a, b, _unpack(a, b, width, nodes[(A, B)]).terms, denominator=False)
     if not verify_map(out):
         raise NotVanishing("constructed map failed verification")
     return out

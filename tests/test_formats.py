@@ -7,6 +7,7 @@ import pytest
 
 from hyperq.errors import ParseError
 from hyperq.formats import (
+    _fraction,
     component_str,
     dump_form,
     dump_map,
@@ -124,6 +125,22 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_form("form n=2\n1 0 ; 1 0 ; one ; 0\n", "f.txt")
     assert "rational" in exc.value.message
+
+
+def test_number_tokens_read_as_fraction_reads_them():
+    # integer tokens go through int(), the rest through Fraction(str): same values, same errors
+    tokens = ["3", "+3", "-0", "007", "1_0", "\u0663", "1.5", "1e3", "-3/6", "2/1", "+-5", "--5", "\u00b2", "1/0",
+              "one", "0x10", "-", "3/", "", "5 "]
+    for token in tokens:
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError) as exc:
+                _fraction(token, "m.txt", 4)
+            assert (exc.value.lineno, exc.value.message) == (4, f"expected a rational number, got {token!r}")
+        else:
+            got = _fraction(token, "m.txt", 4)
+            assert type(got) is Fraction and got == want
 
 
 def test_parse_error_headers():

@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import count
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -20,6 +21,7 @@ from hyperq.errors import (
     NotReached,
     NotVanishing,
 )
+from hyperq.formats import parse_map
 from hyperq.forms import WeightedHoloMap, _norm_difference, form_from_entries, form_from_real_poly
 from hyperq.linalg import _cleared
 from hyperq.multiindex import add as mi_add, unit, zero_index
@@ -28,14 +30,13 @@ from hyperq.quadrics import (
     QuadricMap,
     SignedRealPoly,
     _clear_search_cache,
-    _complexified_terms,
     _diagonal_map,
     _divides,
     _pack,
-    _real_terms,
     _routes,
     _search,
     _unpack,
+    _vanishes_on_quadric,
     construct_map,
     corner_move,
     dehomogenize,
@@ -52,6 +53,7 @@ from hyperq.scalars import gr
 from tuple_polys import criterion_8_seeds, poly_add_inplace, poly_mul, poly_shift, tuple_corner_move, tuple_grow
 
 F1 = Fraction(1)
+GOLDEN_INPUTS = str(Path(__file__).parent / "golden" / "inputs") + "/"
 
 
 def rp_mul(p, q):
@@ -294,8 +296,8 @@ def test_search_field_width_holds_every_exponent():
         state = _SEARCHES[(a, b)]
         top = (1 << state.width) - 1
         assert top >= state.region[2]
-        for (A, B), poly in state.witnesses.items():
-            assert poly.degree() <= A + B - (a + b) + 1 <= state.region[2]
+        for (A, B), node in state.witnesses.items():
+            assert _unpack(a, b, state.width, node).degree() == node[0] <= A + B - (a + b) + 1 <= state.region[2]
         # fields this wide hold 2^width - 1 in every position, next to full fields
         n = a + b
         full = {tuple(top if j == i else 0 for j in range(n)): Fraction(2 * i - 3, 7) for i in range(n)}
@@ -389,6 +391,12 @@ def test_shared_search_matches_fresh_search():
     _clear_search_cache()
 
 
+def _searched(a, b, *args, **kwargs):
+    """_search with its packed witnesses unpacked, as reachable_signatures returns them."""
+    nodes, hit, width = _search(a, b, *args, **kwargs)
+    return {sig: _unpack(a, b, width, node) for sig, node in nodes.items()}, hit
+
+
 def _lone_walk(a, b, box_a, box_b, budget, goal=None, moves=(grow, corner_move)):
     """The move search as one walk of the box from the two seeds, nothing shared,
     with the public moves or the given (grow, corner_move) pair."""
@@ -432,7 +440,7 @@ def test_shared_search_matches_lone_walk():
     cold = [(4, 2, 7, 3, 1), (4, 2, 3, 7, 1), (4, 2, 8, 3, 2), (4, 2, 3, 8, 2), (3, 2, 3, 3, 0)]
     for a, b, A, B, budget in cold:
         _clear_search_cache()
-        got = _search(a, b, A, B, budget, goal=(A, B))
+        got = _searched(a, b, A, B, budget, goal=(A, B))
         want = _lone_walk(a, b, A, B, budget, goal=(A, B))
         assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
     _clear_search_cache()
@@ -446,7 +454,7 @@ def test_shared_search_matches_lone_walk():
             A, B = rng.choice([(A, rng.randint(2, 5)), (rng.randint(2, 5), B)])
         budget = rng.choice([0, 1, 2, 3, 10, 40, 10**5])
         goal = (A, B) if rng.random() < 0.7 else None
-        got = _search(a, b, A, B, budget, goal)
+        got = _searched(a, b, A, B, budget, goal)
         want = _lone_walk(a, b, A, B, budget, goal)
         assert list(got[0].items()) == list(want[0].items()), (a, b, A, B, budget, goal)
         assert got[1] == want[1], (a, b, A, B, budget, goal)
@@ -463,7 +471,7 @@ def test_shared_search_across_threads():
         order = Random(k).sample(range(len(queries)), len(queries))
         for i in order:
             a, b, A, B, budget = queries[i]
-            got[k, i] = _search(a, b, A, B, budget, goal=(A, B))
+            got[k, i] = _searched(a, b, A, B, budget, goal=(A, B))
 
     _clear_search_cache()
     interval = sys.getswitchinterval()
@@ -686,10 +694,8 @@ def _branch_verdicts(m):
     acc, _ = _norm_difference(m.components, not m.homogeneous and m.denominator is None)
     assert all(alpha == beta for alpha, beta in acc)
     affine = not m.homogeneous
-    return (
-        _divides(m.a, m.b, affine, False, _real_terms(acc)),
-        _divides(m.a, m.b, affine, True, _complexified_terms(acc)),
-    )
+    real = ((alpha[0], alpha[1:], re) for (alpha, _), (re, _) in acc.items())  # P(x) with x_j = z_j w_j
+    return _divides(m.a, m.b, affine, False, real), _vanishes_on_quadric(acc, m.a, m.b, affine)
 
 
 def _bent(m):
@@ -726,9 +732,71 @@ def test_divisibility_branches_agree_on_diagonal_forms(monkeypatch):
     assert len(calls) == 3
 
 
+def _sandwich_verdict(m):
+    """verify_map's verdict through the norm-difference sandwich, the path of maps that are not diagonal."""
+    acc, _ = _norm_difference(m.components, not m.homogeneous and m.denominator is None)
+    return _vanishes_on_quadric(acc, m.a, m.b, affine=not m.homogeneous)
+
+
+def _reshaped(m, rng):
+    """m with the same norm difference: coefficients made Gaussian under rational weights, and
+    every third component split into two with the same monomial."""
+    comps = []
+    for i, (sign, weight, poly) in enumerate(m.components.components):
+        ((alpha, c),) = poly.items()
+        g = rng.choice([gr(1), gr(Fraction(3, 5), Fraction(4, 5)), gr(Fraction(3, 2), 2), gr(0, -3)])
+        weight = weight / g.norm_sq()
+        if i % 3:
+            comps.append((sign, weight, {alpha: c * g}))
+        else:
+            comps += [(sign, weight / 3, {alpha: c * g}), (sign, 2 * weight / 3, {alpha: c * g})]
+    denominator = None if m.denominator is None else m.denominator + (m.denominator + 2) // 3
+    out = QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(m.n, tuple(comps)), denominator)
+    return out
+
+
+def test_diagonal_verify_matches_the_sandwich(monkeypatch):
+    # verify_map reads a map whose every component is one monomial as the real
+    # polynomial sum sign w |c|^2 x^alpha; the sandwich builds its norm difference
+    maps = []
+    for p in criterion_8_seeds():
+        maps += [_diagonal_map(p.a, p.b, p.terms, denominator=False), dehomogenize(p)]
+    maps += [identity_map(a, b) for a, b in ((1, 0), (2, 1), (3, 2))] + [tensor_extend(identity_map(2, 1), 0)]
+    rng = Random(13)
+    maps += [_reshaped(m, rng) for m in maps]
+    maps.append(parse_map(open(GOLDEN_INPUTS + "diagonal_repeated.map").read()))
+    assert sum(m.homogeneous for m in maps) == 400 and sum(m.denominator is None for m in maps) == 409
+    calls = []
+    norm_difference = quadrics._norm_difference
+    monkeypatch.setattr(quadrics, "_norm_difference", lambda *args: calls.append(args) or norm_difference(*args))
+    for m in maps:
+        assert all(len(poly) == 1 for _, _, poly in m.components.components)
+        for q, verdict in ((m, True), (_bent(m), False)):
+            assert verify_map(q) is _sandwich_verdict(q) is verdict
+    assert calls == []
+    rotated = parse_map(open(GOLDEN_INPUTS + "rotated_identity.map").read())
+    assert verify_map(rotated) is _sandwich_verdict(rotated) is True and len(calls) == 1
+
+
+def test_construct_unpacks_only_the_returned_witness(monkeypatch):
+    calls = []
+    unpack = quadrics._unpack
+    monkeypatch.setattr(quadrics, "_unpack", lambda *args: calls.append(args) or unpack(*args))
+    _clear_search_cache()
+    # cold, warm, a rebuilt region, another split
+    for a, b, A, B in [(4, 2, 10, 14), (4, 2, 9, 8), (4, 2, 12, 12), (4, 2, 30, 10), (3, 3, 9, 8)]:
+        calls.clear()
+        assert construct_map(a, b, A, B).target() == (A, B)
+        assert len(calls) == 1
+    calls.clear()
+    witnesses, _ = reachable_signatures(4, 2, 12)
+    assert len(calls) == len(witnesses) > 50
+    _clear_search_cache()
+
+
 def test_relation_powers_across_threads():
-    # verify_map extends the shared cache of relation powers; a power appended
-    # twice would shift every later one and flip verdicts, then and afterwards
+    # verify_map shares no state between calls; any that crept in, such as a cache of
+    # relation powers extended by two threads at once, would flip verdicts then and afterwards
     maps = [construct_map(4, 2, A, B) for A, B in ((20, 20), (18, 22), (25, 15), (22, 18))]
     maps += [_bent(m) for m in maps]
     want = [verify_map(m) for m in maps]
@@ -739,7 +807,6 @@ def test_relation_powers_across_threads():
         for i in Random(k).sample(range(len(maps)), len(maps)):
             got[k, i] = verify_map(maps[i])
 
-    quadrics._RELATION_POWERS.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -750,13 +817,10 @@ def test_relation_powers_across_threads():
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    try:
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == 8 * len(maps)
-        assert [got[k, i] for k in range(8) for i in range(len(maps))] == want * 8
-        assert [verify_map(m) for m in maps] == want
-    finally:
-        quadrics._RELATION_POWERS.clear()
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 * len(maps)
+    assert [got[k, i] for k in range(8) for i in range(len(maps))] == want * 8
+    assert [verify_map(m) for m in maps] == want
 
 
 def _tuple_divides(a, b, affine, complexified, terms):
@@ -849,3 +913,24 @@ def test_packed_divides_matches_tuple_routine():
                 terms = [(0, (d, 0), F1), (0, other, -F1)]
                 assert _tuple_divides(2, 1, affine, False, terms) is False
                 assert _divides(2, 1, affine, False, _integer_terms(terms, False)) is False
+    # a lone q^20 leaves L^(20 - e) in every Horner step, and q^6 - L^6 has terms only
+    # at e = 6 and e = 0, so every intermediate comes from the top row
+    for a, b in [(2, 1), (2, 2)]:
+        for affine in (False, True):
+            for complexified in (False, True):
+                n = a + b
+                width = 2 * n - 1 if complexified else n - 1
+                rel = {zero_index(width): F1} if affine else {}
+                for j in range(1, n):
+                    rel[mi_add(unit(width, j), unit(width, n + j - 1)) if complexified else unit(width, j - 1)] = (
+                        -F1 if j < a else F1)
+                power = {zero_index(width): F1}
+                for _ in range(6):
+                    power = poly_mul(power, rel)
+                c = gr(2, -3) if complexified else F1
+                lone = [(20, zero_index(width), c)]
+                ends = [(6, zero_index(width), c)] + [(0, mono, -v * c) for mono, v in power.items()]
+                bent = [(6, zero_index(width), 2 * c)] + ends[1:]
+                for t, verdict in ((lone, False), (ends, True), (bent, False)):
+                    assert _tuple_divides(a, b, affine, complexified, t) is verdict
+                    assert _divides(a, b, affine, complexified, _integer_terms(t, complexified)) is verdict
