@@ -53,7 +53,7 @@ from hyperq.scalars import gr
 from tuple_polys import criterion_8_seeds, poly_add_inplace, poly_mul, poly_shift, tuple_corner_move, tuple_grow
 
 F1 = Fraction(1)
-GOLDEN_INPUTS = str(Path(__file__).parent / "golden" / "inputs") + "/"
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def rp_mul(p, q):
@@ -751,8 +751,7 @@ def _reshaped(m, rng):
         else:
             comps += [(sign, weight / 3, {alpha: c * g}), (sign, 2 * weight / 3, {alpha: c * g})]
     denominator = None if m.denominator is None else m.denominator + (m.denominator + 2) // 3
-    out = QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(m.n, tuple(comps)), denominator)
-    return out
+    return QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(m.n, tuple(comps)), denominator)
 
 
 def test_diagonal_verify_matches_the_sandwich(monkeypatch):
@@ -764,7 +763,7 @@ def test_diagonal_verify_matches_the_sandwich(monkeypatch):
     maps += [identity_map(a, b) for a, b in ((1, 0), (2, 1), (3, 2))] + [tensor_extend(identity_map(2, 1), 0)]
     rng = Random(13)
     maps += [_reshaped(m, rng) for m in maps]
-    maps.append(parse_map(open(GOLDEN_INPUTS + "diagonal_repeated.map").read()))
+    maps.append(parse_map((GOLDEN_INPUTS / "diagonal_repeated.map").read_text()))
     assert sum(m.homogeneous for m in maps) == 400 and sum(m.denominator is None for m in maps) == 409
     calls = []
     norm_difference = quadrics._norm_difference
@@ -774,7 +773,7 @@ def test_diagonal_verify_matches_the_sandwich(monkeypatch):
         for q, verdict in ((m, True), (_bent(m), False)):
             assert verify_map(q) is _sandwich_verdict(q) is verdict
     assert calls == []
-    rotated = parse_map(open(GOLDEN_INPUTS + "rotated_identity.map").read())
+    rotated = parse_map((GOLDEN_INPUTS / "rotated_identity.map").read_text())
     assert verify_map(rotated) is _sandwich_verdict(rotated) is True and len(calls) == 1
 
 
