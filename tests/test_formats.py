@@ -158,6 +158,38 @@ def test_parse_error_headers():
         parse_map("map n=3 a=2 b=1 A=1 B=1 homogeneous=2 denominator=none\n")
 
 
+MAP_KEYS = "n=... a=... b=... A=... B=... homogeneous=... denominator=..."
+
+
+@pytest.mark.parametrize("parse, text, lineno, message", [
+    (parse_form, "", 1, "empty input, expected a form header"),
+    (parse_form, "# only a comment\n\n   # another\n", 1, "empty input, expected a form header"),
+    (parse_form, "\n# c\nrealpoly n=2 a=1 b=1\n", 3, "expected a 'form' header line"),
+    (parse_form, "form\n", 1, "form header needs fields n=..."),
+    (parse_form, "form n=2 a=1\n", 1, "form header needs fields n=..."),
+    (parse_form, "# c\nform m=2\n", 2, "expected n=..., got 'm=2'"),
+    (parse_form, "form n=x\n", 1, "expected an integer, got 'x'"),
+    (parse_form, "form n=0\n", 1, "n must be at least 1"),
+    (parse_realpoly, "", 1, "empty input, expected a realpoly header"),
+    (parse_realpoly, "#\n", 1, "empty input, expected a realpoly header"),
+    (parse_realpoly, "form n=2\n", 1, "expected a 'realpoly' header line"),
+    (parse_realpoly, "realpoly n=2 a=1\n", 1, "realpoly header needs fields n=... a=... b=..."),
+    (parse_realpoly, "\nrealpoly n=2 a=1 c=1\n", 2, "expected b=..., got 'c=1'"),
+    (parse_realpoly, "realpoly n=2 b=1 a=1\n", 1, "expected a=..., got 'b=1'"),
+    (parse_map, "", 1, "empty input, expected a map header"),
+    (parse_map, "  \n# x\n", 1, "empty input, expected a map header"),
+    (parse_map, "# c\n\nform n=3\n", 3, "expected a 'map' header line"),
+    (parse_map, "map n=3 a=2 b=1 A=2 B=1 homogeneous=0\n", 1, f"map header needs fields {MAP_KEYS}"),
+    (parse_map, "map n=3 a=2 b=1 A=2 B=1 homogeneous=0 denom=none\n", 1, "expected denominator=..., got 'denom=none'"),
+    (parse_map, "map n=3 a=2 b=1 A=2 B=1 denominator=none homogeneous=0\n", 1,
+     "expected homogeneous=..., got 'denominator=none'"),
+])
+def test_header_errors(parse, text, lineno, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text, "h.txt")
+    assert (exc.value.filename, exc.value.lineno, exc.value.message) == ("h.txt", lineno, message)
+
+
 def test_parse_map_component_errors():
     header = "map n=2 a=1 b=1 A=1 B=1 homogeneous=0 denominator=none\n"
     with pytest.raises(ParseError) as exc:

@@ -21,10 +21,11 @@ from hyperq.errors import (
     NotReached,
     NotVanishing,
 )
-from hyperq.formats import parse_map
-from hyperq.forms import WeightedHoloMap, _norm_difference, form_from_entries, form_from_real_poly
+from hyperq.formats import dump_map, parse_map
+from hyperq.forms import (WeightedHoloMap, _norm_difference, compose_linear, decompose, form_from_entries,
+                          form_from_real_poly, norm_difference)
 from hyperq.linalg import _cleared
-from hyperq.multiindex import add as mi_add, unit, zero_index
+from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
 from hyperq.quadrics import (
     _SEARCHES,
     QuadricMap,
@@ -49,6 +50,7 @@ from hyperq.quadrics import (
     tensor_extend,
     verify_map,
 )
+from hyperq.restrict import cayley_unitary
 from hyperq.scalars import gr
 from tuple_polys import criterion_8_seeds, poly_add_inplace, poly_mul, poly_shift, tuple_corner_move, tuple_grow
 
@@ -678,6 +680,113 @@ def test_map_from_form_errors():
         map_from_form(nonvanishing, 2, 2)
     with pytest.raises(NoNegativeComponent):
         map_from_form(form_from_entries(3, []), 2, 1)
+
+
+def _lead_key(comp):
+    return min(grlex_key(mono) for mono in comp[2])
+
+
+def _two_sort_map(form, a, b):
+    """map_from_form's component order as first written, kept as the reference."""
+    holo = decompose(form)
+    pos = sorted((c for c in holo.components if c[0] > 0), key=_lead_key)
+    neg = sorted((c for c in holo.components if c[0] < 0), key=_lead_key)
+    return QuadricMap(a, b, False, WeightedHoloMap(form.n, tuple(pos + neg)), len(pos))
+
+
+def _times_defining(a, b, h):
+    """The form (|z_1|^2 + .. + |z_a|^2 - |z_{a+1}|^2 - .. - |z_{a+b}|^2 - 1) h for entries h."""
+    n = a + b
+    entries = [(alpha, beta, -c) for alpha, beta, c in h]
+    for k in range(n):
+        e = unit(n, k)
+        entries += [(mi_add(alpha, e), mi_add(beta, e), c if k < a else -c) for alpha, beta, c in h]
+    return form_from_entries(n, entries)
+
+
+def _twist_form(a, b, j, rng):
+    """The forms workload's twist: the norm difference of a tensored identity under block unitaries."""
+    n = a + b
+    form = norm_difference(tensor_extend(identity_map(a, b), j).components, True)
+    ua, ub = cayley_unitary(a, rng, 9), cayley_unitary(b, rng, 9)
+    block = [[0] * n for _ in range(n)]
+    for i in range(a):
+        block[i][:a] = ua[i]
+    for i in range(b):
+        block[a + i][a:] = ub[i]
+    return compose_linear(form, block)
+
+
+def test_map_from_form_matches_two_sorts():
+    # zero diagonals force 2x2 pivots, whose two components share a leading monomial
+    u, v, w = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    pivots = [
+        (2, 1, [(u, v, gr(1)), (v, u, gr(1))]),
+        (2, 1, [(u, w, gr(2, 1)), (w, u, gr(2, -1)), ((0, 0, 0), v, gr(0, 3)), (v, (0, 0, 0), gr(0, -3))]),
+        (1, 2, [(u, v, gr(Fraction(1, 2))), (v, u, gr(Fraction(1, 2))), (v, w, gr(1, 1)), (w, v, gr(1, -1))]),
+        (2, 2, [((1, 0, 0, 0), (0, 0, 0, 1), gr(1)), ((0, 0, 0, 1), (1, 0, 0, 0), gr(1)),
+                ((0, 1, 0, 0), (0, 0, 1, 0), gr(0, 1)), ((0, 0, 1, 0), (0, 1, 0, 0), gr(0, -1))]),
+    ]
+    cases = [(_times_defining(a, b, h), a, b) for a, b, h in pivots]
+    shared = 0
+    for form, a, b in cases:
+        leads = [_lead_key(c) for c in decompose(form).components]
+        shared += len(leads) - len(set(leads))
+    assert shared >= len(pivots)
+    rng = Random(17)
+    for a, b in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+        cases += [(_twist_form(a, b, j, rng), a, b) for j in range(a + b)]
+    for form, a, b in cases:
+        got, want = map_from_form(form, a, b), _two_sort_map(form, a, b)
+        assert got == want and dump_map(got) == dump_map(want)
+        assert verify_map(got)
+
+
+def _tagged_tensor(m, component_index):
+    """tensor_extend's assembly as first written, kept as the reference; no verification."""
+    comps = m.components.components
+    n, a = m.n, m.a
+    tagged = []
+    for idx, (sign, weight, poly) in enumerate(comps):
+        if idx == component_index:
+            for j in range(n):
+                shifted = {al[:j] + (al[j] + 1,) + al[j + 1:]: c for al, c in poly.items()}
+                tagged.append((sign if j < a else -sign, weight, shifted, False))
+        else:
+            tagged.append((sign, weight, poly, idx == m.denominator))
+    ordered = [t for t in tagged if t[0] > 0] + [t for t in tagged if t[0] < 0]
+    denom = None
+    for pos, t in enumerate(ordered):
+        if t[3]:
+            denom = pos
+            break
+    return QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(n, tuple((s, w, p) for s, w, p, _ in ordered)), denom)
+
+
+def test_tensor_extend_matches_tagged_loop():
+    maps = [parse_map((GOLDEN_INPUTS / name).read_text()) for name in ("dehomogenized.map", "rotated_identity.map")]
+    maps.append(identity_map(3, 2))
+    tried = 0
+    for m in maps:
+        for k in range(len(m.components.components)):
+            if k == m.denominator:
+                with pytest.raises(IndexOutOfRange):
+                    tensor_extend(m, k)
+                continue
+            got, want = tensor_extend(m, k), _tagged_tensor(m, k)
+            assert got == want and dump_map(got) == dump_map(want)
+            tried += 1
+    assert tried == 5 + 3 + 5
+
+
+def test_diagonal_map_matches_two_sorts():
+    for p in list(criterion_8_seeds())[::10]:
+        pos = sorted((al for al, c in p.terms.items() if c > 0), key=grlex_key)
+        neg = sorted((al for al, c in p.terms.items() if c < 0), key=grlex_key)
+        comps = tuple([(1, p.terms[al], {al: gr(1)}) for al in pos] + [(-1, -p.terms[al], {al: gr(1)}) for al in neg])
+        for affine in (False, True):
+            want = QuadricMap(p.a, p.b, not affine, WeightedHoloMap(p.n, comps), len(pos) if affine else None)
+            assert _diagonal_map(p.a, p.b, p.terms, denominator=affine) == want
 
 
 def test_quadric_map_validation():
