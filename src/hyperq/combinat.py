@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import takewhile
 from math import comb, factorial, inf
-from typing import Tuple
+from typing import Callable, Tuple
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,19 @@ def green_K(n: int, k: int) -> int:
     return _last_true(lambda N: green_G(n, _min_degree_for(n, N), N) <= k, 0)
 
 
+def _chain(m: int, n: int, k: int, step: Callable[[int, int], int]) -> int:
+    """step(m + 1, ... step(n - 1, step(n, k))): one step per dimension from n down to m + 1."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if n <= m:
+        raise ValueError("n must exceed m")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    for j in range(n, m, -1):
+        k = step(j, k)
+    return k
+
+
 def compose_K(m: int, n: int, k: int) -> int:
     """Chain of green_K steps walking the dimension from n down to m + 1.
 
@@ -150,16 +163,7 @@ def compose_K(m: int, n: int, k: int) -> int:
     restriction-rank bound k known on m-dimensional slices propagates
     through n - m single steps to the full space.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if n <= m:
-        raise ValueError("n must exceed m")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = k
-    for j in range(n, m, -1):
-        out = green_K(j, out)
-    return out
+    return _chain(m, n, k, green_K)
 
 
 def hermitian_R(m: int, n: int, k: int) -> int:
@@ -168,16 +172,7 @@ def hermitian_R(m: int, n: int, k: int) -> int:
     The two-sided (Hermitian) restriction argument polarizes twice per
     step, giving the single-step bound R_j(k) = K_j(K_j(k)).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if n <= m:
-        raise ValueError("n must exceed m")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = k
-    for j in range(n, m, -1):
-        out = green_K(j, green_K(j, out))
-    return out
+    return _chain(m, n, k, lambda j, x: green_K(j, green_K(j, x)))
 
 
 def rigidity_bound(a: int, b: int, B: int) -> int:

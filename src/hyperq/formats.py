@@ -20,7 +20,7 @@ listed (the denominator, when present, is counted among the negatives).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
 from .forms import HermitianForm, Poly, WeightedHoloMap, form_from_entries
@@ -50,7 +50,14 @@ def _integer(token: str, filename: str, lineno: int) -> int:
         raise ParseError(filename, lineno, f"expected an integer, got {token!r}") from None
 
 
-def _header(line: str, kind: str, keys: Sequence[str], filename: str, lineno: int) -> Dict[str, str]:
+def _header(text: str, kind: str, keys: Sequence[str], filename: str
+            ) -> Tuple[Dict[str, str], int, Iterator[Tuple[int, str]]]:
+    """The header's fields by key, its line number, and the content lines after it."""
+    lines = _content_lines(text)
+    try:
+        lineno, line = next(lines)
+    except StopIteration:
+        raise ParseError(filename, 1, f"empty input, expected a {kind} header") from None
     tokens = line.split()
     if not tokens or tokens[0] != kind:
         raise ParseError(filename, lineno, f"expected a {kind!r} header line")
@@ -65,7 +72,7 @@ def _header(line: str, kind: str, keys: Sequence[str], filename: str, lineno: in
         if not token.startswith(prefix):
             raise ParseError(filename, lineno, f"expected {prefix}..., got {token!r}")
         out[key] = token[len(prefix):]
-    return out
+    return out, lineno, lines
 
 
 def _exponents(tokens: Sequence[str], n: int, filename: str, lineno: int) -> MultiIndex:
@@ -78,12 +85,7 @@ def _exponents(tokens: Sequence[str], n: int, filename: str, lineno: int) -> Mul
 
 
 def parse_form(text: str, filename: str = "<form>") -> HermitianForm:
-    lines = _content_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(filename, 1, "empty input, expected a form header") from None
-    fields = _header(line, "form", ["n"], filename, lineno)
+    fields, lineno, lines = _header(text, "form", ["n"], filename)
     n = _integer(fields["n"], filename, lineno)
     if n < 1:
         raise ParseError(filename, lineno, "n must be at least 1")
@@ -111,12 +113,7 @@ def dump_form(form: HermitianForm) -> str:
 
 
 def parse_realpoly(text: str, filename: str = "<realpoly>") -> SignedRealPoly:
-    lines = _content_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(filename, 1, "empty input, expected a realpoly header") from None
-    fields = _header(line, "realpoly", ["n", "a", "b"], filename, lineno)
+    fields, lineno, lines = _header(text, "realpoly", ["n", "a", "b"], filename)
     n = _integer(fields["n"], filename, lineno)
     a = _integer(fields["a"], filename, lineno)
     b = _integer(fields["b"], filename, lineno)
@@ -143,14 +140,7 @@ def dump_realpoly(p: SignedRealPoly) -> str:
 
 
 def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
-    lines = _content_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(filename, 1, "empty input, expected a map header") from None
-    fields = _header(
-        line, "map", ["n", "a", "b", "A", "B", "homogeneous", "denominator"], filename, lineno
-    )
+    fields, lineno, lines = _header(text, "map", ["n", "a", "b", "A", "B", "homogeneous", "denominator"], filename)
     header_lineno = lineno
     n = _integer(fields["n"], filename, lineno)
     a = _integer(fields["a"], filename, lineno)
@@ -244,13 +234,13 @@ def load_map(path: str) -> QuadricMap:
         return parse_map(fh.read(), path)
 
 
-def monomial_str(alpha: MultiIndex, var: str = "z") -> str:
+def monomial_str(alpha: MultiIndex) -> str:
     parts = []
     for i, e in enumerate(alpha):
         if e == 1:
-            parts.append(f"{var}{i + 1}")
+            parts.append(f"z{i + 1}")
         elif e > 1:
-            parts.append(f"{var}{i + 1}^{e}")
+            parts.append(f"z{i + 1}^{e}")
     return "*".join(parts) if parts else "1"
 
 
@@ -261,14 +251,14 @@ def _coeff_str(c: GaussianRational) -> str:
     return text
 
 
-def poly_str(poly: Poly, var: str = "z") -> str:
+def poly_str(poly: Poly) -> str:
     """Human-readable sum of monomials, grlex order, exact coefficients."""
     if not poly:
         return "0"
     parts = []
     for alpha in sorted(poly, key=grlex_key):
         c = GaussianRational.coerce(poly[alpha])
-        mono = monomial_str(alpha, var)
+        mono = monomial_str(alpha)
         if mono == "1":
             parts.append(_coeff_str(c))
         elif c == 1:
@@ -278,26 +268,8 @@ def poly_str(poly: Poly, var: str = "z") -> str:
     return " + ".join(parts)
 
 
-def real_poly_str(p: SignedRealPoly, var: str = "x") -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for alpha in sorted(p.terms, key=grlex_key):
-        c = p.terms[alpha]
-        mono = monomial_str(alpha, var)
-        lead = "- " if c < 0 else ("+ " if parts else "")
-        mag = abs(c)
-        if mono == "1":
-            parts.append(f"{lead}{mag}")
-        elif mag == 1:
-            parts.append(f"{lead}{mono}")
-        else:
-            parts.append(f"{lead}{mag}*{mono}")
-    return " ".join(parts)
-
-
-def component_str(sign: int, weight: Fraction, poly: Poly, var: str = "z") -> str:
+def component_str(sign: int, weight: Fraction, poly: Poly) -> str:
     """One decomposition summand, weight kept under a symbolic sqrt."""
-    body = poly_str(poly, var)
+    body = poly_str(poly)
     scale = "" if weight == 1 else f"sqrt({weight})*"
     return f"{'+' if sign > 0 else '-'} |{scale}({body})|^2"

@@ -238,15 +238,7 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
         if not terms:
             raise ValueError("cannot infer the variable count from an empty polynomial")
         n = len(next(iter(terms)))
-    entries: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
-    for alpha, coeff in terms.items():
-        a = _check_index(alpha, n)
-        v = GaussianRational.coerce(coeff)
-        if v.im != 0:
-            raise NonRealDiagonal(f"coefficient of x^{a} is not real")
-        if v:
-            entries[(a, a)] = v
-    return HermitianForm(n, entries)
+    return form_from_entries(n, ((alpha, alpha, coeff) for alpha, coeff in terms.items()))
 
 
 _Pair = Tuple[int, int]  # a Gaussian integer re + i im

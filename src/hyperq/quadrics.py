@@ -394,22 +394,25 @@ def verify_map(m: QuadricMap) -> bool:
     return _vanishes_on_quadric(acc, m.a, m.b, affine=not m.homogeneous)
 
 
-def _diagonal_map(a: int, b: int, terms: RealTerms, denominator: bool) -> QuadricMap:
-    """The monomial map of sum c x^alpha via x_k = |z_k|^2, one component per term.
+def _signed_map(a: int, b: int, homogeneous: bool, comps: Iterable[Tuple[int, Fraction, Poly]]) -> QuadricMap:
+    """The map of the signed components, positive ones first, then negative ones.
 
-    Positive terms come first in grlex order, then negative ones, each
-    weighted by |c|.  With denominator, the map is affine and the first
-    negative term is its denominator; otherwise it is homogeneous.
+    Each group keeps the grlex order of its components' leading monomials,
+    ties in the order given.  An affine map's first negative component is
+    its denominator.
     """
-    pos = sorted((al for al, c in terms.items() if c > 0), key=grlex_key)
-    neg = sorted((al for al, c in terms.items() if c < 0), key=grlex_key)
-    comps = tuple(
-        [(1, terms[al], {al: GR_ONE}) for al in pos]
-        + [(-1, -terms[al], {al: GR_ONE}) for al in neg]
-    )
-    return QuadricMap(
-        a, b, not denominator, WeightedHoloMap(a + b, comps), len(pos) if denominator else None
-    )
+    ordered = tuple(sorted(comps, key=lambda c: (c[0] < 0, min(map(grlex_key, c[2])))))
+    denominator = None if homogeneous else sum(c[0] > 0 for c in ordered)
+    return QuadricMap(a, b, homogeneous, WeightedHoloMap(a + b, ordered), denominator)
+
+
+def _diagonal_map(a: int, b: int, terms: RealTerms, denominator: bool) -> QuadricMap:
+    """The monomial map of sum c x^alpha via x_k = |z_k|^2, one component per term, weighted by |c|.
+
+    With denominator, the map is affine and its denominator is named as
+    in `_signed_map`; otherwise it is homogeneous.
+    """
+    return _signed_map(a, b, not denominator, [(1 if c > 0 else -1, abs(c), {al: GR_ONE}) for al, c in terms.items()])
 
 
 Sig = Tuple[int, int]
@@ -467,7 +470,6 @@ class _LatticeSearch:
         box holds witnesses, or more than `budget` nodes in all; a walk
         that is not shared always settles the answer.
         """
-        budget = max(budget, 0)
         a, b = self.split
 
         def inside(sig: Sig) -> bool:
@@ -563,6 +565,8 @@ def reachable_signatures(
         raise ValueError("requires a >= b >= 2")
     if size < 2:
         raise ValueError("size must be at least 2")
+    if budget < 1:
+        raise ValueError("search budget must be positive")
     nodes, hit, width = _search(a, b, size, size, budget)
     return {sig: _unpack(a, b, width, node) for sig, node in nodes.items()}, hit
 
@@ -626,28 +630,14 @@ def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
         )
     if not verify_map(m):
         raise NotVanishing("input map does not verify; refusing to tensor")
-    n, a = m.n, m.a
-    tagged: List[Tuple[int, Fraction, Poly, bool]] = []
-    for idx, (sign, weight, poly) in enumerate(comps):
-        if idx == component_index:
-            for j in range(n):
-                shifted = {al[:j] + (al[j] + 1,) + al[j + 1:]: c for al, c in poly.items()}
-                tagged.append((sign if j < a else -sign, weight, shifted, False))
-        else:
-            tagged.append((sign, weight, poly, idx == m.denominator))
-    ordered = [t for t in tagged if t[0] > 0] + [t for t in tagged if t[0] < 0]
-    denom = None
-    for pos, t in enumerate(ordered):
-        if t[3]:
-            denom = pos
-            break
-    out = QuadricMap(
-        m.a,
-        m.b,
-        m.homogeneous,
-        WeightedHoloMap(n, tuple((s, w, p) for s, w, p, _ in ordered)),
-        denom,
-    )
+    n, i, d = m.n, component_index, m.denominator
+    sign, weight, poly = comps[i]
+    block = tuple((sign if j < m.a else -sign, weight, {al[:j] + (al[j] + 1,) + al[j + 1:]: c for al, c in poly.items()})
+                  for j in range(n))
+    listed = comps[:i] + block + comps[i + 1:]
+    order = sorted(range(len(listed)), key=lambda k: listed[k][0] < 0)  # stable: the block stays in place
+    denom = None if d is None else order.index(d if d < i else d + n - 1)
+    out = QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(n, tuple(listed[k] for k in order)), denom)
     if not verify_map(out):
         raise NotVanishing("tensor extension failed verification")
     return out
@@ -686,18 +676,6 @@ def map_from_form(form: HermitianForm, a: int, b: int) -> QuadricMap:
     if not _vanishes_on_quadric(dict(zip(form.entries, pairs)), a, b, affine=True):
         raise NotVanishing(f"the form does not vanish on Q({a}, {b})")
     holo = decompose(form)
-
-    def lead_key(comp):
-        return min(grlex_key(mono) for mono in comp[2])
-
-    pos = sorted((c for c in holo.components if c[0] > 0), key=lead_key)
-    neg = sorted((c for c in holo.components if c[0] < 0), key=lead_key)
-    if not neg:
+    if not holo.signature().neg:
         raise NoNegativeComponent("the decomposition has no negative component")
-    return QuadricMap(
-        a,
-        b,
-        False,
-        WeightedHoloMap(form.n, tuple(pos + neg)),
-        len(pos),
-    )
+    return _signed_map(a, b, False, holo.components)

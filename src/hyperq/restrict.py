@@ -120,10 +120,6 @@ def restriction_matrix(E: AffineEmbedding, d: int) -> RestrictionMatrix:
 
 def restrict_form(form: HermitianForm, E: AffineEmbedding) -> HermitianForm:
     """The restricted form T* C T; its rank is the rank of r composed with E."""
-    if form.n != E.n_ambient:
-        raise DimensionMismatch(
-            f"form has {form.n} variables, embedding has {E.n_ambient} ambient rows"
-        )
     return compose_linear(form, E.linear, E.translation)
 
 

@@ -253,6 +253,13 @@ def test_region_json_sector_covered(capsys):
     assert doc["lines"][0] == "A + B = 5"
 
 
+def test_region_refuses_budget_below_one(capsys):
+    for budget in ("0", "-3"):
+        for argv in (["quadric", "region", "4", "2", "--max", "8"], ["quadric", "construct", "4", "2", "9", "8"]):
+            code, out, err = run(capsys, argv + ["--budget", budget])
+            assert (code, out, err) == (1, "", "error: search budget must be positive\n")
+
+
 def test_file_and_parse_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["form", "rank", str(tmp_path / "missing.txt")])
     assert code == 2 and err.startswith("file error:")

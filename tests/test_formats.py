@@ -18,7 +18,6 @@ from hyperq.formats import (
     parse_map,
     parse_realpoly,
     poly_str,
-    real_poly_str,
 )
 from hyperq.forms import form_from_entries
 from hyperq.quadrics import (
@@ -262,7 +261,5 @@ def test_pretty_printers():
     assert monomial_str((0, 0)) == "1"
     assert poly_str({(1, 0): gr(1), (0, 1): gr(0, 1)}) == "z1 + (1i)*z2"
     assert poly_str({}) == "0"
-    assert real_poly_str(s_poly(2, 1)) == "x1 + x2 - x3"
-    assert real_poly_str(SignedRealPoly(1, 1, {(2, 0): Fraction(1, 2), (0, 2): -3})) == "1/2*x1^2 - 3*x2^2"
     assert component_str(1, Fraction(1, 2), {(1, 0): gr(1), (0, 1): gr(1)}) == "+ |sqrt(1/2)*(z1 + z2)|^2"
     assert component_str(-1, Fraction(1), {(1, 1): gr(1)}) == "- |(z1*z2)|^2"

@@ -523,6 +523,12 @@ def test_reachable_signatures_box():
         reachable_signatures(2, 2, 1)
 
 
+def test_reachable_signatures_refuses_budget_below_one():
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="search budget must be positive"):
+            reachable_signatures(4, 2, 8, budget=budget)
+
+
 def test_verify_identity_map():
     for a, b in [(2, 1), (2, 2), (3, 2)]:
         assert verify_map(identity_map(a, b))
