@@ -191,8 +191,8 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
             raise ParseError(filename, lineno, "the terms of this component cancel to zero")
         comps.append((sign, weight, poly))
 
-    pos = sum(1 for s, _, _ in comps if s > 0)
-    neg = len(comps) - pos
+    holo = WeightedHoloMap(n, tuple(comps))
+    pos, neg = holo.signature()
     if (pos, neg) != (big_a, big_b):
         raise ParseError(
             filename, header_lineno,
@@ -200,7 +200,7 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
         )
     if denominator is not None and not (0 <= denominator < len(comps) and comps[denominator][0] < 0):
         raise ParseError(filename, header_lineno, f"denominator={denominator} names no negative component")
-    return QuadricMap(a, b, homogeneous, WeightedHoloMap(n, tuple(comps)), denominator)
+    return QuadricMap(a, b, homogeneous, holo, denominator)
 
 
 def dump_map(m: QuadricMap) -> str:

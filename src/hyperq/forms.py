@@ -336,12 +336,12 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     not nnz k^2.  Each gamma is keyed by its index in one grlex basis of the monomials the P
     reach, so a product hashes one small int; den reads M^gamma and D M_0^e from lists.
     """
+    if len(matrix) != form.n:
+        raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
     if translation is not None and len(translation) != form.n:
         raise DimensionMismatch(
             f"translation has {len(translation)} entries, form has {form.n} variables"
         )
-    if len(matrix) != form.n:
-        raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
     n_dst = len(matrix[0]) if form.n else 0
     support, cols, d, top = _form_side(form)
     table, den = _expansions(matrix, translation, n_dst, support)

@@ -739,6 +739,23 @@ def test_map_from_form_matches_two_sorts():
         leads = [_lead_key(c) for c in decompose(form).components]
         shared += len(leads) - len(set(leads))
     assert shared >= len(pivots)
+    # random multipliers: components of one sign often share a leading monomial, and their order must hold
+    rng, tied = Random(5), 0
+    for _ in range(60):
+        a, b = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2)])
+        monos = list(dict.fromkeys(tuple(rng.randint(0, 1) for _ in range(a + b)) for _ in range(rng.randint(2, 4))))
+        h = []
+        for i, u in enumerate(monos):
+            for v in monos[i + 1:]:
+                c = gr(rng.randint(-3, 3), rng.randint(-3, 3))
+                h += [(u, v, c), (v, u, c.conjugate())]
+            h.append((u, u, gr(rng.randint(-3, 3))))
+        form = _times_defining(a, b, h)
+        keys = [(c[0], _lead_key(c)) for c in decompose(form).components]
+        tied += len(keys) - len(set(keys))
+        if keys and min(keys)[0] < 0:
+            cases.append((form, a, b))
+    assert tied >= 10
     rng = Random(17)
     for a, b in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         cases += [(_twist_form(a, b, j, rng), a, b) for j in range(a + b)]

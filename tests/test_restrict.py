@@ -121,6 +121,14 @@ def test_restrict_form_dimension_check():
         restrict_form(f, embedding([[1], [0], [0]]))
 
 
+def test_restrict_form_mismatch_names_the_rows():
+    # an embedding always carries a translation, zero when none was given, so the rows are checked first
+    f = form_from_real_poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1})
+    for E in (embedding([[1], [0]]), embedding([[1], [0]], [1, 0])):
+        with pytest.raises(DimensionMismatch, match=r"^matrix has 2 rows, form has 3 variables$"):
+            restrict_form(f, E)
+
+
 def test_generic_restriction_rank_deterministic():
     f = form_from_real_poly({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
     a = generic_restriction_rank(f, 2, trials=2, seed=5)
