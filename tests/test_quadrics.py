@@ -529,6 +529,27 @@ def test_reachable_signatures_refuses_budget_below_one():
             reachable_signatures(4, 2, 8, budget=budget)
 
 
+def test_search_argument_messages():
+    # one bad argument at a time, so the message does not depend on the order of the checks
+    cases = [
+        (lambda: construct_map(2, 3, 9, 9), "requires a >= b >= 2"),
+        (lambda: construct_map(3, 1, 9, 9), "requires a >= b >= 2"),
+        (lambda: construct_map(4, 2, 1, 9), "requires A >= 2 and B >= 2"),
+        (lambda: construct_map(4, 2, 9, 1), "requires A >= 2 and B >= 2"),
+        (lambda: construct_map(4, 2, 9, 9, search_budget=0), "search budget must be positive"),
+        (lambda: construct_map(4, 2, 9, 9, search_budget=-3), "search budget must be positive"),
+        (lambda: reachable_signatures(2, 3, 8), "requires a >= b >= 2"),
+        (lambda: reachable_signatures(3, 1, 8), "requires a >= b >= 2"),
+        (lambda: reachable_signatures(4, 2, 1), "size must be at least 2"),
+        (lambda: reachable_signatures(4, 2, 8, budget=0), "search budget must be positive"),
+        (lambda: reachable_signatures(4, 2, 8, budget=-3), "search budget must be positive"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_verify_identity_map():
     for a, b in [(2, 1), (2, 2), (3, 2)]:
         assert verify_map(identity_map(a, b))

@@ -12,6 +12,7 @@ from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
 from hyperq.linalg import identity, matmul
+from hyperq.multiindex import unit
 from hyperq.restrict import (
     AffineEmbedding,
     _random_scalar,
@@ -25,7 +26,7 @@ from hyperq.restrict import (
     sz_failure_bound,
     veronese_dim,
 )
-from hyperq.scalars import gr
+from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
 def test_veronese_dim():
@@ -303,6 +304,41 @@ def test_quadric_subspace_lies_in_quadric():
         for _ in range(3):
             w = [gr(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(b)]
             assert restricted.evaluate(w) == gr(1)
+
+
+def _copied_quadric_subspace(a, b, U):
+    """quadric_subspace as first written, copying U into V, kept as the reference."""
+    V = [[U[i][j] for j in range(b + 1)] for i in range(a)]
+    rows, trans = [], []
+    for i in range(a):
+        rows.append([V[i][k] for k in range(b)])
+        trans.append(V[i][b])
+    for i in range(b):
+        rows.append(list(unit(b, i)))
+        trans.append(GR_ZERO)
+    return embedding([[GaussianRational.coerce(x) for x in r] for r in rows], trans)
+
+
+def test_quadric_subspace_matches_copied_construction(monkeypatch):
+    # the unitary is drawn once, from a fresh Random(f"{seed}:line"), and reused by the reference
+    drawn = []
+    unitary = restrict.cayley_unitary
+
+    def recorded(n, rng, bound):
+        state = rng.getstate()
+        drawn.append((n, state, bound, unitary(n, rng, bound)))
+        return drawn[-1][3]
+
+    monkeypatch.setattr(restrict, "cayley_unitary", recorded)
+    for a, b in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)]:
+        for seed in range(5):
+            for bound in (99, 9):
+                drawn.clear()
+                got = quadric_subspace(a, b, seed, bound)
+                (n, state, used, U), = drawn
+                assert (n, state, used) == (a, Random(f"{seed}:line").getstate(), bound)
+                want = _copied_quadric_subspace(a, b, U)
+                assert (got.linear, got.translation) == (want.linear, want.translation), (a, b, seed, bound)
 
 
 def test_quadric_subspace_needs_room():
