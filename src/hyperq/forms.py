@@ -21,7 +21,7 @@ from math import lcm, prod
 from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from .linalg import _checked_hermitian, _cleared, _components, _pivot_count, _signs, _symmetric_steps
+from .linalg import _checked_hermitian, _cleared, _components, _signs, _symmetric_steps
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, total_degree, unit, zero_index
 from .scalars import GR_ONE, GaussianRational, gr
 
@@ -393,4 +393,5 @@ def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
     """
     acc = _composed(form, matrix, translation)[2]
     live = sorted({k for i, row in acc.items() for j, v in row.items() if v != (0, 0) for k in (i, j)})
-    return _pivot_count(_checked_hermitian([[acc.get(i, {}).get(j, (0, 0)) for j in live] for i in live]))
+    x = _checked_hermitian([[acc.get(i, {}).get(j, (0, 0)) for j in live] for i in live])
+    return sum(_signs(_symmetric_steps(x)))

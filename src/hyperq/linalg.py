@@ -3,9 +3,9 @@
 The kernels eliminate fraction-free over Gaussian integers held as
 (re, im) int pairs (Bareiss 1968): every entry is a minor of the cleared
 matrix, so every division is exact.  One symmetric elimination of a
-Hermitian M gives the rank, its pivot count, and steps that `_signs` and
-`_components` read for `inertia` and `ldl_components`, or for a form's
-memoized steps in forms; `rank` runs it on the Gram matrix of a general matrix.
+Hermitian M gives steps that `_signs` counts by sign (their sum is the
+rank) and `_components` reads for `ldl_components`, here or on a form's
+memoized steps in forms; `rank` runs it on the Gram matrix of a matrix.
 M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
@@ -59,7 +59,7 @@ def rank(rows: Sequence[Sequence[object]]) -> int:
         a = list(zip(*a))
     gram = [[(sum(pr * qr + pi * qi for (pr, pi), (qr, qi) in zip(p, q)),
               sum(pi * qr - pr * qi for (pr, pi), (qr, qi) in zip(p, q))) for q in a] for p in a]
-    return _pivot_count(gram)
+    return sum(_signs(_symmetric_steps(gram)))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -135,11 +135,6 @@ def _checked_hermitian(x: List[List[_GIPair]]) -> List[List[_GIPair]]:
             if x[l][k] != (re, -im):
                 raise ConjugateMismatch(f"entries ({k}, {l}) and ({l}, {k}) are not mutual conjugates")
     return x
-
-
-def _pivot_count(x: List[List[_GIPair]]) -> int:
-    """Rank of a Hermitian matrix of int pairs: a 1x1 step is one pivot, a 2x2 step two."""
-    return sum(len(cols) for *_, cols in _symmetric_steps(x))
 
 
 def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:
@@ -227,8 +222,8 @@ def inertia(mat: Matrix) -> Tuple[int, int]:
 
 
 def _signs(steps: Iterable[tuple]) -> Tuple[int, int]:
-    """(positive, negative) pivot counts: sign(p prev) for a 1x1 pivot p, which is
-    the sign of the true pivot p / (prev L); one each way for a 2x2."""
+    """(positive, negative) pivot counts, summing to the rank: sign(p prev) for a
+    1x1 pivot p, which is the sign of the true pivot p / (prev L); one each way for a 2x2."""
     pos = neg = 0
     for _, prev, piv, cols in steps:
         pos += len(cols) == 2 or (piv > 0) == (prev > 0)

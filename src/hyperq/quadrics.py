@@ -46,7 +46,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .combinat import stability_region
 from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
                      NotReached, NotVanishing)
-from .forms import HermitianForm, Poly, SignaturePair, WeightedHoloMap, _norm_difference, _PairForm, decompose
+from .forms import (HermitianForm, Poly, SignaturePair, WeightedHoloMap, _form_side, _norm_difference, _PairForm,
+                    decompose)
 from .linalg import _cleared
 from .multiindex import MultiIndex, grlex_key, total_degree, unit, zero_index
 from .scalars import GR_ONE
@@ -262,19 +263,18 @@ def _moved(p: SignedRealPoly, shift: Tuple[int, int], route: Tuple, sig: Signatu
     return out
 
 
-def grow(p: SignedRealPoly, mirror: bool = False, verify: bool = True) -> SignedRealPoly:
-    """The degree-raising move p -> x_1^{k-m} p + x_2^{k-1} s.
+def grow(p: SignedRealPoly, mirror: bool = False) -> SignedRealPoly:
+    """The degree-raising move p -> x_1^{k-m} p + x_2^{k-1} s of an admissible p.
 
     k is minimal with the two supports disjoint, so the signature shifts
     by exactly (a, b); with mirror=True the variable roles swap and -s
-    is used instead, shifting by (b, a).  verify=False skips the input
-    admissibility check for callers that already know it holds.
+    is used instead, shifting by (b, a).
     """
-    sig = _require_admissible(p, "grow") if verify else p.signature()
+    sig = _require_admissible(p, "grow")
     return _moved(p, (p.b, p.a) if mirror else (p.a, p.b), ("grow", mirror), sig)
 
 
-def corner_move(p: SignedRealPoly, shift: Tuple[int, int], verify: bool = True) -> SignedRealPoly:
+def corner_move(p: SignedRealPoly, shift: Tuple[int, int]) -> SignedRealPoly:
     """Apply the move realizing the given signature shift.
 
     shift must be one of the eight lattice vectors for the source split
@@ -289,11 +289,11 @@ def corner_move(p: SignedRealPoly, shift: Tuple[int, int], verify: bool = True) 
     if route is None:
         raise ValueError(f"shift {shift} is not one of the eight moves for source ({a}, {b})")
     if route[0] == "grow":
-        return grow(p, route[1], verify=verify)
+        return grow(p, route[1])
     if b < 2:
         raise ValueError("corner moves need b >= 2")
-    out = _moved(p, shift, route, _require_admissible(p, "corner_move") if verify else p.signature())
-    if verify and not is_admissible(out)[0]:
+    out = _moved(p, shift, route, _require_admissible(p, "corner_move"))
+    if not is_admissible(out)[0]:
         raise NotAdmissible("corner move produced a non-admissible polynomial")
     return out
 
@@ -540,6 +540,10 @@ def _search(
     than `budget` in all, walks the box alone: no call expands more than
     about three times the nodes of that lone walk, nor about 2 x budget.
     """
+    if not a >= b >= 2:
+        raise ValueError("requires a >= b >= 2")
+    if budget < 1:
+        raise ValueError("search budget must be positive")
     with _SEARCH_LOCK:
         state = _SEARCHES.pop((a, b), None)
         if state is None:
@@ -561,12 +565,8 @@ def reachable_signatures(
     a: int, b: int, size: int, budget: int = 10**5
 ) -> Tuple[Dict[Tuple[int, int], SignedRealPoly], bool]:
     """Witnesses for every reachable signature with A, B <= size."""
-    if not a >= b >= 2:
-        raise ValueError("requires a >= b >= 2")
     if size < 2:
         raise ValueError("size must be at least 2")
-    if budget < 1:
-        raise ValueError("search budget must be positive")
     nodes, hit, width = _search(a, b, size, size, budget)
     return {sig: _unpack(a, b, width, node) for sig, node in nodes.items()}, hit
 
@@ -578,12 +578,8 @@ def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) ->
     search succeeds; outside the sector it may still succeed for small
     targets reachable by the moves.
     """
-    if not a >= b >= 2:
-        raise ValueError("requires a >= b >= 2")
     if A < 2 or B < 2:
         raise ValueError("requires A >= 2 and B >= 2")
-    if search_budget < 1:
-        raise ValueError("search budget must be positive")
     nodes, hit_budget, width = _search(a, b, A, B, search_budget, goal=(A, B))
     if (A, B) not in nodes:
         if hit_budget:
@@ -672,8 +668,8 @@ def map_from_form(form: HermitianForm, a: int, b: int) -> QuadricMap:
         raise ValueError("source split needs a >= 1 and b >= 0")
     if form.n != a + b:
         raise DimensionMismatch(f"form has {form.n} variables, quadric has {a + b}")
-    pairs, _ = _cleared(form.entries.values())
-    if not _vanishes_on_quadric(dict(zip(form.entries, pairs)), a, b, affine=True):
+    cleared = {(alpha, beta): c for beta, col in _form_side(form)[1].items() for alpha, c, _ in col}
+    if not _vanishes_on_quadric(cleared, a, b, affine=True):
         raise NotVanishing(f"the form does not vanish on Q({a}, {b})")
     holo = decompose(form)
     if not holo.signature().neg:

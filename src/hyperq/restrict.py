@@ -253,19 +253,6 @@ def quadric_subspace(a: int, b: int, seed: int = 0, bound: int = 99) -> AffineEm
         raise ValueError("a and b must be positive")
     if b + 1 > a:
         raise ValueError("the orthonormal-column family needs b + 1 <= a")
-    rng = Random(f"{seed}:line")
-    U = cayley_unitary(a, rng, bound)
-    cols = b + 1
-    V = [[U[i][j] for j in range(cols)] for i in range(a)]
-    n = a + b
-    rows: List[List[GaussianRational]] = []
-    trans: List[GaussianRational] = []
-    for i in range(a):
-        rows.append([V[i][k] for k in range(b)])
-        trans.append(V[i][b])
-    for i in range(b):
-        rows.append(list(unit(b, i)))
-        trans.append(GR_ZERO)
-    E = embedding([[GaussianRational.coerce(x) for x in r] for r in rows], trans)
-    assert E.n_ambient == n
-    return E
+    U = cayley_unitary(a, Random(f"{seed}:line"), bound)
+    rows = [row[:b] for row in U] + [unit(b, i) for i in range(b)]
+    return embedding(rows, [row[b] for row in U] + [GR_ZERO] * b)

@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from hyperq import quadrics
+from hyperq import forms, quadrics
 from hyperq.combinat import stability_region
 from hyperq.errors import (
     DimensionMismatch,
@@ -201,10 +201,10 @@ def test_corner_move_validation():
         corner_move(s_poly(2, 1), (1, 0))
     with pytest.raises(NotAdmissible):
         corner_move(SignedRealPoly(2, 2, {(1, 0, 0, 0): 1}), (1, 1))
-    # a pivot of the required sign can only be missing for bad input
+    # a pivot of the required sign can only be missing for bad input, which corner_move refuses
     allpos = SignedRealPoly(2, 2, {(1, 0, 0, 0): -1, (0, 1, 0, 0): -1})
     with pytest.raises(NoPivotMonomial):
-        corner_move(allpos, (1, 1), verify=False)
+        quadrics._moved(allpos, (1, 1), _routes(2, 2)[(1, 1)], allpos.signature())
 
 
 def test_all_shifts_sound_on_random_seeds():
@@ -265,18 +265,21 @@ def test_packed_moves_match_tuple_moves():
     ]
     inputs += [_with_factor(p, e, power) for p in seeds[::5] for e in (0, p.n - 1) for power in (1, 3)]
     assert any(c.denominator == 7 for p in inputs for c in p.terms.values())
-    # verify=False lets a polynomial with no pivot of the wanted sign through
-    negative = SignedRealPoly(3, 2, {al: -c for al, c in s_poly(3, 2).terms.items() if c > 0})
     moved = missing = 0
-    for p in inputs + [negative]:
-        verify = p is not negative
+    for p in inputs:
         for shift in _routes(p.a, p.b):
-            got = _move_outcome(corner_move, p, shift, verify)
-            assert got == _move_outcome(tuple_corner_move, p, shift, verify), (p, shift)
+            got = _move_outcome(corner_move, p, shift)
+            assert got == _move_outcome(tuple_corner_move, p, shift), (p, shift)
             moved += isinstance(got, SignedRealPoly)
-            missing += not isinstance(got, SignedRealPoly)
         for mirror in (False, True):  # on a == b the mirrored grow has no route of its own
-            assert grow(p, mirror, verify) == tuple_grow(p, mirror, verify)
+            assert grow(p, mirror) == tuple_grow(p, mirror)
+    # the unchecked move lets a polynomial with no pivot of the wanted sign through
+    negative = SignedRealPoly(3, 2, {al: -c for al, c in s_poly(3, 2).terms.items() if c > 0})
+    for shift, route in _routes(negative.a, negative.b).items():
+        got = _move_outcome(quadrics._moved, negative, shift, route, negative.signature())
+        assert got == _move_outcome(tuple_corner_move, negative, shift, False), shift
+        moved += isinstance(got, SignedRealPoly)
+        missing += not isinstance(got, SignedRealPoly)
     assert moved >= 1800 and missing >= 1
 
 
@@ -431,15 +434,15 @@ def _lone_walk(a, b, box_a, box_b, budget, goal=None, moves=(grow, corner_move))
             nsig = (sig[0] + shift[0], sig[1] + shift[1])
             if nsig[0] <= box_a and nsig[1] <= box_b and nsig not in witnesses:
                 if route[0] == "grow":
-                    push(nsig, grow_move(poly, route[1], verify=False))
+                    push(nsig, grow_move(poly, route[1]))
                 else:
-                    push(nsig, corner(poly, shift, verify=False))
+                    push(nsig, corner(poly, shift))
     return witnesses, False
 
 
 def test_shared_search_matches_lone_walk():
     # boxes that hold one seed but not the other, tiny budgets, cold and warm
-    cold = [(4, 2, 7, 3, 1), (4, 2, 3, 7, 1), (4, 2, 8, 3, 2), (4, 2, 3, 8, 2), (3, 2, 3, 3, 0)]
+    cold = [(4, 2, 7, 3, 1), (4, 2, 3, 7, 1), (4, 2, 8, 3, 2), (4, 2, 3, 8, 2)]
     for a, b, A, B, budget in cold:
         _clear_search_cache()
         got = _searched(a, b, A, B, budget, goal=(A, B))
@@ -454,7 +457,7 @@ def test_shared_search_matches_lone_walk():
         A, B = rng.randint(2, 22), rng.randint(2, 22)
         if rng.random() < 0.5:
             A, B = rng.choice([(A, rng.randint(2, 5)), (rng.randint(2, 5), B)])
-        budget = rng.choice([0, 1, 2, 3, 10, 40, 10**5])
+        budget = rng.choice([1, 2, 3, 10, 40, 10**5])
         goal = (A, B) if rng.random() < 0.7 else None
         got = _searched(a, b, A, B, budget, goal)
         want = _lone_walk(a, b, A, B, budget, goal)
@@ -707,6 +710,23 @@ def test_map_from_form_errors():
         map_from_form(nonvanishing, 2, 2)
     with pytest.raises(NoNegativeComponent):
         map_from_form(form_from_entries(3, []), 2, 1)
+
+
+def test_map_from_form_clears_the_form_once(monkeypatch):
+    # the vanishing test reads the cleared entries that decompose then finds memoized on the form
+    defining = form_from_entries(3, [((1, 0, 0), (1, 0, 0), 1), ((0, 1, 0), (0, 1, 0), 1),
+                                     ((0, 0, 1), (0, 0, 1), -1), ((0, 0, 0), (0, 0, 0), -1)])
+    product = form_from_real_poly({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1, (1, 0, 0): -1})
+    twisted = compose_linear(norm_difference(tensor_extend(identity_map(2, 1), 0).components, True),
+                             [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    calls = []
+    cleared = forms._cleared
+    for module in (forms, quadrics):
+        monkeypatch.setattr(module, "_cleared", lambda values: calls.append(1) or cleared(values))
+    for form in (defining, product, twisted):
+        calls.clear()
+        map_from_form(form, 2, 1)
+        assert calls == [1]
 
 
 def _lead_key(comp):
