@@ -7,8 +7,8 @@ Rank, inertia and weighted holomorphic squares are exact over the
 Gaussian rationals and read one elimination per form, memoized with its
 entries cleared to Gaussian integers over one lcm.  Substitution (in two
 passes) and norm differences run one sandwich loop over Gaussian integers
-as (re, im) int pairs; each output entry has a denominator known up front
-and becomes a rational once.  The monomial basis is graded lexicographic
+as (re, im) int pairs, whose output is the new form's cleared view over
+the lcm of its entries' denominators.  The monomial basis is graded lexicographic
 everywhere, so matrices, files and decompositions are reproducible byte
 for byte.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
@@ -46,16 +46,28 @@ class HermitianForm:
 
     entries maps (alpha, beta) to the coefficient of z^alpha zbar^beta.
     Both mirror entries are stored; zero entries are omitted.  Treat
-    instances as immutable: a private memo keeps their cleared view and elimination.
+    instances as immutable: a private memo keeps their cleared view and
+    elimination.  A form that compose_linear or norm_difference builds
+    starts from that view and reduces its entries on first read.
     """
 
     n: int
     entries: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = field(default_factory=dict)
     _memo: Dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __getattr__(self, name: str) -> Any:
+        """Only reached for the entries of a form that _to_form built: reduced from its side once."""
+        if name != "entries":
+            raise AttributeError(name)
+        support, flat, d = self._memo["side"]
+        entries = {(support[i], support[j]): GaussianRational(Fraction(re, d), Fraction(im, d))
+                   for (i, j), (re, im) in flat.items()}
+        object.__setattr__(self, "entries", entries)
+        return entries
+
     def support(self) -> List[MultiIndex]:
         """Grlex-sorted list of multi-indices appearing in any entry."""
-        return sorted_grlex({index for key in self.entries for index in key})
+        return list(_form_side(self)[0])
 
     def matrix(self, basis: Optional[Sequence[MultiIndex]] = None) -> List[List[GaussianRational]]:
         """Dense coefficient matrix over the given (default: support) basis."""
@@ -157,12 +169,8 @@ def _elimination(form: HermitianForm) -> Tuple[int, int, list]:
     """
     steps = form._memo.get("steps")
     if steps is None:
-        support, cols, d, _ = _form_side(form)
-        at = {alpha: k for k, alpha in enumerate(support)}
-        x = [[(0, 0)] * len(support) for _ in support]
-        for beta, col in cols.items():
-            for alpha, c, _ in col:
-                x[at[alpha]][at[beta]] = c
+        support, flat, d = _form_side(form)
+        x = [[flat.get((i, j), (0, 0)) for j in range(len(support))] for i in range(len(support))]
         steps = form._memo["steps"] = (d, len(support), list(_symmetric_steps(_checked_hermitian(x))))
     return steps
 
@@ -204,28 +212,23 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
 
 
 def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
-    """The form sum(sign * weight * |component|^2), minus 1 if requested."""
-    acc, common = _norm_difference(holo, subtract_one)
-    return _to_form(holo.n, ((key, v, common) for key, v in acc.items()))
-
-
-def _norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> Tuple["_PairForm", int]:
-    """norm_difference as (acc, D): its entries are acc[key] / D.
+    """The form sum(sign * weight * |component|^2), minus 1 if requested.
 
     Component P / d with weight a / b adds sign * a * (D / (b d^2)) P conj(P)
-    in Z[i] to one accumulator over D, the lcm of every b d^2, read flat.
+    in Z[i] to one accumulator over D, the lcm of every b d^2, keyed by
+    the monomials' indices in one grlex basis; the 1 is the last component.
     """
-    comps = [(s, Fraction(w), *_cleared(p.values()), p) for s, w, p in holo.components]
+    one = ((-1, 1, {zero_index(holo.n): GR_ONE}),) if subtract_one else ()
+    comps = [(s, Fraction(w), *_cleared(p.values()), p) for s, w, p in (*holo.components, *one)]
     common = lcm(*(w.denominator * d * d for _, w, _, d, _ in comps))
+    basis = sorted_grlex({alpha for *_, poly in comps for alpha in poly})
+    at = {alpha: i for i, alpha in enumerate(basis)}
     acc: _Rows = {}
     for sign, w, pairs, d, poly in comps:
         k = w.numerator * (common // (w.denominator * d * d))
-        p = dict(zip(poly, pairs))
+        p = {at[alpha]: c for alpha, c in zip(poly, pairs)}
         _sandwich(acc, (k if sign > 0 else -k, 0), p, p)
-    if subtract_one:
-        one = {zero_index(holo.n): (1, 0)}
-        _sandwich(acc, (-common, 0), one, one)
-    return {(gamma, delta): v for gamma, row in acc.items() for delta, v in row.items()}, common
+    return _to_form(holo.n, basis, acc, lambda i, j: common)
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -243,9 +246,8 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
 
 _Pair = Tuple[int, int]  # a Gaussian integer re + i im
 _PairPoly = Dict[MultiIndex, _Pair]
-_PairForm = Dict[Tuple[MultiIndex, MultiIndex], _Pair]
-_Rows = Dict[Hashable, Dict[Hashable, _Pair]]  # acc[gamma][delta], keyed by monomials or basis indices
-_FormSide = Tuple[List[MultiIndex], Dict[MultiIndex, List[Tuple[MultiIndex, _Pair, int]]], int, int]
+_Rows = Dict[Hashable, Dict[Hashable, _Pair]]  # acc[gamma][delta], keyed by basis indices
+_FormSide = Tuple[List[MultiIndex], Dict[Tuple[int, int], _Pair], int]
 
 
 def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:
@@ -269,10 +271,26 @@ def _sandwich(acc: _Rows, c: _Pair, left: Dict[Hashable, _Pair], right: Dict[Has
             row[delta] = (r + xr * vr + xi * vi, i + xi * vr - xr * vi)
 
 
-def _to_form(n: int, entries: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair, int]]) -> HermitianForm:
-    """The form with entry (re + i im) / d at each (key, (re, im), d); entries that cancelled are dropped."""
-    return HermitianForm(n, {key: GaussianRational(Fraction(re, d), Fraction(im, d))
-                             for key, (re, im), d in entries if re or im})
+def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: Callable[[int, int], int]) -> HermitianForm:
+    """The form with entry acc[i][j] / den(i, j) at (basis[i], basis[j]); entries that cancelled are dropped.
+
+    Its side is these Gaussian integers over the lcm of their reduced denominators:
+    brought over the lcm d of den, then divided by their common factor with d.  So
+    rank, inertia, decompose and composition read no Fraction, and the elimination
+    sees the integers that clearing the entries would give; only entries reduces.
+    """
+    dens = {(i, j): den(i, j) for i, row in acc.items() for j, v in row.items() if v != (0, 0)}
+    live = sorted({k for key in dens for k in key})
+    at = {k: p for p, k in enumerate(live)}
+    d = lcm(*dens.values())
+    pairs = {(at[i], at[j]): acc[i][j] if q == d else (acc[i][j][0] * (d // q), acc[i][j][1] * (d // q))
+             for (i, j), q in dens.items()}
+    g = gcd(d, *(x for pair in pairs.values() for x in pair)) if d > 1 else 1
+    form = HermitianForm(n)
+    object.__delattr__(form, "entries")  # so that the first read of entries reaches __getattr__
+    form._memo["side"] = ([basis[k] for k in live], pairs if g == 1 else
+                          {key: (re // g, im // g) for key, (re, im) in pairs.items()}, d // g)
+    return form
 
 
 def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]], n_dst: int,
@@ -310,15 +328,15 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
 
 
 def _form_side(form: HermitianForm) -> _FormSide:
-    """(support, cols, D, K) as in _composed, where no embedding appears; memoized on the form."""
+    """(support, flat, D), memoized on the form: entry (support[i], support[j]) is flat[i, j] / D
+    over Gaussian integers, in the entries' order."""
     side = form._memo.get("side")
     if side is None:
-        pairs, d = _cleared(form.entries.values())
-        top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
-        cols: Dict[MultiIndex, List[Tuple[MultiIndex, _Pair, int]]] = {}
-        for (alpha, beta), c in zip(form.entries, pairs):
-            cols.setdefault(beta, []).append((alpha, c, top - sum(alpha) - sum(beta)))
-        side = form._memo["side"] = (form.support(), cols, d, top)
+        entries = form.entries
+        support = sorted_grlex({index for key in entries for index in key})
+        at = {alpha: k for k, alpha in enumerate(support)}
+        pairs, d = _cleared(entries.values())
+        side = form._memo["side"] = (support, {(at[alpha], at[beta]): c for (alpha, beta), c in zip(entries, pairs)}, d)
     return side
 
 
@@ -330,8 +348,8 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     _expansions and K the top |alpha| + |beta|, entry c at (alpha, beta) adds
     C M_0^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in Z[i] at
     (gamma, delta), whose denominator is D M^gamma M^delta M_0^(K-|gamma|-|delta|).
-    Two passes group the sum by alpha: one sandwich per column cols[beta] = [(alpha, C, exponent)]
-    adds conj(C) M_0^exponent P_beta[delta] to V_alpha[delta], then acc[gamma][delta]
+    Two passes group the sum by alpha: one sandwich per column beta of the form side
+    adds conj(C) M_0^(K-|alpha|-|beta|) P_beta[delta] to V_alpha[delta], then acc[gamma][delta]
     += P_alpha[gamma] conj(V_alpha[delta]): nnz k + |support| k^2 products for k terms per P,
     not nnz k^2.  Each gamma is keyed by its index in one grlex basis of the monomials the P
     reach, so a product hashes one small int; den reads M^gamma and D M_0^e from lists.
@@ -343,23 +361,29 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
             f"translation has {len(translation)} entries, form has {form.n} variables"
         )
     n_dst = len(matrix[0]) if form.n else 0
-    support, cols, d, top = _form_side(form)
+    support, flat, d = _form_side(form)
     table, den = _expansions(matrix, translation, n_dst, support)
     basis = sorted_grlex({g for p in table.values() for g in p})
     at = {g: i for i, g in enumerate(basis)}
-    table = {alpha: {at[g]: x for g, x in p.items()} for alpha, p in table.items()}
+    table = [{at[g]: x for g, x in table[alpha].items()} for alpha in support]
+    size = [sum(alpha) for alpha in support]  # |alpha|
+    top = max((size[i] + size[j] for i, j in flat), default=0)
     m0 = den(zero_index(n_dst), 1)
     scale = [m0**e for e in range(top + 1)]
-    v: _Rows = {}  # v[delta][alpha] = V_alpha[delta]
-    for beta, col in cols.items():
-        _sandwich(v, (1, 0), table[beta], {alpha: (cr * scale[e], ci * scale[e]) for alpha, (cr, ci), e in col})
-    rows: Dict[MultiIndex, Dict[Hashable, _Pair]] = {}
+    cols: _Rows = {}  # cols[j][i] = C M_0^(K-|alpha|-|beta|) at (alpha, beta) = (support[i], support[j])
+    for (i, j), (cr, ci) in flat.items():
+        s = scale[top - size[i] - size[j]]
+        cols.setdefault(j, {})[i] = (cr * s, ci * s)
+    v: _Rows = {}  # v[delta][i] = V_support[i][delta]
+    for j, col in cols.items():
+        _sandwich(v, (1, 0), table[j], col)
+    rows: _Rows = {}
     for delta, row in v.items():
-        for alpha, x in row.items():
-            rows.setdefault(alpha, {})[delta] = x
+        for i, x in row.items():
+            rows.setdefault(i, {})[delta] = x
     acc: _Rows = {}
-    for alpha, row in rows.items():
-        _sandwich(acc, (1, 0), table[alpha], row)
+    for i, row in rows.items():
+        _sandwich(acc, (1, 0), table[i], row)
     dm0 = [d * s for s in scale]
     deg, power = [sum(g) for g in basis], [den(g, sum(g)) for g in basis]  # |gamma|, M^gamma
     return n_dst, basis, acc, lambda i, j: dm0[top - deg[i] - deg[j]] * power[i] * power[j]
@@ -376,22 +400,4 @@ def compose_linear(
     When E is square invertible and t = 0 the rank and inertia are
     preserved; a thin E restricts the form to a subspace.
     """
-    n_dst, basis, acc, den = _composed(form, matrix, translation)
-    return _to_form(n_dst, (((basis[i], basis[j]), v, den(i, j)) for i, row in acc.items() for j, v in row.items()))
-
-
-def _composed_rank(form: HermitianForm, matrix: Sequence[Sequence[object]],
-                   translation: Optional[Sequence[object]]) -> int:
-    """form_rank(compose_linear(form, matrix, translation)), read off the integer accumulator.
-
-    In _composed, the denominator at (gamma, delta) is D M^gamma M^delta M_0^(K-|gamma|-|delta|)
-    = D M_0^K f(gamma) f(delta) with f(gamma) = M^gamma / M_0^|gamma| > 0.
-    So the accumulator is D M_0^K F R F, for the composed matrix R and the
-    positive diagonal F = diag(f): a positive multiple of a congruence of R,
-    which keeps the rank.  It is refused unless Hermitian, as R must be, for
-    the kernel's exact divisions to hold.
-    """
-    acc = _composed(form, matrix, translation)[2]
-    live = sorted({k for i, row in acc.items() for j, v in row.items() if v != (0, 0) for k in (i, j)})
-    x = _checked_hermitian([[acc.get(i, {}).get(j, (0, 0)) for j in live] for i in live])
-    return sum(_signs(_symmetric_steps(x)))
+    return _to_form(*_composed(form, matrix, translation))

@@ -46,8 +46,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .combinat import stability_region
 from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
                      NotReached, NotVanishing)
-from .forms import (HermitianForm, Poly, SignaturePair, WeightedHoloMap, _form_side, _norm_difference, _PairForm,
-                    decompose)
+from .forms import HermitianForm, Poly, SignaturePair, WeightedHoloMap, _form_side, decompose, norm_difference
 from .linalg import _cleared
 from .multiindex import MultiIndex, grlex_key, total_degree, unit, zero_index
 from .scalars import GR_ONE
@@ -363,11 +362,13 @@ def identity_map(a: int, b: int) -> QuadricMap:
     return QuadricMap(a, b, False, WeightedHoloMap(n, comps), None)
 
 
-def _vanishes_on_quadric(acc: _PairForm, a: int, b: int, affine: bool) -> bool:
-    """Whether the quadric's equation divides the form acc / D on a + b variables, any D > 0."""
+def _vanishes_on_quadric(form: HermitianForm, a: int, b: int, affine: bool) -> bool:
+    """Whether the quadric's equation divides the form on a + b variables, read off its cleared view."""
+    support, flat, _ = _form_side(form)
     # zbar_j -> w_j; w_1^e = (z_1 w_1)^e / z_1^e, so z_1^top clears denominators
-    top = max((beta[0] for _, beta in acc), default=0)
-    terms = ((beta[0], (alpha[0] + top - beta[0],) + alpha[1:] + beta[1:], c) for (alpha, beta), c in acc.items())
+    top = max((support[j][0] for _, j in flat), default=0)
+    keyed = ((support[i], support[j], c) for (i, j), c in flat.items())
+    terms = ((beta[0], (alpha[0] + top - beta[0],) + alpha[1:] + beta[1:], c) for alpha, beta, c in keyed)
     return _divides(a, b, affine, True, terms)
 
 
@@ -390,8 +391,7 @@ def verify_map(m: QuadricMap) -> bool:
             (alpha,) = poly
             real[alpha] = real.get(alpha, 0) + sign * w.numerator * (wd // w.denominator) * (x * x + y * y)
         return _divides(m.a, m.b, not m.homogeneous, False, ((al[0], al[1:], v) for al, v in real.items()))
-    acc, _ = _norm_difference(m.components, subtract_one)
-    return _vanishes_on_quadric(acc, m.a, m.b, affine=not m.homogeneous)
+    return _vanishes_on_quadric(norm_difference(m.components, subtract_one), m.a, m.b, affine=not m.homogeneous)
 
 
 def _signed_map(a: int, b: int, homogeneous: bool, comps: Iterable[Tuple[int, Fraction, Poly]]) -> QuadricMap:
@@ -668,8 +668,7 @@ def map_from_form(form: HermitianForm, a: int, b: int) -> QuadricMap:
         raise ValueError("source split needs a >= 1 and b >= 0")
     if form.n != a + b:
         raise DimensionMismatch(f"form has {form.n} variables, quadric has {a + b}")
-    cleared = {(alpha, beta): c for beta, col in _form_side(form)[1].items() for alpha, c, _ in col}
-    if not _vanishes_on_quadric(cleared, a, b, affine=True):
+    if not _vanishes_on_quadric(form, a, b, affine=True):
         raise NotVanishing(f"the form does not vanish on Q({a}, {b})")
     holo = decompose(form)
     if not holo.signature().neg:

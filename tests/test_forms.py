@@ -15,7 +15,6 @@ from hyperq.forms import (
     HermitianForm,
     SignaturePair,
     _composed,
-    _composed_rank,
     _elimination,
     _expansions,
     _sandwich,
@@ -302,10 +301,11 @@ def test_integer_compose_matches_gaussian_rational_loop():
         for E in _embeddings(rng, n):
             for trans in (None, [_gaussian(rng) for _ in range(n)], [gr(0)] * (n - 1) + [_gaussian(rng)]):
                 got = compose_linear(form, E, trans)
-                assert got.entries == _gr_compose_linear(form, E, trans).entries
+                want = _gr_compose_linear(form, E, trans)
+                assert got.entries == want.entries
                 assert got.n == len(E[0])
                 _assert_hermitian(got)
-                assert _composed_rank(form, E, trans) == form_rank(got)
+                assert form_rank(compose_linear(form, E, trans)) == form_rank(want)
                 cases += 1
     assert cases == 12 * 3 * 3
 
@@ -364,7 +364,7 @@ def test_integer_compose_cancels_to_the_zero_form():
     for trans in (None, [gr(Fraction(1, 3), 1)] * 2):
         assert compose_linear(form, [row, row], trans).entries == {}
         assert _gr_compose_linear(form, [row, row], trans).entries == {}
-        assert _composed_rank(form, [row, row], trans) == 0
+        assert form_rank(compose_linear(form, [row, row], trans)) == 0
 
 
 def test_rank_refuses_a_hand_built_form_that_is_not_hermitian():
@@ -380,9 +380,9 @@ def test_rank_refuses_a_hand_built_form_that_is_not_hermitian():
                 call(form)
     swap = [[gr(0), gr(1)], [gr(1), gr(0)]]
     with pytest.raises(ConjugateMismatch):
-        _composed_rank(one_sided, swap, None)
+        form_rank(compose_linear(one_sided, swap))
     with pytest.raises(NonRealDiagonal):
-        _composed_rank(complex_diagonal, swap, None)
+        form_rank(compose_linear(complex_diagonal, swap))
 
 
 def test_integer_norm_difference_matches_gaussian_rational_loop():
@@ -504,13 +504,46 @@ def test_memo_changes_neither_equality_nor_repr_nor_dump():
     assert dump_form(form) == dump_form(plain) == text
 
 
+def test_compose_built_form_reads_its_integers(monkeypatch):
+    # compose_linear's form starts from its cleared view: rank, inertia and decompose clear
+    # nothing and reduce no entry, and composing it again reduces none either
+    rng = Random(1519)
+    calls = {"rank": form_rank, "inertia": form_inertia, "decompose": lambda f: decompose(f).components}
+    clears = []
+    cleared = forms_module._cleared
+    monkeypatch.setattr(forms_module, "_cleared", lambda values: clears.append(1) or cleared(values))
+    cases = 0
+    for n in (1, 2, 3, 3, 4):
+        form = _mixed_form(rng, n, rng.randint(2, 9))
+        for E in _embeddings(rng, n):
+            for trans in (None, [_gaussian(rng) for _ in range(n)]):
+                g = compose_linear(form, E, trans)
+                clears.clear()
+                got = {name: call(g) for name, call in calls.items()}
+                assert not clears
+                m = g.n
+                change = [[gr(1) if i == j else (_gaussian(rng) if j > i else gr(0)) for j in range(m)] for i in range(m)]
+                again = compose_linear(g, change)
+                assert "entries" not in vars(g)
+                assert got == _matrix_path(g)
+                plain = HermitianForm(g.n, dict(g.entries))
+                assert g == plain and plain == g
+                assert repr(g) == repr(plain) and dump_form(g) == dump_form(plain)
+                assert again == compose_linear(plain, change)
+                cases += 1
+    assert cases == 5 * 3 * 2
+
+
 def test_threads_share_one_inertia():
+    # the compose-built form reduces its entries on first read, so each thread reads them too
     rng = Random(1518)
-    forms = [_dense_form(rng, 3, 3, 20), _zero_diagonal_form(rng, 4, 14)]
-    wants = [_matrix_path(f)["inertia"] for f in forms]
+    dense = _dense_form(rng, 3, 3, 20)
+    change = [[1, 1, 0], [0, 1, -1], [0, 0, 1]]
+    forms = [dense, _zero_diagonal_form(rng, 4, 14), compose_linear(dense, change)]
+    wants = [(dict(f.entries), _matrix_path(f)["inertia"]) for f in forms[:2] + [compose_linear(dense, change)]]
     results = [[] for _ in forms]
-    threads = [threading.Thread(target=lambda k=k: results[k].append(form_inertia(forms[k])))
-               for k in range(len(forms)) for _ in range(6)]
+    threads = [threading.Thread(target=lambda k=k: results[k].append((forms[k].entries, form_inertia(forms[k]))))
+               for k in range(len(forms)) for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -521,4 +554,4 @@ def test_threads_share_one_inertia():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [[want] * 6 for want in wants]
+    assert results == [[want] * 8 for want in wants]

@@ -22,7 +22,7 @@ from hyperq.errors import (
     NotVanishing,
 )
 from hyperq.formats import dump_map, parse_map
-from hyperq.forms import (WeightedHoloMap, _norm_difference, compose_linear, decompose, form_from_entries,
+from hyperq.forms import (WeightedHoloMap, _form_side, compose_linear, decompose, form_from_entries,
                           form_from_real_poly, norm_difference)
 from hyperq.linalg import _cleared
 from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
@@ -713,7 +713,8 @@ def test_map_from_form_errors():
 
 
 def test_map_from_form_clears_the_form_once(monkeypatch):
-    # the vanishing test reads the cleared entries that decompose then finds memoized on the form
+    # the vanishing test reads the cleared entries that decompose then finds memoized on the form;
+    # compose_linear builds twisted cleared, so it is not cleared again and reduces no entry
     defining = form_from_entries(3, [((1, 0, 0), (1, 0, 0), 1), ((0, 1, 0), (0, 1, 0), 1),
                                      ((0, 0, 1), (0, 0, 1), -1), ((0, 0, 0), (0, 0, 0), -1)])
     product = form_from_real_poly({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1, (1, 0, 0): -1})
@@ -723,10 +724,11 @@ def test_map_from_form_clears_the_form_once(monkeypatch):
     cleared = forms._cleared
     for module in (forms, quadrics):
         monkeypatch.setattr(module, "_cleared", lambda values: calls.append(1) or cleared(values))
-    for form in (defining, product, twisted):
+    for form, clears in ((defining, [1]), (product, [1]), (twisted, [])):
         calls.clear()
         map_from_form(form, 2, 1)
-        assert calls == [1]
+        assert calls == clears
+    assert "entries" not in vars(twisted)
 
 
 def _lead_key(comp):
@@ -864,11 +866,12 @@ def test_quadric_map_validation():
 
 
 def _branch_verdicts(m):
-    acc, _ = _norm_difference(m.components, not m.homogeneous and m.denominator is None)
-    assert all(alpha == beta for alpha, beta in acc)
+    form = norm_difference(m.components, not m.homogeneous and m.denominator is None)
+    support, flat, _ = _form_side(form)
+    assert all(i == j for i, j in flat)
     affine = not m.homogeneous
-    real = ((alpha[0], alpha[1:], re) for (alpha, _), (re, _) in acc.items())  # P(x) with x_j = z_j w_j
-    return _divides(m.a, m.b, affine, False, real), _vanishes_on_quadric(acc, m.a, m.b, affine)
+    real = ((support[i][0], support[i][1:], re) for (i, _), (re, _) in flat.items())  # P(x) with x_j = z_j w_j
+    return _divides(m.a, m.b, affine, False, real), _vanishes_on_quadric(form, m.a, m.b, affine)
 
 
 def _bent(m):
@@ -907,8 +910,8 @@ def test_divisibility_branches_agree_on_diagonal_forms(monkeypatch):
 
 def _sandwich_verdict(m):
     """verify_map's verdict through the norm-difference sandwich, the path of maps that are not diagonal."""
-    acc, _ = _norm_difference(m.components, not m.homogeneous and m.denominator is None)
-    return _vanishes_on_quadric(acc, m.a, m.b, affine=not m.homogeneous)
+    form = norm_difference(m.components, not m.homogeneous and m.denominator is None)
+    return _vanishes_on_quadric(form, m.a, m.b, affine=not m.homogeneous)
 
 
 def _reshaped(m, rng):
@@ -939,8 +942,8 @@ def test_diagonal_verify_matches_the_sandwich(monkeypatch):
     maps.append(parse_map((GOLDEN_INPUTS / "diagonal_repeated.map").read_text()))
     assert sum(m.homogeneous for m in maps) == 400 and sum(m.denominator is None for m in maps) == 409
     calls = []
-    norm_difference = quadrics._norm_difference
-    monkeypatch.setattr(quadrics, "_norm_difference", lambda *args: calls.append(args) or norm_difference(*args))
+    built = quadrics.norm_difference
+    monkeypatch.setattr(quadrics, "norm_difference", lambda *args: calls.append(args) or built(*args))
     for m in maps:
         assert all(len(poly) == 1 for _, _, poly in m.components.components)
         for q, verdict in ((m, True), (_bent(m), False)):

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from hyperq import linalg, restrict
+from hyperq import forms, linalg, restrict
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
@@ -238,14 +238,26 @@ def test_max_affine_rank_runs_no_matrix_rank(monkeypatch):
 def test_one_op_clears_the_form_once(monkeypatch):
     # both samplers and the failure bound read the form side memoized on the form
     form = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
-    want = (generic_restriction_rank(form, 2, 2, 3), max_affine_rank(form, 2, 2, 3), sz_failure_bound(form, 2, 2, 10**6))
+    ops = (lambda f: generic_restriction_rank(f, 2, 2, 3), lambda f: max_affine_rank(f, 2, 2, 3),
+           lambda f: sz_failure_bound(f, 2, 2, 10**6))
+    want = [op(form) for op in ops]
     calls = []
-    support = HermitianForm.support
-    monkeypatch.setattr(HermitianForm, "support", lambda self: calls.append(self) or support(self))
+    cleared = forms._cleared
+
+    def recorded(values):
+        calls.append(list(values))
+        return cleared(calls[-1])
+
+    monkeypatch.setattr(forms, "_cleared", recorded)
+    entries = list(form.entries.values())  # the draws' columns are cleared too; count only the form
+    for op, value in zip(ops, want):
+        calls.clear()
+        assert op(HermitianForm(form.n, form.entries)) == value
+        assert calls.count(entries) == 1
+    calls.clear()
     fresh = HermitianForm(form.n, form.entries)
-    assert (generic_restriction_rank(fresh, 2, 2, 3), max_affine_rank(fresh, 2, 2, 3),
-            sz_failure_bound(fresh, 2, 2, 10**6)) == want
-    assert calls == [fresh]
+    assert [op(fresh) for op in ops] == want
+    assert calls.count(entries) == 1
 
 
 def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
@@ -282,11 +294,13 @@ def test_max_affine_rank_sees_constant_term():
 
 
 def test_cayley_unitary_exact():
+    # the bounds its callers draw with: 9 and 12 in the twists and tests, 99 by default
     rng = Random(12)
-    for n in (1, 2, 3):
-        u = cayley_unitary(n, rng)
-        ut = [[u[i][j].conjugate() for i in range(n)] for j in range(n)]
-        assert matmul(u, ut) == identity(n)
+    for bound in (9, 12, 99):
+        for n in range(1, 6):
+            u = cayley_unitary(n, rng, bound)
+            ut = [[u[i][j].conjugate() for i in range(n)] for j in range(n)]
+            assert matmul(ut, u) == matmul(u, ut) == identity(n)
 
 
 def test_quadric_subspace_lies_in_quadric():
