@@ -19,7 +19,7 @@ from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .forms import HermitianForm, _expansions, _form_side, compose_linear, form_rank
+from .forms import HermitianForm, _expansions, compose_linear, form_rank
 from .linalg import identity, invert, matmul, rank as matrix_rank
 from .multiindex import MultiIndex, monomials_of_degree, monomials_up_to, unit
 from .scalars import GR_ZERO, GaussianRational, gr
@@ -177,7 +177,7 @@ def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound
     """
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     D = form.max_degree()
-    r = min(len(_form_side(form)[0]), comb(sub_dim + D, D))
+    r = min(len(form.support()), comb(sub_dim + D, D))
     per_trial = min(Fraction(1), Fraction(2 * D * r, coeff_bound))
     return per_trial**trials
 
