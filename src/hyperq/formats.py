@@ -38,9 +38,13 @@ def _content_lines(text: str):
 
 def _fraction(token: str, filename: str, lineno: int) -> Fraction:
     try:  # int() skips Fraction's string parser, and reads every digit string as Fraction() would
-        return Fraction(int(token) if token.lstrip("+-").isdigit() else token)
+        if token.lstrip("+-").isdigit():
+            return Fraction(int(token))
+        if "e" not in token and "E" not in token:  # an exponent asks for any size of integer
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(filename, lineno, f"expected a rational number, got {token!r}") from None
+        pass
+    raise ParseError(filename, lineno, f"expected a rational number, got {token!r}")
 
 
 def _integer(token: str, filename: str, lineno: int) -> int:

@@ -6,19 +6,19 @@ and real-valuedness is exactly the Hermitian symmetry of that matrix.
 Rank, inertia and weighted holomorphic squares are exact over the
 Gaussian rationals and read one elimination per form, memoized with its
 entries cleared to Gaussian integers over one lcm.  Substitution (in two
-passes) and norm differences run one sandwich loop over Gaussian integers
-as (re, im) int pairs, whose output is the new form's cleared view over
-the lcm of its entries' denominators.  The monomial basis is graded lexicographic
-everywhere, so matrices, files and decompositions are reproducible byte
-for byte.
+passes, with E and t cleared by one lcm) and norm differences sum Gaussian
+integers as (re, im) int pairs over one denominator; divided by their
+common factor with it, these are the new form's cleared view.  The
+monomial basis is graded lexicographic everywhere, so matrices, files and
+decompositions are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _checked_hermitian, _cleared, _components, _signs, _symmetric_steps
@@ -228,7 +228,7 @@ def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
         k = w.numerator * (common // (w.denominator * d * d))
         p = {at[alpha]: c for alpha, c in zip(poly, pairs)}
         _sandwich(acc, (k if sign > 0 else -k, 0), p, p)
-    return _to_form(holo.n, basis, acc, lambda i, j: common)
+    return _to_form(holo.n, basis, acc, common)
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -271,50 +271,44 @@ def _sandwich(acc: _Rows, c: _Pair, left: Dict[Hashable, _Pair], right: Dict[Has
             row[delta] = (r + xr * vr + xi * vi, i + xi * vr - xr * vi)
 
 
-def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: Callable[[int, int], int]) -> HermitianForm:
-    """The form with entry acc[i][j] / den(i, j) at (basis[i], basis[j]); entries that cancelled are dropped.
+def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> HermitianForm:
+    """The form with entry acc[i][j] / den at (basis[i], basis[j]); entries that cancelled are dropped.
 
-    Its side is these Gaussian integers over the lcm of their reduced denominators:
-    brought over the lcm d of den, then divided by their common factor with d.  So
-    rank, inertia, decompose and composition read no Fraction, and the elimination
+    Its side is these Gaussian integers divided by their common factor with den,
+    which leaves them over the lcm of their reduced denominators.  So rank,
+    inertia, decompose and composition read no Fraction, and the elimination
     sees the integers that clearing the entries would give; only entries reduces.
     """
-    dens = {(i, j): den(i, j) for i, row in acc.items() for j, v in row.items() if v != (0, 0)}
-    live = sorted({k for key in dens for k in key})
+    pairs = {(i, j): x for i, row in acc.items() for j, x in row.items() if x != (0, 0)}
+    live = sorted({k for key in pairs for k in key})
     at = {k: p for p, k in enumerate(live)}
-    d = lcm(*dens.values())
-    pairs = {(at[i], at[j]): acc[i][j] if q == d else (acc[i][j][0] * (d // q), acc[i][j][1] * (d // q))
-             for (i, j), q in dens.items()}
-    g = gcd(d, *(x for pair in pairs.values() for x in pair)) if d > 1 else 1
+    g = gcd(den, *(x for pair in pairs.values() for x in pair)) if den > 1 else 1
     form = HermitianForm(n)
     object.__delattr__(form, "entries")  # so that the first read of entries reaches __getattr__
-    form._memo["side"] = ([basis[k] for k in live], pairs if g == 1 else
-                          {key: (re // g, im // g) for key, (re, im) in pairs.items()}, d // g)
+    form._memo["side"] = ([basis[k] for k in live], {(at[i], at[j]): x if g == 1 else (x[0] // g, x[1] // g)
+                                                     for (i, j), x in pairs.items()}, den // g)
     return form
 
 
 def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]], n_dst: int,
-                monomials: Iterable[MultiIndex]) -> Tuple[Dict[MultiIndex, _PairPoly], Callable[[MultiIndex, int], int]]:
-    """(Ez + t)^alpha = sum over gamma of P_alpha[gamma] z^gamma / den(gamma, |alpha|).
+                monomials: Iterable[MultiIndex]) -> Tuple[Dict[MultiIndex, _PairPoly], int]:
+    """(P, M) with (Ez + t)^alpha = sum over gamma of P_alpha[gamma] z^gamma / M^|alpha|.
 
-    Column j of E is cleared by the lcm M_j of its denominators over the
-    rows that some alpha uses, and t by the lcm M_0 of its own, so P_alpha
-    is over Z[i] and den(gamma, k) = M^gamma M_0^(k - |gamma|).  The powers
-    of each row are cached: a monomial costs one product per variable.
+    E and t are cleared together by the lcm M of their denominators over the
+    rows that some alpha uses, so P_alpha is over Z[i].  The powers of each
+    row are cached: a monomial costs one product per variable.
     """
     monomials = list(monomials)
-    rows = []
     for i, row in enumerate(matrix):
         if len(row) != n_dst:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
-        if any(alpha[i] for alpha in monomials):
-            rows.append((i, list(row) + [0 if translation is None else translation[i]]))
-    cols = [_cleared(r[j] for _, r in rows) for j in range(n_dst + 1)]
+    used = [i for i in range(len(matrix)) if any(alpha[i] for alpha in monomials)]
+    pairs, m = _cleared(x for i in used for x in (*matrix[i], 0 if translation is None else translation[i]))
     origin = zero_index(n_dst)
     one: _PairPoly = {origin: (1, 0)}
     keys = [unit(n_dst, j) for j in range(n_dst)] + [origin]
-    powers = {i: [one, {k: c[r] for k, (c, _) in zip(keys, cols) if c[r] != (0, 0)}]
-              for r, (i, _) in enumerate(rows)}
+    powers = {i: [one, {k: c for k, c in zip(keys, pairs[r * len(keys):]) if c != (0, 0)}]
+              for r, i in enumerate(used)}
     table: Dict[MultiIndex, _PairPoly] = {}
     for alpha in monomials:
         out = one
@@ -324,7 +318,7 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
                     powers[i].append(_pair_mul(powers[i][-1], powers[i][1]))
                 out = _pair_mul(out, powers[i][e])
         table[alpha] = out
-    return table, lambda gamma, k: cols[-1][1] ** (k - sum(gamma)) * prod(m**e for (_, m), e in zip(cols, gamma))
+    return table, m
 
 
 def _form_side(form: HermitianForm) -> _FormSide:
@@ -341,18 +335,18 @@ def _form_side(form: HermitianForm) -> _FormSide:
 
 
 def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]]
-              ) -> Tuple[int, List[MultiIndex], _Rows, Callable[[int, int], int]]:
-    """(n_dst, basis, acc, den): entry (basis[i], basis[j]) of r(Ez + t) is acc[i][j] / den(i, j).
+              ) -> Tuple[int, List[MultiIndex], _Rows, int]:
+    """(n_dst, basis, acc, den): entry (basis[i], basis[j]) of r(Ez + t) is acc[i][j] / den.
 
     With c = C / D over the lcm of the form's denominators, P and M from
     _expansions and K the top |alpha| + |beta|, entry c at (alpha, beta) adds
-    C M_0^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in Z[i] at
-    (gamma, delta), whose denominator is D M^gamma M^delta M_0^(K-|gamma|-|delta|).
-    Two passes group the sum by alpha: one sandwich per column beta of the form side
-    adds conj(C) M_0^(K-|alpha|-|beta|) P_beta[delta] to V_alpha[delta], then acc[gamma][delta]
-    += P_alpha[gamma] conj(V_alpha[delta]): nnz k + |support| k^2 products for k terms per P,
-    not nnz k^2.  Each gamma is keyed by its index in one grlex basis of the monomials the P
-    reach, so a product hashes one small int; den reads M^gamma and D M_0^e from lists.
+    C M^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in Z[i] at
+    (gamma, delta), all over den = D M^K.  Two passes group the sum by alpha: each
+    entry of the form side adds conj(C) M^(K-|alpha|-|beta|) P_beta[delta] to
+    V_alpha[delta], then acc[gamma][delta] += P_alpha[gamma] conj(V_alpha[delta]):
+    nnz k + |support| k^2 products for k terms per P, not nnz k^2.  Each gamma is
+    keyed by its index in one grlex basis of the monomials the P reach, so a
+    product hashes one small int.
     """
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
@@ -362,31 +356,25 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
         )
     n_dst = len(matrix[0]) if form.n else 0
     support, flat, d = _form_side(form)
-    table, den = _expansions(matrix, translation, n_dst, support)
+    table, m = _expansions(matrix, translation, n_dst, support)
     basis = sorted_grlex({g for p in table.values() for g in p})
     at = {g: i for i, g in enumerate(basis)}
     table = [{at[g]: x for g, x in table[alpha].items()} for alpha in support]
     size = [sum(alpha) for alpha in support]  # |alpha|
     top = max((size[i] + size[j] for i, j in flat), default=0)
-    m0 = den(zero_index(n_dst), 1)
-    scale = [m0**e for e in range(top + 1)]
-    cols: _Rows = {}  # cols[j][i] = C M_0^(K-|alpha|-|beta|) at (alpha, beta) = (support[i], support[j])
+    scale = [m**e for e in range(top + 1)]
+    v: _Rows = {}  # v[i][delta] = V_support[i][delta]
     for (i, j), (cr, ci) in flat.items():
         s = scale[top - size[i] - size[j]]
-        cols.setdefault(j, {})[i] = (cr * s, ci * s)
-    v: _Rows = {}  # v[delta][i] = V_support[i][delta]
-    for j, col in cols.items():
-        _sandwich(v, (1, 0), table[j], col)
-    rows: _Rows = {}
-    for delta, row in v.items():
-        for i, x in row.items():
-            rows.setdefault(i, {})[delta] = x
+        xr, xi = cr * s, -ci * s
+        row = v.setdefault(i, {})
+        for delta, (pr, pi) in table[j].items():
+            r, im = row.get(delta, (0, 0))
+            row[delta] = (r + xr * pr - xi * pi, im + xr * pi + xi * pr)
     acc: _Rows = {}
-    for i, row in rows.items():
+    for i, row in v.items():
         _sandwich(acc, (1, 0), table[i], row)
-    dm0 = [d * s for s in scale]
-    deg, power = [sum(g) for g in basis], [den(g, sum(g)) for g in basis]  # |gamma|, M^gamma
-    return n_dst, basis, acc, lambda i, j: dm0[top - deg[i] - deg[j]] * power[i] * power[j]
+    return n_dst, basis, acc, d * scale[top]
 
 
 def compose_linear(

@@ -106,12 +106,12 @@ def restriction_matrix(E: AffineEmbedding, d: int) -> RestrictionMatrix:
     else:
         rows = monomials_up_to(E.n_ambient, d)
         cols = monomials_up_to(E.n_sub, d)
-    table, den = _expansions(E.linear, E.translation, E.n_sub, rows)
+    table, m = _expansions(E.linear, E.translation, E.n_sub, rows)
 
     def entry(alpha: MultiIndex, gamma: MultiIndex) -> GaussianRational:
         if gamma not in table[alpha]:
             return GR_ZERO
-        (re, im), q = table[alpha][gamma], den(gamma, sum(alpha))
+        (re, im), q = table[alpha][gamma], m ** sum(alpha)
         return gr(Fraction(re, q), Fraction(im, q))
 
     entries = tuple(tuple(entry(alpha, gamma) for gamma in cols) for alpha in rows)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,6 +268,16 @@ def test_file_and_parse_errors(capsys, tmp_path):
     bad.write_text("form n=2\n1 0 ; 1\n", encoding="utf-8")
     code, _, err = run(capsys, ["form", "rank", str(bad)])
     assert code == 2 and err.startswith("parse error:")
+
+
+def test_exponent_token_is_parse_error_at_once(capsys, tmp_path):
+    # Fraction("1e10000000") would build a 33-million-bit integer first
+    huge = tmp_path / "huge.form"
+    huge.write_text("form n=1\n1 ; 1 ; 1e10000000 ; 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["form", "rank", str(huge)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "expected a rational number, got '1e10000000'" in err
 
 
 def test_usage_errors(capsys):

@@ -17,6 +17,7 @@ from hyperq.forms import (
     _composed,
     _elimination,
     _expansions,
+    _form_side,
     _sandwich,
     compose_linear,
     decompose,
@@ -316,13 +317,12 @@ def _one_pass_composed(form, matrix, translation):
     Its rows are keyed by the monomials gamma themselves, not by their basis indices.
     """
     n_dst = len(matrix[0]) if form.n else 0
-    table, den = _expansions(matrix, translation, n_dst, form.support())
+    table, m = _expansions(matrix, translation, n_dst, form.support())
     pairs, d = _cleared(form.entries.values())
     top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
-    m0 = den(zero_index(n_dst), 1)
     acc = {}
     for (alpha, beta), (cr, ci) in zip(form.entries, pairs):
-        k = m0 ** (top - sum(alpha) - sum(beta))
+        k = m ** (top - sum(alpha) - sum(beta))
         _sandwich(acc, (cr * k, ci * k), table[alpha], table[beta])
     return acc
 
@@ -527,6 +527,7 @@ def test_compose_built_form_reads_its_integers(monkeypatch):
                 assert "entries" not in vars(g)
                 assert got == _matrix_path(g)
                 plain = HermitianForm(g.n, dict(g.entries))
+                assert _form_side(g) == _form_side(plain)  # the same support, flat dict and denominator
                 assert g == plain and plain == g
                 assert repr(g) == repr(plain) and dump_form(g) == dump_form(plain)
                 assert again == compose_linear(plain, change)

@@ -249,7 +249,7 @@ def test_one_op_clears_the_form_once(monkeypatch):
         return cleared(calls[-1])
 
     monkeypatch.setattr(forms, "_cleared", recorded)
-    entries = list(form.entries.values())  # the draws' columns are cleared too; count only the form
+    entries = list(form.entries.values())  # the draws are cleared too; count only the form
     for op, value in zip(ops, want):
         calls.clear()
         assert op(HermitianForm(form.n, form.entries)) == value
