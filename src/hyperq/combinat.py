@@ -2,16 +2,17 @@
 
 The d-th Macaulay representation writes any c >= 0 uniquely as
 c = sum of binom(k_i, i) for i = d down to 1 with k_d > ... > k_1 >= 0
-(binomials with top < bottom count as zero).  Lowering every k_i by one
-gives the operator c -> c_<d>, from which the hyperplane restriction
-bound G(n, d, N) and its derived quantities follow.  All arithmetic is
-arbitrary-precision integer; nothing here can overflow.
+(binomials with top < bottom count as zero).  It is found as runs of
+constant k_i - i, at most n + 1 of them when c < binom(n + d, d), each
+ended by one gallop, so a probe of G costs O(n log d) binomials.
+Lowering every k_i by one gives the operator c -> c_<d>, from which the
+hyperplane restriction bound G(n, d, N) and its derived quantities
+follow.  All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
 from math import comb, factorial, inf
 from typing import Callable, Tuple
 
@@ -37,7 +38,7 @@ class MacaulayRep:
 
     def lower(self) -> int:
         """Value after replacing every binom(k_i, i) by binom(k_i - 1, i)."""
-        return _lower_sum(self.terms())
+        return macaulay_lower(self.c, self.d)
 
 
 def _last_true(pred, lo: int, hi: int | None = None) -> int:
@@ -54,41 +55,39 @@ def _last_true(pred, lo: int, hi: int | None = None) -> int:
     return lo
 
 
-def _rep_head(c: int, d: int) -> tuple[list[int], int]:
-    """The leading k_d, k_{d-1}, ... of the rep of c, and the remainder: stops
-    at the first level i with rem <= i, since every later k_j is then j or
-    j - 1 and adds binom(k_j - 1, j) = 0 to lower()."""
+def _runs(c: int, d: int) -> list[tuple[int, int, int]]:
+    """The rep of c as runs (i, j, s): k_l = l + s for l = i down to j, s falling
+    from run to run.  Level i with rem > i takes the largest s with binom(i + s,
+    i) <= rem, so s >= 1.  By the hockey-stick identity level l < i then holds
+    base + binom(l + s + 1, s + 1), base = rem_i - binom(i + s + 1, s + 1), and
+    keeps s while base + binom(l + s, s + 1) >= 0 (then rem > l): a gallop's test.
+    The tail then takes k = l for rem levels (s = 0), then l - 1 (s = -1)."""
     if c < 0:
         raise ValueError("c must be nonnegative")
     if d < 1:
         raise ValueError("d must be positive")
-    ks, rem, i = [], c, d
+    runs, rem, i, s = [], c, d, None
     while rem > i:
-        # binom(k, 1) = k; below the top, binom(k_{i+1}, i) > rem bounds k_i
-        hi = ks[-1] if ks else None
-        ks.append(rem if i == 1 else _last_true(lambda k: comb(k, i) <= rem, i + 1, hi))
-        rem -= comb(ks[-1], i)
-        i -= 1
-    return ks, rem
-
-
-def _lower_sum(terms) -> int:
-    """Sum of binom(k_i - 1, i) over the leading terms with k_i > i."""
-    return sum(comb(k - 1, i) for k, i in takewhile(lambda t: t[0] > t[1], terms))
+        s = rem - 1 if i == 1 else _last_true(lambda t: comb(i + t, i) <= rem, 1, s)
+        rem, j = rem - comb(i + s, s), i
+        if comb(i - 1 + s, s) <= rem:  # level i - 1 keeps s too
+            base = rem - comb(i + s, s + 1)
+            j = i - _last_true(lambda t: t < i and base + comb(i - t + s, s + 1) >= 0, 1)
+            rem = base + comb(j + s, s + 1)
+        runs.append((i, j, s))
+        i = j - 1
+    return runs + [(i, i - rem + 1, 0), (i - rem, 1, -1)]
 
 
 def macaulay_rep(c: int, d: int) -> MacaulayRep:
-    """Greedy: each k_i is the largest k with binom(k, i) <= rem, bisected in
-    the head; the tail takes k_j = j for the next rem levels, then j - 1."""
-    ks, rem = _rep_head(c, d)
-    top = d - len(ks)
-    ks += [j if j > top - rem else j - 1 for j in range(top, 0, -1)]
-    return MacaulayRep(c, d, tuple(ks))
+    """Greedy: each k_i is the largest k with binom(k, i) <= rem."""
+    return MacaulayRep(c, d, tuple([l + s for i, j, s in _runs(c, d) for l in range(i, j - 1, -1)]))
 
 
 def macaulay_lower(c: int, d: int) -> int:
-    """The operator c -> c_<d>; monotone nondecreasing in c for fixed d."""
-    return _lower_sum(zip(_rep_head(c, d)[0], range(d, 0, -1)))
+    """The operator c -> c_<d>; monotone nondecreasing in c for fixed d.  A run
+    adds binom(l + s - 1, l) over l = i..j, by the hockey-stick identity."""
+    return sum(comb(i + s, s) - comb(j - 1 + s, s) for i, j, s in _runs(c, d) if s > 0)
 
 
 def green_G(n: int, d: int, N: int) -> int:

@@ -64,6 +64,14 @@ def test_bound_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_bound_k_of_large_rank_finishes(capsys):
+    # K_5(10^20) probes G at degrees near (10^20 5!)^(1/5), about 2 * 10^4
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["bound", "k", "5", str(10**20)])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == "" and int(out) >= 10**20
+
+
 def test_form_commands(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text(FORM_RANK2, encoding="utf-8")

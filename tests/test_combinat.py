@@ -203,6 +203,34 @@ def test_rep_matches_scan():
             assert rem == 0
 
 
+def level_rep(c, d):
+    """The rep found one level at a time: each k_i bisected while rem > i, then
+    k_j = j for the next rem levels and j - 1 below (the walk the runs replaced)."""
+    ks, rem, i = [], c, d
+    while rem > i:
+        hi = ks[-1] if ks else None
+        ks.append(rem if i == 1 else _last_true(lambda k: comb(k, i) <= rem, i + 1, hi))
+        rem -= comb(ks[-1], i)
+        i -= 1
+    ks += [j if j > i - rem else j - 1 for j in range(i, 0, -1)]
+    return tuple(ks)
+
+
+def level_lower(c, d):
+    return sum(comb(k - 1, i) for k, i in zip(level_rep(c, d), range(d, 0, -1)) if k > i)
+
+
+def test_runs_match_level_walk():
+    rng = Random(23)
+    cases = [(c, d) for d in range(1, 12) for c in range(3000)]
+    cases += [(rng.randint(0, 10**12), rng.randint(1, 30)) for _ in range(3000)]
+    cases += [(rng.randrange(10**60), rng.randint(1, 400)) for _ in range(100)]
+    for c, d in cases:
+        rep = macaulay_rep(c, d)
+        assert rep.ks == level_rep(c, d), (c, d)
+        assert macaulay_lower(c, d) == rep.lower() == level_lower(c, d), (c, d)
+
+
 def gallop_min_degree(n, N):
     return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
 
@@ -282,8 +310,24 @@ def test_lex_segments_attain_green_bound():
 
 @pytest.mark.parametrize(
     "call, args",
-    [(green_K, (2, 10**6)), (hermitian_R, (1, 6, 50)), (compose_K, (1, 8, 1000))],
-    ids=["K_2(10^6)", "hermitian_R(1,6,50)", "compose_K(1,8,1000)"],
+    [
+        (green_K, (2, 10**6)),
+        (hermitian_R, (1, 6, 50)),
+        (compose_K, (1, 8, 1000)),
+        (green_K, (5, 10**40)),
+        (green_K, (8, 10**60)),
+        (hermitian_R, (1, 4, 10**6)),
+        (rigidity_bound, (6, 2, 10**5)),
+    ],
+    ids=[
+        "K_2(10^6)",
+        "hermitian_R(1,6,50)",
+        "compose_K(1,8,1000)",
+        "K_5(10^40)",
+        "K_8(10^60)",
+        "hermitian_R(1,4,10^6)",
+        "rigidity_bound(6,2,10^5)",
+    ],
 )
 def test_large_bounds_finish(call, args):
     start = time.perf_counter()
