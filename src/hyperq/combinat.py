@@ -57,10 +57,10 @@ def _last_true(pred, lo: int, hi: int | None = None) -> int:
 
 def _runs(c: int, d: int) -> list[tuple[int, int, int]]:
     """The rep of c as runs (i, j, s): k_l = l + s for l = i down to j, s falling
-    from run to run.  Level i with rem > i takes the largest s with binom(i + s,
-    i) <= rem, so s >= 1.  By the hockey-stick identity level l < i then holds
-    base + binom(l + s + 1, s + 1), base = rem_i - binom(i + s + 1, s + 1), and
-    keeps s while base + binom(l + s, s + 1) >= 0 (then rem > l): a gallop's test.
+    from run to run.  Level i with rem > i takes the largest s with binom(i + s, i)
+    <= rem, so s >= 1.  By the hockey-stick identity level l < i of the run starts
+    with rem = base + binom(l + s + 1, s + 1), base = rem_i - binom(i + s + 1, s + 1),
+    and keeps s while base + binom(l + s, s + 1) >= 0 (then rem > l), a gallop's test.
     The tail then takes k = l for rem levels (s = 0), then l - 1 (s = -1)."""
     if c < 0:
         raise ValueError("c must be nonnegative")

@@ -204,8 +204,8 @@ def test_rep_matches_scan():
 
 
 def level_rep(c, d):
-    """The rep found one level at a time: each k_i bisected while rem > i, then
-    k_j = j for the next rem levels and j - 1 below (the walk the runs replaced)."""
+    """The rep found one level at a time, the oracle for the runs: each k_i is
+    bisected while rem > i, then k_j = j for the next rem levels and j - 1 below."""
     ks, rem, i = [], c, d
     while rem > i:
         hi = ks[-1] if ks else None
