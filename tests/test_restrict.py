@@ -1,5 +1,6 @@
 """Veronese restriction matrices and randomized subspace rank estimates."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -301,6 +302,16 @@ def test_cayley_unitary_exact():
             u = cayley_unitary(n, rng, bound)
             ut = [[u[i][j].conjugate() for i in range(n)] for j in range(n)]
             assert matmul(ut, u) == matmul(u, ut) == identity(n)
+
+
+def test_cayley_unitary_bytes_are_pinned():
+    # SHA-256 of the reprs for n <= 6, seeds 0-9 and both twist bounds, one per line
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for s in range(10):
+            for bound in (9, 99):
+                digest.update(repr(cayley_unitary(n, Random(f"{s}"), bound)).encode() + b"\n")
+    assert digest.hexdigest() == "92ead4fc8e7622cd621a83b92235c9940d4534a6c68ed20edab016060841635b"
 
 
 def test_quadric_subspace_lies_in_quadric():
