@@ -32,10 +32,10 @@ from .forms import decompose, form_inertia, form_rank
 from .multiindex import grlex_key
 from .quadrics import (
     QuadricMap,
+    _reachable,
     construct_map,
     dehomogenize,
     is_admissible,
-    reachable_signatures,
     tensor_extend,
     verify_map,
 )
@@ -184,7 +184,7 @@ def cmd_quadric_admissible(args) -> Tuple[dict, str]:
 
 def cmd_quadric_region(args) -> Tuple[dict, str]:
     a, b, size = args.a, args.b, args.max
-    witnesses, hit = reachable_signatures(a, b, size, budget=args.budget)
+    witnesses, hit, _ = _reachable(a, b, size, args.budget)
     sector_only = {
         (A, B)
         for A in range(2, size + 1)

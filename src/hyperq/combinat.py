@@ -13,7 +13,7 @@ follow.  All arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, inf
+from math import comb, factorial
 from typing import Callable, Tuple
 
 
@@ -112,17 +112,18 @@ def _min_degree_for(n: int, N: int) -> int:
     """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N.
 
     n! binom(n + d, d) = (d + 1) ... (d + n) lies between (d + 1)^n and, by
-    AM-GM, (d + (n + 1) / 2)^n.  So with x = (N n!)^(1/n) the answer is at
-    least x - (n + 1) / 2 and below max(x, 2): at most (n + 3) / 2 exact steps
-    up from there.  Past 2^40, where the float error of x nears a degree, gallop.
+    AM-GM, (d + (n + 1) / 2)^n.  So with x = (N n!)^(1/n) the answer lies in
+    [x - (n + 1) / 2, max(1, x)].  Integers bracket it too: with r = floor(x),
+    the integer n-th root that Newton's method reaches from a power of two
+    above it, the walk starts at r - (n + 1) // 2 and takes at most
+    (n + 1) // 2 exact steps up.  Every N <= 1 gives 1, so N is taken as at
+    least 1, whose root Newton's method can find.
     """
-    try:
-        x = (N * factorial(n)) ** (1 / n)
-    except OverflowError:
-        x = inf
-    if x > 2**40:
-        return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
-    d = max(1, int(x - (n + 1) / 2))
+    t = max(N, 1) * factorial(n)
+    r = 1 << -(-t.bit_length() // n)
+    while (s := ((n - 1) * r + t // r ** (n - 1)) // n) < r:
+        r = s
+    d = max(1, r - (n + 1) // 2)
     while comb(n + d, d) < N:
         d += 1
     return d

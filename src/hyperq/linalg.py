@@ -1,11 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-The kernels eliminate fraction-free over Gaussian integers held as
-(re, im) int pairs (Bareiss 1968): every entry is a minor of the cleared
-matrix, so every division is exact.  One symmetric elimination of a
+The symmetric kernel eliminates fraction-free over Gaussian integers held
+as (re, im) int pairs (Bareiss 1968): every entry is a minor of the
+cleared matrix, so every division is exact.  One elimination of a
 Hermitian M gives steps that `_signs` counts by sign (their sum is the
-rank) and `_components` reads for `ldl_components`, here or on a form's
-memoized steps in forms; `rank` runs it on the Gram matrix of a matrix.
+rank) and `_components` reads as signed weighted rank-one pieces; forms
+runs it once per form, and `rank` on the Gram matrix of a matrix.
+`solve` is a Gauss-Jordan pass over Q(i).
 M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
@@ -26,7 +27,7 @@ from math import lcm
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ZERO, GaussianRational
 
 Matrix = List[List[GaussianRational]]
 
@@ -62,67 +63,27 @@ def rank(rows: Sequence[Sequence[object]]) -> int:
     return sum(_signs(_symmetric_steps(gram)))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matmul: inner dimensions differ")
-    out: Matrix = []
-    n_inner = len(b)
-    n_cols = len(b[0]) if b else 0
-    for row in a:
-        new = []
-        for j in range(n_cols):
-            s = GR_ZERO
-            for k in range(n_inner):
-                if row[k]:
-                    s = s + row[k] * b[k][j]
-            new.append(s)
-        out.append(new)
-    return out
-
-
-def identity(n: int) -> Matrix:
-    return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-
-
-def invert(mat: Matrix) -> Matrix:
-    """Exact inverse of a square GaussianRational matrix."""
-    n = len(mat)
-    x = [row[:] for row in mat]
-    y = identity(n)
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """X with a X = b for a square invertible a: one Gauss-Jordan pass on [a | b]."""
+    n = len(a)
+    x = [ra + rb for ra, rb in zip(a, b)]
     for i in range(n):
-        piv = None
-        for j in range(i, n):
-            if x[j][i]:
-                piv = j
-                break
+        piv = next((j for j in range(i, n) if x[j][i]), None)
         if piv is None:
             raise ValueError("matrix is singular")
-        if piv != i:
-            x[i], x[piv] = x[piv], x[i]
-            y[i], y[piv] = y[piv], y[i]
+        x[i], x[piv] = x[piv], x[i]
         d = x[i][i]
         x[i] = [v / d for v in x[i]]
-        y[i] = [v / d for v in y[i]]
         for j in range(n):
-            if j != i and x[j][i]:
-                f = x[j][i]
+            f = x[j][i]
+            if j != i and f:
                 x[j] = [vj - f * vi for vj, vi in zip(x[j], x[i])]
-                y[j] = [vj - f * vi for vj, vi in zip(y[j], y[i])]
-    return y
+    return [row[n:] for row in x]
 
 
 # One holomorphic component of a Hermitian matrix: the matrix equals
 # sum of sign * weight * v v* over the returned triples.
 Component = Tuple[int, Fraction, List[GaussianRational]]
-
-
-def _hermitian_pairs(mat: Matrix) -> Tuple[int, List[List[_GIPair]]]:
-    """(L, L * mat) for a square Hermitian matrix; refuses any other."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise DimensionMismatch(f"matrix with {n} rows is not square")
-    flat, den = _cleared(v for row in mat for v in row)
-    return den, _checked_hermitian([flat[k * n:(k + 1) * n] for k in range(n)])
 
 
 def _checked_hermitian(x: List[List[_GIPair]]) -> List[List[_GIPair]]:
@@ -184,14 +145,9 @@ def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:
         act = [act[k] for k in keep]
 
 
-def ldl_components(mat: Matrix) -> List[Component]:
-    """Split a Hermitian matrix into signed weighted rank-one pieces."""
-    den, x = _hermitian_pairs(mat)
-    return _components(den, len(x), _symmetric_steps(x))
-
-
 def _components(den: int, n: int, steps: Iterable[tuple]) -> List[Component]:
-    """The pieces of ldl_components, read off the steps of X = den M of size n.
+    """M as signed weighted rank-one pieces, sum of sign * weight * v v*, read off
+    the steps of X = den M of size n.
 
     From the fraction-free X = L M of the module docstring: a 1x1 pivot p
     gives vec[k] = X_ki / p, weight |p| / (|prev| L), sign sign(p prev); a
@@ -214,11 +170,6 @@ def _components(den: int, n: int, steps: Iterable[tuple]) -> List[Component]:
                 vec[k] = GaussianRational(Fraction(qr * nc + ur, a * nc), Fraction(qi * nc + ui, a * nc))
             comps.append((sign, Fraction(1, 2), vec))
     return comps
-
-
-def inertia(mat: Matrix) -> Tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a Hermitian matrix."""
-    return _signs(_symmetric_steps(_hermitian_pairs(mat)[1]))
 
 
 def _signs(steps: Iterable[tuple]) -> Tuple[int, int]:

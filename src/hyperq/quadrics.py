@@ -565,10 +565,15 @@ def reachable_signatures(
     a: int, b: int, size: int, budget: int = 10**5
 ) -> Tuple[Dict[Tuple[int, int], SignedRealPoly], bool]:
     """Witnesses for every reachable signature with A, B <= size."""
+    nodes, hit, width = _reachable(a, b, size, budget)
+    return {sig: _unpack(a, b, width, node) for sig, node in nodes.items()}, hit
+
+
+def _reachable(a: int, b: int, size: int, budget: int) -> Tuple[Dict[Sig, Node], bool, int]:
+    """reachable_signatures' packed witnesses, whether the budget ran out, and their field width."""
     if size < 2:
         raise ValueError("size must be at least 2")
-    nodes, hit, width = _search(a, b, size, size, budget)
-    return {sig: _unpack(a, b, width, node) for sig, node in nodes.items()}, hit
+    return _search(a, b, size, size, budget)
 
 
 def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) -> QuadricMap:

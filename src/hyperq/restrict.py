@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .forms import HermitianForm, _expansions, compose_linear, form_rank
-from .linalg import identity, invert, matmul, rank as matrix_rank
+from .linalg import rank as matrix_rank, solve
 from .multiindex import MultiIndex, monomials_of_degree, monomials_up_to, unit
 from .scalars import GR_ZERO, GaussianRational, gr
 
@@ -214,7 +214,8 @@ def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRa
 
     U = (I - S)(I + S)^{-1} for a random skew-Hermitian S; I + S is
     always invertible, and unitarity is an identity, not an
-    approximation.
+    approximation.  I - S commutes with (I + S)^{-1}, so U is solved
+    from (I + S) U = I - S in one pass.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -229,10 +230,9 @@ def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRa
             x, y = signed(rng), signed(rng)
             S[i][j] = gr(x, y)
             S[j][i] = gr(-x, y)
-    eye = identity(n)
-    plus = [[eye[i][j] + S[i][j] for j in range(n)] for i in range(n)]
-    minus = [[eye[i][j] - S[i][j] for j in range(n)] for i in range(n)]
-    return matmul(minus, invert(plus))
+    plus = [[int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(S)]
+    minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(S)]
+    return solve(plus, minus)
 
 
 def quadric_subspace(a: int, b: int, seed: int = 0, bound: int = 99) -> AffineEmbedding:

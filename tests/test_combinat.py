@@ -242,10 +242,9 @@ def test_min_degree_matches_scan():
 
 
 def test_min_degree_matches_gallop():
-    # the float estimate only starts an exact walk; it must agree with the gallop
-    # near powers of ten, across the switch to the gallop at x = 2^40 (10^24 for
-    # n = 2), where the float error spans many degrees (10^60, 10^300), and past
-    # float range (10^400)
+    # the integer root only starts an exact walk; it must agree with the gallop
+    # near powers of ten, where a float root errs by many degrees (10^60, 10^300),
+    # and past float range (10^400)
     for n in range(2, 9):
         for N in [*range(5000), *(10**k + s for k in range(1, 41) for s in (-1, 1))]:
             assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
@@ -312,6 +311,7 @@ def test_lex_segments_attain_green_bound():
     "call, args",
     [
         (green_K, (2, 10**6)),
+        (green_K, (2, 10**300)),
         (hermitian_R, (1, 6, 50)),
         (compose_K, (1, 8, 1000)),
         (green_K, (5, 10**40)),
@@ -321,6 +321,7 @@ def test_lex_segments_attain_green_bound():
     ],
     ids=[
         "K_2(10^6)",
+        "K_2(10^300)",
         "hermitian_R(1,6,50)",
         "compose_K(1,8,1000)",
         "K_5(10^40)",

@@ -29,10 +29,11 @@ from hyperq.forms import (
     WeightedHoloMap,
 )
 from hyperq.formats import dump_form, load_form
-from hyperq.linalg import _cleared, inertia, ldl_components, rank
+from hyperq.linalg import _cleared, rank
 from hyperq.multiindex import monomials_up_to, sorted_grlex, unit, zero_index
 from hyperq.restrict import cayley_unitary
 from hyperq.scalars import GR_ONE, GR_ZERO, gr
+from test_linalg import _gr_ldl_components
 from tuple_polys import poly_mul
 
 
@@ -454,12 +455,15 @@ def _zero_diagonal_form(rng, n, terms):
 
 
 def _matrix_path(form):
-    """(rank, inertia, components) from the dense matrix through linalg's matrix-level functions."""
+    """(rank, inertia, components) of the dense matrix by test_linalg's GaussianRational LDL* oracle."""
     basis = form.support()
-    mat = form.matrix(basis)
-    pos, neg = inertia(mat)
-    comps = tuple((s, w, {basis[i]: v for i, v in enumerate(vec) if v}) for s, w, vec in ldl_components(mat))
-    return {"rank": pos + neg, "inertia": SignaturePair(pos, neg), "decompose": comps}
+    comps = _gr_ldl_components(form.matrix(basis))
+    pos = sum(s > 0 for s, _, _ in comps)
+    return {
+        "rank": len(comps),
+        "inertia": SignaturePair(pos, len(comps) - pos),
+        "decompose": tuple((s, w, {basis[i]: v for i, v in enumerate(vec) if v}) for s, w, vec in comps),
+    }
 
 
 def test_memoized_elimination_matches_the_matrix_path():

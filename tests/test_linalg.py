@@ -1,4 +1,4 @@
-"""Fraction-free rank, exact inverse, and the fraction-free symmetric LDL* kernel."""
+"""Fraction-free rank, exact solve, and the fraction-free symmetric LDL* kernel read through forms."""
 
 from fractions import Fraction
 from math import lcm
@@ -6,17 +6,10 @@ from random import Random
 
 import pytest
 
+from dense import identity, matmul, matrix_components, matrix_form
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from hyperq.linalg import (
-    _hermitian_pairs,
-    _symmetric_steps,
-    identity,
-    inertia,
-    invert,
-    ldl_components,
-    matmul,
-    rank,
-)
+from hyperq.forms import _elimination, decompose, form_inertia
+from hyperq.linalg import rank, solve
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
@@ -142,22 +135,24 @@ def test_rank_of_outer_product_sums():
         assert rank(mat) == _bareiss_rank(mat) <= r
 
 
-def test_invert_roundtrip():
+def test_solve_roundtrip():
     rng = Random(5)
     for _ in range(20):
-        n = rng.randint(1, 5)
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
         while True:
             mat = [[_rand_gr(rng, 4) for _ in range(n)] for _ in range(n)]
             if rank(mat) == n:
                 break
-        inv = invert(mat)
+        inv = solve(mat, identity(n))
         assert matmul(mat, inv) == identity(n)
         assert matmul(inv, mat) == identity(n)
+        rhs = [[_rand_gr(rng, 4) for _ in range(m)] for _ in range(n)]
+        assert matmul(mat, solve(mat, rhs)) == rhs
 
 
-def test_invert_singular_raises():
+def test_solve_singular_raises():
     with pytest.raises(ValueError):
-        invert([[gr(1), gr(2)], [gr(2), gr(4)]])
+        solve([[gr(1), gr(2)], [gr(2), gr(4)]], identity(2))
 
 
 def test_ldl_reconstructs_the_matrix():
@@ -165,7 +160,7 @@ def test_ldl_reconstructs_the_matrix():
     for _ in range(30):
         n = rng.randint(1, 6)
         mat = _hermitian(rng, n)
-        comps = ldl_components(mat)
+        comps = matrix_components(mat)
         acc = [[gr(0)] * n for _ in range(n)]
         for sign, weight, vec in comps:
             scale = gr(weight if sign > 0 else -weight)
@@ -194,7 +189,7 @@ def test_inertia_matches_construction():
                 si = sg * v[i]
                 for j in range(n):
                     mat[i][j] = mat[i][j] + si * v[j].conjugate()
-        pos, neg = inertia(mat)
+        pos, neg = form_inertia(matrix_form(mat))
         assert pos == sum(1 for s in signs if s > 0)
         assert neg == sum(1 for s in signs if s < 0)
 
@@ -203,8 +198,8 @@ def test_offdiagonal_block_pivot():
     # all-zero diagonal forces the 2x2 pivot path
     c = gr(1, 2)
     mat = [[gr(0), c], [c.conjugate(), gr(0)]]
-    assert inertia(mat) == (1, 1)
-    comps = ldl_components(mat)
+    assert form_inertia(matrix_form(mat)) == (1, 1)
+    comps = matrix_components(mat)
     assert sorted(s for s, _, _ in comps) == [-1, 1]
     acc = [[gr(0)] * 2 for _ in range(2)]
     for sign, weight, vec in comps:
@@ -215,28 +210,20 @@ def test_offdiagonal_block_pivot():
     assert acc == mat
 
 
-def test_inertia_refuses_a_matrix_that_is_not_square():
-    for mat in ([[1, 2]], [[gr(1), gr(2)], [gr(2)]], [[gr(1)], [gr(2)]]):
-        with pytest.raises(DimensionMismatch):
-            inertia(mat)
-        with pytest.raises(DimensionMismatch):
-            ldl_components(mat)
-
-
 def test_inertia_refuses_a_non_real_diagonal():
     for mat in ([[gr(1, 5), gr(0)], [gr(0), gr(-1)]], [[gr(Fraction(1, 3), Fraction(1, 7))]]):
         with pytest.raises(NonRealDiagonal):
-            inertia(mat)
+            form_inertia(matrix_form(mat))
         with pytest.raises(NonRealDiagonal):
-            ldl_components(mat)
+            decompose(matrix_form(mat))
 
 
 def test_inertia_refuses_a_matrix_that_is_not_hermitian():
     for mat in ([[1, 2], [3, 1]], [[gr(0), gr(1, 2)], [gr(1, 2), gr(0)]]):
         with pytest.raises(ConjugateMismatch):
-            inertia(mat)
+            form_inertia(matrix_form(mat))
         with pytest.raises(ConjugateMismatch):
-            ldl_components(mat)
+            decompose(matrix_form(mat))
 
 
 # -- the GaussianRational LDL* the fraction-free kernel replaced, kept as the reference --
@@ -332,13 +319,13 @@ def _oracle_inertia(comps):
 
 def _step_kinds(mat):
     """1 or 2 per pivot block of the fraction-free kernel, in order."""
-    return [len(cols) for _, _, _, cols in _symmetric_steps(_hermitian_pairs(mat)[1])]
+    return [len(cols) for _, _, _, cols in _elimination(matrix_form(mat))[2]]
 
 
 def _assert_matches_oracle(mat):
     want = _gr_ldl_components(mat)
-    assert ldl_components(mat) == want
-    assert inertia(mat) == _oracle_inertia(want)
+    assert matrix_components(mat) == want
+    assert form_inertia(matrix_form(mat)) == _oracle_inertia(want)
     return want
 
 
@@ -413,8 +400,8 @@ def test_fraction_free_ldl_matches_oracle_on_rank_deficient_sums():
 
 
 def test_zero_matrix_inertia():
-    assert inertia([[gr(0)] * 3 for _ in range(3)]) == (0, 0)
-    assert ldl_components([[gr(0)] * 3 for _ in range(3)]) == []
+    assert form_inertia(matrix_form([[gr(0)] * 3 for _ in range(3)])) == (0, 0)
+    assert matrix_components([[gr(0)] * 3 for _ in range(3)]) == []
     for n in (0, 1, 2, 5):
         assert _assert_matches_oracle([[GR_ZERO] * n for _ in range(n)]) == []
     for x in (Fraction(-5, 7), Fraction(12), Fraction(1, 12)):

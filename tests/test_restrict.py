@@ -8,11 +8,11 @@ from random import Random
 
 import pytest
 
+from dense import identity, matmul
 from hyperq import forms, linalg, restrict
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
-from hyperq.linalg import identity, matmul
 from hyperq.multiindex import unit
 from hyperq.restrict import (
     AffineEmbedding,
@@ -82,7 +82,7 @@ def test_restrict_form_commutes_with_compose():
 
 
 def test_sandwich_of_restriction_matrix_matches_compose():
-    # two code paths: T^t C conj(T) by matmul over T's GaussianRational entries,
+    # two code paths: T^t C conj(T) by dense products over T's GaussianRational entries,
     # and compose_linear's integer sandwich, on degree-d forms
     rng = Random(19)
     checked = 0
