@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperq import quadrics
 from hyperq.cli import main
 from hyperq.combinat import green_G
 from hyperq.formats import dump_map, dump_realpoly, parse_map
@@ -260,6 +261,16 @@ def test_region_json_sector_covered(capsys):
     assert [2, 2] in doc["constructed"] and [4, 4] in doc["constructed"]
     assert doc["budget_exhausted"] is False
     assert doc["lines"][0] == "A + B = 5"
+
+
+def test_region_reads_signatures_without_unpacking(capsys, monkeypatch):
+    # the grid prints signatures only, so no witness polynomial is built
+    unpacked = []
+    unpack = quadrics._unpack
+    monkeypatch.setattr(quadrics, "_unpack", lambda *args: unpacked.append(args) or unpack(*args))
+    code, out, _ = run(capsys, ["quadric", "region", "4", "2", "--max", "12"])
+    assert code == 0 and "@" in out and unpacked == []
+    assert run(capsys, ["quadric", "region", "4", "2", "--max", "1"]) == (1, "", "error: size must be at least 2\n")
 
 
 def test_region_refuses_budget_below_one(capsys):
