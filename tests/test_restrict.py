@@ -82,7 +82,7 @@ def test_restrict_form_commutes_with_compose():
 
 
 def test_sandwich_of_restriction_matrix_matches_compose():
-    # two code paths: T^t C conj(T) by dense products over T's GaussianRational entries,
+    # two code paths: T^t C conj(T) by matmul over T's GaussianRational entries,
     # and compose_linear's integer sandwich, on degree-d forms
     rng = Random(19)
     checked = 0
