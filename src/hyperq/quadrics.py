@@ -18,10 +18,10 @@ dehomogenization to rational maps between affine hyperquadrics.
 
 The moves and the divisibility routine run on integer coefficients and
 packed exponents: an exponent tuple is one int of fixed-width fields, so
-multiplying monomials adds ints.  The search walks and keeps packed
-polynomials (see `_move`) and builds a `SignedRealPoly` only for a
-witness it returns; the public `grow` and `corner_move` pack, move and
-unpack.
+multiplying monomials adds ints.  The search ranks each child by the
+degree and term count `_key` reads off its parent, moves (`_move`) only
+the children it settles, keeps them packed, and builds a `SignedRealPoly`
+only for a witness it returns; `grow` and `corner_move` pack, move, unpack.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
@@ -209,6 +209,43 @@ def _unpack(a: int, b: int, width: int, node: Node) -> SignedRealPoly:
                                  for key, c in terms.items()})
 
 
+def _pivot(n: int, width: int, shift: Tuple[int, int], route: Tuple, terms: Dict[int, int]) -> Tuple[int, int, int]:
+    """The corner move's eliminated variable e, the power of x_e dividing every term, and the pivot.
+
+    The pivot is the grlex-first term of the required sign among those at
+    that power: every such term has one degree, so it has the largest key.
+    """
+    _, pivot_sign, elim = route
+    e = n - 1 if elim == "last" else 0
+    field, mask = width * (n - 1 - e), (1 << width) - 1
+    # x_1 holds the top field, so the least key has the least power of it
+    common = min(terms, default=0) >> field if e == 0 else min(map(mask.__and__, terms), default=0)
+    candidates = [key for key, c in terms.items() if key >> field & mask == common and (c > 0) == (pivot_sign > 0)]
+    if not candidates:
+        word = "positive" if pivot_sign > 0 else "negative"
+        raise NoPivotMonomial(f"no {word} monomial free of x{e + 1} is available for shift {shift}")
+    return e, common, max(candidates)
+
+
+def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node) -> Tuple[int, int]:
+    """The degree and term count of `_move`'s output, read off the node without building it.
+
+    `_move` unites disjoint supports and makes no zero coefficient, so the
+    count is exact: a grow adds the n terms of s, a tilde move trades its
+    pivot for n - 1 terms, and a hat move keeps the pivot as well.
+    """
+    (m, _, terms), n = node, a + b
+    if route[0] != "grow":
+        return m - _pivot(n, width, shift, route, terms)[1] + 1, len(terms) + n - (2 if route[0] == "tilde" else 1)
+    units = [1 << width * (n - 1 - j) for j in range(n)]
+    head, tail = (units[1], units[0]) if route[1] else (units[0], units[1])
+    # x_head^(k-m) p meets x_j x_tail^(k-1) exactly when p holds x_j x_tail^(k-1) / x_head^(k-m)
+    k = m + 1
+    while any(u + (k - 1) * tail - (k - m) * head in terms for u in units):
+        k += 1
+    return k, len(terms) + n
+
+
 def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node) -> Node:
     """The move `route` of _routes(a, b), realizing `shift`, on a packed polynomial.
 
@@ -221,32 +258,19 @@ def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node
     if route[0] == "grow":
         # x_1^{k-m} p + x_2^{k-1} s, or x_2^{k-m} p - x_1^{k-1} s when mirrored, k minimal
         head, tail, sign = (units[1], units[0], -1) if route[1] else (units[0], units[1], 1)
-        k = m + 1
-        while True:
-            out = {key + (k - m) * head: c for key, c in terms.items()}
-            added = {u + (k - 1) * tail: sign * c * den for u, c in s}
-            if not out.keys() & added.keys():
-                break
-            k += 1
-        out.update(added)
+        k = _key(a, b, width, shift, route, node)[0]
+        out = {key + (k - m) * head: c for key, c in terms.items()}
+        out.update((u + (k - 1) * tail, sign * c * den) for u, c in s)
         return k, den, out
-    kind, pivot_sign, elim = route
-    e = n - 1 if elim == "last" else 0
-    field, mask = width * (n - 1 - e), (1 << width) - 1
-    common = min((key >> field & mask for key in terms), default=0)
+    e, common, piv = _pivot(n, width, shift, route, terms)
     if common:
         terms = {key - common * units[e]: c for key, c in terms.items()}
-    # every term has degree m - common, so the grlex-first candidate is the largest key
-    candidates = [key for key, c in terms.items() if not key >> field & mask and (c > 0) == (pivot_sign > 0)]
-    if not candidates:
-        word = "positive" if pivot_sign > 0 else "negative"
-        raise NoPivotMonomial(f"no {word} monomial free of x{e + 1} is available for shift {shift}")
-    piv = max(candidates)
+        piv -= common * units[e]
     c0 = terms[piv]
     # s + x_e when eliminating the last variable, -s + x_1 for the first: x_e drops out
-    sign = 1 if elim == "last" else -1
+    sign = 1 if e else -1
     out = {piv + u: sign * c * c0 for j, (u, c) in enumerate(s) if j != e}
-    if kind == "tilde":
+    if route[0] == "tilde":
         out.update((key + units[e], c) for key, c in terms.items() if key != piv)
     else:
         den *= 2
@@ -425,8 +449,10 @@ class _LatticeSearch:
     expanded lowest degree first, then fewest terms, then push order, and
     each settled signature keeps one packed witness, in settle order.
     `pending` maps each unsettled signature with a heap entry to the
-    packed polynomial of its best entry, the one that pops first; heap
-    entries hold no polynomial.
+    (degree, term count) key and the recipe of its best entry, the one
+    that pops first: the shift, route and settled parent to `_move`, or a
+    seed itself.  A child is ranked by `_key` and built only when it
+    settles; heap entries hold no polynomial.
     """
 
     def __init__(self, a: int, b: int, box_a: int, box_b: int, total: int):
@@ -437,25 +463,24 @@ class _LatticeSearch:
         # every node has degree <= A + B - (a + b) + 1 <= total: this width holds every exponent.
         self.width = total.bit_length()
         self.witnesses: Dict[Sig, Node] = {}
-        self.pending: Dict[Sig, Node] = {}
+        self.pending: Dict[Sig, Tuple[Tuple[int, int], Optional[Sig], Optional[Tuple], Node]] = {}
         self.heap: List[Tuple[int, int, int, Sig]] = []
         self.tick = count()
         seed = _pack(s_poly(a, b), self.width)
         for sig, node in (((a, b), seed), ((b, a), (1, 1, {key: -c for key, c in seed[2].items()}))):
             if self.holds(sig):
-                self._push(sig, node)
+                self._push(sig, (node[0], len(node[2])), None, None, node)
 
     def holds(self, sig: Sig) -> bool:
         # the region is down-closed, so it holds a box when it holds the box's corner
         ra, rb, total = self.region
         return sig[0] <= ra and sig[1] <= rb and sig[0] + sig[1] <= total
 
-    def _push(self, sig: Sig, node: Node) -> None:
+    def _push(self, sig: Sig, key: Tuple[int, int], shift: Optional[Sig], route: Optional[Tuple], node: Node) -> None:
         # an entry that would pop after the signature's best one is never used
-        key = (node[0], len(node[2]))
         best = self.pending.get(sig)
-        if best is None or key < (best[0], len(best[2])):
-            self.pending[sig] = node
+        if best is None or key < best[0]:
+            self.pending[sig] = (key, shift, route, node)
             heapq.heappush(self.heap, key + (next(self.tick), sig))
 
     def answer(
@@ -484,7 +509,11 @@ class _LatticeSearch:
             sig = heapq.heappop(self.heap)[3]
             if sig in self.witnesses:
                 continue
-            node = self.witnesses[sig] = self.pending.pop(sig)
+            key, shift, route, node = self.pending.pop(sig)
+            if route is not None:
+                node = _move(a, b, self.width, shift, route, node)
+                assert (node[0], len(node[2])) == key
+            self.witnesses[sig] = node
             assert (sum(c > 0 for c in node[2].values()), len(node[2])) == (sig[0], sig[0] + sig[1])
             if inside(sig):
                 found.append(sig)
@@ -498,7 +527,7 @@ class _LatticeSearch:
                     continue
                 if inside(nsig) and nsig not in self.pending:
                     live += 1
-                self._push(nsig, _move(a, b, self.width, shift, route, node))
+                self._push(nsig, _key(a, b, self.width, shift, route, node), shift, route, node)
         if goal in self.witnesses and found.index(goal) <= budget:
             return {sig: self.witnesses[sig] for sig in found[: found.index(goal) + 1]}, False, self.width
         return {sig: self.witnesses[sig] for sig in found[: budget + 1]}, len(found) > budget, self.width

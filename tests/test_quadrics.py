@@ -312,6 +312,63 @@ def test_search_field_width_holds_every_exponent():
     _clear_search_cache()
 
 
+def _key_and_build(a, b, width, shift, route, node):
+    """_key's prediction and the (degree, term count) _move builds, or each one's NoPivotMonomial."""
+    out = []
+    for call in (quadrics._key, quadrics._move):
+        try:
+            got = call(a, b, width, shift, route, node)
+        except NoPivotMonomial as exc:
+            got = ("NoPivotMonomial", str(exc))
+        out.append(got if len(got) == 2 else (got[0], len(got[2])))
+    return out
+
+
+def test_predicted_key_matches_every_move():
+    # every route of every settled node, and each key against the tuple moves as well
+    late_grows = 0
+    for a, b in [(2, 2), (3, 2), (3, 3), (4, 2), (5, 3), (6, 2)]:
+        _clear_search_cache()
+        reachable_signatures(a, b, 16)
+        state = _SEARCHES[(a, b)]
+        assert len(state.witnesses) >= 50
+        for node in state.witnesses.values():
+            p = _unpack(a, b, state.width, node)
+            for shift, route in state.routes.items():
+                key, built = _key_and_build(a, b, state.width, shift, route, node)
+                want = tuple_corner_move(p, shift, verify=False)
+                assert key == built == (want.degree(), len(want.terms)), (a, b, p, shift)
+                late_grows += route[0] == "grow" and key[0] > node[0] + 1
+    assert late_grows >= 100
+    _clear_search_cache()
+    # a common power of the eliminated variable, which the search never makes, and no pivot of the wanted sign
+    seeds = list(criterion_8_seeds())[::10]
+    inputs = [_with_factor(p, e, power) for p in seeds for e in (0, p.n - 1) for power in (1, 2)]
+    inputs.append(SignedRealPoly(3, 2, {al: -c for al, c in s_poly(3, 2).terms.items() if c > 0}))
+    missing = 0
+    for p in inputs:
+        width = (p.degree() + 2).bit_length()
+        for shift, route in _routes(p.a, p.b).items():
+            key, built = _key_and_build(p.a, p.b, width, shift, route, _pack(p, width))
+            want = _move_outcome(tuple_corner_move, p, shift, False)
+            assert key == built == (want if isinstance(want, tuple) else (want.degree(), len(want.terms))), (p, shift)
+            missing += isinstance(want, tuple)
+    assert missing >= 1
+
+
+def test_search_moves_only_settled_nodes(monkeypatch):
+    # a child is ranked by its predicted key and moved only when it settles: one move per settled non-seed
+    moves = []
+    move = quadrics._move
+    monkeypatch.setattr(quadrics, "_move", lambda *args: moves.append(args) or move(*args))
+    for call in (lambda: reachable_signatures(4, 2, 14), lambda: construct_map(4, 2, 21, 14)):
+        _clear_search_cache()
+        moves.clear()
+        call()
+        assert len(moves) == len(_SEARCHES[(4, 2)].witnesses) - 2 > 100
+    _clear_search_cache()
+
+
 def test_construct_one_grow():
     m = construct_map(2, 2, 4, 4)
     assert m.homogeneous
