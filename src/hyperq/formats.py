@@ -20,13 +20,14 @@ listed (the denominator, when present, is counted among the negatives).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
-from .forms import HermitianForm, Poly, WeightedHoloMap, form_from_entries
+from .forms import HermitianForm, Poly, _holo_side, form_from_entries
 from .multiindex import MultiIndex, grlex_key
-from .quadrics import QuadricMap, SignedRealPoly
-from .scalars import GaussianRational, gr
+from .quadrics import QuadricMap, SignedRealPoly, _viewed
+from .scalars import GaussianRational, Rat, gr
 
 
 def _content_lines(text: str):
@@ -38,8 +39,9 @@ def _content_lines(text: str):
 
 def _fraction(token: str, filename: str, lineno: int) -> Fraction:
     try:  # int() skips Fraction's string parser, and reads every digit string as Fraction() would
-        if token.lstrip("+-").isdigit():
-            return Fraction(int(token))
+        num, slash, den = token.partition("/")
+        if num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
         if "e" not in token and "E" not in token:  # an exponent asks for any size of integer
             return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -82,8 +84,11 @@ def _header(text: str, kind: str, keys: Sequence[str], filename: str
 def _exponents(tokens: Sequence[str], n: int, filename: str, lineno: int) -> MultiIndex:
     if len(tokens) != n:
         raise ParseError(filename, lineno, f"expected {n} exponents, got {len(tokens)}")
-    alpha = tuple(_integer(t, filename, lineno) for t in tokens)
-    if any(e < 0 for e in alpha):
+    try:
+        alpha = tuple(map(int, tokens))
+    except ValueError:  # names the first token that is not an integer
+        alpha = tuple(_integer(t, filename, lineno) for t in tokens)
+    if min(alpha, default=0) < 0:
         raise ParseError(filename, lineno, "exponents must be nonnegative")
     return alpha
 
@@ -164,7 +169,7 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
     else:
         denominator = _integer(fields["denominator"], filename, lineno)
 
-    comps: List[Tuple[int, Fraction, Poly]] = []
+    rows: List[Tuple[int, Tuple[int, int], Dict[MultiIndex, Tuple[Rat, Rat]]]] = []
     for lineno, line in lines:
         halves = line.split("::")
         if len(halves) != 2:
@@ -174,9 +179,9 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
             raise ParseError(filename, lineno, "component must start with `+ <weight>` or `- <weight>`")
         sign = 1 if head[0] == "+" else -1
         weight = _fraction(head[1], filename, lineno)
-        if weight <= 0:
+        if weight.numerator <= 0:
             raise ParseError(filename, lineno, "weights must be positive")
-        poly: Poly = {}
+        poly: Dict[MultiIndex, Tuple[Rat, Rat]] = {}
         for chunk in halves[1].split(";"):
             tokens = chunk.split()
             if not tokens:
@@ -184,41 +189,53 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
             if "," not in tokens[0]:
                 raise ParseError(filename, lineno, "each term starts with `<re>,<im>`")
             re_tok, _, im_tok = tokens[0].partition(",")
-            coeff = gr(_fraction(re_tok, filename, lineno), _fraction(im_tok, filename, lineno))
+            try:  # the view wants ints, and int() reads a token only as _fraction would
+                re, im = int(re_tok), int(im_tok)
+            except ValueError:
+                re, im = _fraction(re_tok, filename, lineno), _fraction(im_tok, filename, lineno)
             alpha = _exponents(tokens[1:], n, filename, lineno)
-            value = poly[alpha] + coeff if alpha in poly else coeff
-            if value:
-                poly[alpha] = value
+            if alpha in poly:
+                re, im = re + poly[alpha][0], im + poly[alpha][1]
+            if re or im:
+                poly[alpha] = (re, im)
             else:
                 poly.pop(alpha, None)
         if not poly:
             raise ParseError(filename, lineno, "the terms of this component cancel to zero")
-        comps.append((sign, weight, poly))
+        rows.append((sign, (weight.numerator, weight.denominator), poly))
 
-    holo = WeightedHoloMap(n, tuple(comps))
-    pos, neg = holo.signature()
-    if (pos, neg) != (big_a, big_b):
+    pos = sum(row[0] > 0 for row in rows)
+    if (pos, len(rows) - pos) != (big_a, big_b):
         raise ParseError(
             filename, header_lineno,
-            f"header says A={big_a} B={big_b} but the components count ({pos}, {neg})",
+            f"header says A={big_a} B={big_b} but the components count ({pos}, {len(rows) - pos})",
         )
-    if denominator is not None and not (0 <= denominator < len(comps) and comps[denominator][0] < 0):
+    if denominator is not None and not (0 <= denominator < len(rows) and rows[denominator][0] < 0):
         raise ParseError(filename, header_lineno, f"denominator={denominator} names no negative component")
-    return QuadricMap(a, b, homogeneous, holo, denominator)
+    # the map's integer view: every coefficient over the lcm of their denominators, as _holo_side clears them
+    d = lcm(*(v.denominator for _, _, poly in rows for pair in poly.values() for v in pair))
+    side = d, tuple((sign, weight, {alpha: (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+                                    for alpha, (re, im) in poly.items()}) for sign, weight, poly in rows)
+    return _viewed(a, b, homogeneous, denominator, side)
+
+
+def _ratio(x: int, d: int) -> str:
+    """x / d as Fraction prints it."""
+    return str(x) if d == 1 else str(Fraction(x, d))
 
 
 def dump_map(m: QuadricMap) -> str:
+    d, rows = _holo_side(m.components)
     pos, neg = m.sign_counts()
     denom = "none" if m.denominator is None else str(m.denominator)
     out = [
         f"map n={m.n} a={m.a} b={m.b} A={pos} B={neg} "
         f"homogeneous={1 if m.homogeneous else 0} denominator={denom}"
     ]
-    for sign, weight, poly in m.components.components:
-        terms = " ; ".join(
-            f"{poly[alpha].re},{poly[alpha].im} {' '.join(map(str, alpha))}"
-            for alpha in sorted(poly, key=grlex_key)
-        )
+    for sign, (wn, wd), poly in rows:
+        ordered = sorted(poly.items(), key=lambda term: grlex_key(term[0])) if len(poly) > 1 else poly.items()
+        terms = " ; ".join(f"{_ratio(re, d)},{_ratio(im, d)} {' '.join(map(str, alpha))}" for alpha, (re, im) in ordered)
+        weight = wn if wd == 1 else f"{wn}/{wd}"  # in lowest terms, as Fraction prints it
         out.append(f"{'+' if sign > 0 else '-'} {weight} :: {terms}")
     return "\n".join(out) + "\n"
 

@@ -185,15 +185,43 @@ class WeightedHoloMap:
     Each component is (sign, weight, poly) with sign +1 or -1, weight a
     positive rational, and poly a sparse holomorphic polynomial.  The
     represented form is sum of sign * weight * |poly(z)|^2; weights keep
-    the eigenvalue scale so no square roots are ever materialized.
+    the eigenvalue scale so no square roots are ever materialized.  Treat
+    instances as immutable: a private memo keeps their integer view
+    (`_holo_side`); components that start from a view are reduced from it
+    on first read.
     """
 
     n: int
     components: Tuple[Tuple[int, Fraction, Poly], ...]
+    _memo: Dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str) -> Any:
+        """Only reached for components that start from their view: reduced from it once."""
+        if name != "components":
+            raise AttributeError(name)
+        d, rows = self._memo["side"]
+        comps = tuple((sign, Fraction(wn, wd), {alpha: GaussianRational(Fraction(re, d), Fraction(im, d))
+                                                for alpha, (re, im) in poly.items()}) for sign, (wn, wd), poly in rows)
+        object.__setattr__(self, "components", comps)
+        return comps
 
     def signature(self) -> SignaturePair:
-        pos = sum(1 for s, _, _ in self.components if s > 0)
-        return SignaturePair(pos, len(self.components) - pos)
+        side = self._memo.get("side")  # both row kinds lead with the sign, so a view is not reduced to count
+        rows = self.components if side is None else side[1]
+        pos = sum(1 for s, *_ in rows if s > 0)
+        return SignaturePair(pos, len(rows) - pos)
+
+
+def _holo_side(holo: WeightedHoloMap) -> HoloSide:
+    """(d, rows), memoized on the components: component k is rows[k] = (sign, (wn, wd), {alpha: (re, im)}),
+    its weight wn / wd in lowest terms and its coefficients (re + i im) / d over one lcm d, cleared once."""
+    side = holo._memo.get("side")
+    if side is None:
+        pairs, d = _cleared(c for _, _, poly in holo.components for c in poly.values())
+        it = iter(pairs)
+        side = holo._memo["side"] = d, tuple((sign, (w.numerator, w.denominator), {alpha: next(it) for alpha in poly})
+                                             for sign, weight, poly in holo.components for w in (Fraction(weight),))
+    return side
 
 
 def decompose(form: HermitianForm) -> WeightedHoloMap:
@@ -212,23 +240,24 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
 
 
 def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
-    """The form sum(sign * weight * |component|^2), minus 1 if requested.
+    """The form sum(sign * weight * |component|^2), minus 1 if requested, read off the integer view.
 
-    Component P / d with weight a / b adds sign * a * (D / (b d^2)) P conj(P)
-    in Z[i] to one accumulator over D, the lcm of every b d^2, keyed by
-    the monomials' indices in one grlex basis; the 1 is the last component.
+    Component P / d with weight a / b adds sign * a * (W / b) P conj(P) in
+    Z[i] to one accumulator over D = W d^2, W the lcm of every b, keyed by
+    the monomials' indices in one grlex basis; the 1 is a last component d / d.
     """
-    one = ((-1, 1, {zero_index(holo.n): GR_ONE}),) if subtract_one else ()
-    comps = [(s, Fraction(w), *_cleared(p.values()), p) for s, w, p in (*holo.components, *one)]
-    common = lcm(*(w.denominator * d * d for _, w, _, d, _ in comps))
-    basis = sorted_grlex({alpha for *_, poly in comps for alpha in poly})
+    d, rows = _holo_side(holo)
+    if subtract_one:
+        rows = (*rows, (-1, (1, 1), {zero_index(holo.n): (d, 0)}))
+    w = lcm(*(wd for _, (_, wd), _ in rows))
+    basis = sorted_grlex({alpha for *_, poly in rows for alpha in poly})
     at = {alpha: i for i, alpha in enumerate(basis)}
     acc: _Rows = {}
-    for sign, w, pairs, d, poly in comps:
-        k = w.numerator * (common // (w.denominator * d * d))
-        p = {at[alpha]: c for alpha, c in zip(poly, pairs)}
+    for sign, (wn, wd), poly in rows:
+        k = wn * (w // wd)
+        p = {at[alpha]: c for alpha, c in poly.items()}
         _sandwich(acc, (k if sign > 0 else -k, 0), p, p)
-    return _to_form(holo.n, basis, acc, common)
+    return _to_form(holo.n, basis, acc, w * d * d)
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -248,6 +277,7 @@ _Pair = Tuple[int, int]  # a Gaussian integer re + i im
 _PairPoly = Dict[MultiIndex, _Pair]
 _Rows = Dict[Hashable, Dict[Hashable, _Pair]]  # acc[gamma][delta], keyed by basis indices
 _FormSide = Tuple[List[MultiIndex], Dict[Tuple[int, int], _Pair], int]
+HoloSide = Tuple[int, Tuple[Tuple[int, Tuple[int, int], _PairPoly], ...]]  # see _holo_side
 
 
 def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:

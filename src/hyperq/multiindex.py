@@ -21,7 +21,7 @@ def total_degree(alpha: MultiIndex) -> int:
 
 def grlex_key(alpha: MultiIndex):
     """Sort key realizing the graded lexicographic order (ascending)."""
-    return (sum(alpha), tuple(-e for e in alpha))
+    return (sum(alpha), tuple(map(operator.neg, alpha)))
 
 
 def monomials_of_degree(n_vars: int, d: int) -> Iterator[MultiIndex]:

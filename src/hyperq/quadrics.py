@@ -36,18 +36,20 @@ from __future__ import annotations
 
 import heapq
 import threading
+from bisect import bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd, inf, lcm
+from operator import mul
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinat import stability_region
 from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
                      NotReached, NotVanishing)
-from .forms import HermitianForm, Poly, SignaturePair, WeightedHoloMap, _form_side, decompose, norm_difference
-from .linalg import _cleared
+from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _form_side, _holo_side, decompose,
+                    norm_difference)
 from .multiindex import MultiIndex, grlex_key, total_degree, unit, zero_index
 from .scalars import GR_ONE
 
@@ -55,6 +57,7 @@ RealTerms = Dict[MultiIndex, Fraction]
 Term = Tuple[int, MultiIndex, object]
 # (degree, den, terms): terms maps packed exponents to int numerators over den
 Node = Tuple[int, int, Dict[int, int]]
+Summary = Dict[Tuple[str, bool], Tuple[int, int, Optional[int]]]  # see _summary
 
 _F1 = Fraction(1)
 
@@ -127,7 +130,8 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
     Q = sum_{e>=1} R_e q^(e-1) has (q - L) Q = sum_{e>=1} R_e q^e -
     sum_{e<top} (R_e - P_e) q^e = P - R_0, with R_0 free of q: q - L
     divides P exactly when R_0 = 0, the intermediates are the quotient's
-    coefficients, and the cost is |Q| |L|.  Exponents are packed into one
+    coefficients, and the cost is |Q| |L|, not the top e: while R = 0 the
+    loop skips to the next nonempty P_e.  Exponents are packed into one
     int of `bits`-bit fields, where 2^bits exceeds the largest e + sum(rest):
     a field of R_e comes from a term with e' >= e times L^(e' - e), so it
     stays below e' + sum(rest) and no field carries into the next.
@@ -138,7 +142,8 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
     rel = [(0, 1)] if affine else []  # L as (packed monomial, coefficient) pairs
     for j in range(1, n):
         rel.append((sum(1 << bits * f for f in ((j, n + j - 1) if complexified else (j - 1,))), -1 if j < a else 1))
-    shifts = [sum(x << bits * i for i, x in enumerate(rest)) for _, rest, _ in terms]
+    places = [1 << bits * i for i in range(2 * n)]
+    shifts = [sum(map(mul, rest, places)) for _, rest, _ in terms]
     coeffs = [c for _, _, c in terms]
     for part in ([re for re, _ in coeffs], [im for _, im in coeffs]) if complexified else (coeffs,):
         rows: Dict[int, Dict[int, int]] = {}
@@ -146,13 +151,14 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
             if k:
                 row = rows.setdefault(e, {})
                 row[shift] = row.get(shift, 0) + k
-        r: Dict[int, int] = {}
-        for e in range(max(rows, default=-1), -1, -1):
-            acc = rows.get(e, {})
+        e, r = max(rows, default=-1), {}
+        while e >= 0:
+            acc = rows.pop(e, {})
             for m, k in r.items():
                 for u, sign in rel:
                     acc[m + u] = acc.get(m + u, 0) + sign * k
             r = {m: k for m, k in acc.items() if k}
+            e = e - 1 if r else max(rows, default=-1)
         if r:
             return False
     return True
@@ -203,32 +209,45 @@ def _pack(p: SignedRealPoly, width: int) -> Node:
                              c.numerator * (den // c.denominator) for alpha, c in p.terms.items()}
 
 
+def _exponents(n: int, width: int, terms: Dict[int, int]) -> Iterator[Tuple[MultiIndex, int]]:
+    """The packed terms as (exponent tuple, numerator) pairs."""
+    mask = (1 << width) - 1
+    return ((tuple(key >> width * (n - 1 - j) & mask for j in range(n)), c) for key, c in terms.items())
+
+
 def _unpack(a: int, b: int, width: int, node: Node) -> SignedRealPoly:
-    n, mask, (_, den, terms) = a + b, (1 << width) - 1, node
-    return SignedRealPoly(a, b, {tuple(key >> width * (n - 1 - j) & mask for j in range(n)): Fraction(c, den)
-                                 for key, c in terms.items()})
+    return SignedRealPoly(a, b, {alpha: Fraction(c, node[1]) for alpha, c in _exponents(a + b, width, node[2])})
 
 
-def _pivot(n: int, width: int, shift: Tuple[int, int], route: Tuple, terms: Dict[int, int]) -> Tuple[int, int, int]:
-    """The corner move's eliminated variable e, the power of x_e dividing every term, and the pivot.
+def _summary(n: int, width: int, terms: Dict[int, int]) -> Summary:
+    """(e, common, pivot) by (elimination, positive pivot): what every corner move reads off a node.
 
-    The pivot is the grlex-first term of the required sign among those at
-    that power: every such term has one degree, so it has the largest key.
+    For x_1 ("first", e = 0) and x_n ("last", e = n - 1): the power of x_e dividing every
+    term, and the grlex-first term of each sign at that power (one degree: the largest key).
     """
-    _, pivot_sign, elim = route
-    e = n - 1 if elim == "last" else 0
-    field, mask = width * (n - 1 - e), (1 << width) - 1
-    # x_1 holds the top field, so the least key has the least power of it
-    common = min(terms, default=0) >> field if e == 0 else min(map(mask.__and__, terms), default=0)
-    candidates = [key for key, c in terms.items() if key >> field & mask == common and (c > 0) == (pivot_sign > 0)]
-    if not candidates:
-        word = "positive" if pivot_sign > 0 else "negative"
+    field, mask = width * (n - 1), (1 << width) - 1
+    keys = sorted(terms, reverse=True)  # x_1 holds the top field: the least keys have its least power
+    top, low = keys[-1] >> field, min(map(mask.__and__, keys))
+    first = keys[bisect_right(keys, -(top + 1) << field, key=int.__neg__):]
+    out = {}
+    for positive in (True, False):
+        out["first", positive] = (0, top, next((k for k in first if (terms[k] > 0) == positive), None))
+        out["last", positive] = (n - 1, low, next((k for k in keys if k & mask == low and (terms[k] > 0) == positive), None))
+    return out
+
+
+def _pivot(shift: Tuple[int, int], route: Tuple, summary: Summary) -> Tuple[int, int, int]:
+    """The corner move's eliminated variable e, the power of x_e dividing every term, and the pivot."""
+    e, common, pivot = summary[route[2], route[1] > 0]
+    if pivot is None:
+        word = "positive" if route[1] > 0 else "negative"
         raise NoPivotMonomial(f"no {word} monomial free of x{e + 1} is available for shift {shift}")
-    return e, common, max(candidates)
+    return e, common, pivot
 
 
-def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node) -> Tuple[int, int]:
-    """The degree and term count of `_move`'s output, read off the node without building it.
+def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node,
+         summary: Optional[Summary] = None) -> Tuple[int, int]:
+    """The degree and term count of `_move`'s output, read off the node (and its `_summary`) without building it.
 
     `_move` unites disjoint supports and makes no zero coefficient, so the
     count is exact: a grow adds the n terms of s, a tilde move trades its
@@ -236,17 +255,19 @@ def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node:
     """
     (m, _, terms), n = node, a + b
     if route[0] != "grow":
-        return m - _pivot(n, width, shift, route, terms)[1] + 1, len(terms) + n - (2 if route[0] == "tilde" else 1)
+        common = _pivot(shift, route, summary or _summary(n, width, terms))[1]
+        return m - common + 1, len(terms) + n - (2 if route[0] == "tilde" else 1)
     units = [1 << width * (n - 1 - j) for j in range(n)]
     head, tail = (units[1], units[0]) if route[1] else (units[0], units[1])
     # x_head^(k-m) p meets x_j x_tail^(k-1) exactly when p holds x_j x_tail^(k-1) / x_head^(k-m)
     k = m + 1
-    while any(u + (k - 1) * tail - (k - m) * head in terms for u in units):
+    while not terms.keys().isdisjoint(map(((k - 1) * tail - (k - m) * head).__add__, units)):
         k += 1
     return k, len(terms) + n
 
 
-def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node) -> Node:
+def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node,
+          summary: Optional[Summary] = None) -> Node:
     """The move `route` of _routes(a, b), realizing `shift`, on a packed polynomial.
 
     Each move is a union of two disjoint supports.  The hat moves halve
@@ -262,19 +283,19 @@ def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node
         out = {key + (k - m) * head: c for key, c in terms.items()}
         out.update((u + (k - 1) * tail, sign * c * den) for u, c in s)
         return k, den, out
-    e, common, piv = _pivot(n, width, shift, route, terms)
-    if common:
-        terms = {key - common * units[e]: c for key, c in terms.items()}
-        piv -= common * units[e]
-    c0 = terms[piv]
+    e, common, piv = _pivot(shift, route, summary or _summary(n, width, terms))
+    c0, step = terms[piv], (1 - common) * units[e]  # x_e^common divided out, times x_e
     # s + x_e when eliminating the last variable, -s + x_1 for the first: x_e drops out
     sign = 1 if e else -1
-    out = {piv + u: sign * c * c0 for j, (u, c) in enumerate(s) if j != e}
+    out = {piv - common * units[e] + u: sign * c * c0 for j, (u, c) in enumerate(s) if j != e}
     if route[0] == "tilde":
-        out.update((key + units[e], c) for key, c in terms.items() if key != piv)
+        moved = {key + step: c for key, c in terms.items()}
+        del moved[piv + step]
     else:
         den *= 2
-        out.update((key + units[e], c if key == piv else 2 * c) for key, c in terms.items())
+        moved = {key + step: 2 * c for key, c in terms.items()}
+        moved[piv + step] = c0
+    out.update(moved)
     return m - common + 1, den, out
 
 
@@ -331,6 +352,9 @@ class QuadricMap:
     rational and printing renders sqrt(w) symbolically.  A rational map
     stores its denominator as the index of one negative component; the
     target signature then drops that component from the negative count.
+    Treat instances as immutable: their components keep a private memo,
+    the integer view (forms._holo_side) that verify_map and dump_map read;
+    those of a map that `_viewed` builds are reduced from it on first read.
     """
 
     a: int
@@ -377,12 +401,19 @@ class QuadricMap:
         return SignaturePair(pos, neg)
 
 
+def _viewed(a: int, b: int, homogeneous: bool, denominator: Optional[int], side: HoloSide) -> QuadricMap:
+    """The map whose components start from the integer view `side`: valid by construction, so left unchecked."""
+    holo, m = WeightedHoloMap(a + b, ()), object.__new__(QuadricMap)
+    object.__delattr__(holo, "components")  # so that the first read of components reaches its __getattr__
+    holo._memo["side"] = side
+    m.__dict__.update(a=a, b=b, homogeneous=homogeneous, components=holo, denominator=denominator)
+    return m
+
+
 def identity_map(a: int, b: int) -> QuadricMap:
     """The identity on Q(a, b) as a QuadricMap."""
     n = a + b
-    comps = tuple(
-        (1 if j < a else -1, _F1, {unit(n, j): GR_ONE}) for j in range(n)
-    )
+    comps = tuple((1 if j < a else -1, _F1, {unit(n, j): GR_ONE}) for j in range(n))
     return QuadricMap(a, b, False, WeightedHoloMap(n, comps), None)
 
 
@@ -401,42 +432,36 @@ def verify_map(m: QuadricMap) -> bool:
 
     Forms the signed norm difference of the components (minus 1 for a
     polynomial map between affine quadrics) and checks divisibility by
-    the source defining polynomial.  False is a verdict, not an error.
-    When every component is one monomial, |c z^alpha|^2 = |c|^2 x^alpha
-    with x_j = |z_j|^2: the norm difference is a real polynomial in x.
+    the source defining polynomial, read off the integer view of the map.
+    False is a verdict, not an error.  When every component is one monomial,
+    |c z^alpha|^2 = |c|^2 x^alpha with x_j = |z_j|^2: a real polynomial in x.
     """
-    subtract_one, comps = (not m.homogeneous) and m.denominator is None, m.components.components
-    if all(len(poly) == 1 for _, _, poly in comps):
-        # sign w |c|^2 over the lcm wd of the weights' and cd of the coefficients' denominators
-        wd = lcm(*(w.denominator for _, w, _ in comps))
-        coeffs, cd = _cleared(c for _, _, poly in comps for c in poly.values())
-        real: Dict[MultiIndex, int] = {zero_index(m.n): -wd * cd * cd} if subtract_one else {}
-        for (sign, w, poly), (x, y) in zip(comps, coeffs):
-            (alpha,) = poly
-            real[alpha] = real.get(alpha, 0) + sign * w.numerator * (wd // w.denominator) * (x * x + y * y)
+    subtract_one, (d, rows) = (not m.homogeneous) and m.denominator is None, _holo_side(m.components)
+    if all(len(poly) == 1 for _, _, poly in rows):
+        # sign w |c|^2 over wd d^2, wd the lcm of the weights' denominators
+        wd = lcm(*(w[1] for _, w, _ in rows))
+        real: Dict[MultiIndex, int] = {zero_index(m.n): -wd * d * d} if subtract_one else {}
+        for sign, (wn, wk), poly in rows:
+            ((alpha, (x, y)),) = poly.items()
+            real[alpha] = real.get(alpha, 0) + sign * wn * (wd // wk) * (x * x + y * y)
         return _divides(m.a, m.b, not m.homogeneous, False, ((al[0], al[1:], v) for al, v in real.items()))
     return _vanishes_on_quadric(norm_difference(m.components, subtract_one), m.a, m.b, affine=not m.homogeneous)
 
 
-def _signed_map(a: int, b: int, homogeneous: bool, comps: Iterable[Tuple[int, Fraction, Poly]]) -> QuadricMap:
-    """The map of the signed components, positive ones first, then negative ones.
-
-    Each group keeps the grlex order of its components' leading monomials,
-    ties in the order given.  An affine map's first negative component is
-    its denominator.
-    """
+def _signed(comps: Iterable[tuple], homogeneous: bool) -> Tuple[tuple, Optional[int]]:
+    """The signed components, positive ones first, each group in the grlex order of the components'
+    leading monomials, ties in the order given; and an affine map's denominator, its first negative one."""
     ordered = tuple(sorted(comps, key=lambda c: (c[0] < 0, min(map(grlex_key, c[2])))))
-    denominator = None if homogeneous else sum(c[0] > 0 for c in ordered)
-    return QuadricMap(a, b, homogeneous, WeightedHoloMap(a + b, ordered), denominator)
+    return ordered, None if homogeneous else sum(c[0] > 0 for c in ordered)
 
 
-def _diagonal_map(a: int, b: int, terms: RealTerms, denominator: bool) -> QuadricMap:
-    """The monomial map of sum c x^alpha via x_k = |z_k|^2, one component per term, weighted by |c|.
-
-    With denominator, the map is affine and its denominator is named as
-    in `_signed_map`; otherwise it is homogeneous.
-    """
-    return _signed_map(a, b, not denominator, [(1 if c > 0 else -1, abs(c), {al: GR_ONE}) for al, c in terms.items()])
+def _monomial_map(a: int, b: int, homogeneous: bool, terms: Iterable[Tuple[MultiIndex, int, int]]) -> QuadricMap:
+    """The monomial map of sum (k / den) x^alpha via x_j = |z_j|^2: one component per term, of
+    weight |k / den| and coefficient 1, so the map starts from its integer view over d = 1."""
+    rows = ((1 if k > 0 else -1, (abs(k) // g, den // g), {alpha: (1, 0)}) for alpha, k, den in terms
+            for g in (gcd(k, den),))
+    ordered, denominator = _signed(rows, homogeneous)
+    return _viewed(a, b, homogeneous, denominator, (1, ordered))
 
 
 Sig = Tuple[int, int]
@@ -447,12 +472,13 @@ class _LatticeSearch:
 
     The region is A <= box_a, B <= box_b, A + B <= total.  Nodes are
     expanded lowest degree first, then fewest terms, then push order, and
-    each settled signature keeps one packed witness, in settle order.
+    each settled signature keeps one packed witness, in settle order, and
+    its place in that order in a column of signatures by A, sorted by B.
     `pending` maps each unsettled signature with a heap entry to the
     (degree, term count) key and the recipe of its best entry, the one
-    that pops first: the shift, route and settled parent to `_move`, or a
-    seed itself.  A child is ranked by `_key` and built only when it
-    settles; heap entries hold no polynomial.
+    that pops first: the shift, route and settled parent with its
+    `_summary` to `_move`, or a seed itself.  A child is ranked by `_key`
+    and built only when it settles; heap entries hold no polynomial.
     """
 
     def __init__(self, a: int, b: int, box_a: int, box_b: int, total: int):
@@ -463,7 +489,8 @@ class _LatticeSearch:
         # every node has degree <= A + B - (a + b) + 1 <= total: this width holds every exponent.
         self.width = total.bit_length()
         self.witnesses: Dict[Sig, Node] = {}
-        self.pending: Dict[Sig, Tuple[Tuple[int, int], Optional[Sig], Optional[Tuple], Node]] = {}
+        self.columns: Dict[int, List[Tuple[int, int]]] = {}  # A -> (B, settle index) of each witness
+        self.pending: Dict[Sig, Tuple[Tuple[int, int], Optional[Sig], Optional[Tuple], Any]] = {}
         self.heap: List[Tuple[int, int, int, Sig]] = []
         self.tick = count()
         seed = _pack(s_poly(a, b), self.width)
@@ -476,16 +503,15 @@ class _LatticeSearch:
         ra, rb, total = self.region
         return sig[0] <= ra and sig[1] <= rb and sig[0] + sig[1] <= total
 
-    def _push(self, sig: Sig, key: Tuple[int, int], shift: Optional[Sig], route: Optional[Tuple], node: Node) -> None:
+    def _push(self, sig: Sig, key: Tuple[int, int], shift: Optional[Sig], route: Optional[Tuple], parent: Any) -> None:
         # an entry that would pop after the signature's best one is never used
         best = self.pending.get(sig)
         if best is None or key < best[0]:
-            self.pending[sig] = (key, shift, route, node)
+            self.pending[sig] = (key, shift, route, parent)
             heapq.heappush(self.heap, key + (next(self.tick), sig))
 
-    def answer(
-        self, box_a: int, box_b: int, budget: int, goal: Optional[Sig], shared: bool = True
-    ) -> Optional[Tuple[Dict[Sig, Node], bool, int]]:
+    def answer(self, box_a: int, box_b: int, budget: int, goal: Optional[Sig], shared: bool = True
+               ) -> Optional[Tuple[Dict[Sig, Node], bool, int]]:
         """What a fresh search of the box [box_a] x [box_b] returns, and the field width.
 
         Resumes the walk until the answer is settled: the goal is
@@ -500,7 +526,9 @@ class _LatticeSearch:
         def inside(sig: Sig) -> bool:
             return sig[0] <= box_a and sig[1] <= box_b
 
-        found = [sig for sig in self.witnesses if inside(sig)]
+        # the box's witnesses in settle order, read off their columns
+        found = [sig for _, sig in sorted((i, (A, B)) for A, column in self.columns.items() if A <= box_a
+                                          for B, i in column[:bisect_right(column, (box_b, inf))])]
         live = sum(1 for sig in self.pending if inside(sig))
         spent = outside = 0
         while live and len(found) <= budget and goal not in self.witnesses:
@@ -511,23 +539,25 @@ class _LatticeSearch:
                 continue
             key, shift, route, node = self.pending.pop(sig)
             if route is not None:
-                node = _move(a, b, self.width, shift, route, node)
+                node = _move(a, b, self.width, shift, route, *node)
                 assert (node[0], len(node[2])) == key
+            insort(self.columns.setdefault(sig[0], []), (sig[1], len(self.witnesses)))
             self.witnesses[sig] = node
-            assert (sum(c > 0 for c in node[2].values()), len(node[2])) == (sig[0], sig[0] + sig[1])
+            assert (sum(map((0).__lt__, node[2].values())), len(node[2])) == (sig[0], sig[0] + sig[1])
             if inside(sig):
                 found.append(sig)
                 live -= 1
             else:
                 outside += 1
             spent += 1
+            summary = _summary(a + b, self.width, node[2])
             for shift, route in self.routes.items():
                 nsig = (sig[0] + shift[0], sig[1] + shift[1])
                 if not self.holds(nsig) or nsig in self.witnesses:
                     continue
                 if inside(nsig) and nsig not in self.pending:
                     live += 1
-                self._push(nsig, _key(a, b, self.width, shift, route, node), shift, route, node)
+                self._push(nsig, _key(a, b, self.width, shift, route, node, summary), shift, route, (node, summary))
         if goal in self.witnesses and found.index(goal) <= budget:
             return {sig: self.witnesses[sig] for sig in found[: found.index(goal) + 1]}, False, self.width
         return {sig: self.witnesses[sig] for sig in found[: budget + 1]}, len(found) > budget, self.width
@@ -544,14 +574,8 @@ def _clear_search_cache() -> None:
         _SEARCHES.clear()
 
 
-def _search(
-    a: int,
-    b: int,
-    box_a: int,
-    box_b: int,
-    budget: int,
-    goal: Optional[Sig] = None,
-) -> Tuple[Dict[Sig, Node], bool, int]:
+def _search(a: int, b: int, box_a: int, box_b: int, budget: int, goal: Optional[Sig] = None
+            ) -> Tuple[Dict[Sig, Node], bool, int]:
     """Lowest-degree-first walk of the signature lattice from the two seeds.
 
     Returns the packed witnesses, in settle order, whether the budget ran
@@ -590,9 +614,7 @@ def _search(
     return found
 
 
-def reachable_signatures(
-    a: int, b: int, size: int, budget: int = 10**5
-) -> Tuple[Dict[Tuple[int, int], SignedRealPoly], bool]:
+def reachable_signatures(a: int, b: int, size: int, budget: int = 10**5) -> Tuple[Dict[Sig, SignedRealPoly], bool]:
     """Witnesses for every reachable signature with A, B <= size."""
     nodes, hit, width = _reachable(a, b, size, budget)
     return {sig: _unpack(a, b, width, node) for sig, node in nodes.items()}, hit
@@ -630,7 +652,8 @@ def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) ->
             f"({A}, {B}) is outside the constructive sector for source ({a}, {b}) "
             "and the move search exhausted the box without reaching it"
         )
-    out = _diagonal_map(a, b, _unpack(a, b, width, nodes[(A, B)]).terms, denominator=False)
+    den, terms = nodes[(A, B)][1:]
+    out = _monomial_map(a, b, True, ((alpha, k, den) for alpha, k in _exponents(a + b, width, terms)))
     if not verify_map(out):
         raise NotVanishing("constructed map failed verification")
     return out
@@ -684,8 +707,7 @@ def dehomogenize(p: SignedRealPoly) -> QuadricMap:
     sig = _require_admissible(p, "dehomogenize")
     if sig.neg == 0:
         raise NoNegativeComponent("the polynomial has no negative terms to divide by")
-    terms = {al[:-1]: c for al, c in p.terms.items()}
-    out = _diagonal_map(p.a, p.b - 1, terms, denominator=True)
+    out = _monomial_map(p.a, p.b - 1, False, ((al[:-1], c.numerator, c.denominator) for al, c in p.terms.items()))
     if not verify_map(out):
         raise NotVanishing("dehomogenized map failed verification")
     return out
@@ -707,4 +729,5 @@ def map_from_form(form: HermitianForm, a: int, b: int) -> QuadricMap:
     holo = decompose(form)
     if not holo.signature().neg:
         raise NoNegativeComponent("the decomposition has no negative component")
-    return _signed_map(a, b, False, holo.components)
+    ordered, denominator = _signed(holo.components, False)
+    return QuadricMap(a, b, False, WeightedHoloMap(a + b, ordered), denominator)

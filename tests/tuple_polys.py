@@ -10,8 +10,10 @@ coefficients are never stored.
 from random import Random
 
 from hyperq.errors import NoPivotMonomial, NotAdmissible
+from hyperq.forms import WeightedHoloMap
 from hyperq.multiindex import add as mi_add, grlex_key, monomials_of_degree, unit
-from hyperq.quadrics import SignedRealPoly, _require_admissible, _routes, is_admissible, s_poly
+from hyperq.quadrics import QuadricMap, SignedRealPoly, _require_admissible, _routes, is_admissible, s_poly
+from hyperq.scalars import GR_ONE
 
 
 def poly_add_inplace(acc, p):
@@ -134,3 +136,29 @@ def criterion_8_seeds():
                 mono = rng.choice(monos)
                 q[mono] = q.get(mono, 0) + rng.randint(1, 5)
             yield SignedRealPoly(a, b, poly_mul(s, q))
+
+
+def diagonal_map(a, b, terms, denominator):
+    """The monomial map of sum c x^alpha via x_k = |z_k|^2, built eagerly as quadrics built it
+    before maps kept an integer view: one component per term, weighted by |c|, positive ones
+    first, each group in grlex order; with denominator the map is affine and its first negative
+    component is its denominator, otherwise it is homogeneous."""
+    comps = sorted(((1 if c > 0 else -1, abs(c), {al: GR_ONE}) for al, c in terms.items()),
+                   key=lambda comp: (comp[0] < 0, min(map(grlex_key, comp[2]))))
+    index = sum(comp[0] > 0 for comp in comps) if denominator else None
+    return QuadricMap(a, b, not denominator, WeightedHoloMap(a + b, tuple(comps)), index)
+
+
+def scanning_pivot(n, width, shift, route, terms):
+    """quadrics' corner-move pivot as it was found before the settle-time summary: every
+    route rescans the packed terms for the common power of x_e and the pivot."""
+    _, pivot_sign, elim = route
+    e = n - 1 if elim == "last" else 0
+    field, mask = width * (n - 1 - e), (1 << width) - 1
+    # x_1 holds the top field, so the least key has the least power of it
+    common = min(terms, default=0) >> field if e == 0 else min(map(mask.__and__, terms), default=0)
+    candidates = [key for key, c in terms.items() if key >> field & mask == common and (c > 0) == (pivot_sign > 0)]
+    if not candidates:
+        word = "positive" if pivot_sign > 0 else "negative"
+        raise NoPivotMonomial(f"no {word} monomial free of x{e + 1} is available for shift {shift}")
+    return e, common, max(candidates)
