@@ -189,7 +189,7 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
             if "," not in tokens[0]:
                 raise ParseError(filename, lineno, "each term starts with `<re>,<im>`")
             re_tok, _, im_tok = tokens[0].partition(",")
-            try:  # the view wants ints, and int() reads a token only as _fraction would
+            try:  # the view wants ints; where int() reads a token, _fraction reads the same value
                 re, im = int(re_tok), int(im_tok)
             except ValueError:
                 re, im = _fraction(re_tok, filename, lineno), _fraction(im_tok, filename, lineno)

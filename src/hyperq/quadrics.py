@@ -19,9 +19,13 @@ dehomogenization to rational maps between affine hyperquadrics.
 The moves and the divisibility routine run on integer coefficients and
 packed exponents: an exponent tuple is one int of fixed-width fields, so
 multiplying monomials adds ints.  The search ranks each child by the
-degree and term count `_key` reads off its parent, moves (`_move`) only
-the children it settles, keeps them packed, and builds a `SignedRealPoly`
-only for a witness it returns; `grow` and `corner_move` pack, move, unpack.
+degree and term count `_key` reads off its parent and the parent's
+`_summary`, taken once when it settles; it moves (`_move`) only the
+children it settles and keeps them packed.  `grow` and `corner_move`
+pack, move, unpack.  Maps keep the integers they are built from:
+construct_map, dehomogenize and parse_map give a map only the integer
+view of its components (forms._holo_side), which verify_map and dump_map
+read; its Fraction and GaussianRational components are reduced on demand.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
@@ -209,14 +213,14 @@ def _pack(p: SignedRealPoly, width: int) -> Node:
                              c.numerator * (den // c.denominator) for alpha, c in p.terms.items()}
 
 
-def _exponents(n: int, width: int, terms: Dict[int, int]) -> Iterator[Tuple[MultiIndex, int]]:
+def _unpacked(n: int, width: int, terms: Dict[int, int]) -> Iterator[Tuple[MultiIndex, int]]:
     """The packed terms as (exponent tuple, numerator) pairs."""
     mask = (1 << width) - 1
     return ((tuple(key >> width * (n - 1 - j) & mask for j in range(n)), c) for key, c in terms.items())
 
 
 def _unpack(a: int, b: int, width: int, node: Node) -> SignedRealPoly:
-    return SignedRealPoly(a, b, {alpha: Fraction(c, node[1]) for alpha, c in _exponents(a + b, width, node[2])})
+    return SignedRealPoly(a, b, {alpha: Fraction(c, node[1]) for alpha, c in _unpacked(a + b, width, node[2])})
 
 
 def _summary(n: int, width: int, terms: Dict[int, int]) -> Summary:
@@ -529,7 +533,8 @@ class _LatticeSearch:
         # the box's witnesses in settle order, read off their columns
         found = [sig for _, sig in sorted((i, (A, B)) for A, column in self.columns.items() if A <= box_a
                                           for B, i in column[:bisect_right(column, (box_b, inf))])]
-        live = sum(1 for sig in self.pending if inside(sig))
+        # heap entries left in the box; a goal already witnessed needs no count
+        live = 0 if goal in self.witnesses else sum(1 for A, B in self.pending if A <= box_a and B <= box_b)
         spent = outside = 0
         while live and len(found) <= budget and goal not in self.witnesses:
             if shared and (outside > len(found) or spent > budget):
@@ -653,7 +658,7 @@ def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) ->
             "and the move search exhausted the box without reaching it"
         )
     den, terms = nodes[(A, B)][1:]
-    out = _monomial_map(a, b, True, ((alpha, k, den) for alpha, k in _exponents(a + b, width, terms)))
+    out = _monomial_map(a, b, True, ((alpha, k, den) for alpha, k in _unpacked(a + b, width, terms)))
     if not verify_map(out):
         raise NotVanishing("constructed map failed verification")
     return out

@@ -1051,10 +1051,10 @@ def test_diagonal_verify_matches_the_sandwich(monkeypatch):
 
 
 def test_construct_unpacks_only_the_returned_witness(monkeypatch):
-    # _exponents reads a packed witness's exponent tuples, for construct_map and _unpack alike
+    # _unpacked reads a packed witness's exponent tuples, for construct_map and _unpack alike
     calls = []
-    exponents = quadrics._exponents
-    monkeypatch.setattr(quadrics, "_exponents", lambda *args: calls.append(args) or exponents(*args))
+    unpacked = quadrics._unpacked
+    monkeypatch.setattr(quadrics, "_unpacked", lambda *args: calls.append(args) or unpacked(*args))
     _clear_search_cache()
     # cold, warm, a rebuilt region, another split
     for a, b, A, B in [(4, 2, 10, 14), (4, 2, 9, 8), (4, 2, 12, 12), (4, 2, 30, 10), (3, 3, 9, 8)]:
