@@ -23,9 +23,10 @@ degree and term count `_key` reads off its parent and the parent's
 `_summary`, taken once when it settles; it moves (`_move`) only the
 children it settles and keeps them packed.  `grow` and `corner_move`
 pack, move, unpack.  Maps keep the integers they are built from:
-construct_map, dehomogenize and parse_map give a map only the integer
-view of its components (forms._holo_side), which verify_map and dump_map
-read; its Fraction and GaussianRational components are reduced on demand.
+construct_map, dehomogenize, tensor_extend and parse_map give a map only
+the integer view of its components (forms._holo_side), which verify_map
+and dump_map read; its Fraction and GaussianRational components are
+reduced on demand.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
@@ -670,11 +671,12 @@ def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
     On the source quadric |f|^2 equals |f|^2 (sum_{j<=a} |z_j|^2 -
     sum_{j>a} |z_j|^2), so tensoring a positive component adds the block
     split (a-1, b) to the target and tensoring a negative one adds
-    (b, a-1).  The output is re-verified.  On HQ(a, b) with a + b >= 2
+    (b, a-1).  The output is built on the input's integer view and
+    re-verified.  On HQ(a, b) with a + b >= 2
     the block sums to |f|^2 s = 0 instead, so homogeneous maps are
     refused up front.
     """
-    comps = m.components.components
+    cd, comps = _holo_side(m.components)
     if not 0 <= component_index < len(comps):
         raise IndexOutOfRange(
             f"component index {component_index} out of range [0, {len(comps) - 1}]"
@@ -695,7 +697,7 @@ def tensor_extend(m: QuadricMap, component_index: int) -> QuadricMap:
     listed = comps[:i] + block + comps[i + 1:]
     order = sorted(range(len(listed)), key=lambda k: listed[k][0] < 0)  # stable: the block stays in place
     denom = None if d is None else order.index(d if d < i else d + n - 1)
-    out = QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(n, tuple(listed[k] for k in order)), denom)
+    out = _viewed(m.a, m.b, m.homogeneous, denom, (cd, tuple(listed[k] for k in order)))
     if not verify_map(out):
         raise NotVanishing("tensor extension failed verification")
     return out
