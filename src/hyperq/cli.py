@@ -27,8 +27,8 @@ from .combinat import (
     stability_region,
 )
 from .errors import HyperqError, ParseError
-from .formats import component_str, dump_map, load_form, load_map, load_realpoly
-from .forms import decompose, form_inertia, form_rank
+from .formats import _ratio, component_str, dump_map, load_form, load_map, load_realpoly
+from .forms import WeightedHoloMap, _holo_side, decompose, form_inertia, form_rank
 from .multiindex import grlex_key
 from .quadrics import (
     QuadricMap,
@@ -42,17 +42,19 @@ from .quadrics import (
 from .restrict import generic_restriction_rank, max_affine_rank, sz_failure_bound
 
 
-def _components_doc(components) -> list:
+def _components_doc(holo: WeightedHoloMap) -> list:
+    """The components as JSON, read off their integer view, so none is reduced to GaussianRationals."""
+    d, rows = _holo_side(holo)
     return [
         {
             "sign": sign,
-            "weight": str(weight),
+            "weight": _ratio(wn, wd),
             "terms": [
-                {"exponents": list(alpha), "re": str(poly[alpha].re), "im": str(poly[alpha].im)}
+                {"exponents": list(alpha), "re": _ratio(poly[alpha][0], d), "im": _ratio(poly[alpha][1], d)}
                 for alpha in sorted(poly, key=grlex_key)
             ],
         }
-        for sign, weight, poly in components
+        for sign, (wn, wd), poly in rows
     ]
 
 
@@ -72,7 +74,7 @@ def _map_output(doc: dict, m: QuadricMap) -> Tuple[dict, str]:
             "homogeneous": m.homogeneous,
             "denominator": m.denominator,
             "target": list(m.target()),
-            "components": _components_doc(m.components.components),
+            "components": _components_doc(m.components),
         }
     )
     return doc, dump_map(m)
@@ -119,7 +121,7 @@ def cmd_form_decompose(args) -> Tuple[dict, str]:
     doc = {
         "file": args.file,
         "signature": list(holo.signature()),
-        "components": _components_doc(holo.components),
+        "components": _components_doc(holo),
     }
     lines = [component_str(sign, weight, poly) for sign, weight, poly in holo.components]
     if not args.quiet:

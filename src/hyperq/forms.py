@@ -23,7 +23,7 @@ from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Se
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _checked_hermitian, _cleared, _components, _signs, _symmetric_steps
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, total_degree, unit, zero_index
-from .scalars import GR_ONE, GaussianRational, gr
+from .scalars import GaussianRational, gr
 
 
 class SignaturePair(NamedTuple):
@@ -69,43 +69,12 @@ class HermitianForm:
         """Grlex-sorted list of multi-indices appearing in any entry."""
         return list(_form_side(self)[0])
 
-    def matrix(self, basis: Optional[Sequence[MultiIndex]] = None) -> List[List[GaussianRational]]:
-        """Dense coefficient matrix over the given (default: support) basis."""
-        if basis is None:
-            basis = self.support()
-        zero = gr(0)
-        return [[self.entries.get((a, b), zero) for b in basis] for a in basis]
-
     def is_zero(self) -> bool:
         return not self.entries
 
     def max_degree(self) -> int:
         """Largest holomorphic degree present (0 for the zero form)."""
         return max(map(total_degree, _form_side(self)[0]), default=0)
-
-    def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        """Value of r at a point; real whenever the form is Hermitian."""
-        if len(point) != self.n:
-            raise DimensionMismatch(f"point has {len(point)} coordinates, form has {self.n}")
-        powers: Dict[Tuple[int, int], GaussianRational] = {}
-
-        def pw(i: int, e: int) -> GaussianRational:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = GR_ONE if e == 0 else pw(i, e - 1) * point[i]
-            return powers[key]
-
-        total = gr(0)
-        for (alpha, beta), c in self.entries.items():
-            term = c
-            for i, e in enumerate(alpha):
-                if e:
-                    term = term * pw(i, e)
-            for i, e in enumerate(beta):
-                if e:
-                    term = term * pw(i, e).conjugate()
-            total = total + term
-        return total
 
 
 def _check_index(idx: Tuple[int, ...], n: int) -> MultiIndex:

@@ -5,8 +5,8 @@ as (re, im) int pairs (Bareiss 1968): every entry is a minor of the
 cleared matrix, so every division is exact.  One elimination of a
 Hermitian M gives steps that `_signs` counts by sign (their sum is the
 rank) and `_components` reads as signed weighted rank-one pieces; forms
-runs it once per form, and `rank` on the Gram matrix of a matrix.
-`solve` is a Gauss-Jordan pass over Q(i).
+runs it once per form, and it has no other way in.  `solve` is a
+Gauss-Jordan pass over Q(i).
 M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
-from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
+from .errors import ConjugateMismatch, NonRealDiagonal
 from .scalars import GR_ZERO, GaussianRational
 
 Matrix = List[List[GaussianRational]]
@@ -43,24 +43,6 @@ def _cleared(values: Iterable[object]) -> Tuple[List[_GIPair], int]:
     vals = [GaussianRational.coerce(v) for v in values]
     d = lcm(*(q for v in vals for q in (v.re.denominator, v.im.denominator)))
     return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals], d
-
-
-def rank(rows: Sequence[Sequence[object]]) -> int:
-    """Exact rank of a matrix with GaussianRational, Fraction, or int entries.
-
-    Each row is cleared by its own lcm, a positive scale that keeps the
-    rank, to A over Z[i].  Over C, rank A = rank A A*, so the rank is the
-    symmetric pivot count of the Hermitian Gram matrix of the shorter side.
-    """
-    width = len(rows[0]) if rows else 0
-    if any(len(row) != width for row in rows):
-        raise DimensionMismatch(f"matrix rows have unequal lengths, the first has {width}")
-    a = [_cleared(row)[0] for row in rows]
-    if len(a) > width:
-        a = list(zip(*a))
-    gram = [[(sum(pr * qr + pi * qi for (pr, pi), (qr, qi) in zip(p, q)),
-              sum(pi * qr - pr * qi for (pr, pi), (qr, qi) in zip(p, q))) for q in a] for p in a]
-    return sum(_signs(_symmetric_steps(gram)))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

@@ -10,7 +10,7 @@ first, so for two variables degree 2 reads z1^2, z1 z2, z2^2.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 MultiIndex = Tuple[int, ...]
 
@@ -22,26 +22,6 @@ def total_degree(alpha: MultiIndex) -> int:
 def grlex_key(alpha: MultiIndex):
     """Sort key realizing the graded lexicographic order (ascending)."""
     return (sum(alpha), tuple(map(operator.neg, alpha)))
-
-
-def monomials_of_degree(n_vars: int, d: int) -> Iterator[MultiIndex]:
-    """All exponent tuples of total degree d, in graded-lex order."""
-    if n_vars < 1:
-        raise ValueError("need at least one variable")
-    if n_vars == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in monomials_of_degree(n_vars - 1, d - e):
-            yield (e,) + rest
-
-
-def monomials_up_to(n_vars: int, d: int) -> List[MultiIndex]:
-    """All exponent tuples of total degree <= d, graded-lex order."""
-    out: List[MultiIndex] = []
-    for deg in range(d + 1):
-        out.extend(monomials_of_degree(n_vars, deg))
-    return out
 
 
 def sorted_grlex(indices: Iterable[MultiIndex]) -> List[MultiIndex]:

@@ -251,8 +251,8 @@ def _pivot(shift: Tuple[int, int], route: Tuple, summary: Summary) -> Tuple[int,
 
 
 def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node,
-         summary: Optional[Summary] = None) -> Tuple[int, int]:
-    """The degree and term count of `_move`'s output, read off the node (and its `_summary`) without building it.
+         summary: Summary) -> Tuple[int, int]:
+    """The degree and term count of `_move`'s output, read off the node and its `_summary` without building it.
 
     `_move` unites disjoint supports and makes no zero coefficient, so the
     count is exact: a grow adds the n terms of s, a tilde move trades its
@@ -260,7 +260,7 @@ def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node:
     """
     (m, _, terms), n = node, a + b
     if route[0] != "grow":
-        common = _pivot(shift, route, summary or _summary(n, width, terms))[1]
+        common = _pivot(shift, route, summary)[1]
         return m - common + 1, len(terms) + n - (2 if route[0] == "tilde" else 1)
     units = [1 << width * (n - 1 - j) for j in range(n)]
     head, tail = (units[1], units[0]) if route[1] else (units[0], units[1])
@@ -272,7 +272,7 @@ def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node:
 
 
 def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node,
-          summary: Optional[Summary] = None) -> Node:
+          summary: Summary) -> Node:
     """The move `route` of _routes(a, b), realizing `shift`, on a packed polynomial.
 
     Each move is a union of two disjoint supports.  The hat moves halve
@@ -284,11 +284,11 @@ def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node
     if route[0] == "grow":
         # x_1^{k-m} p + x_2^{k-1} s, or x_2^{k-m} p - x_1^{k-1} s when mirrored, k minimal
         head, tail, sign = (units[1], units[0], -1) if route[1] else (units[0], units[1], 1)
-        k = _key(a, b, width, shift, route, node)[0]
+        k = _key(a, b, width, shift, route, node, summary)[0]
         out = {key + (k - m) * head: c for key, c in terms.items()}
         out.update((u + (k - 1) * tail, sign * c * den) for u, c in s)
         return k, den, out
-    e, common, piv = _pivot(shift, route, summary or _summary(n, width, terms))
+    e, common, piv = _pivot(shift, route, summary)
     c0, step = terms[piv], (1 - common) * units[e]  # x_e^common divided out, times x_e
     # s + x_e when eliminating the last variable, -s + x_1 for the first: x_e drops out
     sign = 1 if e else -1
@@ -307,7 +307,8 @@ def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node
 def _moved(p: SignedRealPoly, shift: Tuple[int, int], route: Tuple, sig: SignaturePair) -> SignedRealPoly:
     # a move raises the degree by at most 2, so fields this wide hold every exponent it makes
     width = (p.degree() + 2).bit_length()
-    out = _unpack(p.a, p.b, width, _move(p.a, p.b, width, shift, route, _pack(p, width)))
+    node = _pack(p, width)
+    out = _unpack(p.a, p.b, width, _move(p.a, p.b, width, shift, route, node, _summary(p.n, width, node[2])))
     assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
     return out
 

@@ -1,9 +1,7 @@
 """Restriction of forms to linear and affine subspaces.
 
-The degree-d Veronese map lists all degree-d monomials; an embedding
-E of a subspace induces a matrix T acting on monomial coefficients,
-with (Ew + t)^alpha = sum over gamma of T[alpha, gamma] w^gamma.
-Restricting a Hermitian form is the sandwich T* C T, and generic or
+An embedding w -> Ew + t of a subspace restricts a form r to r(Ew + t),
+which `compose_linear` builds by exact substitution, and generic or
 maximal restriction ranks are estimated by exact evaluation at random
 Gaussian-integer parameters x + iy with 1 <= x, y <= coeff_bound.
 Randomized answers can only undershoot the true generic rank, and the
@@ -19,9 +17,9 @@ from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .forms import HermitianForm, _expansions, compose_linear, form_rank
-from .linalg import rank as matrix_rank, solve
-from .multiindex import MultiIndex, monomials_of_degree, monomials_up_to, unit
+from .forms import HermitianForm, compose_linear, form_from_entries, form_rank
+from .linalg import solve
+from .multiindex import unit
 from .scalars import GR_ZERO, GaussianRational, gr
 
 
@@ -35,17 +33,6 @@ class AffineEmbedding:
 
     linear: Tuple[Tuple[GaussianRational, ...], ...]
     translation: Tuple[GaussianRational, ...]
-
-    @property
-    def n_ambient(self) -> int:
-        return len(self.linear)
-
-    @property
-    def n_sub(self) -> int:
-        return len(self.linear[0]) if self.linear else 0
-
-    def is_linear(self) -> bool:
-        return not any(self.translation)
 
 
 def embedding(linear: Sequence[Sequence[object]], translation: Optional[Sequence[object]] = None) -> AffineEmbedding:
@@ -66,60 +53,15 @@ def embedding(linear: Sequence[Sequence[object]], translation: Optional[Sequence
                 f"translation has {len(translation)} entries, embedding has {len(rows)} rows"
             )
         trans = tuple(GaussianRational.coerce(x) for x in translation)
-    if matrix_rank(rows) != n_sub:
+    # |Ew|^2 has the matrix E*E, whose rank is that of E
+    n = len(rows)
+    if form_rank(compose_linear(form_from_entries(n, ((unit(n, i), unit(n, i), 1) for i in range(n))), rows)) != n_sub:
         raise ValueError("embedding matrix must have full column rank")
     return AffineEmbedding(tuple(rows), trans)
 
 
-def veronese_dim(n_vars: int, d: int) -> int:
-    """Number of degree-d monomials in n_vars variables."""
-    if n_vars < 1:
-        raise ValueError("n_vars must be positive")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    return comb(n_vars - 1 + d, d)
-
-
-@dataclass(frozen=True)
-class RestrictionMatrix:
-    """Coefficient action of an embedding on monomials.
-
-    rows index ambient monomials, cols subspace monomials, and
-    entries[i][j] is the coefficient of w^cols[j] in (Ew + t)^rows[i].
-    Linear embeddings act degree by degree, so only degree d appears;
-    affine ones mix degrees and carry the whole block up to d.
-    """
-
-    d: int
-    rows: Tuple[MultiIndex, ...]
-    cols: Tuple[MultiIndex, ...]
-    entries: Tuple[Tuple[GaussianRational, ...], ...]
-
-
-def restriction_matrix(E: AffineEmbedding, d: int) -> RestrictionMatrix:
-    """The matrix T of the embedding acting on degree-d coefficients."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if E.is_linear():
-        rows = list(monomials_of_degree(E.n_ambient, d))
-        cols = list(monomials_of_degree(E.n_sub, d))
-    else:
-        rows = monomials_up_to(E.n_ambient, d)
-        cols = monomials_up_to(E.n_sub, d)
-    table, m = _expansions(E.linear, E.translation, E.n_sub, rows)
-
-    def entry(alpha: MultiIndex, gamma: MultiIndex) -> GaussianRational:
-        if gamma not in table[alpha]:
-            return GR_ZERO
-        (re, im), q = table[alpha][gamma], m ** sum(alpha)
-        return gr(Fraction(re, q), Fraction(im, q))
-
-    entries = tuple(tuple(entry(alpha, gamma) for gamma in cols) for alpha in rows)
-    return RestrictionMatrix(d, tuple(rows), tuple(cols), entries)
-
-
 def restrict_form(form: HermitianForm, E: AffineEmbedding) -> HermitianForm:
-    """The restricted form T* C T; its rank is the rank of r composed with E."""
+    """The restricted form r(Ew + t), built by compose_linear."""
     return compose_linear(form, E.linear, E.translation)
 
 

@@ -1,12 +1,16 @@
-"""Dense GaussianRational matrices in tests: products, and a matrix read as a form.
+"""Dense GaussianRational matrices in tests: products, a general rank, and
+matrices read as forms and forms read as matrices.
 
 hyperq enters its symmetric elimination only through a form.  A square
 matrix M is the one-variable form sum of M[i][j] z^i zbar^j, whose
 grlex basis z^0, z^1, ... keeps the matrix's index order.
 """
 
+from math import lcm
+
+from hyperq.errors import DimensionMismatch
 from hyperq.forms import HermitianForm, decompose
-from hyperq.scalars import GR_ZERO, gr
+from hyperq.scalars import GR_ONE, GR_ZERO, GaussianRational, gr
 
 
 def identity(n):
@@ -27,3 +31,87 @@ def matrix_components(mat):
     """decompose of the matrix's form as (sign, weight, vector) over the unit basis."""
     n = len(mat)
     return [(s, w, [poly.get((k,), GR_ZERO) for k in range(n)]) for s, w, poly in decompose(matrix_form(mat)).components]
+
+
+def form_matrix(form, basis=None):
+    """The form's dense coefficient matrix over the given (default: support) basis."""
+    if basis is None:
+        basis = form.support()
+    return [[form.entries.get((a, b), GR_ZERO) for b in basis] for a in basis]
+
+
+def evaluate(form, point):
+    """The form's value r(z, zbar) at a point; real whenever the form is Hermitian."""
+    if len(point) != form.n:
+        raise DimensionMismatch(f"point has {len(point)} coordinates, form has {form.n}")
+    powers = {}
+
+    def pw(i, e):
+        key = (i, e)
+        if key not in powers:
+            powers[key] = GR_ONE if e == 0 else pw(i, e - 1) * point[i]
+        return powers[key]
+
+    total = gr(0)
+    for (alpha, beta), c in form.entries.items():
+        term = c
+        for i, e in enumerate(alpha):
+            if e:
+                term = term * pw(i, e)
+        for i, e in enumerate(beta):
+            if e:
+                term = term * pw(i, e).conjugate()
+        total = total + term
+    return total
+
+
+# -- a general Bareiss rank, the one dense-rank oracle --
+
+
+def _gi_mul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _gi_div_exact(x, y):
+    """x / y in Z[i]; divisibility is asserted."""
+    c, d = y
+    n = c * c + d * d
+    num = _gi_mul(x, (c, -d))
+    qr, rr = divmod(num[0], n)
+    qi, ri = divmod(num[1], n)
+    assert not rr and not ri, "inexact Gaussian-integer division in Bareiss step"
+    return (qr, qi)
+
+
+def _cleared_row(row):
+    vals = [GaussianRational.coerce(x) for x in row]
+    d = lcm(*(q.denominator for v in vals for q in (v.re, v.im)))
+    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals]
+
+
+def bareiss_rank(rows):
+    """Rank by fraction-free Gaussian elimination with row pivots, each row cleared by its own lcm."""
+    m = [_cleared_row(r) for r in rows if any(x for x in r)]
+    if not m:
+        return 0
+    n_rows = len(m)
+    r = 0
+    prev = (1, 0)
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, n_rows) if m[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p, row_r = m[r][c], m[r]
+        for i in range(r + 1, n_rows):
+            mic, row_i = m[i][c], m[i]
+            for j in range(c + 1, len(row_i)):
+                a, b = _gi_mul(p, row_i[j]), _gi_mul(mic, row_r[j])
+                row_i[j] = _gi_div_exact((a[0] - b[0], a[1] - b[1]), prev)
+        prev = p
+        r += 1
+        if r == n_rows:
+            break
+    return r

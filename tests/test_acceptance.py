@@ -15,7 +15,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from dense import matrix_form
+from dense import bareiss_rank, matrix_form
 from hyperq.cli import main
 from hyperq.combinat import (
     green_G,
@@ -34,8 +34,6 @@ from hyperq.forms import (
     form_inertia,
     form_rank,
 )
-from hyperq.linalg import rank
-from hyperq.multiindex import monomials_of_degree
 from hyperq.quadrics import (
     QuadricMap,
     SignedRealPoly,
@@ -51,10 +49,9 @@ from hyperq.restrict import (
     generic_restriction_rank,
     quadric_subspace,
     restrict_form,
-    restriction_matrix,
-    veronese_dim,
 )
 from hyperq.scalars import gr
+from tuple_polys import monomials_of_degree, restriction_matrix
 
 
 @pytest.fixture
@@ -114,20 +111,20 @@ def test_criterion_3(criterion):
         for n in (2, 3):
             for d in range(1, 5):
                 ambient = n + 1
-                v_amb = veronese_dim(ambient, d)
-                v_sub = veronese_dim(n, d)
+                v_amb = comb(ambient - 1 + d, d)
+                v_sub = comb(n - 1 + d, d)
                 for _ in range(100):
                     rows = [[rng.randint(1, 10**6) for _ in range(n)] for _ in range(ambient)]
-                    T = restriction_matrix(embedding(rows), d)
-                    t_int = [[int(e.re) for e in row] for row in T.entries]
+                    embedding(rows)  # full column rank
+                    t_int = restriction_matrix(rows, d)[2]
                     n_rows = rng.randint(1, v_sub + 3)
                     M = [[rng.randint(-9, 9) for _ in range(v_amb)] for _ in range(n_rows)]
-                    N = rank(M)
+                    N = bareiss_rank(M)
                     MT = [
                         [sum(M[i][k] * t_int[k][j] for k in range(v_amb)) for j in range(v_sub)]
                         for i in range(n_rows)
                     ]
-                    k = rank(MT)
+                    k = bareiss_rank(MT)
                     assert N <= green_K(n, k)
                     # one certifying minor, degree d per entry, integer draws
                     assert Fraction(d * min(n_rows, v_sub), 10**6) < Fraction(1, 10**4)

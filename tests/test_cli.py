@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperq import quadrics
+from hyperq import forms, quadrics
 from hyperq.cli import main
 from hyperq.combinat import green_G
 from hyperq.formats import dump_map, dump_realpoly, parse_map
@@ -353,3 +353,17 @@ def test_tensor_of_homogeneous_map_is_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, ["quadric", "tensor", str(path), "--component", "0"])
     assert code == 1 and out == ""
     assert err.startswith("NotVanishing:") and "affine" in err
+
+
+def test_map_commands_reduce_no_component(capsys, monkeypatch):
+    # construct and tensor print text and JSON from the map's integer view: no component is
+    # reduced to GaussianRationals, so the output cannot quietly fall back to them
+    reduced = []
+    getattr_ = forms.WeightedHoloMap.__getattr__
+    monkeypatch.setattr(forms.WeightedHoloMap, "__getattr__", lambda self, name: reduced.append(name) or getattr_(self, name))
+    tensor_input = str(Path(__file__).parent / "golden" / "inputs" / "dehomogenized.map")
+    for argv in (["quadric", "construct", "4", "2", "12", "18"], ["quadric", "tensor", tensor_input, "--component", "0"]):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, argv + extra)
+            assert code == 0 and err == "" and out
+    assert reduced == []

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from dense import bareiss_rank
 from hyperq.combinat import (
     _last_true,
     _min_degree_for,
@@ -20,9 +21,8 @@ from hyperq.combinat import (
     stability_region,
 )
 from hyperq.forms import form_from_real_poly
-from hyperq.linalg import rank as linalg_rank
-from hyperq.multiindex import monomials_of_degree
-from hyperq.restrict import embedding, generic_restriction_rank, restriction_matrix
+from hyperq.restrict import embedding, generic_restriction_rank
+from tuple_polys import monomials_of_degree, restriction_matrix
 
 
 def test_rep_examples():
@@ -292,10 +292,12 @@ def test_lex_segments_attain_green_bound():
             assert free == [green_G(n, d, N) for N in range(len(free))], (n, d)
     rng = Random(11)
     for n, d in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2)]:
-        T = restriction_matrix(embedding([[rng.randint(-999, 999) for _ in range(n)] for _ in range(n + 1)]), d)
-        assert list(T.rows) == lex(n, d)
-        for N in range(len(T.rows) + 1):
-            assert linalg_rank(T.entries[:N]) == green_G(n, d, N), (n, d, N)
+        linear = [[rng.randint(-999, 999) for _ in range(n)] for _ in range(n + 1)]
+        embedding(linear)  # a hyperplane: full column rank
+        rows, _, T = restriction_matrix(linear, d)
+        assert rows == lex(n, d)
+        for N in range(len(rows) + 1):
+            assert bareiss_rank(T[:N]) == green_G(n, d, N), (n, d, N)
     for n, d in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]:
         monos = lex(n, d)
         for N in range(1, len(monos) + 1):

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from dense import bareiss_rank, evaluate, form_matrix
 import hyperq.forms as forms_module
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.forms import (
@@ -29,12 +30,12 @@ from hyperq.forms import (
     WeightedHoloMap,
 )
 from hyperq.formats import dump_form, load_form
-from hyperq.linalg import _cleared, rank
-from hyperq.multiindex import monomials_up_to, sorted_grlex, unit, zero_index
+from hyperq.linalg import _cleared
+from hyperq.multiindex import sorted_grlex, unit, zero_index
 from hyperq.restrict import cayley_unitary
 from hyperq.scalars import GR_ONE, GR_ZERO, gr
 from test_linalg import _gr_ldl_components
-from tuple_polys import poly_mul
+from tuple_polys import monomials_up_to, poly_mul
 
 
 def _random_form(rng, n, terms, span=5):
@@ -121,7 +122,7 @@ def test_evaluate_is_real():
     f = _random_form(rng, 2, 4)
     for _ in range(10):
         point = [gr(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]
-        assert f.evaluate(point).is_real()
+        assert evaluate(f, point).is_real()
 
 
 def test_evaluate_matches_decomposition():
@@ -140,7 +141,7 @@ def test_evaluate_matches_decomposition():
                         term = term * point[i]
                 val = val + term
             total = total + gr(weight if sign > 0 else -weight) * val * val.conjugate()
-        assert total == f.evaluate(point)
+        assert total == evaluate(f, point)
 
 
 def test_compose_identity_is_noop():
@@ -428,9 +429,8 @@ def _dense_form(rng, n, top, size):
 
 
 def test_gram_rank_equals_symmetric_kernel_rank():
-    # the pivot count of M, behind form_rank and form_inertia, against that
-    # of the Gram matrix M M* = M^2 behind linalg.rank, which test_linalg
-    # checks against a general Bareiss elimination
+    # the pivot count of M, behind form_rank and form_inertia, against a
+    # general Bareiss elimination of M's dense matrix
     rng = Random(1105)
     for n, top, size in [(3, 3, 8), (3, 3, 12), (3, 3, 16), (3, 3, 20), (4, 2, 9), (4, 2, 15)]:
         f = _dense_form(rng, n, top, size)
@@ -439,7 +439,7 @@ def test_gram_rank_equals_symmetric_kernel_rank():
         change = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         g = compose_linear(f, change)
         for h in (f, g):
-            assert form_rank(h) == form_inertia(h).rank == rank(h.matrix())
+            assert form_rank(h) == form_inertia(h).rank == bareiss_rank(form_matrix(h))
         assert form_inertia(g) == form_inertia(f)
 
 
@@ -457,7 +457,7 @@ def _zero_diagonal_form(rng, n, terms):
 def _matrix_path(form):
     """(rank, inertia, components) of the dense matrix by test_linalg's GaussianRational LDL* oracle."""
     basis = form.support()
-    comps = _gr_ldl_components(form.matrix(basis))
+    comps = _gr_ldl_components(form_matrix(form, basis))
     pos = sum(s > 0 for s, _, _ in comps)
     return {
         "rank": len(comps),

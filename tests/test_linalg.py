@@ -1,15 +1,17 @@
-"""Fraction-free rank, exact solve, and the fraction-free symmetric LDL* kernel read through forms."""
+"""Exact solve, the fraction-free symmetric LDL* kernel read through forms, and
+embedding's column rank, all against dense oracles."""
 
 from fractions import Fraction
-from math import lcm
 from random import Random
 
 import pytest
 
-from dense import identity, matmul, matrix_components, matrix_form
-from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from hyperq.forms import _elimination, decompose, form_inertia
-from hyperq.linalg import rank, solve
+from dense import bareiss_rank, identity, matmul, matrix_components, matrix_form
+from hyperq.errors import ConjugateMismatch, NonRealDiagonal
+from hyperq.forms import _elimination, compose_linear, decompose, form_from_entries, form_inertia, form_rank
+from hyperq.linalg import solve
+from hyperq.multiindex import unit
+from hyperq.restrict import embedding
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
@@ -31,73 +33,10 @@ def _hermitian(rng, n, span=9):
     return mat
 
 
-# -- the general Bareiss rank the symmetric kernel replaced, kept as the reference --
-
-
-def _gi_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _gi_div_exact(x, y):
-    """x / y in Z[i]; divisibility is asserted."""
-    c, d = y
-    n = c * c + d * d
-    num = _gi_mul(x, (c, -d))
-    qr, rr = divmod(num[0], n)
-    qi, ri = divmod(num[1], n)
-    assert not rr and not ri, "inexact Gaussian-integer division in Bareiss step"
-    return (qr, qi)
-
-
-def _cleared_row(row):
-    vals = [GaussianRational.coerce(x) for x in row]
-    d = lcm(*(q.denominator for v in vals for q in (v.re, v.im)))
-    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals]
-
-
-def _bareiss_rank(rows):
-    """Rank by fraction-free Gaussian elimination with row pivots, each row cleared by its own lcm."""
-    m = [_cleared_row(r) for r in rows if any(x for x in r)]
-    if not m:
-        return 0
-    n_rows = len(m)
-    r = 0
-    prev = (1, 0)
-    for c in range(len(m[0])):
-        piv = next((i for i in range(r, n_rows) if m[i][c] != (0, 0)), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p, row_r = m[r][c], m[r]
-        for i in range(r + 1, n_rows):
-            mic, row_i = m[i][c], m[i]
-            for j in range(c + 1, len(row_i)):
-                a, b = _gi_mul(p, row_i[j]), _gi_mul(mic, row_r[j])
-                row_i[j] = _gi_div_exact((a[0] - b[0], a[1] - b[1]), prev)
-        prev = p
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
-def test_rank_int_rows():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[1, 2], [0, 3]]) == 2
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([]) == rank([[]]) == rank([[], []]) == 0
-
-
-def test_rank_refuses_ragged_rows():
-    for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5]], [[1], [2, 3], [4]], [[gr(1)], []]):
-        with pytest.raises(DimensionMismatch):
-            rank(rows)
-
-
 def test_rank_matches_bareiss_on_products():
-    # A B with A n x k and B k x m has rank <= k: square, wide, tall, and rank-deficient
+    # embedding's column rank, the pivot count of the form |A B w|^2, against the
+    # Bareiss rank of A B with A n x k and B k x m, which is at most k: square, wide,
+    # tall, and rank-deficient; embedding accepts exactly the products of rank m
     rng = Random(1201)
     shapes = set()
     for _ in range(60):
@@ -106,19 +45,28 @@ def test_rank_matches_bareiss_on_products():
         a = [[_rand_gr(rng, 4) for _ in range(k)] for _ in range(n)]
         b = [[_rand_gr(rng, 4) for _ in range(m)] for _ in range(k)]
         mat = matmul(a, b) if k else [[GR_ZERO] * m for _ in range(n)]
-        want = _bareiss_rank(mat)
-        assert rank(mat) == want <= k
+        want = bareiss_rank(mat)
+        assert form_rank(compose_linear(_squares(n), mat)) == want <= k
+        try:
+            embedding(mat)
+        except ValueError:
+            assert want < m
+        else:
+            assert want == m
         shapes.add(("square" if n == m else "wide" if n < m else "tall", want < min(n, m)))
     assert len(shapes) == 6
+    # a column that is i times another: dependent over C, though not over R
+    for _ in range(10):
+        col = [_rand_gr(rng, 4) for _ in range(4)]
+        mat = [[x, gr(0, 1) * x, _rand_gr(rng, 4)] for x in col]
+        assert bareiss_rank(mat) == 2
+        with pytest.raises(ValueError, match="full column rank"):
+            embedding(mat)
 
 
-def test_rank_mixed_scalars():
-    rows = [
-        [Fraction(1, 2), Fraction(1, 3)],
-        [gr(1, 1), gr(0)],
-        [gr(Fraction(1, 2), 0) + gr(0, 1), gr(0, Fraction(-1))],
-    ]
-    assert rank(rows) == 2
+def _squares(n):
+    """|z_1|^2 + ... + |z_n|^2, whose composition with E is |Ew|^2."""
+    return form_from_entries(n, ((unit(n, i), unit(n, i), 1) for i in range(n)))
 
 
 def test_rank_of_outer_product_sums():
@@ -132,7 +80,7 @@ def test_rank_of_outer_product_sums():
             for i in range(n):
                 for j in range(n):
                     mat[i][j] = mat[i][j] + v[i] * v[j].conjugate()
-        assert rank(mat) == _bareiss_rank(mat) <= r
+        assert form_rank(matrix_form(mat)) == bareiss_rank(mat) <= r
 
 
 def test_solve_roundtrip():
@@ -141,7 +89,7 @@ def test_solve_roundtrip():
         n, m = rng.randint(1, 5), rng.randint(1, 4)
         while True:
             mat = [[_rand_gr(rng, 4) for _ in range(n)] for _ in range(n)]
-            if rank(mat) == n:
+            if bareiss_rank(mat) == n:
                 break
         inv = solve(mat, identity(n))
         assert matmul(mat, inv) == identity(n)
@@ -169,7 +117,7 @@ def test_ldl_reconstructs_the_matrix():
                 for j in range(n):
                     acc[i][j] = acc[i][j] + si * vec[j].conjugate()
         assert acc == mat
-        assert len(comps) == _bareiss_rank(mat)
+        assert len(comps) == bareiss_rank(mat)
 
 
 def test_inertia_matches_construction():
@@ -180,7 +128,7 @@ def test_inertia_matches_construction():
         signs = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
         while True:
             basis = [[_rand_gr(rng, 3) for _ in range(n)] for _ in range(n)]
-            if rank(basis) == n:
+            if bareiss_rank(basis) == n:
                 break
         mat = [[gr(0)] * n for _ in range(n)]
         for s, v in zip(signs, basis):
@@ -396,7 +344,7 @@ def test_fraction_free_ldl_matches_oracle_on_rank_deficient_sums():
                 for j in range(n):
                     mat[i][j] = mat[i][j] + gr(s) * v[i] * v[j].conjugate()
         comps = _assert_matches_oracle(mat)
-        assert len(comps) == rank(mat) == _bareiss_rank(mat) <= k
+        assert len(comps) == bareiss_rank(mat) <= k
 
 
 def test_zero_matrix_inertia():

@@ -314,10 +314,10 @@ def test_search_field_width_holds_every_exponent():
 
 def _key_and_build(a, b, width, shift, route, node):
     """_key's prediction and the (degree, term count) _move builds, or each one's NoPivotMonomial."""
-    out = []
+    out, summary = [], quadrics._summary(a + b, width, node[2])
     for call in (quadrics._key, quadrics._move):
         try:
-            got = call(a, b, width, shift, route, node)
+            got = call(a, b, width, shift, route, node, summary)
         except NoPivotMonomial as exc:
             got = ("NoPivotMonomial", str(exc))
         out.append(got if len(got) == 2 else (got[0], len(got[2])))

@@ -1,15 +1,14 @@
-"""Veronese restriction matrices and randomized subspace rank estimates."""
+"""Embeddings, restriction by substitution, and randomized subspace rank estimates."""
 
 import hashlib
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from dense import identity, matmul
-from hyperq import forms, linalg, restrict
+from dense import evaluate, form_matrix, identity, matmul
+from hyperq import forms, restrict
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
@@ -23,39 +22,30 @@ from hyperq.restrict import (
     max_affine_rank,
     quadric_subspace,
     restrict_form,
-    restriction_matrix,
     sz_failure_bound,
-    veronese_dim,
 )
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
-
-
-def test_veronese_dim():
-    assert veronese_dim(3, 2) == comb(4, 2)
-    assert veronese_dim(1, 7) == 1
-    with pytest.raises(ValueError):
-        veronese_dim(0, 2)
+from tuple_polys import restriction_matrix
 
 
 def test_embedding_validation():
     e = embedding([[1, 0], [0, 1], [2, 3]])
-    assert e.n_ambient == 3 and e.n_sub == 2
-    assert e.is_linear()
+    assert len(e.linear) == 3 and len(e.linear[0]) == 2
+    assert not any(e.translation)
     with pytest.raises(ValueError):
         embedding([[1, 2], [2, 4], [3, 6]])
     with pytest.raises(DimensionMismatch):
         embedding([[1], [0]], translation=[1])
-
-
-def test_restriction_matrix_shape():
-    e = embedding([[1, 0], [0, 1], [1, 1]])
-    t = restriction_matrix(e, 2)
-    assert len(t.rows) == veronese_dim(3, 2)
-    assert len(t.cols) == veronese_dim(2, 2)
-    # affine embeddings collect all monomials up to d
-    ea = embedding([[1, 0], [0, 1], [1, 1]], translation=[0, 0, 1])
-    ta = restriction_matrix(ea, 2)
-    assert len(ta.cols) == sum(veronese_dim(2, j) for j in range(3))
+    for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5]], [[1], [2, 3], [4]], [[gr(1)], []]):
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            embedding(rows)
+    # int, Fraction and Gaussian entries in one matrix
+    mixed = [[Fraction(1, 2), Fraction(1, 3)], [gr(1, 1), gr(0)], [gr(Fraction(1, 2), 1), gr(0, -1)]]
+    assert embedding(mixed).linear[0] == (gr(Fraction(1, 2)), gr(Fraction(1, 3)))
+    assert embedding([[1, 2], [0, 3]]).linear == ((gr(1), gr(2)), (gr(0), gr(3)))
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="full column rank"):
+            embedding(rows)
 
 
 def test_restrict_form_commutes_with_compose():
@@ -82,8 +72,8 @@ def test_restrict_form_commutes_with_compose():
 
 
 def test_sandwich_of_restriction_matrix_matches_compose():
-    # two code paths: T^t C conj(T) by matmul over T's GaussianRational entries,
-    # and compose_linear's integer sandwich, on degree-d forms
+    # two code paths that share no code: T^t C conj(T) by matmul over the entries of
+    # tuple_polys' restriction matrix, and compose_linear's integer sandwich, on degree-d forms
     rng = Random(19)
     checked = 0
 
@@ -98,17 +88,16 @@ def test_sandwich_of_restriction_matrix_matches_compose():
             E = embedding(linear, trans)
         except ValueError:
             continue
-        T = restriction_matrix(E, d)
-        rows, cols = list(T.rows), list(T.cols)
+        rows, cols, T = restriction_matrix(E.linear, d, E.translation)
         entries = []
         for i, alpha in enumerate(rows):
             for beta in rows[i:]:
                 if rng.random() < 0.5:
                     entries.append((alpha, beta, gr(q()) if alpha == beta else gr(q(), q())))
         form = form_from_entries(n, entries)
-        C = form.matrix(rows)
-        Tt = [[T.entries[i][j] for i in range(len(rows))] for j in range(len(cols))]
-        Tbar = [[x.conjugate() for x in row] for row in T.entries]
+        C = form_matrix(form, rows)
+        Tt = [[T[i][j] for i in range(len(rows))] for j in range(len(cols))]
+        Tbar = [[x.conjugate() for x in row] for row in T]
         S = matmul(matmul(Tt, C), Tbar)
         want = {(g, h): S[i][j] for i, g in enumerate(cols) for j, h in enumerate(cols) if S[i][j]}
         assert compose_linear(form, linear, trans).entries == want
@@ -222,15 +211,14 @@ def test_samplers_match_ranks_of_restricted_forms():
 
 
 def test_max_affine_rank_runs_no_matrix_rank(monkeypatch):
-    # neither sampler checks its draw's column rank: a rank-deficient draw can only
-    # undershoot, which sz_failure_bound already counts
+    # neither sampler checks its draw's column rank, which only embedding does: a
+    # rank-deficient draw can only undershoot, which sz_failure_bound already counts
     form = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
     want = [(max_affine_rank(form, sub_dim, 3, 6, 1000), generic_restriction_rank(form, sub_dim, 2, 4))
             for sub_dim in range(1, form.n)]
     calls = []
-    rank = linalg.rank
-    for module, name in ((linalg, "rank"), (restrict, "matrix_rank")):
-        monkeypatch.setattr(module, name, lambda rows: calls.append(rows) or rank(rows))
+    checked = restrict.embedding
+    monkeypatch.setattr(restrict, "embedding", lambda *args: calls.append(args) or checked(*args))
     assert [(max_affine_rank(form, sub_dim, 3, 6, 1000), generic_restriction_rank(form, sub_dim, 2, 4))
             for sub_dim in range(1, form.n)] == want
     assert calls == []
@@ -320,7 +308,7 @@ def test_quadric_subspace_lies_in_quadric():
     for seed in range(5):
         a, b = 2, 1
         e = quadric_subspace(a, b, seed=seed)
-        assert e.n_ambient == a + b and e.n_sub == b
+        assert len(e.linear) == a + b and len(e.linear[0]) == b
         n = a + b
         defining = form_from_real_poly(
             {tuple(1 if j == i else 0 for j in range(n)): (1 if i < a else -1) for i in range(n)}
@@ -328,7 +316,7 @@ def test_quadric_subspace_lies_in_quadric():
         restricted = restrict_form(defining, e)
         for _ in range(3):
             w = [gr(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(b)]
-            assert restricted.evaluate(w) == gr(1)
+            assert evaluate(restricted, w) == gr(1)
 
 
 def _copied_quadric_subspace(a, b, U):

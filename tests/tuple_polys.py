@@ -1,19 +1,37 @@
 """Polynomials as dicts from exponent tuples to exact coefficients.
 
 The sparse helpers and the tuple/Fraction lattice moves that
-hyperq.quadrics replaced with packed-integer ones, kept as test oracles.
-Coefficients only need ring arithmetic and truthiness, so the helpers
-serve Fraction and GaussianRational polynomials alike; zero
-coefficients are never stored.
+hyperq.quadrics replaced with packed-integer ones, kept as test oracles,
+with the monomial lists and the Veronese restriction matrix that left
+hyperq when restriction became a substitution.  Coefficients only need
+ring arithmetic and truthiness, so the helpers serve Fraction and
+GaussianRational polynomials alike; zero coefficients are never stored.
 """
 
 from random import Random
 
 from hyperq.errors import NoPivotMonomial, NotAdmissible
 from hyperq.forms import WeightedHoloMap
-from hyperq.multiindex import add as mi_add, grlex_key, monomials_of_degree, unit
+from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
 from hyperq.quadrics import QuadricMap, SignedRealPoly, _require_admissible, _routes, is_admissible, s_poly
 from hyperq.scalars import GR_ONE
+
+
+def monomials_of_degree(n_vars, d):
+    """All exponent tuples of total degree d, in graded-lex order."""
+    if n_vars < 1:
+        raise ValueError("need at least one variable")
+    if n_vars == 1:
+        yield (d,)
+        return
+    for e in range(d, -1, -1):
+        for rest in monomials_of_degree(n_vars - 1, d - e):
+            yield (e,) + rest
+
+
+def monomials_up_to(n_vars, d):
+    """All exponent tuples of total degree <= d, graded-lex order."""
+    return [alpha for deg in range(d + 1) for alpha in monomials_of_degree(n_vars, deg)]
 
 
 def poly_add_inplace(acc, p):
@@ -52,6 +70,35 @@ def poly_mul(p, q):
 def poly_shift(p, mono):
     """Multiply by the monomial with exponent tuple `mono`."""
     return {mi_add(k, mono): c for k, c in p.items()}
+
+
+def restriction_matrix(linear, d, translation=None):
+    """(rows, cols, T): the coefficient T[i][j] of w^cols[j] in (Ew + t)^rows[i], by poly_mul
+    over the entries' own ring, with E = linear and t = translation.
+
+    A linear map (no t, or t = 0) acts degree by degree, so rows and cols
+    are the degree-d monomials; an affine one mixes degrees, so they run
+    over every degree up to d.
+    """
+    n, m = len(linear), len(linear[0])
+    images = [{unit(m, j): x for j, x in enumerate(row) if x} for row in linear]
+    if translation is not None and any(translation):
+        rows, cols = monomials_up_to(n, d), monomials_up_to(m, d)
+        for image, t in zip(images, translation):
+            if t:
+                image[zero_index(m)] = t
+    else:
+        rows, cols = list(monomials_of_degree(n, d)), list(monomials_of_degree(m, d))
+    powers = {zero_index(n): {zero_index(m): 1}}
+
+    def power(alpha):
+        # (Ew + t)^alpha from the power with one factor fewer of its first variable
+        if alpha not in powers:
+            i = next(i for i, e in enumerate(alpha) if e)
+            powers[alpha] = poly_mul(power(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]), images[i])
+        return powers[alpha]
+
+    return rows, cols, [[power(alpha).get(gamma, 0) for gamma in cols] for alpha in rows]
 
 
 def tuple_grow(p, mirror=False, verify=True):
