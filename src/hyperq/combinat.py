@@ -33,9 +33,6 @@ class MacaulayRep:
         for pos, k in enumerate(self.ks):
             yield k, self.d - pos
 
-    def value(self) -> int:
-        return sum(comb(k, i) for k, i in self.terms())
-
     def lower(self) -> int:
         """Value after replacing every binom(k_i, i) by binom(k_i - 1, i)."""
         return macaulay_lower(self.c, self.d)

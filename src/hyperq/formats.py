@@ -235,8 +235,7 @@ def dump_map(m: QuadricMap) -> str:
     for sign, (wn, wd), poly in rows:
         ordered = sorted(poly.items(), key=lambda term: grlex_key(term[0])) if len(poly) > 1 else poly.items()
         terms = " ; ".join(f"{_ratio(re, d)},{_ratio(im, d)} {' '.join(map(str, alpha))}" for alpha, (re, im) in ordered)
-        weight = wn if wd == 1 else f"{wn}/{wd}"  # in lowest terms, as Fraction prints it
-        out.append(f"{'+' if sign > 0 else '-'} {weight} :: {terms}")
+        out.append(f"{'+' if sign > 0 else '-'} {_ratio(wn, wd)} :: {terms}")
     return "\n".join(out) + "\n"
 
 

@@ -22,8 +22,8 @@ from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Se
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _checked_hermitian, _cleared, _components, _signs, _symmetric_steps
-from .multiindex import MultiIndex, add as mi_add, sorted_grlex, total_degree, unit, zero_index
-from .scalars import GaussianRational, gr
+from .multiindex import MultiIndex, add as mi_add, sorted_grlex, unit, zero_index
+from .scalars import GR_ZERO, GaussianRational
 
 
 class SignaturePair(NamedTuple):
@@ -69,12 +69,9 @@ class HermitianForm:
         """Grlex-sorted list of multi-indices appearing in any entry."""
         return list(_form_side(self)[0])
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def max_degree(self) -> int:
         """Largest holomorphic degree present (0 for the zero form)."""
-        return max(map(total_degree, _form_side(self)[0]), default=0)
+        return max(map(sum, _form_side(self)[0]), default=0)
 
 
 def _check_index(idx: Tuple[int, ...], n: int) -> MultiIndex:
@@ -99,7 +96,7 @@ def form_from_entries(n: int, entries: Iterable[Tuple[Tuple[int, ...], Tuple[int
         b = _check_index(beta, n)
         v = GaussianRational.coerce(value)
         key = (a, b)
-        acc[key] = acc.get(key, gr(0)) + v
+        acc[key] = acc.get(key, GR_ZERO) + v
 
     out: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
     for (a, b), v in acc.items():
@@ -128,11 +125,11 @@ def form_rank(form: HermitianForm) -> int:
 
 def form_inertia(form: HermitianForm) -> SignaturePair:
     """Signature pair (positive count, negative count) of the matrix."""
-    return SignaturePair(*_signs(_elimination(form)[2]))
+    return SignaturePair(*_signs(_elimination(form)[1]))
 
 
-def _elimination(form: HermitianForm) -> Tuple[int, int, list]:
-    """(L, size, steps) of L times the matrix over the support, placed from _form_side.
+def _elimination(form: HermitianForm) -> Tuple[int, list]:
+    """(L, steps) of L times the matrix over the support, placed from _form_side.
 
     Stored once fully built, so a refused non-Hermitian form stores nothing.
     """
@@ -140,7 +137,7 @@ def _elimination(form: HermitianForm) -> Tuple[int, int, list]:
     if steps is None:
         support, flat, d = _form_side(form)
         x = [[flat.get((i, j), (0, 0)) for j in range(len(support))] for i in range(len(support))]
-        steps = form._memo["steps"] = (d, len(support), list(_symmetric_steps(_checked_hermitian(x))))
+        steps = form._memo["steps"] = (d, list(_symmetric_steps(_checked_hermitian(x))))
     return steps
 
 
@@ -175,8 +172,7 @@ class WeightedHoloMap:
         return comps
 
     def signature(self) -> SignaturePair:
-        side = self._memo.get("side")  # both row kinds lead with the sign, so a view is not reduced to count
-        rows = self.components if side is None else side[1]
+        rows = _holo_side(self)[1]
         pos = sum(1 for s, *_ in rows if s > 0)
         return SignaturePair(pos, len(rows) - pos)
 
@@ -198,14 +194,16 @@ def decompose(form: HermitianForm) -> WeightedHoloMap:
 
     Component count equals the rank and the sign counts equal the
     inertia; the components come from a symmetric-pivoted block LDL*
-    factorization and are linearly independent.
+    factorization and are linearly independent.  They start from their
+    integer view: `linalg._components`' Gaussian integers, each piece over
+    its own q, are put over the lcm of the q; components reduces on first read.
     """
     basis = _form_side(form)[0]
-    comps = []
-    for sign, weight, vec in _components(*_elimination(form)):
-        poly = {basis[i]: v for i, v in enumerate(vec) if v}
-        comps.append((sign, weight, poly))
-    return WeightedHoloMap(form.n, tuple(comps))
+    rows = list(_components(*_elimination(form)))
+    den = lcm(*(q for *_, q, _ in rows))
+    side = den, tuple((sign, (w.numerator, w.denominator), {basis[k]: (re * (den // q), im * (den // q))
+                                                           for k, (re, im) in vec.items()}) for sign, w, q, vec in rows)
+    return _from_side(WeightedHoloMap(form.n, ()), "components", side)
 
 
 def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
@@ -282,11 +280,16 @@ def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> Hermi
     live = sorted({k for key in pairs for k in key})
     at = {k: p for p, k in enumerate(live)}
     g = gcd(den, *(x for pair in pairs.values() for x in pair)) if den > 1 else 1
-    form = HermitianForm(n)
-    object.__delattr__(form, "entries")  # so that the first read of entries reaches __getattr__
-    form._memo["side"] = ([basis[k] for k in live], {(at[i], at[j]): x if g == 1 else (x[0] // g, x[1] // g)
-                                                     for (i, j), x in pairs.items()}, den // g)
-    return form
+    side = ([basis[k] for k in live], {(at[i], at[j]): x if g == 1 else (x[0] // g, x[1] // g)
+                                       for (i, j), x in pairs.items()}, den // g)
+    return _from_side(HermitianForm(n), "entries", side)
+
+
+def _from_side(value: Any, name: str, side: Any) -> Any:
+    """value, a form or a map, with field `name` deleted: its first read reaches __getattr__, reducing `side`."""
+    object.__delattr__(value, name)
+    value._memo["side"] = side
+    return value
 
 
 def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]], n_dst: int,

@@ -4,9 +4,10 @@ The symmetric kernel eliminates fraction-free over Gaussian integers held
 as (re, im) int pairs (Bareiss 1968): every entry is a minor of the
 cleared matrix, so every division is exact.  One elimination of a
 Hermitian M gives steps that `_signs` counts by sign (their sum is the
-rank) and `_components` reads as signed weighted rank-one pieces; forms
-runs it once per form, and it has no other way in.  `solve` is a
-Gauss-Jordan pass over Q(i).
+rank) and `_components` reads as signed weighted rank-one pieces, still
+Gaussian integers, each over one positive int; forms runs it once per
+form, and it has no other way in.  `solve` is a Gauss-Jordan pass over
+Q(i), and the only code here that builds a GaussianRational.
 M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import ConjugateMismatch, NonRealDiagonal
-from .scalars import GR_ZERO, GaussianRational
+from .scalars import GaussianRational
 
 Matrix = List[List[GaussianRational]]
 
@@ -61,11 +62,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
             if j != i and f:
                 x[j] = [vj - f * vi for vj, vi in zip(x[j], x[i])]
     return [row[n:] for row in x]
-
-
-# One holomorphic component of a Hermitian matrix: the matrix equals
-# sum of sign * weight * v v* over the returned triples.
-Component = Tuple[int, Fraction, List[GaussianRational]]
 
 
 def _checked_hermitian(x: List[List[_GIPair]]) -> List[List[_GIPair]]:
@@ -127,31 +123,30 @@ def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:
         act = [act[k] for k in keep]
 
 
-def _components(den: int, n: int, steps: Iterable[tuple]) -> List[Component]:
-    """M as signed weighted rank-one pieces, sum of sign * weight * v v*, read off
-    the steps of X = den M of size n.
+def _components(den: int, steps: Iterable[tuple]) -> Iterator[Tuple[int, Fraction, int, Dict[int, _GIPair]]]:
+    """M as rank-one pieces (sign, weight, q, vec), read off the steps of X = den M: M is the sum of
+    sign * weight * v v*, with v[k] = (re + i im) / q for vec[k] = (re, im), q > 0, and 0 off vec.
 
     From the fraction-free X = L M of the module docstring: a 1x1 pivot p
-    gives vec[k] = X_ki / p, weight |p| / (|prev| L), sign sign(p prev); a
-    2x2 pivot c gives vec[k] = X_kj / (prev L) +- c X_ki / |c|^2, weight 1/2.
+    gives v[k] = X_ki / p, weight |p| / (|prev| L), sign sign(p prev); a
+    2x2 pivot c gives v[k] = X_kj / (prev L) +- c X_ki / |c|^2, weight 1/2,
+    over q = |prev L| |c|^2.  No piece is reduced: forms.decompose puts them over one lcm.
     """
-    comps: List[Component] = []
     for act, prev, piv, cols in steps:
         if len(cols) == 1:
-            vec = [GR_ZERO] * n
-            for k, (re, im) in zip(act, cols[0]):
-                vec[k] = GaussianRational(Fraction(re, piv), Fraction(im, piv))
-            comps.append((1 if (piv > 0) == (prev > 0) else -1, Fraction(abs(piv), abs(prev) * den), vec))
+            s = 1 if piv > 0 else -1
+            vec = {k: (s * re, s * im) for k, (re, im) in zip(act, cols[0]) if re or im}
+            yield (1 if (piv > 0) == (prev > 0) else -1, Fraction(abs(piv), abs(prev) * den), abs(piv), vec)
             continue
         (cr, ci), a = piv, prev * den
-        nc = cr * cr + ci * ci
+        nc, s = cr * cr + ci * ci, 1 if a > 0 else -1
         for sign in (1, -1):
-            vec = [GR_ZERO] * n
+            vec = {}
             for k, (pr, pi), (qr, qi) in zip(act, *cols):
-                ur, ui = sign * a * (cr * pr - ci * pi), sign * a * (cr * pi + ci * pr)
-                vec[k] = GaussianRational(Fraction(qr * nc + ur, a * nc), Fraction(qi * nc + ui, a * nc))
-            comps.append((sign, Fraction(1, 2), vec))
-    return comps
+                re, im = qr * nc + sign * a * (cr * pr - ci * pi), qi * nc + sign * a * (cr * pi + ci * pr)
+                if re or im:
+                    vec[k] = (s * re, s * im)
+            yield sign, Fraction(1, 2), abs(a) * nc, vec
 
 
 def _signs(steps: Iterable[tuple]) -> Tuple[int, int]:

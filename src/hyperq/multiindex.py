@@ -15,10 +15,6 @@ from typing import Iterable, List, Tuple
 MultiIndex = Tuple[int, ...]
 
 
-def total_degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def grlex_key(alpha: MultiIndex):
     """Sort key realizing the graded lexicographic order (ascending)."""
     return (sum(alpha), tuple(map(operator.neg, alpha)))

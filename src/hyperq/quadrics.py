@@ -22,11 +22,12 @@ multiplying monomials adds ints.  The search ranks each child by the
 degree and term count `_key` reads off its parent and the parent's
 `_summary`, taken once when it settles; it moves (`_move`) only the
 children it settles and keeps them packed.  `grow` and `corner_move`
-pack, move, unpack.  Maps keep the integers they are built from:
-construct_map, dehomogenize, tensor_extend and parse_map give a map only
-the integer view of its components (forms._holo_side), which verify_map
-and dump_map read; its Fraction and GaussianRational components are
-reduced on demand.
+pack, move, unpack.  Maps keep the integers they are built from: every
+builder (construct_map, dehomogenize, tensor_extend, map_from_form,
+identity_map, parse_map) gives a map only the integer view of its
+components (forms._holo_side), on which QuadricMap checks it and which
+verify_map and dump_map read; its Fraction and GaussianRational
+components are reduced on demand.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
@@ -53,18 +54,15 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from .combinat import stability_region
 from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
                      NotReached, NotVanishing)
-from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _form_side, _holo_side, decompose,
-                    norm_difference)
-from .multiindex import MultiIndex, grlex_key, total_degree, unit, zero_index
-from .scalars import GR_ONE
+from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _form_side, _from_side, _holo_side,
+                    decompose, norm_difference)
+from .multiindex import MultiIndex, grlex_key, unit, zero_index
 
 RealTerms = Dict[MultiIndex, Fraction]
 Term = Tuple[int, MultiIndex, object]
 # (degree, den, terms): terms maps packed exponents to int numerators over den
 Node = Tuple[int, int, Dict[int, int]]
 Summary = Dict[Tuple[str, bool], Tuple[int, int, Optional[int]]]  # see _summary
-
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,10 @@ class SignedRealPoly:
     def n(self) -> int:
         return self.a + self.b
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         if not self.terms:
             return 0
-        return total_degree(next(iter(self.terms)))
+        return sum(next(iter(self.terms)))
 
     def signature(self) -> SignaturePair:
         return self._signature
@@ -119,7 +114,7 @@ class SignedRealPoly:
 
 def s_poly(a: int, b: int) -> SignedRealPoly:
     """The defining linear form x_1 + .. + x_a - x_{a+1} - .. - x_{a+b}."""
-    return SignedRealPoly(a, b, {unit(a + b, j): (_F1 if j < a else -_F1) for j in range(a + b)})
+    return SignedRealPoly(a, b, {unit(a + b, j): (1 if j < a else -1) for j in range(a + b)})
 
 
 def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[Term]) -> bool:
@@ -180,7 +175,7 @@ def _require_admissible(p: SignedRealPoly, who: str) -> SignaturePair:
     ok, sig = is_admissible(p)
     if not ok:
         raise NotAdmissible(f"{who} requires an admissible polynomial")
-    if p.is_zero():
+    if not p.terms:
         raise NotAdmissible(f"{who} requires a nonzero polynomial")
     return sig
 
@@ -358,9 +353,10 @@ class QuadricMap:
     rational and printing renders sqrt(w) symbolically.  A rational map
     stores its denominator as the index of one negative component; the
     target signature then drops that component from the negative count.
-    Treat instances as immutable: their components keep a private memo,
-    the integer view (forms._holo_side) that verify_map and dump_map read;
-    those of a map that `_viewed` builds are reduced from it on first read.
+    Every map is checked on its integer view (forms._holo_side), which
+    verify_map and dump_map read too, so checking reduces no component.
+    Treat instances as immutable: the view is a private memo, and the
+    components of a map that `_viewed` builds are reduced from it on first read.
     """
 
     a: int
@@ -376,26 +372,23 @@ class QuadricMap:
             raise DimensionMismatch(
                 f"components use {self.components.n} variables, source split needs {self.a + self.b}"
             )
-        for sign, weight, poly in self.components.components:
+        rows = _holo_side(self.components)[1]
+        for sign, (wn, _), poly in rows:
             if sign not in (1, -1):
                 raise ValueError("component signs must be +1 or -1")
-            if weight <= 0:
+            if wn <= 0:
                 raise ValueError("component weights must be positive")
             if not poly:
                 raise ValueError("components must be nonzero polynomials")
         if self.denominator is not None:
-            comps = self.components.components
-            if not 0 <= self.denominator < len(comps):
+            if not 0 <= self.denominator < len(rows):
                 raise IndexOutOfRange(f"denominator index {self.denominator} out of range")
-            if comps[self.denominator][0] > 0:
+            if rows[self.denominator][0] > 0:
                 raise ValueError("the denominator must be a negative component")
 
     @property
     def n(self) -> int:
         return self.components.n
-
-    def source(self) -> SignaturePair:
-        return SignaturePair(self.a, self.b)
 
     def sign_counts(self) -> SignaturePair:
         return self.components.signature()
@@ -408,19 +401,14 @@ class QuadricMap:
 
 
 def _viewed(a: int, b: int, homogeneous: bool, denominator: Optional[int], side: HoloSide) -> QuadricMap:
-    """The map whose components start from the integer view `side`: valid by construction, so left unchecked."""
-    holo, m = WeightedHoloMap(a + b, ()), object.__new__(QuadricMap)
-    object.__delattr__(holo, "components")  # so that the first read of components reaches its __getattr__
-    holo._memo["side"] = side
-    m.__dict__.update(a=a, b=b, homogeneous=homogeneous, components=holo, denominator=denominator)
-    return m
+    """The map whose components start from the integer view `side`, checked on it."""
+    return QuadricMap(a, b, homogeneous, _from_side(WeightedHoloMap(a + b, ()), "components", side), denominator)
 
 
 def identity_map(a: int, b: int) -> QuadricMap:
     """The identity on Q(a, b) as a QuadricMap."""
     n = a + b
-    comps = tuple((1 if j < a else -1, _F1, {unit(n, j): GR_ONE}) for j in range(n))
-    return QuadricMap(a, b, False, WeightedHoloMap(n, comps), None)
+    return _viewed(a, b, False, None, (1, tuple((1 if j < a else -1, (1, 1), {unit(n, j): (1, 0)}) for j in range(n))))
 
 
 def _vanishes_on_quadric(form: HermitianForm, a: int, b: int, affine: bool) -> bool:
@@ -734,8 +722,8 @@ def map_from_form(form: HermitianForm, a: int, b: int) -> QuadricMap:
         raise DimensionMismatch(f"form has {form.n} variables, quadric has {a + b}")
     if not _vanishes_on_quadric(form, a, b, affine=True):
         raise NotVanishing(f"the form does not vanish on Q({a}, {b})")
-    holo = decompose(form)
-    if not holo.signature().neg:
+    d, rows = _holo_side(decompose(form))
+    ordered, denominator = _signed(rows, False)
+    if denominator == len(ordered):  # the index of the first negative component, past the last
         raise NoNegativeComponent("the decomposition has no negative component")
-    ordered, denominator = _signed(holo.components, False)
-    return QuadricMap(a, b, False, WeightedHoloMap(a + b, ordered), denominator)
+    return _viewed(a, b, False, denominator, (d, ordered))

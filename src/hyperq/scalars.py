@@ -38,9 +38,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
@@ -117,8 +114,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def gr(re: Rat = 0, im: Rat = 0) -> GaussianRational:

@@ -1,16 +1,18 @@
-"""Dense GaussianRational matrices in tests: products, a general rank, and
-matrices read as forms and forms read as matrices.
+"""Dense GaussianRational matrices in tests: products, a general rank,
+matrices read as forms and forms read as matrices, and the rational reading
+of the symmetric elimination's components.
 
 hyperq enters its symmetric elimination only through a form.  A square
 matrix M is the one-variable form sum of M[i][j] z^i zbar^j, whose
 grlex basis z^0, z^1, ... keeps the matrix's index order.
 """
 
+from fractions import Fraction
 from math import lcm
 
 from hyperq.errors import DimensionMismatch
 from hyperq.forms import HermitianForm, decompose
-from hyperq.scalars import GR_ONE, GR_ZERO, GaussianRational, gr
+from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
 def identity(n):
@@ -33,6 +35,33 @@ def matrix_components(mat):
     return [(s, w, [poly.get((k,), GR_ZERO) for k in range(n)]) for s, w, poly in decompose(matrix_form(mat)).components]
 
 
+def rational_components(den, n, steps):
+    """The components of the elimination steps of X = den M, M of size n, as (sign, weight, vector)
+    with a GaussianRational per place, each entry built as its own reduced fraction: the reference
+    for linalg._components' Gaussian-integer rows, which forms.decompose puts over one lcm.
+
+    A 1x1 pivot p gives vec[k] = X_ki / p, weight |p| / (|prev| L), sign sign(p prev); a
+    2x2 pivot c gives vec[k] = X_kj / (prev L) +- c X_ki / |c|^2, weight 1/2.
+    """
+    comps = []
+    for act, prev, piv, cols in steps:
+        if len(cols) == 1:
+            vec = [GR_ZERO] * n
+            for k, (re, im) in zip(act, cols[0]):
+                vec[k] = GaussianRational(Fraction(re, piv), Fraction(im, piv))
+            comps.append((1 if (piv > 0) == (prev > 0) else -1, Fraction(abs(piv), abs(prev) * den), vec))
+            continue
+        (cr, ci), a = piv, prev * den
+        nc = cr * cr + ci * ci
+        for sign in (1, -1):
+            vec = [GR_ZERO] * n
+            for k, (pr, pi), (qr, qi) in zip(act, *cols):
+                ur, ui = sign * a * (cr * pr - ci * pi), sign * a * (cr * pi + ci * pr)
+                vec[k] = GaussianRational(Fraction(qr * nc + ur, a * nc), Fraction(qi * nc + ui, a * nc))
+            comps.append((sign, Fraction(1, 2), vec))
+    return comps
+
+
 def form_matrix(form, basis=None):
     """The form's dense coefficient matrix over the given (default: support) basis."""
     if basis is None:
@@ -49,7 +78,7 @@ def evaluate(form, point):
     def pw(i, e):
         key = (i, e)
         if key not in powers:
-            powers[key] = GR_ONE if e == 0 else pw(i, e - 1) * point[i]
+            powers[key] = gr(1) if e == 0 else pw(i, e - 1) * point[i]
         return powers[key]
 
     total = gr(0)

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from dense import bareiss_rank, evaluate, form_matrix
+from dense import bareiss_rank, evaluate, form_matrix, rational_components
 import hyperq.forms as forms_module
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.forms import (
@@ -33,7 +33,7 @@ from hyperq.formats import dump_form, load_form
 from hyperq.linalg import _cleared
 from hyperq.multiindex import sorted_grlex, unit, zero_index
 from hyperq.restrict import cayley_unitary
-from hyperq.scalars import GR_ONE, GR_ZERO, gr
+from hyperq.scalars import GR_ZERO, GaussianRational, gr
 from test_linalg import _gr_ldl_components
 from tuple_polys import monomials_up_to, poly_mul
 
@@ -70,7 +70,7 @@ def test_diagonal_must_be_real():
 
 def test_repeated_entries_accumulate():
     f = form_from_entries(1, [((1,), (1,), gr(2)), ((1,), (1,), gr(-2))])
-    assert f.is_zero()
+    assert not f.entries
 
 
 def test_rank_and_inertia_basic():
@@ -122,7 +122,7 @@ def test_evaluate_is_real():
     f = _random_form(rng, 2, 4)
     for _ in range(10):
         point = [gr(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]
-        assert evaluate(f, point).is_real()
+        assert evaluate(f, point).im == 0
 
 
 def test_evaluate_matches_decomposition():
@@ -198,7 +198,7 @@ def test_norm_difference_subtract_one():
 
 def _gr_expansions(matrix, translation, n_dst, monomials):
     origin = zero_index(n_dst)
-    one = {origin: GR_ONE}
+    one = {origin: gr(1)}
     powers = []
     for i, row in enumerate(matrix):
         li = {unit(n_dst, j): gr(0) + c for j, c in enumerate(row) if c}
@@ -251,7 +251,7 @@ def _gr_norm_difference(holo, subtract_one):
     if subtract_one:
         origin = zero_index(holo.n)
         key = (origin, origin)
-        v = acc.get(key, gr(0)) - GR_ONE
+        v = acc.get(key, gr(0)) - 1
         if v:
             acc[key] = v
         else:
@@ -410,7 +410,7 @@ def test_integer_norm_difference_cancels_the_origin():
     # the + component is the constant 1, so subtracting 1 removes the origin entry
     origin = (0, 0)
     z1 = {(1, 0): gr(Fraction(1, 3), Fraction(2, 7))}
-    holo = WeightedHoloMap(2, ((1, Fraction(1), {origin: GR_ONE}), (-1, Fraction(5, 12), z1)))
+    holo = WeightedHoloMap(2, ((1, Fraction(1), {origin: gr(1)}), (-1, Fraction(5, 12), z1)))
     got = norm_difference(holo, True)
     assert (origin, origin) not in got.entries
     assert got.entries == _gr_norm_difference(holo, True).entries
@@ -470,7 +470,7 @@ def test_memoized_elimination_matches_the_matrix_path():
     rng = Random(1515)
     mixed = [_mixed_form(rng, n, rng.randint(1, 12)) for n in (1, 2, 3, 3, 4)]
     hollow = [_zero_diagonal_form(rng, n, rng.randint(2, 10)) for n in (2, 2, 3, 3, 4)]
-    assert all(len(_elimination(HermitianForm(f.n, f.entries))[2][0][3]) == 2 for f in hollow)
+    assert all(len(_elimination(HermitianForm(f.n, f.entries))[1][0][3]) == 2 for f in hollow)
     calls = {"rank": form_rank, "inertia": form_inertia, "decompose": lambda f: decompose(f).components}
     for form in mixed + hollow + [_dense_form(rng, 3, 3, 14), HermitianForm(2, {})]:
         want = _matrix_path(form)
@@ -478,6 +478,49 @@ def test_memoized_elimination_matches_the_matrix_path():
             fresh = HermitianForm(form.n, form.entries)
             for name in order * 2:  # the first round builds the memo, the second reads it
                 assert calls[name](fresh) == want[name], (order, name)
+
+
+def _pivot_forms(rng):
+    """Seeded forms whose eliminations take 2x2 pivots, negative 1x1 pivots and negative prev."""
+    mixed = [_mixed_form(rng, n, rng.randint(1, 12)) for n in (1, 2, 3, 3, 4, 4)]
+    hollow = [_zero_diagonal_form(rng, n, rng.randint(2, 10)) for n in (2, 2, 3, 3, 4)]
+    dense = [_dense_form(rng, 3, 2, 8), _dense_form(rng, 2, 3, 9)]
+    negated = [form_from_entries(f.n, ((alpha, beta, -c) for (alpha, beta), c in f.entries.items()))
+               for f in mixed + dense]
+    return mixed + hollow + dense + negated + [HermitianForm(2, {})]
+
+
+def test_decompose_matches_the_rational_reading_of_its_steps():
+    # decompose's view, each row put over one lcm, reduces to the components read off the same
+    # steps one reduced fraction at a time, entry by entry and in the same order
+    kinds = set()
+    for form in _pivot_forms(Random(1520)):
+        den, steps = _elimination(form)
+        basis = form.support()
+        want = [(s, w, {basis[i]: v for i, v in enumerate(vec) if v})
+                for s, w, vec in rational_components(den, len(basis), steps)]
+        got = decompose(form).components
+        assert [(s, w, list(poly.items())) for s, w, poly in got] == [(s, w, list(poly.items())) for s, w, poly in want]
+        assert all(type(w) is Fraction for _, w, _ in got)
+        for _, prev, piv, cols in steps:
+            kinds.add("2x2" if len(cols) == 2 else "negative pivot" if piv < 0 else "positive pivot")
+            if prev < 0:
+                kinds.add("negative prev")
+    assert kinds == {"2x2", "negative pivot", "positive pivot", "negative prev"}
+
+
+def test_decompose_builds_no_gaussian_rational(monkeypatch):
+    # linalg yields Gaussian-integer rows and decompose puts them over one lcm: the GaussianRational
+    # components are built only when they are read
+    forms = _pivot_forms(Random(1521))
+    for form in forms:
+        form.support()  # the entries are cleared before counting: a parsed form's are GaussianRationals already
+    built = []
+    init = GaussianRational.__init__
+    monkeypatch.setattr(GaussianRational, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    holos = [decompose(form) for form in forms]
+    assert built == []
+    assert sum(len(h.components) for h in holos) == sum(form_rank(f) for f in forms) > 20 and built
 
 
 def test_one_elimination_per_form(monkeypatch):

@@ -1,5 +1,13 @@
 """Every module of the package uses each name it imports, and every definition
-in it is used by the package or exported."""
+in it is used by the package or exported.
+
+Uses are matched by name, not by type: a read of `x.name` anywhere in src
+counts for every class member called `name`.  So two classes that share a
+member name share its uses, and one whose member only tests call hides behind
+the other (`HermitianForm.is_zero` did behind `SignedRealPoly.is_zero`, which
+`quadrics` called).  A member that is really dead is still caught once no src
+class of that name is read either.
+"""
 
 import ast
 from pathlib import Path
@@ -29,16 +37,29 @@ def test_every_imported_name_is_used(path):
 _TEST_SEAMS = {"quadrics._clear_search_cache"}
 
 
-def test_every_definition_is_used_by_src_or_exported():
-    # a module-level def or class that only tests call belongs in the tests
+def _src_reads():
+    """The parsed src modules, and (module, line, name, as an attribute) of every name read in them;
+    an import alone is no use."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
-    uses = []  # (module, line, name) of every name read in src; an import alone is no use
+    reads = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.append((module, node.lineno, node.id))
-            elif isinstance(node, ast.Attribute):
-                uses.append((module, node.lineno, node.attr))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.lineno, node.id, False))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.lineno, node.attr, True))
+    return trees, reads
+
+
+def _read_outside(reads, module, name, node, attribute_only=False):
+    # a use inside the definition itself (recursion, an assignment's own line) does not count
+    return any(n == name and (attr or not attribute_only)
+               and not (m == module and node.lineno <= line <= node.end_lineno) for m, line, n, attr in reads)
+
+
+def test_every_definition_is_used_by_src_or_exported():
+    # a module-level def or class that only tests call belongs in the tests
+    trees, reads = _src_reads()
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -46,8 +67,31 @@ def test_every_definition_is_used_by_src_or_exported():
                 continue
             if node.name in hyperq.__all__ or f"{module}.{node.name}" in _TEST_SEAMS:
                 continue
-            # a use inside the definition itself (recursion) does not count
-            if not any(name == node.name and not (m == module and node.lineno <= line <= node.end_lineno)
-                       for m, line, name in uses):
+            if not _read_outside(reads, module, node.name, node):
                 unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+def test_every_member_and_constant_is_used_by_src_or_exported():
+    # a method or property of a src class must be read as an attribute in src outside its own
+    # body, and a module-level constant must be read in src or exported; see the module
+    # docstring for what matching by name cannot tell apart
+    trees, reads = _src_reads()
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("__")
+                            and not _read_outside(reads, module, member.name, member, attribute_only=True)):
+                        unused.append(f"{module}.{node.name}.{member.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if len(targets) != 1 or not isinstance(targets[0], ast.Name):
+                    continue
+                name = targets[0].id
+                if name.startswith("__") or name in hyperq.__all__:
+                    continue
+                if not _read_outside(reads, module, name, node):
+                    unused.append(f"{module}.{name}")
     assert unused == []

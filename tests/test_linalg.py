@@ -267,7 +267,7 @@ def _oracle_inertia(comps):
 
 def _step_kinds(mat):
     """1 or 2 per pivot block of the fraction-free kernel, in order."""
-    return [len(cols) for _, _, _, cols in _elimination(matrix_form(mat))[2]]
+    return [len(cols) for _, _, _, cols in _elimination(matrix_form(mat))[1]]
 
 
 def _assert_matches_oracle(mat):

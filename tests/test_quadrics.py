@@ -50,7 +50,7 @@ from hyperq.quadrics import (
     verify_map,
 )
 from hyperq.restrict import cayley_unitary
-from hyperq.scalars import gr
+from hyperq.scalars import GaussianRational, gr
 from tuple_polys import (criterion_8_seeds, diagonal_map, poly_add_inplace, poly_mul, poly_shift, scanning_pivot,
                          tuple_corner_move, tuple_grow)
 
@@ -110,7 +110,7 @@ def test_signed_real_poly_validation():
         SignedRealPoly(2, 1, {(-1, 1, 1): 1})
     p = SignedRealPoly(2, 1, {(1, 0, 0): 1, (0, 1, 0): 0})
     assert p.terms == {(1, 0, 0): 1}
-    assert SignedRealPoly(2, 1, {}).is_zero()
+    assert not SignedRealPoly(2, 1, {}).terms
     # the signature is counted once, at construction, and skips dropped zeros
     assert p.signature() == (1, 0)
     q = SignedRealPoly(2, 1, {(1, 0, 0): Fraction(0), (0, 1, 0): -2, (0, 0, 1): Fraction(-1, 3)})
@@ -413,7 +413,7 @@ def test_search_moves_only_settled_nodes(monkeypatch):
 def test_construct_one_grow():
     m = construct_map(2, 2, 4, 4)
     assert m.homogeneous
-    assert m.source() == (2, 2)
+    assert (m.a, m.b) == (2, 2)
     assert m.target() == (4, 4)
     assert verify_map(m)
     for sign, weight, poly in m.components.components:
@@ -960,6 +960,49 @@ def test_quadric_map_validation():
         QuadricMap(2, 1, False, comps, 7)
     with pytest.raises(ValueError):
         QuadricMap(2, 1, False, comps, 0)
+
+
+def test_viewed_maps_are_checked_on_their_view(monkeypatch):
+    # every map that src builds passes QuadricMap's checks, read off its integer view: none reduces a component
+    reduced = []
+    getattr_ = forms.WeightedHoloMap.__getattr__
+    monkeypatch.setattr(forms.WeightedHoloMap, "__getattr__", lambda self, name: reduced.append(name) or getattr_(self, name))
+    rows = ((1, (1, 1), {(1, 0, 0): (1, 0)}), (1, (1, 2), {(0, 1, 0): (0, 3)}), (-1, (1, 1), {(0, 0, 1): (1, 0)}))
+    assert quadrics._viewed(2, 1, False, 2, (3, rows)).target() == (2, 0)
+    bad = [
+        (None, ((1, (0, 1), {(1, 0, 0): (1, 0)}),) + rows[1:], ValueError, "component weights must be positive"),
+        (None, ((1, (-1, 2), {(1, 0, 0): (1, 0)}),) + rows[1:], ValueError, "component weights must be positive"),
+        (None, ((2, (1, 1), {(1, 0, 0): (1, 0)}),) + rows[1:], ValueError, "component signs must be +1 or -1"),
+        (None, ((1, (1, 1), {}),) + rows[1:], ValueError, "components must be nonzero polynomials"),
+        (0, rows, ValueError, "the denominator must be a negative component"),
+        (1, rows, ValueError, "the denominator must be a negative component"),
+        (3, rows, IndexOutOfRange, "denominator index 3 out of range"),
+    ]
+    for denominator, view, error, message in bad:
+        with pytest.raises(error) as exc:
+            quadrics._viewed(2, 1, False, denominator, (3, view))
+        assert str(exc.value) == message
+    assert reduced == []
+
+
+def test_map_from_form_and_verify_reduce_no_component(monkeypatch):
+    # decompose starts the map from linalg's Gaussian integers, map_from_form orders that view and
+    # verify_map reads it: no component is reduced, none is cleared again, and no GaussianRational is built
+    cases = [(_twist_form(a, b, j, Random(40 + j)), a, b) for a, b in ((2, 1), (2, 2), (3, 1)) for j in range(a + b)]
+    cases += [(form_from_real_poly({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1, (1, 0, 0): -1}), 2, 1),
+              (_times_defining(2, 1, [((1, 0, 0), (0, 1, 0), gr(1)), ((0, 1, 0), (1, 0, 0), gr(1))]), 2, 1)]
+    for form, _, _ in cases:
+        _form_side(form)  # a form built from entries clears them once; that is the form's, not the map's
+    reduced, cleared, built = [], [], []
+    getattr_ = forms.WeightedHoloMap.__getattr__
+    monkeypatch.setattr(forms.WeightedHoloMap, "__getattr__", lambda self, name: reduced.append(name) or getattr_(self, name))
+    clear = forms._cleared
+    monkeypatch.setattr(forms, "_cleared", lambda values: cleared.append(1) or clear(values))
+    init = GaussianRational.__init__
+    monkeypatch.setattr(GaussianRational, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    maps = [map_from_form(form, a, b) for form, a, b in cases]
+    assert all(verify_map(m) for m in maps)
+    assert (reduced, cleared, built) == ([], [], [])
 
 
 def _branch_verdicts(m):

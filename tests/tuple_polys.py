@@ -14,7 +14,7 @@ from hyperq.errors import NoPivotMonomial, NotAdmissible
 from hyperq.forms import WeightedHoloMap
 from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
 from hyperq.quadrics import QuadricMap, SignedRealPoly, _require_admissible, _routes, is_admissible, s_poly
-from hyperq.scalars import GR_ONE
+from hyperq.scalars import gr
 
 
 def monomials_of_degree(n_vars, d):
@@ -190,7 +190,7 @@ def diagonal_map(a, b, terms, denominator):
     before maps kept an integer view: one component per term, weighted by |c|, positive ones
     first, each group in grlex order; with denominator the map is affine and its first negative
     component is its denominator, otherwise it is homogeneous."""
-    comps = sorted(((1 if c > 0 else -1, abs(c), {al: GR_ONE}) for al, c in terms.items()),
+    comps = sorted(((1 if c > 0 else -1, abs(c), {al: gr(1)}) for al, c in terms.items()),
                    key=lambda comp: (comp[0] < 0, min(map(grlex_key, comp[2]))))
     index = sum(comp[0] > 0 for comp in comps) if denominator else None
     return QuadricMap(a, b, not denominator, WeightedHoloMap(a + b, tuple(comps)), index)
