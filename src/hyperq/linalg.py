@@ -5,9 +5,9 @@ as (re, im) int pairs (Bareiss 1968): every entry is a minor of the
 cleared matrix, so every division is exact.  One elimination of a
 Hermitian M gives steps that `_signs` counts by sign (their sum is the
 rank) and `_components` reads as signed weighted rank-one pieces, still
-Gaussian integers, each over one positive int; forms runs it once per
-form, and it has no other way in.  `solve` is a Gauss-Jordan pass over
-Q(i), and the only code here that builds a GaussianRational.
+Gaussian integers, each over one positive int, so that neither builds a
+GaussianRational; forms runs it once per form, and it has no other way
+in.  `solve` is a Gauss-Jordan pass over Q(i).
 M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
