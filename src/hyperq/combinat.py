@@ -7,7 +7,8 @@ constant k_i - i, at most n + 1 of them when c < binom(n + d, d), each
 ended by one gallop, so a probe of G costs O(n log d) binomials.
 Lowering every k_i by one gives the operator c -> c_<d>, from which the
 hyperplane restriction bound G(n, d, N) and its derived quantities
-follow.  All arithmetic is arbitrary-precision integer.
+follow; K_n(k), the inverse of G in N, reads off one representation.
+All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def green_G(n: int, d: int, N: int) -> int:
 
 
 def _min_degree_for(n: int, N: int) -> int:
-    """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N.
+    """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N, for n >= 1.
 
     n! binom(n + d, d) = (d + 1) ... (d + n) lies between (d + 1)^n and, by
     AM-GM, (d + (n + 1) / 2)^n.  So with x = (N n!)^(1/n) the answer lies in
@@ -114,7 +115,9 @@ def _min_degree_for(n: int, N: int) -> int:
     the integer n-th root that Newton's method reaches from a power of two
     above it, the walk starts at r - (n + 1) // 2 and takes at most
     (n + 1) // 2 exact steps up.  Every N <= 1 gives 1, so N is taken as at
-    least 1, whose root Newton's method can find.
+    least 1, whose root Newton's method can find.  For n = 1 both bounds are
+    d + 1 and the root is N itself, one Newton step from above, so the walk
+    starts at the answer max(1, N - 1).
     """
     t = max(N, 1) * factorial(n)
     r = 1 << -(-t.bit_length() // n)
@@ -129,15 +132,32 @@ def _min_degree_for(n: int, N: int) -> int:
 def green_K(n: int, k: int) -> int:
     """Largest system rank whose generic hyperplane restriction rank is <= k.
 
-    Gallops and bisects over N, using for each N the smallest d whose
-    monomial count covers N; degree invariance makes that choice
-    harmless, and G is nondecreasing in N, so O(log K) probes of G suffice.
+    A closed form from one Macaulay representation, with no search over N.
+
+    Lemma: for d, t >= 1 with t = sum binom(m_i, i) its d-th representation,
+    the smallest c with c_<d> >= t is c* = sum over m_i >= i of
+    binom(m_i + 1, i).  Those terms are a representation, so c*_<d> = t.
+    In c* - 1 the hockey-stick identity turns the lowest term binom(m_j + 1, j)
+    into sum of binom(m_j - j + l, l) over l = 1..j, which lowers to
+    binom(m_j, j) - 1, so (c* - 1)_<d> = t - 1; and c -> c_<d> is
+    nondecreasing, so no smaller c reaches t.
+
+    G(n, d, N) = binom(n - 1 + d, d) - (binom(n + d, d) - N)_<d> is
+    nondecreasing in N and does not depend on d while N <= binom(n + d, d).
+    Take d least with binom(n - 1 + d, d) > k; then G(n, d, binom(n + d, d))
+    > k, so K_n(k) < binom(n + d, d) and K_n(k) = binom(n + d, d) - c* with
+    t = binom(n - 1 + d, d) - k.  A run (i, j, s) of t with s >= 0 has
+    m_l = l + s for l = i..j and adds binom(i + s + 2, i) - binom(j + s + 1, j - 1)
+    to c*, again by the hockey-stick identity.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _last_true(lambda N: green_G(n, _min_degree_for(n, N), N) <= k, 0)
+    d = _min_degree_for(n - 1, k + 1)
+    t = comb(n - 1 + d, d) - k
+    c = sum(comb(i + s + 2, i) - comb(j + s + 1, j - 1) for i, j, s in _runs(t, d) if s >= 0)
+    return comb(n + d, d) - c
 
 
 def _chain(m: int, n: int, k: int, step: Callable[[int, int], int]) -> int:

@@ -380,6 +380,8 @@ class QuadricMap:
                 raise ValueError("component weights must be positive")
             if not poly:
                 raise ValueError("components must be nonzero polynomials")
+            if any(len(alpha) != self.components.n for alpha in poly):
+                raise DimensionMismatch(f"component exponents must have {self.components.n} entries")
         if self.denominator is not None:
             if not 0 <= self.denominator < len(rows):
                 raise IndexOutOfRange(f"denominator index {self.denominator} out of range")

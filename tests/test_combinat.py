@@ -241,7 +241,8 @@ def gallop_min_degree(n, N):
 
 
 def test_min_degree_matches_scan():
-    for n in range(2, 8):
+    # n = 1 too: green_K asks for the least degree in n - 1 variables
+    for n in range(1, 8):
         for N in range(3000):
             assert _min_degree_for(n, N) == scan_min_degree(n, N), (n, N)
 
@@ -250,12 +251,39 @@ def test_min_degree_matches_gallop():
     # the integer root only starts an exact walk; it must agree with the gallop
     # near powers of ten, where a float root errs by many degrees (10^60, 10^300),
     # and past float range (10^400)
-    for n in range(2, 9):
+    for n in range(1, 9):
         for N in [*range(5000), *(10**k + s for k in range(1, 41) for s in (-1, 1))]:
             assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
-    for n in (2, 5):
+    for n in (1, 2, 5):
         for N in (10**60 - 1, 10**60, 10**300 + 1, 10**400 - 1, 10**400):
             assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
+
+
+def gallop_K(n, k):
+    """green_K as a gallop and bisection over N, each probe of G at the least degree covering N."""
+    return _last_true(lambda N: green_G(n, _min_degree_for(n, N), N) <= k, 0)
+
+
+def test_green_K_matches_gallop():
+    rng = Random(29)
+    cases = [(n, k) for n in range(2, 10) for k in range(3000)]
+    cases += [(rng.randint(2, 9), rng.randrange(10 ** rng.randint(4, 30))) for _ in range(100)]
+    for n, k in cases:
+        assert green_K(n, k) == gallop_K(n, k), (n, k)
+
+
+def test_least_c_reaching_t_inverts_one_representation():
+    """The lemma behind green_K: the least c with c_<d> >= t is the sum of binom(m_i + 1, i)
+    over the terms binom(m_i, i) of t with m_i >= i; c -> c_<d> steps by 0 or 1."""
+    for d in range(1, 8):
+        lowered = [macaulay_lower(c, d) for c in range(3000)]
+        assert lowered[0] == 0
+        assert all(b - a in (0, 1) for a, b in zip(lowered, lowered[1:])), d
+        least = {}
+        for c, t in enumerate(lowered):
+            least.setdefault(t, c)
+        for t in range(1, lowered[-1] + 1):
+            assert least[t] == sum(comb(m + 1, i) for m, i in macaulay_rep(t, d).terms() if m >= i), (d, t)
 
 
 def test_green_K_matches_scan():
@@ -325,6 +353,8 @@ def test_lex_segments_attain_green_bound():
         (green_K, (8, 10**60)),
         (hermitian_R, (1, 4, 10**6)),
         (rigidity_bound, (6, 2, 10**5)),
+        (green_K, (3, 10**300)),
+        (hermitian_R, (2, 6, 10**12)),
     ],
     ids=[
         "K_2(10^6)",
@@ -335,6 +365,8 @@ def test_lex_segments_attain_green_bound():
         "K_8(10^60)",
         "hermitian_R(1,4,10^6)",
         "rigidity_bound(6,2,10^5)",
+        "K_3(10^300)",
+        "hermitian_R(2,6,10^12)",
     ],
 )
 def test_large_bounds_finish(call, args):

@@ -960,6 +960,10 @@ def test_quadric_map_validation():
         QuadricMap(2, 1, False, comps, 7)
     with pytest.raises(ValueError):
         QuadricMap(2, 1, False, comps, 0)
+    # every exponent has n entries: a file that dump_map writes, parse_map reads back
+    short = WeightedHoloMap(3, ((1, F1, {(1, 0): gr(1)}), (-1, F1, {(0, 0, 0, 1): gr(1)})))
+    with pytest.raises(DimensionMismatch):
+        QuadricMap(2, 1, False, short, None)
 
 
 def test_viewed_maps_are_checked_on_their_view(monkeypatch):
@@ -974,6 +978,7 @@ def test_viewed_maps_are_checked_on_their_view(monkeypatch):
         (None, ((1, (-1, 2), {(1, 0, 0): (1, 0)}),) + rows[1:], ValueError, "component weights must be positive"),
         (None, ((2, (1, 1), {(1, 0, 0): (1, 0)}),) + rows[1:], ValueError, "component signs must be +1 or -1"),
         (None, ((1, (1, 1), {}),) + rows[1:], ValueError, "components must be nonzero polynomials"),
+        (None, ((1, (1, 1), {(1, 0): (1, 0)}),) + rows[1:], DimensionMismatch, "component exponents must have 3 entries"),
         (0, rows, ValueError, "the denominator must be a negative component"),
         (1, rows, ValueError, "the denominator must be a negative component"),
         (3, rows, IndexOutOfRange, "denominator index 3 out of range"),
@@ -982,6 +987,9 @@ def test_viewed_maps_are_checked_on_their_view(monkeypatch):
         with pytest.raises(error) as exc:
             quadrics._viewed(2, 1, False, denominator, (3, view))
         assert str(exc.value) == message
+    with pytest.raises(DimensionMismatch) as exc:
+        quadrics._viewed(3, 1, False, None, (3, rows))
+    assert str(exc.value) == "component exponents must have 4 entries"
     assert reduced == []
 
 
