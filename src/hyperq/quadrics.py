@@ -373,6 +373,7 @@ class QuadricMap:
                 f"components use {self.components.n} variables, source split needs {self.a + self.b}"
             )
         rows = _holo_side(self.components)[1]
+        lengths = set()
         for sign, (wn, _), poly in rows:
             if sign not in (1, -1):
                 raise ValueError("component signs must be +1 or -1")
@@ -380,8 +381,9 @@ class QuadricMap:
                 raise ValueError("component weights must be positive")
             if not poly:
                 raise ValueError("components must be nonzero polynomials")
-            if any(len(alpha) != self.components.n for alpha in poly):
-                raise DimensionMismatch(f"component exponents must have {self.components.n} entries")
+            lengths.update(map(len, poly))
+        if lengths - {self.components.n}:
+            raise DimensionMismatch(f"component exponents must have {self.components.n} entries")
         if self.denominator is not None:
             if not 0 <= self.denominator < len(rows):
                 raise IndexOutOfRange(f"denominator index {self.denominator} out of range")
