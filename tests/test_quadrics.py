@@ -960,7 +960,7 @@ def test_quadric_map_validation():
         QuadricMap(2, 1, False, comps, 7)
     with pytest.raises(ValueError):
         QuadricMap(2, 1, False, comps, 0)
-    # every exponent has n entries: a file that dump_map writes, parse_map reads back
+    # every exponent needs n entries, or dump_map would write a file that parse_map refuses
     short = WeightedHoloMap(3, ((1, F1, {(1, 0): gr(1)}), (-1, F1, {(0, 0, 0, 1): gr(1)})))
     with pytest.raises(DimensionMismatch):
         QuadricMap(2, 1, False, short, None)
