@@ -289,6 +289,21 @@ def test_file_and_parse_errors(capsys, tmp_path):
     assert code == 2 and err.startswith("parse error:")
 
 
+def test_non_hermitian_form_is_domain_error(capsys, tmp_path):
+    files = {
+        "form n=2\n1 0 ; 1 0 ; 1 ; 1/2\n0 1 ; 0 1 ; 1 ; 0\n":
+            "NonRealDiagonal: diagonal entry at (1, 0) has imaginary part 1/2\n",
+        "form n=2\n1 0 ; 0 1 ; 1 ; 0\n0 1 ; 1 0 ; 2 ; 0\n":
+            "ConjugateMismatch: entries at ((1, 0), (0, 1)) and ((0, 1), (1, 0)) are not mutual conjugates\n",
+    }
+    path = tmp_path / "f.form"
+    for text, message in files.items():
+        path.write_text(text, encoding="utf-8")
+        for argv in (["form", "rank"], ["form", "inertia"], ["form", "decompose"],
+                     ["restrict", "generic", "--dim", "1"], ["restrict", "max", "--dim", "1"]):
+            assert run(capsys, [*argv[:2], str(path), *argv[2:]]) == (1, "", message)
+
+
 def test_exponent_token_is_parse_error_at_once(capsys, tmp_path):
     # Fraction("1e10000000") would build a 33-million-bit integer first
     huge = tmp_path / "huge.form"
