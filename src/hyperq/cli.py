@@ -82,10 +82,10 @@ def _map_output(doc: dict, m: QuadricMap) -> Tuple[dict, str]:
 
 def cmd_macaulay(args) -> Tuple[dict, str]:
     rep = macaulay_rep(args.c, args.d)
-    terms = list(rep.terms())
-    doc = {"c": args.c, "d": args.d, "terms": [[k, i] for k, i in terms], "lower": rep.lower()}
+    terms, lower = list(rep.terms()), rep.lower()
+    doc = {"c": args.c, "d": args.d, "terms": [[k, i] for k, i in terms], "lower": lower}
     body = " + ".join(f"C({k},{i})" for k, i in terms)
-    return doc, _lines(f"{args.c} = {body}", f"lower: {rep.lower()}")
+    return doc, _lines(f"{args.c} = {body}", f"lower: {lower}")
 
 
 # kind -> (function, argument names in order, help text)

@@ -17,7 +17,7 @@ class HyperqError(Exception):
 
 
 class ConjugateMismatch(HyperqError):
-    """Both orientations of an entry were given and are not conjugates."""
+    """An entry is not the conjugate of its mirror entry (a missing mirror reads as 0)."""
 
 
 class NonRealDiagonal(HyperqError):

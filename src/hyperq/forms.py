@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from .linalg import _checked_hermitian, _cleared, _components, _signs, _symmetric_steps
+from .linalg import _cleared, _components, _signs, _symmetric_steps
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, unit, zero_index
 from .scalars import GR_ZERO, GaussianRational
 
@@ -86,35 +86,20 @@ def _check_index(idx: Tuple[int, ...], n: int) -> MultiIndex:
 def form_from_entries(n: int, entries: Iterable[Tuple[Tuple[int, ...], Tuple[int, ...], object]]) -> HermitianForm:
     """Build a form from sparse (alpha, beta, value) triples.
 
-    Repeated (alpha, beta) pairs accumulate.  Diagonal entries must come
-    out real; if both mirror entries are listed they must be mutual
-    conjugates; a missing mirror is filled in automatically.
+    Repeated (alpha, beta) pairs accumulate and a missing mirror is filled
+    in.  The first read (`_form_side`) refuses a diagonal entry that is not
+    real and listed mirrors that are not mutual conjugates, so a listed zero
+    whose listed mirror is not zero is kept for it.
     """
     acc: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
     for alpha, beta, value in entries:
-        a = _check_index(alpha, n)
-        b = _check_index(beta, n)
-        v = GaussianRational.coerce(value)
-        key = (a, b)
-        acc[key] = acc.get(key, GR_ZERO) + v
-
+        key = (_check_index(alpha, n), _check_index(beta, n))
+        acc[key] = acc.get(key, GR_ZERO) + GaussianRational.coerce(value)
     out: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
     for (a, b), v in acc.items():
-        if a == b:
-            if v.im != 0:
-                raise NonRealDiagonal(f"diagonal entry at {a} has imaginary part {v.im}")
-            if v:
-                out[(a, b)] = v
-            continue
-        mirror = (b, a)
-        if mirror in acc:
-            if acc[mirror] != v.conjugate():
-                raise ConjugateMismatch(
-                    f"entries at ({a}, {b}) and ({b}, {a}) are not mutual conjugates"
-                )
-        if v:
+        if v or acc.get((b, a)):
             out[(a, b)] = v
-            out.setdefault(mirror, v.conjugate())
+            out.setdefault((b, a), v.conjugate())
     return HermitianForm(n, out)
 
 
@@ -129,15 +114,13 @@ def form_inertia(form: HermitianForm) -> SignaturePair:
 
 
 def _elimination(form: HermitianForm) -> Tuple[int, list]:
-    """(L, steps) of L times the matrix over the support, placed from _form_side.
-
-    Stored once fully built, so a refused non-Hermitian form stores nothing.
-    """
+    """(L, steps) of L times the matrix over the support, placed from _form_side, which checks the
+    form Hermitian before it stores anything: a refused non-Hermitian form stores nothing."""
     steps = form._memo.get("steps")
     if steps is None:
         support, flat, d = _form_side(form)
         x = [[flat.get((i, j), (0, 0)) for j in range(len(support))] for i in range(len(support))]
-        steps = form._memo["steps"] = (d, list(_symmetric_steps(_checked_hermitian(x))))
+        steps = form._memo["steps"] = (d, list(_symmetric_steps(x)))
     return steps
 
 
@@ -275,6 +258,10 @@ def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> Hermi
     which leaves them over the lcm of their reduced denominators.  So rank,
     inertia, decompose and composition read no Fraction, and the elimination
     sees the integers that clearing the entries would give; only entries reduces.
+    The side skips `_form_side`'s check, as acc is Hermitian by construction:
+    `_composed` adds C_ab M^e P_a[x] conj(P_b[y]) at (x, y) for each entry C_ab
+    of a checked form, and C_ba = conj(C_ab) adds its conjugate at (y, x);
+    `norm_difference` adds k P[x] conj(P[y]), k real.  So is acc / g, g an int.
     """
     pairs = {(i, j): x for i, row in acc.items() for j, x in row.items() if x != (0, 0)}
     live = sorted({k for key in pairs for k in key})
@@ -325,14 +312,22 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
 
 def _form_side(form: HermitianForm) -> _FormSide:
     """(support, flat, D), memoized on the form: entry (support[i], support[j]) is flat[i, j] / D
-    over Gaussian integers, in the entries' order."""
+    over Gaussian integers, in the entries' order.  The one Hermitian check: the first entry that
+    is not its mirror's conjugate (a missing mirror reads as 0) refuses the form, memoizing nothing."""
     side = form._memo.get("side")
     if side is None:
         entries = form.entries
         support = sorted_grlex({index for key in entries for index in key})
         at = {alpha: k for k, alpha in enumerate(support)}
         pairs, d = _cleared(entries.values())
-        side = form._memo["side"] = (support, {(at[alpha], at[beta]): c for (alpha, beta), c in zip(entries, pairs)}, d)
+        flat = {(at[alpha], at[beta]): c for (alpha, beta), c in zip(entries, pairs)}
+        for (i, j), (re, im) in flat.items():
+            if flat.get((j, i), (0, 0)) != (re, -im):
+                a, b = support[i], support[j]
+                if i == j:
+                    raise NonRealDiagonal(f"diagonal entry at {a} has imaginary part {Fraction(im, d)}")
+                raise ConjugateMismatch(f"entries at ({a}, {b}) and ({b}, {a}) are not mutual conjugates")
+        side = form._memo["side"] = (support, flat, d)
     return side
 
 

@@ -6,8 +6,9 @@ cleared matrix, so every division is exact.  One elimination of a
 Hermitian M gives steps that `_signs` counts by sign (their sum is the
 rank) and `_components` reads as signed weighted rank-one pieces, still
 Gaussian integers, each over one positive int, so that neither builds a
-GaussianRational; forms runs it once per form, and it has no other way
-in.  `solve` is a Gauss-Jordan pass over Q(i).
+GaussianRational; forms runs it once per form, on a matrix it has checked
+Hermitian, and it has no other way in.  `solve` is a Gauss-Jordan pass
+over Q(i).
 M is cleared as a whole by the lcm L of its denominators so that
 X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
 (p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
@@ -27,7 +28,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .errors import ConjugateMismatch, NonRealDiagonal
 from .scalars import GaussianRational
 
 Matrix = List[List[GaussianRational]]
@@ -62,18 +62,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
             if j != i and f:
                 x[j] = [vj - f * vi for vj, vi in zip(x[j], x[i])]
     return [row[n:] for row in x]
-
-
-def _checked_hermitian(x: List[List[_GIPair]]) -> List[List[_GIPair]]:
-    """x itself, a square matrix of int pairs, if it is Hermitian; refuses any other."""
-    for k, row in enumerate(x):
-        if row[k][1]:
-            raise NonRealDiagonal(f"diagonal entry ({k}, {k}) is not real")
-        for l in range(k):
-            re, im = row[l]
-            if x[l][k] != (re, -im):
-                raise ConjugateMismatch(f"entries ({k}, {l}) and ({l}, {k}) are not mutual conjugates")
-    return x
 
 
 def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:

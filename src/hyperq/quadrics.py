@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import heapq
 import threading
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -470,8 +470,8 @@ class _LatticeSearch:
 
     The region is A <= box_a, B <= box_b, A + B <= total.  Nodes are
     expanded lowest degree first, then fewest terms, then push order, and
-    each settled signature keeps one packed witness, in settle order, and
-    its place in that order in a column of signatures by A, sorted by B.
+    each settled signature keeps one packed witness in `witnesses`, whose
+    insertion order is the settle order.
     `pending` maps each unsettled signature with a heap entry to the
     (degree, term count) key and the recipe of its best entry, the one
     that pops first: the shift, route and settled parent with its
@@ -487,7 +487,6 @@ class _LatticeSearch:
         # every node has degree <= A + B - (a + b) + 1 <= total: this width holds every exponent.
         self.width = total.bit_length()
         self.witnesses: Dict[Sig, Node] = {}
-        self.columns: Dict[int, List[Tuple[int, int]]] = {}  # A -> (B, settle index) of each witness
         self.pending: Dict[Sig, Tuple[Tuple[int, int], Optional[Sig], Optional[Tuple], Any]] = {}
         self.heap: List[Tuple[int, int, int, Sig]] = []
         self.tick = count()
@@ -508,30 +507,29 @@ class _LatticeSearch:
             self.pending[sig] = (key, shift, route, parent)
             heapq.heappush(self.heap, key + (next(self.tick), sig))
 
-    def answer(self, box_a: int, box_b: int, budget: int, goal: Optional[Sig], shared: bool = True
+    def answer(self, box_a: int, box_b: int, budget: int, goal: Optional[Sig]
                ) -> Optional[Tuple[Dict[Sig, Node], bool, int]]:
         """What a fresh search of the box [box_a] x [box_b] returns, and the field width.
 
         Resumes the walk until the answer is settled: the goal is
         witnessed, more than `budget` signatures in the box are, or no
-        heap entry is left in the box.  A shared walk returns None instead
-        once this call has expanded more nodes outside the box than the
-        box holds witnesses, or more than `budget` nodes in all; a walk
-        that is not shared always settles the answer.
+        heap entry is left in the box.  Returns None instead once this
+        call has expanded more nodes outside the box than the box holds
+        witnesses, or more than `budget` nodes in all; never in a fresh
+        lone walk, whose region is the box: every node it settles is in the
+        box, so `outside` stays 0 and spent == len(found) <= budget in the loop.
         """
         a, b = self.split
 
         def inside(sig: Sig) -> bool:
             return sig[0] <= box_a and sig[1] <= box_b
 
-        # the box's witnesses in settle order, read off their columns
-        found = [sig for _, sig in sorted((i, (A, B)) for A, column in self.columns.items() if A <= box_a
-                                          for B, i in column[:bisect_right(column, (box_b, inf))])]
+        found = [sig for sig in self.witnesses if inside(sig)]
         # heap entries left in the box; a goal already witnessed needs no count
         live = 0 if goal in self.witnesses else sum(1 for A, B in self.pending if A <= box_a and B <= box_b)
         spent = outside = 0
         while live and len(found) <= budget and goal not in self.witnesses:
-            if shared and (outside > len(found) or spent > budget):
+            if outside > len(found) or spent > budget:
                 return None
             sig = heapq.heappop(self.heap)[3]
             if sig in self.witnesses:
@@ -540,7 +538,6 @@ class _LatticeSearch:
             if route is not None:
                 node = _move(a, b, self.width, shift, route, *node)
                 assert (node[0], len(node[2])) == key
-            insort(self.columns.setdefault(sig[0], []), (sig[1], len(self.witnesses)))
             self.witnesses[sig] = node
             assert (sum(map((0).__lt__, node[2].values())), len(node[2])) == (sig[0], sig[0] + sig[1])
             if inside(sig):
@@ -609,7 +606,7 @@ def _search(a: int, b: int, box_a: int, box_b: int, budget: int, goal: Optional[
         found = state.answer(box_a, box_b, budget, goal)
     if found is None:
         alone = _LatticeSearch(a, b, box_a, box_b, box_a + box_b)
-        found = alone.answer(box_a, box_b, budget, goal, shared=False)
+        found = alone.answer(box_a, box_b, budget, goal)
     return found
 
 

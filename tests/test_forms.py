@@ -58,14 +58,29 @@ def test_mirror_is_automatic():
     assert f.entries[((0, 1), (1, 0))] == gr(2, -3)
 
 
+def _refused(form, error):
+    # a refused form memoizes nothing, so every read refuses it again
+    for read in (form_rank, form_inertia, decompose) * 2:
+        with pytest.raises(error):
+            read(form)
+
+
 def test_mirror_mismatch_rejected():
-    with pytest.raises(ConjugateMismatch):
-        form_from_entries(2, [((1, 0), (0, 1), gr(1)), ((0, 1), (1, 0), gr(2))])
+    _refused(form_from_entries(2, [((1, 0), (0, 1), gr(1)), ((0, 1), (1, 0), gr(2))]), ConjugateMismatch)
+
+
+def test_listed_zero_with_a_nonzero_mirror_rejected():
+    _refused(form_from_entries(2, [((1, 0), (0, 1), gr(0)), ((0, 1), (1, 0), gr(2))]), ConjugateMismatch)
+    _refused(form_from_entries(2, [((1, 0), (0, 1), gr(2)), ((0, 1), (1, 0), gr(0))]), ConjugateMismatch)
+
+
+def test_explicit_zero_without_mirror_accepted():
+    f = HermitianForm(2, {((1, 0), (1, 0)): gr(1), ((1, 0), (0, 1)): GR_ZERO})
+    assert form_inertia(f) == SignaturePair(1, 0)
 
 
 def test_diagonal_must_be_real():
-    with pytest.raises(NonRealDiagonal):
-        form_from_entries(1, [((1,), (1,), gr(0, 1))])
+    _refused(form_from_entries(1, [((1,), (1,), gr(0, 1))]), NonRealDiagonal)
 
 
 def test_repeated_entries_accumulate():
@@ -87,8 +102,7 @@ def test_inertia_of_diagonal_real_poly():
 
 
 def test_form_from_real_poly_rejects_complex():
-    with pytest.raises(NonRealDiagonal):
-        form_from_real_poly({(1, 0): gr(1, 1)})
+    _refused(form_from_real_poly({(1, 0): gr(1, 1)}), NonRealDiagonal)
 
 
 def test_decompose_reconstructs():

@@ -9,7 +9,7 @@ import pytest
 
 from dense import evaluate, form_matrix, identity, matmul
 from hyperq import forms, restrict
-from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
+from hyperq.errors import ConjugateMismatch, DimensionMismatch
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
 from hyperq.multiindex import unit
@@ -250,12 +250,12 @@ def test_one_op_clears_the_form_once(monkeypatch):
 
 
 def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
-    # z1 conj(z2) without its mirror; the dataclass does not validate, the rank kernel does
+    # z1 conj(z2) without its mirror; the dataclass does not validate, the form's first read does
     form = HermitianForm(3, {((1, 0, 0), (0, 1, 0)): gr(1)})
-    with pytest.raises(NonRealDiagonal):
+    with pytest.raises(ConjugateMismatch):
         generic_restriction_rank(form, 2)
     with pytest.raises(ConjugateMismatch):
-        max_affine_rank(form, 2)  # z1 = w1 and z2 = w2: only w1 conj(w2) appears
+        max_affine_rank(form, 2)
 
 
 def test_sz_failure_bound_shrinks():
