@@ -7,8 +7,9 @@ Rank, inertia and weighted holomorphic squares are exact over the
 Gaussian rationals and read one elimination per form, memoized with its
 entries cleared to Gaussian integers over one lcm.  Substitution (in two
 passes, with E and t cleared by one lcm) and norm differences sum Gaussian
-integers as (re, im) int pairs over one denominator; divided by their
-common factor with it, these are the new form's cleared view.  The
+integers as (re, im) int pairs over one denominator, in the upper triangle of
+a sum that is Hermitian by construction; mirrored and divided by their common
+factor with it, these are the new form's cleared view.  The
 monomial basis is graded lexicographic everywhere, so matrices, files and
 decompositions are reproducible byte for byte.
 """
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from .linalg import _cleared, _components, _signs, _symmetric_steps
+from .linalg import _GIPair as _Pair, _cleared, _components, _signs, _symmetric_steps
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, unit, zero_index
 from .scalars import GR_ZERO, GaussianRational
 
@@ -119,7 +121,7 @@ def _elimination(form: HermitianForm) -> Tuple[int, list]:
     steps = form._memo.get("steps")
     if steps is None:
         support, flat, d = _form_side(form)
-        x = [[flat.get((i, j), (0, 0)) for j in range(len(support))] for i in range(len(support))]
+        x = [[flat.get((i, j), (0, 0)) for j in range(i, len(support))] for i in range(len(support))]
         steps = form._memo["steps"] = (d, list(_symmetric_steps(x)))
     return steps
 
@@ -206,7 +208,7 @@ def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
     for sign, (wn, wd), poly in rows:
         k = wn * (w // wd)
         p = {at[alpha]: c for alpha, c in poly.items()}
-        _sandwich(acc, (k if sign > 0 else -k, 0), p, p)
+        _sandwich(acc, (k if sign > 0 else -k, 0), p, [p.get(i, (0, 0)) for i in range(len(basis))])
     return _to_form(holo.n, basis, acc, w * d * d)
 
 
@@ -223,9 +225,8 @@ def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] =
     return form_from_entries(n, ((alpha, alpha, coeff) for alpha, coeff in terms.items()))
 
 
-_Pair = Tuple[int, int]  # a Gaussian integer re + i im
 _PairPoly = Dict[MultiIndex, _Pair]
-_Rows = Dict[Hashable, Dict[Hashable, _Pair]]  # acc[gamma][delta], keyed by basis indices
+_Rows = Dict[int, List[_Pair]]  # acc[gamma][delta - gamma] for delta >= gamma, basis indices
 _FormSide = Tuple[List[MultiIndex], Dict[Tuple[int, int], _Pair], int]
 HoloSide = Tuple[int, Tuple[Tuple[int, Tuple[int, int], _PairPoly], ...]]  # see _holo_side
 
@@ -240,30 +241,31 @@ def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:
     return out
 
 
-def _sandwich(acc: _Rows, c: _Pair, left: Dict[Hashable, _Pair], right: Dict[Hashable, _Pair]) -> None:
-    """acc[gamma][delta] += c * u * conj(v) over left[gamma] = u and right[delta] = v."""
+def _sandwich(acc: _Rows, c: _Pair, left: Dict[int, _Pair], right: List[_Pair]) -> None:
+    """acc[gamma][delta - gamma] += c u conj(v) over left[gamma] = u and the dense right[delta] = v, for
+    delta >= gamma only: every sum of these hyperq builds is Hermitian, and `_to_form` mirrors it."""
     cr, ci = c
     for gamma, (ur, ui) in left.items():
         xr, xi = cr * ur - ci * ui, cr * ui + ci * ur
-        row = acc.setdefault(gamma, {})
-        for delta, (vr, vi) in right.items():
-            r, i = row.get(delta, (0, 0))
-            row[delta] = (r + xr * vr + xi * vi, i + xi * vr - xr * vi)
+        acc[gamma] = [(r + xr * vr + xi * vi, i + xi * vr - xr * vi)
+                      for (r, i), (vr, vi) in zip(acc.get(gamma) or repeat((0, 0)), right[gamma:])]
 
 
 def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> HermitianForm:
-    """The form with entry acc[i][j] / den at (basis[i], basis[j]); entries that cancelled are dropped.
+    """The form with entry acc[i][j - i] / den at (basis[i], basis[j]), j >= i, and its conjugate at
+    (basis[j], basis[i]), from the upper triangle acc of a Hermitian sum; entries that cancelled are dropped.
 
     Its side is these Gaussian integers divided by their common factor with den,
     which leaves them over the lcm of their reduced denominators.  So rank,
     inertia, decompose and composition read no Fraction, and the elimination
     sees the integers that clearing the entries would give; only entries reduces.
-    The side skips `_form_side`'s check, as acc is Hermitian by construction:
+    The side skips `_form_side`'s check, as the sum is Hermitian by construction:
     `_composed` adds C_ab M^e P_a[x] conj(P_b[y]) at (x, y) for each entry C_ab
     of a checked form, and C_ba = conj(C_ab) adds its conjugate at (y, x);
-    `norm_difference` adds k P[x] conj(P[y]), k real.  So is acc / g, g an int.
+    `norm_difference` adds k P[x] conj(P[y]), k real.  So is its mirrored acc / g, g an int.
     """
-    pairs = {(i, j): x for i, row in acc.items() for j, x in row.items() if x != (0, 0)}
+    pairs = {key: x for i, row in acc.items() for j, (re, im) in enumerate(row, i) if re or im
+             for key, x in (((i, j), (re, im)), ((j, i), (re, -im)))}
     live = sorted({k for key in pairs for k in key})
     at = {k: p for p, k in enumerate(live)}
     g = gcd(den, *(x for pair in pairs.values() for x in pair)) if den > 1 else 1
@@ -341,9 +343,10 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     (gamma, delta), all over den = D M^K.  Two passes group the sum by alpha: each
     entry of the form side adds conj(C) M^(K-|alpha|-|beta|) P_beta[delta] to
     V_alpha[delta], then acc[gamma][delta] += P_alpha[gamma] conj(V_alpha[delta]):
-    nnz k + |support| k^2 products for k terms per P, not nnz k^2.  Each gamma is
-    keyed by its index in one grlex basis of the monomials the P reach, so a
-    product hashes one small int.
+    nnz k + |support| k^2 products for k terms per P, not nnz k^2, and pass 2 sums
+    only delta >= gamma, as the sum is Hermitian (see `_to_form`).  gamma and delta
+    are indices in one grlex basis of the monomials the P reach, and each V_alpha
+    is a dense row over that basis.
     """
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
@@ -360,16 +363,16 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     size = [sum(alpha) for alpha in support]  # |alpha|
     top = max((size[i] + size[j] for i, j in flat), default=0)
     scale = [m**e for e in range(top + 1)]
-    v: _Rows = {}  # v[i][delta] = V_support[i][delta]
+    v = [[(0, 0)] * len(basis) for _ in support]  # v[i][delta] = V_support[i][delta]
     for (i, j), (cr, ci) in flat.items():
         s = scale[top - size[i] - size[j]]
         xr, xi = cr * s, -ci * s
-        row = v.setdefault(i, {})
+        row = v[i]
         for delta, (pr, pi) in table[j].items():
-            r, im = row.get(delta, (0, 0))
+            r, im = row[delta]
             row[delta] = (r + xr * pr - xi * pi, im + xr * pi + xi * pr)
     acc: _Rows = {}
-    for i, row in v.items():
+    for i, row in enumerate(v):
         _sandwich(acc, (1, 0), table[i], row)
     return n_dst, basis, acc, d * scale[top]
 

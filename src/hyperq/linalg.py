@@ -1,25 +1,24 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, fraction-free over Gaussian integers held as
+(re, im) int pairs (Bareiss 1968): every entry is a minor of the cleared matrix, so every division is
+exact.  One symmetric elimination of a Hermitian M gives steps that `_signs` counts by sign (their sum
+is the rank) and `_components` reads as signed weighted rank-one pieces, still Gaussian integers, each
+over one positive int, so that neither builds a GaussianRational; forms runs it once per form, on a
+matrix it has checked Hermitian, and it has no other way in.  M is cleared as a whole by the lcm L of
+its denominators so that X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
+(p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]], c = X_ij, runs only when every
+remaining diagonal is 0 and sets X_kl to (-|c|^2 X_kl + c X_ki X_jl + conj(c) X_kj X_il) / prev^2.
+prev starts at 1 and becomes p, or -|c|^2 / prev.  p and prev are real, so both steps keep X
+Hermitian: the kernel stores and updates X_kl for l >= k only, and reads X_lk as conj(X_kl).  By
+Sylvester's identity each X_kl is prev L times the entry of the true Schur complement, a real factor
+common to all entries: the pivots are those of an elimination over Q(i), and the true 1x1 pivot
+p / (prev L) has the sign of p times that of prev.  By Sylvester's law of inertia the sign counts do
+not depend on the pivot order.
 
-The symmetric kernel eliminates fraction-free over Gaussian integers held
-as (re, im) int pairs (Bareiss 1968): every entry is a minor of the
-cleared matrix, so every division is exact.  One elimination of a
-Hermitian M gives steps that `_signs` counts by sign (their sum is the
-rank) and `_components` reads as signed weighted rank-one pieces, still
-Gaussian integers, each over one positive int, so that neither builds a
-GaussianRational; forms runs it once per form, on a matrix it has checked
-Hermitian, and it has no other way in.  `solve` is a Gauss-Jordan pass
-over Q(i).
-M is cleared as a whole by the lcm L of its denominators so that
-X = L M stays Hermitian.  A 1x1 step on p = X_ii sets X_kl to
-(p X_kl - X_ki X_il) / prev; a 2x2 step on [[0, c], [conj(c), 0]],
-c = X_ij, runs only when every remaining diagonal is 0 and sets X_kl to
-(-|c|^2 X_kl + c X_ki X_jl + conj(c) X_kj X_il) / prev^2.  prev starts
-at 1 and becomes p, or -|c|^2 / prev.  By Sylvester's identity each X_kl
-is prev L times the entry of the true Schur complement, a real factor
-common to all entries: the pivots are those of an elimination over Q(i),
-and the true 1x1 pivot p / (prev L) has the sign of p times that of
-prev.  By Sylvester's law of inertia the sign counts do not depend on
-the pivot order.
+`solve` runs Gauss-Jordan the same way on [a | b], cleared by one lcm: a step on p = X_ii sets every
+other row's X_kl to (p X_kl - X_ki X_il) / prev, prev the previous pivot.  Each entry is then, up to
+sign, a minor of the row-swapped [a | b], a Gaussian integer, so dividing by the Gaussian prev, as
+z conj(prev) // |prev|^2 on each part, is exact.  The left block ends as d I, d the last pivot, so X
+is the right block divided once by d.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from math import lcm
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .scalars import GaussianRational
-
-Matrix = List[List[GaussianRational]]
 
 # Gaussian integers as plain int pairs (re, im) for the fraction-free kernels.
 _GIPair = Tuple[int, int]
@@ -46,69 +43,81 @@ def _cleared(values: Iterable[object]) -> Tuple[List[_GIPair], int]:
     return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals], d
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """X with a X = b for a square invertible a: one Gauss-Jordan pass on [a | b]."""
-    n = len(a)
-    x = [ra + rb for ra, rb in zip(a, b)]
+def solve(a: List[List[_GIPair]], b: List[List[_GIPair]]) -> List[List[GaussianRational]]:
+    """X with a X = b for a square invertible a, both over Z[i] (clear [a | b] by one lcm first):
+    one fraction-free Gauss-Jordan pass, each row keeping its columns right of the pivot."""
+    n, x, (qr, qi, nq) = len(a), [ra + rb for ra, rb in zip(a, b)], (1, 0, 1)  # conj(prev), |prev|^2
     for i in range(n):
-        piv = next((j for j in range(i, n) if x[j][i]), None)
+        piv = next((j for j in range(i, n) if x[j][0] != (0, 0)), None)
         if piv is None:
             raise ValueError("matrix is singular")
         x[i], x[piv] = x[piv], x[i]
-        d = x[i][i]
-        x[i] = [v / d for v in x[i]]
-        for j in range(n):
-            f = x[j][i]
-            if j != i and f:
-                x[j] = [vj - f * vi for vj, vi in zip(x[j], x[i])]
-    return [row[n:] for row in x]
+        (pr, pi), *top = x[i]
+        x = [top if j == i else
+             [((zr * qr - zi * qi) // nq, (zr * qi + zi * qr) // nq)
+              for (vr, vi), (ur, ui) in zip(row[1:], top)
+              for zr, zi in ((pr * vr - pi * vi - fr * ur + fi * ui, pr * vi + pi * vr - fr * ui - fi * ur),)]
+             for j, row in enumerate(x) for fr, fi in (row[0],)]
+        qr, qi, nq = pr, -pi, pr * pr + pi * pi
+    return [[GaussianRational(Fraction(vr * qr - vi * qi, nq), Fraction(vr * qi + vi * qr, nq)) for vr, vi in row]
+            for row in x]
+
+
+def _column(x: List[List[_GIPair]], t: int) -> List[_GIPair]:
+    """Column t of the Hermitian X whose row k holds X_kl for l >= k: X_kt above t, conj(X_tk) below."""
+    return [row[t - k] for k, row in enumerate(x[:t + 1])] + [(re, -im) for re, im in x[t][1:]]
 
 
 def _symmetric_steps(x: List[List[_GIPair]]) -> Iterator[tuple]:
-    """Yield (active indices, prev, pivot, its columns of X) before each step.
+    """Yield (active indices, prev, pivot, its full columns of X) before each step; row k of x holds
+    X_kl for l >= k, and a step updates that triangle only.
 
     1x1: the largest |X_ii| (ties: smallest i) and column i; 2x2: the
-    first nonzero c = X_ij and columns i, j.
+    first nonzero c = X_ij, i < j, and columns i, j.
     """
     act = list(range(len(x)))
     prev = 1
     while act:
-        diag = [abs(row[k][0]) for k, row in enumerate(x)]
-        t = max(range(len(act)), key=diag.__getitem__)
+        m = len(act)
+        diag = [abs(row[0][0]) for row in x]
+        t = max(range(m), key=diag.__getitem__)
         if diag[t]:
-            p = x[t][t][0]
-            col = [row[t] for row in x]
+            p = x[t][0][0]
+            col = _column(x, t)
             yield act, prev, p, (col,)
-            keep = [k for k in range(len(act)) if k != t]
-            rt = [x[t][k] for k in keep]
-            x = [
-                [((p * xr - ar * br + ai * bi) // prev, (p * xi - ar * bi - ai * br) // prev)
-                 for (xr, xi), (br, bi) in zip([row[k] for k in keep], rt)]
-                for row, (ar, ai) in zip([x[k] for k in keep], [col[k] for k in keep])
-            ]
+            keep = [k for k in range(m) if k != t]
+            ck = [col[k] for k in keep]
+            rt = [(re, -im) for re, im in ck]  # X_tl = conj(X_lt)
+            x = [[((p * xr - ar * br + ai * bi) // prev, (p * xi - ar * bi - ai * br) // prev)
+                  for (xr, xi), (br, bi) in zip(row, rt[i:])]
+                 for i, (row, (ar, ai)) in enumerate(zip(_kept(x, (t,)), ck))]
             prev = p
         else:
-            m = len(act)
-            pair = next(((s, t) for s in range(m) for t in range(s + 1, m) if x[s][t] != (0, 0)), None)
+            pair = next(((s, s + j) for s in range(m) for j in range(1, m - s) if x[s][j] != (0, 0)), None)
             if pair is None:
                 return  # remaining block is identically zero
             s, t = pair
-            cr, ci = c = x[s][t]
-            cols = ([row[s] for row in x], [row[t] for row in x])
+            cr, ci = c = x[s][t - s]
+            cols = (_column(x, s), _column(x, t))
             yield act, prev, c, cols
             keep = [k for k in range(m) if k != s and k != t]
-            rs, rt = [x[s][k] for k in keep], [x[t][k] for k in keep]
-            u = [(cr * pr - ci * pi, cr * pi + ci * pr) for pr, pi in (cols[0][k] for k in keep)]
-            v = [(cr * qr + ci * qi, cr * qi - ci * qr) for qr, qi in (cols[1][k] for k in keep)]
+            rs, rt = ([(re, -im) for re, im in (col[k] for k in keep)] for col in cols)
             nc, d = cr * cr + ci * ci, prev * prev
-            x = [
-                [((-nc * xr + ur * tr - ui * ti + vr * sr - vi * si) // d,
-                  (-nc * xi + ur * ti + ui * tr + vr * si + vi * sr) // d)
-                 for (xr, xi), (tr, ti), (sr, si) in zip([row[k] for k in keep], rt, rs)]
-                for row, (ur, ui), (vr, vi) in zip([x[k] for k in keep], u, v)
-            ]
+            x = [[((-nc * xr + ur * tr - ui * ti + vr * sr - vi * si) // d,
+                   (-nc * xi + ur * ti + ui * tr + vr * si + vi * sr) // d)
+                  for (xr, xi), (tr, ti), (sr, si) in zip(row, rt[i:], rs[i:])]
+                 for i, (row, a) in enumerate(zip(_kept(x, pair), keep))
+                 for (pr, pi), (qr, qi) in ((cols[0][a], cols[1][a]),)
+                 for ur, ui, vr, vi in ((cr * pr - ci * pi, cr * pi + ci * pr, cr * qr + ci * qi, cr * qi - ci * qr),)]
             prev = -nc // prev
         act = [act[k] for k in keep]
+
+
+def _kept(x: List[List[_GIPair]], gone: Tuple[int, ...]) -> List[List[_GIPair]]:
+    """The triangle x (row a holds the entries at l = a, a + 1, ...) without the rows and columns gone."""
+    for g in reversed(gone):
+        x = [row[:g - a] + row[g - a + 1:] for a, row in enumerate(x[:g])] + x[g + 1:]
+    return x
 
 
 def _components(den: int, steps: Iterable[tuple]) -> Iterator[Tuple[int, Fraction, int, Dict[int, _GIPair]]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
@@ -157,7 +157,7 @@ def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRa
     U = (I - S)(I + S)^{-1} for a random skew-Hermitian S; I + S is
     always invertible, and unitarity is an identity, not an
     approximation.  I - S commutes with (I + S)^{-1}, so U is solved
-    from (I + S) U = I - S in one pass.
+    from (I + S) U = I - S in one pass, both sides cleared by one lcm.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -165,15 +165,15 @@ def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRa
     def signed(r: Random) -> Fraction:
         return Fraction(r.randint(1, bound) * r.choice((-1, 1)), r.randint(1, bound))
 
-    S = [[GR_ZERO for _ in range(n)] for _ in range(n)]
+    S = [[(0, 0)] * n for _ in range(n)]  # (re, im) of each entry, cleared below by their lcm m
     for i in range(n):
-        S[i][i] = gr(0, signed(rng))
+        S[i][i] = (0, signed(rng))
         for j in range(i + 1, n):
             x, y = signed(rng), signed(rng)
-            S[i][j] = gr(x, y)
-            S[j][i] = gr(-x, y)
-    plus = [[int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(S)]
-    minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(S)]
+            S[i][j], S[j][i] = (x, y), (-x, y)
+    m = lcm(*(v.denominator for row in S for pair in row for v in pair))
+    plus, minus = ([[(int(i == j) * m + sign * int(re * m), sign * int(im * m)) for j, (re, im) in enumerate(row)]
+                    for i, row in enumerate(S)] for sign in (1, -1))
     return solve(plus, minus)
 
 

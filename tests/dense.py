@@ -1,6 +1,8 @@
 """Dense GaussianRational matrices in tests: products, a general rank,
-matrices read as forms and forms read as matrices, and the rational reading
-of the symmetric elimination's components.
+matrices read as forms and forms read as matrices, the rational reading
+of the symmetric elimination's components, and the full-square
+elimination and Q(i) solve that linalg's one-triangle kernel and
+Gaussian-integer solve replaced, kept as oracles.
 
 hyperq enters its symmetric elimination only through a form.  A square
 matrix M is the one-variable form sum of M[i][j] z^i zbar^j, whose
@@ -12,6 +14,7 @@ from math import lcm
 
 from hyperq.errors import DimensionMismatch
 from hyperq.forms import HermitianForm, decompose
+from hyperq.linalg import solve
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
@@ -144,3 +147,80 @@ def bareiss_rank(rows):
         if r == n_rows:
             break
     return r
+
+
+# -- the kernels linalg replaced, kept as oracles --
+
+
+def full_symmetric_steps(x):
+    """The symmetric elimination on the full square X of Gaussian-integer pairs, both triangles
+    updated: the same (act, prev, pivot, cols) before each step as linalg._symmetric_steps.
+
+    1x1: the largest |X_ii| (ties: smallest i) and column i; 2x2: the
+    first nonzero c = X_ij and columns i, j.
+    """
+    act = list(range(len(x)))
+    prev = 1
+    while act:
+        diag = [abs(row[k][0]) for k, row in enumerate(x)]
+        t = max(range(len(act)), key=diag.__getitem__)
+        if diag[t]:
+            p = x[t][t][0]
+            col = [row[t] for row in x]
+            yield act, prev, p, (col,)
+            keep = [k for k in range(len(act)) if k != t]
+            rt = [x[t][k] for k in keep]
+            x = [
+                [((p * xr - ar * br + ai * bi) // prev, (p * xi - ar * bi - ai * br) // prev)
+                 for (xr, xi), (br, bi) in zip([row[k] for k in keep], rt)]
+                for row, (ar, ai) in zip([x[k] for k in keep], [col[k] for k in keep])
+            ]
+            prev = p
+        else:
+            m = len(act)
+            pair = next(((s, t) for s in range(m) for t in range(s + 1, m) if x[s][t] != (0, 0)), None)
+            if pair is None:
+                return  # remaining block is identically zero
+            s, t = pair
+            cr, ci = c = x[s][t]
+            cols = ([row[s] for row in x], [row[t] for row in x])
+            yield act, prev, c, cols
+            keep = [k for k in range(m) if k != s and k != t]
+            rs, rt = [x[s][k] for k in keep], [x[t][k] for k in keep]
+            u = [(cr * pr - ci * pi, cr * pi + ci * pr) for pr, pi in (cols[0][k] for k in keep)]
+            v = [(cr * qr + ci * qi, cr * qi - ci * qr) for qr, qi in (cols[1][k] for k in keep)]
+            nc, d = cr * cr + ci * ci, prev * prev
+            x = [
+                [((-nc * xr + ur * tr - ui * ti + vr * sr - vi * si) // d,
+                  (-nc * xi + ur * ti + ui * tr + vr * si + vi * sr) // d)
+                 for (xr, xi), (tr, ti), (sr, si) in zip([row[k] for k in keep], rt, rs)]
+                for row, (ur, ui), (vr, vi) in zip([x[k] for k in keep], u, v)
+            ]
+            prev = -nc // prev
+        act = [act[k] for k in keep]
+
+
+def rational_solve(a, b):
+    """X with a X = b for a square invertible a: one Gauss-Jordan pass on [a | b] over Q(i)."""
+    n = len(a)
+    x = [[GaussianRational.coerce(v) for v in ra + rb] for ra, rb in zip(a, b)]
+    for i in range(n):
+        piv = next((j for j in range(i, n) if x[j][i]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        x[i], x[piv] = x[piv], x[i]
+        d = x[i][i]
+        x[i] = [v / d for v in x[i]]
+        for j in range(n):
+            f = x[j][i]
+            if j != i and f:
+                x[j] = [vj - f * vi for vj, vi in zip(x[j], x[i])]
+    return [row[n:] for row in x]
+
+
+def cleared_solve(a, b):
+    """linalg.solve on [a | b] of any Gaussian rationals, cleared together by one lcm."""
+    n = len(a)
+    rows = _cleared_row([v for ra, rb in zip(a, b) for v in (*ra, *rb)])
+    w = len(rows) // n if n else 0
+    return solve([rows[i * w:i * w + n] for i in range(n)], [rows[i * w + n:(i + 1) * w] for i in range(n)])

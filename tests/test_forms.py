@@ -19,7 +19,7 @@ from hyperq.forms import (
     _elimination,
     _expansions,
     _form_side,
-    _sandwich,
+    _to_form,
     compose_linear,
     decompose,
     form_from_entries,
@@ -328,10 +328,9 @@ def test_integer_compose_matches_gaussian_rational_loop():
 
 
 def _one_pass_composed(form, matrix, translation):
-    """The accumulator of _composed summed entry by entry: nnz k^2 products, no regrouping.
-
-    Its rows are keyed by the monomials gamma themselves, not by their basis indices.
-    """
+    """The full square accumulator of _composed summed entry by entry, both triangles: nnz k^2
+    products, no regrouping.  Its rows are keyed by the monomials gamma themselves, not by
+    their basis indices."""
     n_dst = len(matrix[0]) if form.n else 0
     table, m = _expansions(matrix, translation, n_dst, form.support())
     pairs, d = _cleared(form.entries.values())
@@ -339,17 +338,36 @@ def _one_pass_composed(form, matrix, translation):
     acc = {}
     for (alpha, beta), (cr, ci) in zip(form.entries, pairs):
         k = m ** (top - sum(alpha) - sum(beta))
-        _sandwich(acc, (cr * k, ci * k), table[alpha], table[beta])
-    return acc
+        for gamma, (ur, ui) in table[alpha].items():
+            xr, xi = k * (cr * ur - ci * ui), k * (cr * ui + ci * ur)
+            row = acc.setdefault(gamma, {})
+            for delta, (vr, vi) in table[beta].items():
+                r, i = row.get(delta, (0, 0))
+                row[delta] = (r + xr * vr + xi * vi, i + xi * vr - xr * vi)
+    return acc, d * m**top
 
 
-def _nonzero(acc, basis=None):
-    """The nonzero entries of a row accumulator, flat and keyed by monomials."""
-    key = (lambda i: i) if basis is None else basis.__getitem__
-    return {(key(i), key(j)): v for i, row in acc.items() for j, v in row.items() if v != (0, 0)}
+def _nonzero(acc):
+    """The nonzero entries of a row accumulator, flat."""
+    return {(i, j): v for i, row in acc.items() for j, v in row.items() if v != (0, 0)}
+
+
+def _upper(acc, basis):
+    """The nonzero entries of _composed's dense upper-triangle rows, flat and keyed by monomials:
+    row i holds the entries at j = i, i + 1, ..., len(basis) - 1."""
+    assert all(len(row) == len(basis) - i for i, row in acc.items())
+    return {(basis[i], basis[j]): v for i, row in acc.items() for j, v in enumerate(row, i) if v != (0, 0)}
+
+
+def _mirrored(upper):
+    """A flat upper triangle with the conjugate of each entry added at its mirror."""
+    return {**upper, **{(b, a): (re, -im) for (a, b), (re, im) in upper.items()}}
 
 
 def test_two_pass_compose_matches_the_one_pass_loop():
+    # _composed sums the upper triangle only: mirrored, it is the full square the one-pass
+    # loop sums, and the form _to_form builds from it has that square's entries, with the
+    # side that clearing those entries gives
     rng = Random(1313)
     mixed = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
     c = gr(Fraction(2, 7), Fraction(-5, 3))
@@ -361,14 +379,19 @@ def test_two_pass_compose_matches_the_one_pass_loop():
         for _ in range(2):
             for E in _embeddings(rng, form.n):
                 for trans in (None, [_gaussian(rng) for _ in range(form.n)]):
-                    want = _nonzero(_one_pass_composed(form, E, trans))
-                    n_dst, basis, acc, _ = _composed(form, E, trans)
-                    assert n_dst == len(E[0])
+                    full, den = _one_pass_composed(form, E, trans)
+                    want = _nonzero(full)
+                    n_dst, basis, acc, got_den = _composed(form, E, trans)
+                    assert n_dst == len(E[0]) and got_den == den
                     assert basis == sorted_grlex(basis)
-                    assert _nonzero(acc, basis) == want
+                    assert _mirrored(_upper(acc, basis)) == want
+                    got = _to_form(n_dst, basis, acc, den)
+                    assert got.entries == {key: gr(Fraction(re, den), Fraction(im, den))
+                                           for key, (re, im) in want.items()}
+                    assert _form_side(got) == _form_side(HermitianForm(n_dst, dict(got.entries)))
                     # form reads its memoized side from the first call on; a fresh copy has none
                     _, basis, acc, _ = _composed(HermitianForm(form.n, form.entries), E, trans)
-                    assert _nonzero(acc, basis) == want
+                    assert _mirrored(_upper(acc, basis)) == want
                     cases += 1
     assert cases == 7 * 2 * 3 * 2
 

@@ -1,15 +1,18 @@
 """Exact solve, the fraction-free symmetric LDL* kernel read through forms, and
-embedding's column rank, all against dense oracles."""
+embedding's column rank, all against dense oracles; the one-triangle kernel and
+the Gaussian-integer solve against the full-square kernel and the Q(i) solve
+they replaced."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from dense import bareiss_rank, identity, matmul, matrix_components, matrix_form
+from dense import (bareiss_rank, cleared_solve, full_symmetric_steps, identity, matmul, matrix_components,
+                   matrix_form, rational_solve)
 from hyperq.errors import ConjugateMismatch, NonRealDiagonal
 from hyperq.forms import _elimination, compose_linear, decompose, form_from_entries, form_inertia, form_rank
-from hyperq.linalg import solve
+from hyperq.linalg import _symmetric_steps
 from hyperq.multiindex import unit
 from hyperq.restrict import embedding
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
@@ -91,16 +94,85 @@ def test_solve_roundtrip():
             mat = [[_rand_gr(rng, 4) for _ in range(n)] for _ in range(n)]
             if bareiss_rank(mat) == n:
                 break
-        inv = solve(mat, identity(n))
+        inv = cleared_solve(mat, identity(n))
         assert matmul(mat, inv) == identity(n)
         assert matmul(inv, mat) == identity(n)
         rhs = [[_rand_gr(rng, 4) for _ in range(m)] for _ in range(n)]
-        assert matmul(mat, solve(mat, rhs)) == rhs
+        assert matmul(mat, cleared_solve(mat, rhs)) == rhs
 
 
 def test_solve_singular_raises():
-    with pytest.raises(ValueError):
-        solve([[gr(1), gr(2)], [gr(2), gr(4)]], identity(2))
+    for solver in (cleared_solve, rational_solve):
+        with pytest.raises(ValueError, match="singular"):
+            solver([[gr(1), gr(2)], [gr(2), gr(4)]], identity(2))
+
+
+def test_solve_matches_the_rational_pass():
+    # the fraction-free pass over Z[i] against the Q(i) Gauss-Jordan pass it replaced, on
+    # invertible and singular systems; zeroed leading entries force row swaps
+    rng = Random(1105)
+    kinds = set()
+    for _ in range(150):
+        n, m = rng.randint(1, 6), rng.randint(1, 4)
+        a = [[_rand_gr(rng, 4) if rng.random() > 0.3 else GR_ZERO for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            a[0][0] = GR_ZERO
+        if n > 1 and rng.random() < 0.2:
+            a[-1] = [x * gr(0, 2) for x in a[0]]  # singular
+        b = [[_rand_gr(rng, 4) for _ in range(m)] for _ in range(n)]
+        try:
+            want = rational_solve(a, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                cleared_solve(a, b)
+            assert bareiss_rank(a) < n
+            kinds.add("singular")
+            continue
+        assert cleared_solve(a, b) == want
+        kinds.add("swap" if not a[0][0] else "plain")
+    assert cleared_solve([], []) == rational_solve([], []) == []
+    assert kinds == {"singular", "swap", "plain"}
+
+
+def _pair(rng, span=6):
+    return rng.randint(-span, span), rng.randint(-span, span)
+
+
+def _pair_hermitian(rng, n, zero_diagonal=False, rank=None):
+    """A Hermitian matrix of Gaussian-integer pairs: random, with a zero diagonal, or a signed
+    sum of `rank` outer products v v*."""
+    if rank is not None:
+        x = [[(0, 0)] * n for _ in range(n)]
+        for _ in range(rank):
+            s, v = rng.choice((1, -1)), [_pair(rng, 3) for _ in range(n)]
+            for i, (ar, ai) in enumerate(v):
+                for j, (br, bi) in enumerate(v):
+                    r, im = x[i][j]
+                    x[i][j] = (r + s * (ar * br + ai * bi), im + s * (ai * br - ar * bi))
+        return x
+    x = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        x[i][i] = (0 if zero_diagonal else rng.randint(-9, 9), 0)
+        for j in range(i + 1, n):
+            re, im = _pair(rng) if rng.random() > 0.2 else (0, 0)
+            x[i][j], x[j][i] = (re, im), (re, -im)
+    return x
+
+
+def test_one_triangle_steps_match_the_full_square():
+    # the kernel on the upper triangle yields what the full-square kernel yields, step by step
+    rng = Random(1106)
+    kinds = set()
+    cases = [[], [[(0, 0)]], [[(-7, 0)]], [[(0, 0)] * 3 for _ in range(3)]]
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        cases += [_pair_hermitian(rng, n), _pair_hermitian(rng, n, zero_diagonal=True),
+                  _pair_hermitian(rng, n, rank=rng.randint(1, n - 1))]
+    for x in cases:
+        want = list(full_symmetric_steps([row[:] for row in x]))
+        assert list(_symmetric_steps([row[i:] for i, row in enumerate(x)])) == want
+        kinds.update(len(cols) for *_, cols in want)
+    assert kinds == {1, 2}
 
 
 def test_ldl_reconstructs_the_matrix():
