@@ -116,8 +116,8 @@ def form_inertia(form: HermitianForm) -> SignaturePair:
 
 
 def _elimination(form: HermitianForm) -> Tuple[int, list]:
-    """(L, steps) of L times the matrix over the support, placed from _form_side, which checks the
-    form Hermitian before it stores anything: a refused non-Hermitian form stores nothing."""
+    """(L, steps) of L times the matrix over the support, its upper triangle read from _form_side, which
+    checks the form Hermitian before it stores anything: a refused non-Hermitian form stores nothing."""
     steps = form._memo.get("steps")
     if steps is None:
         support, flat, d = _form_side(form)
@@ -264,14 +264,15 @@ def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> Hermi
     of a checked form, and C_ba = conj(C_ab) adds its conjugate at (y, x);
     `norm_difference` adds k P[x] conj(P[y]), k real.  So is its mirrored acc / g, g an int.
     """
-    pairs = {key: x for i, row in acc.items() for j, (re, im) in enumerate(row, i) if re or im
-             for key, x in (((i, j), (re, im)), ((j, i), (re, -im)))}
-    live = sorted({k for key in pairs for k in key})
+    upper = [(i, j, x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0)]
+    live = sorted({k for i, j, _ in upper for k in (i, j)})
     at = {k: p for p, k in enumerate(live)}
-    g = gcd(den, *(x for pair in pairs.values() for x in pair)) if den > 1 else 1
-    side = ([basis[k] for k in live], {(at[i], at[j]): x if g == 1 else (x[0] // g, x[1] // g)
-                                       for (i, j), x in pairs.items()}, den // g)
-    return _from_side(HermitianForm(n), "entries", side)
+    g = gcd(den, *(v for *_, x in upper for v in x)) if den > 1 else 1
+    flat = {}
+    for i, j, (re, im) in upper:
+        a, b = at[i], at[j]
+        flat[a, b], flat[b, a] = (re // g, im // g), (re // g, -im // g)
+    return _from_side(HermitianForm(n), "entries", ([basis[k] for k in live], flat, den // g))
 
 
 def _from_side(value: Any, name: str, side: Any) -> Any:
