@@ -1,6 +1,7 @@
 """Macaulay representations and the derived rank bounds."""
 
 import time
+from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from random import Random
@@ -22,7 +23,7 @@ from hyperq.combinat import (
 )
 from hyperq.forms import form_from_real_poly
 from hyperq.restrict import embedding, generic_restriction_rank
-from tuple_polys import monomials_of_degree, restriction_matrix
+from tuple_polys import monomials_of_degree, monomials_up_to, restriction_matrix
 
 
 def macaulay_value(rep):
@@ -374,3 +375,42 @@ def test_large_bounds_finish(call, args):
     value = call(*args)
     assert time.perf_counter() - start < 1.0
     assert value >= args[-1]
+
+
+def test_grlex_prefixes_attain_green_G_and_K_on_affine_hyperplanes():
+    """The affine form of the lex segments above, through criterion 3's oracle, at every N and k.
+
+    On x0 = 1 a degree-d system in n + 1 homogeneous variables is a space of
+    polynomials of degree <= d in n variables, and a generic hyperplane is a generic
+    affine one, w -> Ew + t with E an n x (n - 1) matrix.  In lex order with x0
+    first, a larger power of x0 is a smaller affine degree and monomials of one
+    degree keep their lex order, so the lex-initial segment of N monomials is the
+    first N of `monomials_up_to`, in grlex order.  Its restriction's rank must equal
+    G(n, d, N), and the largest N whose rank is at most k must equal K_n(k) whenever
+    K_n(k) is below the degree's monomial count.
+
+    A sampled rank can only undershoot: every minor that vanishes identically in E and
+    t vanishes at the draw.  The generic rank r of a segment is certified by one
+    nonzero r x r minor, a polynomial of degree <= d r in the draws, so by
+    Schwartz-Zippel a draw from 1..10^6 misses it with probability <= d r / 10^6.
+    Summed over every segment below, the chance that any sampled rank undershoots is
+    the asserted bound, under 1/100.
+    """
+    rng = Random(2024)
+    bound, g_cases, k_cases = Fraction(0), 0, 0
+    for n, top in ((2, 4), (3, 4), (4, 3)):
+        for d in range(1, top + 1):
+            linear = [[rng.randint(1, 10**6) for _ in range(n - 1)] for _ in range(n)]
+            rows, cols, T = restriction_matrix(linear, d, [rng.randint(1, 10**6) for _ in range(n)])
+            assert rows == monomials_up_to(n, d)
+            ranks = [bareiss_rank(T[:N]) for N in range(len(rows) + 1)]
+            for N in range(1, len(rows) + 1):
+                assert ranks[N] == green_G(n, d, N), (n, d, N)
+                bound += Fraction(d * ranks[N], 10**6)
+                g_cases += 1
+            for k in range(len(cols)):
+                if green_K(n, k) < len(rows):
+                    assert max(N for N, r in enumerate(ranks) if r <= k) == green_K(n, k), (n, d, k)
+                    k_cases += 1
+    assert (g_cases, k_cases) == (158, 82)
+    assert bound < Fraction(1, 100)
