@@ -123,7 +123,8 @@ def cmd_form_decompose(args) -> Tuple[dict, str]:
         "signature": list(holo.signature()),
         "components": _components_doc(holo),
     }
-    lines = [component_str(sign, weight, poly) for sign, weight, poly in holo.components]
+    d, rows = _holo_side(holo)
+    lines = [component_str(*row, d) for row in rows]
     if not args.quiet:
         lines.append(f"signature: {holo.signature()}")
     return doc, _lines(*lines)

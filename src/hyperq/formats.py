@@ -15,19 +15,22 @@ skipped.  Rationals are written `p/q` or as plain integers.
 
 The map header's A and B count the positive and negative components as
 listed (the denominator, when present, is counted among the negatives).
+
+Forms and maps are read into, written from and printed from their integer
+views, Gaussian integers (re, im) over one lcm: no GaussianRational here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
-from .forms import HermitianForm, Poly, _holo_side, form_from_entries
+from .forms import HermitianForm, _entries_side, _form_side, _from_side, _holo_side, _PairPoly
 from .multiindex import MultiIndex, grlex_key
 from .quadrics import QuadricMap, SignedRealPoly, _viewed
-from .scalars import GaussianRational, Rat, gr
+from .scalars import Rat
 
 
 def _content_lines(text: str):
@@ -94,30 +97,38 @@ def _exponents(tokens: Sequence[str], n: int, filename: str, lineno: int) -> Mul
 
 
 def parse_form(text: str, filename: str = "<form>") -> HermitianForm:
+    """The form of a form file, started from its integer view: the re and im tokens are put over the lcm
+    of their denominators, as parse_map does, and `_entries_side` sums, mirrors and checks them."""
     fields, lineno, lines = _header(text, "form", ["n"], filename)
     n = _integer(fields["n"], filename, lineno)
     if n < 1:
         raise ParseError(filename, lineno, "n must be at least 1")
-    entries = []
+    rows, seen = [], {}  # seen: each exponent string is read once
     for lineno, line in lines:
-        parts = [p.strip() for p in line.split(";")]
+        parts = line.split(";")
         if len(parts) != 4:
             raise ParseError(filename, lineno, "expected `alpha ; beta ; re ; im`")
-        alpha = _exponents(parts[0].split(), n, filename, lineno)
-        beta = _exponents(parts[1].split(), n, filename, lineno)
-        re = _fraction(parts[2], filename, lineno)
-        im = _fraction(parts[3], filename, lineno)
-        entries.append((alpha, beta, gr(re, im)))
-    return form_from_entries(n, entries)
+        for part in parts[:2]:
+            if part not in seen:
+                seen[part] = _exponents(part.split(), n, filename, lineno)
+        key = seen[parts[0]], seen[parts[1]]
+        re, im = parts[2].strip(), parts[3].strip()
+        try:  # where int() reads a token, _fraction reads the same value
+            rows.append((key, int(re), int(im)))
+        except ValueError:
+            rows.append((key, _fraction(re, filename, lineno), _fraction(im, filename, lineno)))
+    d = lcm(*(v.denominator for _, re, im in rows for v in (re, im)))
+    listed = ((key, (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)))
+              for key, re, im in rows)
+    return _from_side(HermitianForm(n), "entries", _entries_side(listed, d))
 
 
 def dump_form(form: HermitianForm) -> str:
+    support, flat, d = _form_side(form)
     out = [f"form n={form.n}"]
-    for alpha, beta in sorted(form.entries, key=lambda k: (grlex_key(k[0]), grlex_key(k[1]))):
-        c = form.entries[(alpha, beta)]
-        out.append(
-            f"{' '.join(map(str, alpha))} ; {' '.join(map(str, beta))} ; {c.re} ; {c.im}"
-        )
+    for (i, j), (re, im) in sorted(flat.items()):  # support is grlex-sorted: the grlex order of (alpha, beta)
+        out.append(f"{' '.join(map(str, support[i]))} ; {' '.join(map(str, support[j]))} ; "
+                   f"{_ratio(re, d)} ; {_ratio(im, d)}")
     return "\n".join(out) + "\n"
 
 
@@ -220,8 +231,9 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
 
 
 def _ratio(x: int, d: int) -> str:
-    """x / d as Fraction prints it."""
-    return str(x) if d == 1 else str(Fraction(x, d))
+    """x / d, d > 0, as Fraction prints it."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def dump_map(m: QuadricMap) -> str:
@@ -264,32 +276,22 @@ def monomial_str(alpha: MultiIndex) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _coeff_str(c: GaussianRational) -> str:
-    text = str(c)
-    if c.im != 0 or c.re < 0:
-        return f"({text})"
-    return text
+def _coeff_str(re: int, im: int, d: int) -> str:
+    """(re + i im) / d as `re`, `imi` or `re+imi`, in parentheses unless it is real and not negative."""
+    text = f"{_ratio(re, d) if re else ''}{'+' if re and im > 0 else ''}{_ratio(im, d)}i" if im else _ratio(re, d)
+    return f"({text})" if im or re < 0 else text
 
 
-def poly_str(poly: Poly) -> str:
-    """Human-readable sum of monomials, grlex order, exact coefficients."""
-    if not poly:
-        return "0"
+def poly_str(poly: _PairPoly, d: int) -> str:
+    """Human-readable sum of monomials, grlex order, with exact coefficients (re + i im) / d."""
     parts = []
     for alpha in sorted(poly, key=grlex_key):
-        c = GaussianRational.coerce(poly[alpha])
-        mono = monomial_str(alpha)
-        if mono == "1":
-            parts.append(_coeff_str(c))
-        elif c == 1:
-            parts.append(mono)
-        else:
-            parts.append(f"{_coeff_str(c)}*{mono}")
-    return " + ".join(parts)
+        mono, coeff = monomial_str(alpha), _coeff_str(*poly[alpha], d)
+        parts.append(coeff if mono == "1" else mono if poly[alpha] == (d, 0) else f"{coeff}*{mono}")
+    return " + ".join(parts) or "0"
 
 
-def component_str(sign: int, weight: Fraction, poly: Poly) -> str:
-    """One decomposition summand, weight kept under a symbolic sqrt."""
-    body = poly_str(poly)
-    scale = "" if weight == 1 else f"sqrt({weight})*"
-    return f"{'+' if sign > 0 else '-'} |{scale}({body})|^2"
+def component_str(sign: int, weight: Tuple[int, int], poly: _PairPoly, d: int) -> str:
+    """One decomposition summand, a row of `_holo_side` over d, its weight kept under a symbolic sqrt."""
+    scale = "" if weight == (1, 1) else f"sqrt({_ratio(*weight)})*"
+    return f"{'+' if sign > 0 else '-'} |{scale}({poly_str(poly, d)})|^2"

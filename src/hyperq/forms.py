@@ -3,15 +3,16 @@
 A real-valued polynomial r(z, zbar) is stored as its sparse coefficient
 matrix: entry (alpha, beta) is the coefficient of z^alpha * zbar^beta,
 and real-valuedness is exactly the Hermitian symmetry of that matrix.
-Rank, inertia and weighted holomorphic squares are exact over the
-Gaussian rationals and read one elimination per form, memoized with its
-entries cleared to Gaussian integers over one lcm.  Substitution (in two
-passes, with E and t cleared by one lcm) and norm differences sum Gaussian
-integers as (re, im) int pairs over one denominator, in the upper triangle of
-a sum that is Hermitian by construction; mirrored and divided by their common
-factor with it, these are the new form's cleared view.  The
-monomial basis is graded lexicographic everywhere, so matrices, files and
-decompositions are reproducible byte for byte.
+Every form starts from one view, its entries as Gaussian integers over one
+denominator, which `_entries_side` builds from listed (re, im) int pairs and
+checks Hermitian once; its GaussianRational entries are reduced only when
+read.  Rank, inertia and weighted holomorphic squares are exact and read one
+elimination per form, memoized with that view.  Substitution (in two passes,
+with E and t cleared by one lcm) and norm differences sum Gaussian integers
+over one denominator, in the upper triangle of a sum that is Hermitian by
+construction, and list it as the new form's entries.  The monomial basis is
+graded lexicographic everywhere, so matrices, files and decompositions are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tu
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _GIPair as _Pair, _cleared, _components, _signs, _symmetric_steps
 from .multiindex import MultiIndex, add as mi_add, sorted_grlex, unit, zero_index
-from .scalars import GR_ZERO, GaussianRational
+from .scalars import GaussianRational
 
 
 class SignaturePair(NamedTuple):
@@ -48,9 +49,10 @@ class HermitianForm:
 
     entries maps (alpha, beta) to the coefficient of z^alpha zbar^beta.
     Both mirror entries are stored; zero entries are omitted.  Treat
-    instances as immutable: a private memo keeps their cleared view and
-    elimination.  A form that compose_linear or norm_difference builds
-    starts from that view and reduces its entries on first read.
+    instances as immutable: a private memo keeps their integer view
+    (`_form_side`) and elimination.  Every form starts from its view: one
+    that hyperq builds reduces its entries from it on first read, and one
+    built directly from entries clears them into it on first read.
     """
 
     n: int
@@ -58,7 +60,7 @@ class HermitianForm:
     _memo: Dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getattr__(self, name: str) -> Any:
-        """Only reached for the entries of a form that _to_form built: reduced from its side once."""
+        """Only reached for the entries of a form that starts from its side: reduced from it once."""
         if name != "entries":
             raise AttributeError(name)
         support, flat, d = self._memo["side"]
@@ -86,23 +88,15 @@ def _check_index(idx: Tuple[int, ...], n: int) -> MultiIndex:
 
 
 def form_from_entries(n: int, entries: Iterable[Tuple[Tuple[int, ...], Tuple[int, ...], object]]) -> HermitianForm:
-    """Build a form from sparse (alpha, beta, value) triples.
+    """Build a form from sparse (alpha, beta, value) triples, cleared once by one lcm.
 
     Repeated (alpha, beta) pairs accumulate and a missing mirror is filled
-    in.  The first read (`_form_side`) refuses a diagonal entry that is not
-    real and listed mirrors that are not mutual conjugates, so a listed zero
-    whose listed mirror is not zero is kept for it.
+    in; a diagonal entry that is not real, or listed mirrors that are not
+    mutual conjugates, refuse the form here (see `_entries_side`).
     """
-    acc: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
-    for alpha, beta, value in entries:
-        key = (_check_index(alpha, n), _check_index(beta, n))
-        acc[key] = acc.get(key, GR_ZERO) + GaussianRational.coerce(value)
-    out: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = {}
-    for (a, b), v in acc.items():
-        if v or acc.get((b, a)):
-            out[(a, b)] = v
-            out.setdefault((b, a), v.conjugate())
-    return HermitianForm(n, out)
+    listed = [((_check_index(alpha, n), _check_index(beta, n)), value) for alpha, beta, value in entries]
+    pairs, d = _cleared(value for _, value in listed)
+    return _from_side(HermitianForm(n), "entries", _entries_side(((key, x) for (key, _), x in zip(listed, pairs)), d))
 
 
 def form_rank(form: HermitianForm) -> int:
@@ -252,27 +246,12 @@ def _sandwich(acc: _Rows, c: _Pair, left: Dict[int, _Pair], right: List[_Pair]) 
 
 
 def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> HermitianForm:
-    """The form with entry acc[i][j - i] / den at (basis[i], basis[j]), j >= i, and its conjugate at
-    (basis[j], basis[i]), from the upper triangle acc of a Hermitian sum; entries that cancelled are dropped.
-
-    Its side is these Gaussian integers divided by their common factor with den,
-    which leaves them over the lcm of their reduced denominators.  So rank,
-    inertia, decompose and composition read no Fraction, and the elimination
-    sees the integers that clearing the entries would give; only entries reduces.
-    The side skips `_form_side`'s check, as the sum is Hermitian by construction:
-    `_composed` adds C_ab M^e P_a[x] conj(P_b[y]) at (x, y) for each entry C_ab
-    of a checked form, and C_ba = conj(C_ab) adds its conjugate at (y, x);
-    `norm_difference` adds k P[x] conj(P[y]), k real.  So is its mirrored acc / g, g an int.
-    """
-    upper = [(i, j, x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0)]
-    live = sorted({k for i, j, _ in upper for k in (i, j)})
-    at = {k: p for p, k in enumerate(live)}
-    g = gcd(den, *(v for *_, x in upper for v in x)) if den > 1 else 1
-    flat = {}
-    for i, j, (re, im) in upper:
-        a, b = at[i], at[j]
-        flat[a, b], flat[b, a] = (re // g, im // g), (re // g, -im // g)
-    return _from_side(HermitianForm(n), "entries", ([basis[k] for k in live], flat, den // g))
+    """The form with entry acc[i][j - i] / den at (basis[i], basis[j]), j >= i, from the upper triangle
+    acc of a sum that the check never refuses, as it is Hermitian by construction: `_composed` adds
+    C_ab M^e P_a[x] conj(P_b[y]) at (x, y) for each entry C_ab of a checked form, and C_ba = conj(C_ab)
+    its conjugate at (y, x); `norm_difference` adds k P[x] conj(P[y]), k real."""
+    upper = (((basis[i], basis[j]), x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0))
+    return _from_side(HermitianForm(n), "entries", _entries_side(upper, den))
 
 
 def _from_side(value: Any, name: str, side: Any) -> Any:
@@ -313,24 +292,43 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
     return table, m
 
 
+def _entries_side(listed: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair]], den: int) -> _FormSide:
+    """(support, flat, D), support grlex-sorted, with entry (support[i], support[j]) = flat[i, j] / D the
+    sum over den of the Gaussian integers listed at that (alpha, beta), and D = den / gcd(den, flat):
+    the lcm of the entries' reduced denominators, as clearing them gives.  A missing mirror is filled
+    with the conjugate, and a key whose sum and listed mirror are both 0 is dropped; a listed 0 whose
+    listed mirror is not is kept for the one Hermitian check, which refuses the form at the first
+    entry, in listed order, that is not its mirror's conjugate."""
+    acc: Dict[Tuple[MultiIndex, MultiIndex], _Pair] = {}
+    for key, x in listed:
+        y = acc.get(key)
+        acc[key] = x if y is None else (x[0] + y[0], x[1] + y[1])
+    kept: Dict[Tuple[MultiIndex, MultiIndex], _Pair] = {}
+    for (a, b), (re, im) in acc.items():
+        if re or im or acc.get((b, a), (0, 0)) != (0, 0):
+            kept[a, b] = (re, im)
+            kept.setdefault((b, a), (re, -im))
+    support = sorted_grlex({index for key in kept for index in key})
+    at = {alpha: k for k, alpha in enumerate(support)}
+    g = gcd(den, *(v for x in kept.values() for v in x)) if den > 1 else 1
+    flat = {(at[a], at[b]): (re // g, im // g) for (a, b), (re, im) in kept.items()}
+    for (i, j), (re, im) in flat.items():
+        if flat[j, i] != (re, -im):
+            a, b = support[i], support[j]
+            if i == j:
+                raise NonRealDiagonal(f"diagonal entry at {a} has imaginary part {Fraction(im, den // g)}")
+            raise ConjugateMismatch(f"entries at ({a}, {b}) and ({b}, {a}) are not mutual conjugates")
+    return support, flat, den // g
+
+
 def _form_side(form: HermitianForm) -> _FormSide:
-    """(support, flat, D), memoized on the form: entry (support[i], support[j]) is flat[i, j] / D
-    over Gaussian integers, in the entries' order.  The one Hermitian check: the first entry that
-    is not its mirror's conjugate (a missing mirror reads as 0) refuses the form, memoizing nothing."""
+    """(support, flat, D), memoized (see `_entries_side`).  A form built directly from entries clears
+    them here, at its first read, where a missing mirror reads as a listed 0; a refused one memoizes nothing."""
     side = form._memo.get("side")
     if side is None:
-        entries = form.entries
-        support = sorted_grlex({index for key in entries for index in key})
-        at = {alpha: k for k, alpha in enumerate(support)}
-        pairs, d = _cleared(entries.values())
-        flat = {(at[alpha], at[beta]): c for (alpha, beta), c in zip(entries, pairs)}
-        for (i, j), (re, im) in flat.items():
-            if flat.get((j, i), (0, 0)) != (re, -im):
-                a, b = support[i], support[j]
-                if i == j:
-                    raise NonRealDiagonal(f"diagonal entry at {a} has imaginary part {Fraction(im, d)}")
-                raise ConjugateMismatch(f"entries at ({a}, {b}) and ({b}, {a}) are not mutual conjugates")
-        side = form._memo["side"] = (support, flat, d)
+        entries, (pairs, d) = form.entries, _cleared(form.entries.values())
+        missing = [((b, a), (0, 0)) for a, b in entries if (b, a) not in entries]
+        side = form._memo["side"] = _entries_side([*zip(entries, pairs), *missing], d)
     return side
 
 

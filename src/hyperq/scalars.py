@@ -78,9 +78,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm_sq(self) -> Fraction:
         """|z|^2 = re^2 + im^2, an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im

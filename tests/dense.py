@@ -18,6 +18,12 @@ from hyperq.linalg import solve
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
+def conj(x):
+    """The complex conjugate of a GaussianRational, Fraction or int."""
+    x = GaussianRational.coerce(x)
+    return gr(x.re, -x.im)
+
+
 def identity(n):
     return [[gr(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -92,7 +98,7 @@ def evaluate(form, point):
                 term = term * pw(i, e)
         for i, e in enumerate(beta):
             if e:
-                term = term * pw(i, e).conjugate()
+                term = term * conj(pw(i, e))
         total = total + term
     return total
 

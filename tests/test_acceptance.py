@@ -15,7 +15,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from dense import bareiss_rank, matrix_form
+from dense import bareiss_rank, conj, matrix_form
 from hyperq.cli import main
 from hyperq.combinat import (
     green_G,
@@ -202,7 +202,7 @@ def test_criterion_6(criterion):
                 for j in range(i + 1, n):
                     c = gr(rng.randint(-9, 9), rng.randint(-9, 9))
                     mat[i][j] = c
-                    mat[j][i] = c.conjugate()
+                    mat[j][i] = conj(c)
             exact = form_inertia(matrix_form(mat))
             floating = np.array(
                 [[complex(x.re, x.im) for x in row] for row in mat], dtype=complex

@@ -1,10 +1,12 @@
 """Round trips and error reporting for the three text formats."""
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from hyperq.cli import main
 from hyperq.errors import ParseError
 from hyperq.formats import (
     _fraction,
@@ -12,6 +14,7 @@ from hyperq.formats import (
     dump_form,
     dump_map,
     dump_realpoly,
+    load_form,
     load_map,
     monomial_str,
     parse_form,
@@ -19,7 +22,8 @@ from hyperq.formats import (
     parse_realpoly,
     poly_str,
 )
-from hyperq.forms import form_from_entries
+from hyperq.forms import HermitianForm, WeightedHoloMap, _form_side, _holo_side, decompose, form_from_entries
+from hyperq.multiindex import grlex_key
 from hyperq.quadrics import (
     SignedRealPoly,
     construct_map,
@@ -29,7 +33,9 @@ from hyperq.quadrics import (
     s_poly,
     tensor_extend,
 )
-from hyperq.scalars import gr
+from hyperq.scalars import GaussianRational, gr
+
+GOLDEN_FORMS = sorted((Path(__file__).parent / "golden" / "inputs").glob("*.form"))
 
 
 def random_form(rng, n):
@@ -272,7 +278,126 @@ def test_parse_map_bad_denominator_is_parse_error():
 def test_pretty_printers():
     assert monomial_str((2, 0, 1)) == "z1^2*z3"
     assert monomial_str((0, 0)) == "1"
-    assert poly_str({(1, 0): gr(1), (0, 1): gr(0, 1)}) == "z1 + (1i)*z2"
-    assert poly_str({}) == "0"
-    assert component_str(1, Fraction(1, 2), {(1, 0): gr(1), (0, 1): gr(1)}) == "+ |sqrt(1/2)*(z1 + z2)|^2"
-    assert component_str(-1, Fraction(1), {(1, 1): gr(1)}) == "- |(z1*z2)|^2"
+    assert poly_str({(1, 0): (1, 0), (0, 1): (0, 1)}, 1) == "z1 + (1i)*z2"
+    assert poly_str({(1, 0): (3, 0), (0, 1): (0, 3)}, 3) == "z1 + (1i)*z2"
+    assert poly_str({}, 1) == "0"
+    assert component_str(1, (1, 2), {(1, 0): (1, 0), (0, 1): (1, 0)}, 1) == "+ |sqrt(1/2)*(z1 + z2)|^2"
+    assert component_str(-1, (1, 1), {(1, 1): (2, 0)}, 2) == "- |(z1*z2)|^2"
+
+
+def _form_text(rng, n):
+    """A Hermitian form file: entries split over repeated lines, pairs with one or both mirrors
+    listed, listed zeros with no mirror, signed integer and p/q tokens over 1, 2, 3, 5 and 7."""
+    def token(x):
+        return f"+{x}" if x >= 0 and rng.random() < 0.3 else str(x)
+
+    def value():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7)))
+
+    lines, used = [f"form n={n}"], set()
+    for _ in range(rng.randint(0, 9)):
+        alpha, beta = (tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2))
+        if (alpha, beta) in used:
+            continue
+        used |= {(alpha, beta), (beta, alpha)}
+        if rng.random() < 0.15:  # a listed zero with no mirror
+            lines.append(f"{' '.join(map(str, alpha))} ; {' '.join(map(str, beta))} ; 0 ; {token(0)}")
+            continue
+        re, im = value(), (value() if alpha != beta else 0)
+        keys = [(alpha, beta, re, im)] + ([(beta, alpha, re, -im)] if alpha != beta and rng.random() < 0.5 else [])
+        for a, b, x, y in keys:
+            part_x, part_y = value(), (value() if a != b else 0)
+            pieces = [(part_x, part_y), (x - part_x, y - part_y)] if rng.random() < 0.4 else [(x, y)]
+            for px, py in pieces:  # two pieces of one entry are two repeated lines that accumulate
+                lines.append(f"{' '.join(map(str, a))} ; {' '.join(map(str, b))} ; {token(px)} ; {token(py)}")
+    rng.shuffle(lines[1:])
+    return "\n".join(lines) + "\n"
+
+
+def test_parsed_form_side_equals_the_side_its_entries_clear_to():
+    # parse_form builds the side from its tokens; a form built directly from the entries that side
+    # reduces to is cleared at its first read: the two paths must give the same side and bytes
+    rng = Random(2532)
+    texts = [path.read_text(encoding="utf-8") for path in GOLDEN_FORMS]
+    texts += [_form_text(rng, rng.randint(1, 3)) for _ in range(150)]
+    assert len(GOLDEN_FORMS) >= 5
+    for text in texts:
+        form = parse_form(text)
+        plain = HermitianForm(form.n, dict(form.entries))
+        assert _form_side(form) == _form_side(plain)
+        assert dump_form(form) == dump_form(plain)
+        assert form == plain and parse_form(dump_form(form)) == form
+
+
+def _gr_coeff_str(c):
+    text = str(c)
+    if c.im != 0 or c.re < 0:
+        return f"({text})"
+    return text
+
+
+def _gr_poly_str(poly):
+    """The component printer on GaussianRational coefficients that the view printer replaced."""
+    if not poly:
+        return "0"
+    parts = []
+    for alpha in sorted(poly, key=grlex_key):
+        c = GaussianRational.coerce(poly[alpha])
+        mono = monomial_str(alpha)
+        if mono == "1":
+            parts.append(_gr_coeff_str(c))
+        elif c == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{_gr_coeff_str(c)}*{mono}")
+    return " + ".join(parts)
+
+
+def _gr_component_str(sign, weight, poly):
+    scale = "" if weight == 1 else f"sqrt({weight})*"
+    return f"{'+' if sign > 0 else '-'} |{scale}({_gr_poly_str(poly)})|^2"
+
+
+def test_view_printer_matches_the_gaussian_rational_printer():
+    rng = Random(2533)
+    kinds = set()
+
+    def coeff():
+        x, y = Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3))), Fraction(rng.randint(-7, 7), rng.choice((1, 5)))
+        kind = rng.choice(("unit", "negative unit", "real", "imaginary", "mixed"))
+        return {"unit": gr(1), "negative unit": gr(-1), "real": gr(x or 1), "imaginary": gr(0, y or 1),
+                "mixed": gr(x or 1, y or 1)}[kind]
+
+    holos = [decompose(parse_form(path.read_text(encoding="utf-8"))) for path in GOLDEN_FORMS]
+    holos += [decompose(parse_form(_form_text(rng, rng.randint(1, 3)))) for _ in range(40)]
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        holos.append(WeightedHoloMap(n, tuple(
+            (rng.choice((1, -1)), Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+             {tuple(rng.randint(0, 2) for _ in range(n)): coeff() for _ in range(rng.randint(1, 4))})
+            for _ in range(rng.randint(1, 3)))))
+    for holo in holos:
+        d, rows = _holo_side(holo)
+        assert [component_str(*row, d) for row in rows] == [_gr_component_str(*c) for c in holo.components]
+        for _, _, poly in holo.components:
+            for alpha, c in poly.items():
+                kinds.add(("constant " if not any(alpha) else "")
+                          + ("unit" if c == 1 else "negative unit" if c == -1 else "real" if not c.im
+                             else "imaginary" if not c.re else "mixed"))
+    assert kinds >= {"unit", "negative unit", "real", "imaginary", "mixed",
+                     "constant unit", "constant negative unit", "constant real", "constant imaginary", "constant mixed"}
+
+
+def test_form_files_and_form_commands_build_no_gaussian_rational(monkeypatch, capsys):
+    built = []
+    init = GaussianRational.__init__
+    monkeypatch.setattr(GaussianRational, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for path in GOLDEN_FORMS:
+        load_form(str(path))
+        for leaf in ("rank", "inertia", "decompose"):
+            for json in ([], ["--json"]):
+                assert main(["form", leaf, str(path), *json]) == 0
+    assert built == []
+    assert capsys.readouterr().out.count("signature") == 2 * len(GOLDEN_FORMS)
+    gr(1)
+    assert built

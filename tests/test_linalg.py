@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from dense import (bareiss_rank, cleared_solve, full_symmetric_steps, identity, matmul, matrix_components,
+from dense import (bareiss_rank, cleared_solve, conj, full_symmetric_steps, identity, matmul, matrix_components,
                    matrix_form, rational_solve)
 from hyperq.errors import ConjugateMismatch, NonRealDiagonal
 from hyperq.forms import _elimination, compose_linear, decompose, form_from_entries, form_inertia, form_rank
@@ -32,7 +32,7 @@ def _hermitian(rng, n, span=9):
         for j in range(i + 1, n):
             x = _rand_gr(rng, span)
             mat[i][j] = x
-            mat[j][i] = x.conjugate()
+            mat[j][i] = conj(x)
     return mat
 
 
@@ -82,7 +82,7 @@ def test_rank_of_outer_product_sums():
         for v in vecs:
             for i in range(n):
                 for j in range(n):
-                    mat[i][j] = mat[i][j] + v[i] * v[j].conjugate()
+                    mat[i][j] = mat[i][j] + v[i] * conj(v[j])
         assert form_rank(matrix_form(mat)) == bareiss_rank(mat) <= r
 
 
@@ -187,7 +187,7 @@ def test_ldl_reconstructs_the_matrix():
             for i in range(n):
                 si = scale * vec[i]
                 for j in range(n):
-                    acc[i][j] = acc[i][j] + si * vec[j].conjugate()
+                    acc[i][j] = acc[i][j] + si * conj(vec[j])
         assert acc == mat
         assert len(comps) == bareiss_rank(mat)
 
@@ -208,7 +208,7 @@ def test_inertia_matches_construction():
             for i in range(n):
                 si = sg * v[i]
                 for j in range(n):
-                    mat[i][j] = mat[i][j] + si * v[j].conjugate()
+                    mat[i][j] = mat[i][j] + si * conj(v[j])
         pos, neg = form_inertia(matrix_form(mat))
         assert pos == sum(1 for s in signs if s > 0)
         assert neg == sum(1 for s in signs if s < 0)
@@ -217,7 +217,7 @@ def test_inertia_matches_construction():
 def test_offdiagonal_block_pivot():
     # all-zero diagonal forces the 2x2 pivot path
     c = gr(1, 2)
-    mat = [[gr(0), c], [c.conjugate(), gr(0)]]
+    mat = [[gr(0), c], [conj(c), gr(0)]]
     assert form_inertia(matrix_form(mat)) == (1, 1)
     comps = matrix_components(mat)
     assert sorted(s for s, _, _ in comps) == [-1, 1]
@@ -226,7 +226,7 @@ def test_offdiagonal_block_pivot():
         scale = gr(weight if sign > 0 else -weight)
         for i in range(2):
             for j in range(2):
-                acc[i][j] = acc[i][j] + scale * vec[i] * vec[j].conjugate()
+                acc[i][j] = acc[i][j] + scale * vec[i] * conj(vec[j])
     assert acc == mat
 
 
@@ -305,7 +305,7 @@ def _gr_ldl_components(mat):
         i, j = pair
         c = m[i][j]
         gamma = c / GaussianRational(c.norm_sq())
-        gbar = gamma.conjugate()
+        gbar = conj(gamma)
         p_col = {k: m[k][i] for k in active}
         q_col = {k: m[k][j] for k in active}
         vec_p = [GR_ZERO] * n
@@ -327,8 +327,8 @@ def _gr_ldl_components(mat):
             for l in active:
                 row_k[l] = (
                     row_k[l]
-                    - gamma * pk * q_col[l].conjugate()
-                    - gbar * qk * p_col[l].conjugate()
+                    - gamma * pk * conj(q_col[l])
+                    - gbar * qk * conj(p_col[l])
                 )
     return comps
 
@@ -360,7 +360,7 @@ def _dense(rng, n, zero_diagonal=False):
         mat[i][i] = GR_ZERO if zero_diagonal else gr(_rational(rng))
         for j in range(i + 1, n):
             x = gr(_rational(rng), _rational(rng)) if rng.random() > 0.2 else GR_ZERO
-            mat[i][j], mat[j][i] = x, x.conjugate()
+            mat[i][j], mat[j][i] = x, conj(x)
     return mat
 
 
@@ -393,7 +393,7 @@ def test_fraction_free_ldl_matches_oracle_after_a_negative_pivot():
         mat[0][0] = gr(-big)
         for k in range(1, n):
             b = gr(rng.randint(-3, 3), rng.randint(-3, 3))
-            mat[k][0], mat[0][k] = b, b.conjugate()
+            mat[k][0], mat[0][k] = b, conj(b)
             mat[k][k] = gr(-b.norm_sq() / big)
         assert _assert_matches_oracle(mat)[0][0] == -1
         kinds = _step_kinds(mat)
@@ -414,7 +414,7 @@ def test_fraction_free_ldl_matches_oracle_on_rank_deficient_sums():
             v = [gr(_rational(rng, 4, 6), _rational(rng, 4, 6)) for _ in range(n)]
             for i in range(n):
                 for j in range(n):
-                    mat[i][j] = mat[i][j] + gr(s) * v[i] * v[j].conjugate()
+                    mat[i][j] = mat[i][j] + gr(s) * v[i] * conj(v[j])
         comps = _assert_matches_oracle(mat)
         assert len(comps) == bareiss_rank(mat) <= k
 

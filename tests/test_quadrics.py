@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from dense import conj
 from hyperq import forms, quadrics
 from hyperq.combinat import stability_region
 from hyperq.errors import (
@@ -22,7 +23,7 @@ from hyperq.errors import (
     NotVanishing,
 )
 from hyperq.formats import dump_map, parse_map
-from hyperq.forms import (WeightedHoloMap, _form_side, _holo_side, compose_linear, decompose, form_from_entries,
+from hyperq.forms import (HermitianForm, WeightedHoloMap, _form_side, _holo_side, compose_linear, decompose, form_from_entries,
                           form_from_real_poly, norm_difference)
 from hyperq.linalg import _cleared
 from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
@@ -685,7 +686,7 @@ def test_verify_invariances():
     comps = list(m.components.components)
     comps[3], comps[4] = comps[4], comps[3]
     u = gr(Fraction(3, 5), Fraction(4, 5))
-    assert u * u.conjugate() == gr(1)
+    assert u * conj(u) == gr(1)
     comps[0] = (comps[0][0], comps[0][1], {al: c * u for al, c in comps[0][2].items()})
     twisted = QuadricMap(m.a, m.b, m.homogeneous, WeightedHoloMap(m.n, tuple(comps)), m.denominator)
     assert verify_map(twisted)
@@ -812,20 +813,23 @@ def test_map_from_form_errors():
 
 def test_map_from_form_clears_the_form_once(monkeypatch):
     # the vanishing test reads the cleared entries that decompose then finds memoized on the form;
-    # compose_linear builds twisted cleared, so it is not cleared again and reduces no entry
+    # every form hyperq builds starts cleared, so it is not cleared again and reduces no entry, and
+    # a form built directly from its entries is cleared once
     defining = form_from_entries(3, [((1, 0, 0), (1, 0, 0), 1), ((0, 1, 0), (0, 1, 0), 1),
                                      ((0, 0, 1), (0, 0, 1), -1), ((0, 0, 0), (0, 0, 0), -1)])
     product = form_from_real_poly({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1, (1, 0, 0): -1})
     twisted = compose_linear(norm_difference(tensor_extend(identity_map(2, 1), 0).components, True),
                              [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    by_hand = HermitianForm(3, {((1, 0, 0), (1, 0, 0)): gr(1), ((0, 1, 0), (0, 1, 0)): gr(1),
+                                ((0, 0, 1), (0, 0, 1)): gr(-1), ((0, 0, 0), (0, 0, 0)): gr(-1)})
     calls = []
     cleared = forms._cleared
     monkeypatch.setattr(forms, "_cleared", lambda values: calls.append(1) or cleared(values))
-    for form, clears in ((defining, [1]), (product, [1]), (twisted, [])):
+    for form, clears in ((defining, []), (product, []), (twisted, []), (by_hand, [1])):
         calls.clear()
         map_from_form(form, 2, 1)
         assert calls == clears
-    assert "entries" not in vars(twisted)
+    assert not {"entries"} & (vars(defining).keys() | vars(product).keys() | vars(twisted).keys())
 
 
 def _lead_key(comp):
@@ -888,7 +892,7 @@ def test_map_from_form_matches_two_sorts():
         for i, u in enumerate(monos):
             for v in monos[i + 1:]:
                 c = gr(rng.randint(-3, 3), rng.randint(-3, 3))
-                h += [(u, v, c), (v, u, c.conjugate())]
+                h += [(u, v, c), (v, u, conj(c))]
             h.append((u, u, gr(rng.randint(-3, 3))))
         form = _times_defining(a, b, h)
         keys = [(c[0], _lead_key(c)) for c in decompose(form).components]

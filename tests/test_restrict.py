@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from dense import evaluate, form_matrix, identity, matmul
+from dense import conj, evaluate, form_matrix, identity, matmul
 from hyperq import forms, restrict
 from hyperq.errors import ConjugateMismatch, DimensionMismatch
 from hyperq.formats import load_form
@@ -97,7 +97,7 @@ def test_sandwich_of_restriction_matrix_matches_compose():
         form = form_from_entries(n, entries)
         C = form_matrix(form, rows)
         Tt = [[T[i][j] for i in range(len(rows))] for j in range(len(cols))]
-        Tbar = [[x.conjugate() for x in row] for row in T]
+        Tbar = [[conj(x) for x in row] for row in T]
         S = matmul(matmul(Tt, C), Tbar)
         want = {(g, h): S[i][j] for i, g in enumerate(cols) for j, h in enumerate(cols) if S[i][j]}
         assert compose_linear(form, linear, trans).entries == want
@@ -288,7 +288,7 @@ def test_cayley_unitary_exact():
     for bound in (9, 12, 99):
         for n in range(1, 6):
             u = cayley_unitary(n, rng, bound)
-            ut = [[u[i][j].conjugate() for i in range(n)] for j in range(n)]
+            ut = [[conj(u[i][j]) for i in range(n)] for j in range(n)]
             assert matmul(ut, u) == matmul(u, ut) == identity(n)
 
 
