@@ -50,9 +50,8 @@ class HermitianForm:
     entries maps (alpha, beta) to the coefficient of z^alpha zbar^beta.
     Both mirror entries are stored; zero entries are omitted.  Treat
     instances as immutable: a private memo keeps their integer view
-    (`_form_side`) and elimination.  Every form starts from its view: one
-    that hyperq builds reduces its entries from it on first read, and one
-    built directly from entries clears them into it on first read.
+    (`_form_side`) and elimination.  Every form starts from its view: its
+    entries are reduced from it, or cleared into it, on first read.
     """
 
     n: int
@@ -293,31 +292,32 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
 
 
 def _entries_side(listed: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair]], den: int) -> _FormSide:
-    """(support, flat, D), support grlex-sorted, with entry (support[i], support[j]) = flat[i, j] / D the
-    sum over den of the Gaussian integers listed at that (alpha, beta), and D = den / gcd(den, flat):
-    the lcm of the entries' reduced denominators, as clearing them gives.  A missing mirror is filled
-    with the conjugate, and a key whose sum and listed mirror are both 0 is dropped; a listed 0 whose
-    listed mirror is not is kept for the one Hermitian check, which refuses the form at the first
-    entry, in listed order, that is not its mirror's conjugate."""
-    acc: Dict[Tuple[MultiIndex, MultiIndex], _Pair] = {}
-    for key, x in listed:
+    """(support, flat, D): entry (support[i], support[j]) = flat[i, j] / D, support grlex-sorted, is the sum
+    over den of the Gaussian integers listed at that (alpha, beta), and D = den / gcd(den, flat) is the lcm of
+    the entries' reduced denominators.  A missing mirror is filled with the conjugate and a zero sum dropped;
+    the one Hermitian check refuses the form at the first key, in listed order, whose mirror is not its conjugate."""
+    first: Dict[MultiIndex, int] = {}  # each index numbered at its first listing, so that keys are int pairs
+    acc: Dict[Tuple[int, int], _Pair] = {}
+    for (alpha, beta), x in listed:
+        key = first.setdefault(alpha, len(first)), first.setdefault(beta, len(first))
         y = acc.get(key)
         acc[key] = x if y is None else (x[0] + y[0], x[1] + y[1])
-    kept: Dict[Tuple[MultiIndex, MultiIndex], _Pair] = {}
-    for (a, b), (re, im) in acc.items():
-        if re or im or acc.get((b, a), (0, 0)) != (0, 0):
-            kept[a, b] = (re, im)
-            kept.setdefault((b, a), (re, -im))
-    support = sorted_grlex({index for key in kept for index in key})
+    listed_at = list(first)
+    support = sorted_grlex({listed_at[k] for key, x in acc.items() if x != (0, 0) for k in key})
     at = {alpha: k for k, alpha in enumerate(support)}
-    g = gcd(den, *(v for x in kept.values() for v in x)) if den > 1 else 1
-    flat = {(at[a], at[b]): (re // g, im // g) for (a, b), (re, im) in kept.items()}
-    for (i, j), (re, im) in flat.items():
-        if flat[j, i] != (re, -im):
-            a, b = support[i], support[j]
+    to = [at.get(alpha) for alpha in listed_at]
+    g = gcd(den, *(v for x in acc.values() for v in x)) if den > 1 else 1
+    flat: Dict[Tuple[int, int], _Pair] = {}
+    for (i, j), (re, im) in acc.items():
+        c = (re, -im)
+        if acc.get((j, i), c) != c:
+            a, b = listed_at[i], listed_at[j]
             if i == j:
-                raise NonRealDiagonal(f"diagonal entry at {a} has imaginary part {Fraction(im, den // g)}")
+                raise NonRealDiagonal(f"diagonal entry at {a} has imaginary part {Fraction(im, den)}")
             raise ConjugateMismatch(f"entries at ({a}, {b}) and ({b}, {a}) are not mutual conjugates")
+        if re or im:
+            a, b = to[i], to[j]
+            flat[a, b], flat[b, a] = ((re, im), c) if g == 1 else ((re // g, im // g), (re // g, -im // g))
     return support, flat, den // g
 
 

@@ -23,8 +23,8 @@ from hyperq.errors import (
     NotVanishing,
 )
 from hyperq.formats import dump_map, parse_map
-from hyperq.forms import (HermitianForm, WeightedHoloMap, _form_side, _holo_side, compose_linear, decompose, form_from_entries,
-                          form_from_real_poly, norm_difference)
+from hyperq.forms import (HermitianForm, WeightedHoloMap, _form_side, _holo_side, compose_linear, decompose,
+                          form_from_entries, form_from_real_poly, norm_difference)
 from hyperq.linalg import _cleared
 from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
 from hyperq.quadrics import (
