@@ -326,7 +326,8 @@ def _form_side(form: HermitianForm) -> _FormSide:
     them here, at its first read, where a missing mirror reads as a listed 0; a refused one memoizes nothing."""
     side = form._memo.get("side")
     if side is None:
-        entries, (pairs, d) = form.entries, _cleared(form.entries.values())
+        entries = form.entries
+        pairs, d = _cleared(entries.values())
         missing = [((b, a), (0, 0)) for a, b in entries if (b, a) not in entries]
         side = form._memo["side"] = _entries_side([*zip(entries, pairs), *missing], d)
     return side
