@@ -3,7 +3,9 @@ embedding's column rank, all against dense oracles; the one-triangle kernel and
 the Gaussian-integer solve against the full-square kernel and the Q(i) solve
 they replaced."""
 
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -12,7 +14,7 @@ from dense import (bareiss_rank, cleared_solve, conj, full_symmetric_steps, iden
                    matrix_form, rational_solve)
 from hyperq.errors import ConjugateMismatch, NonRealDiagonal
 from hyperq.forms import _elimination, compose_linear, decompose, form_from_entries, form_inertia, form_rank
-from hyperq.linalg import _symmetric_steps
+from hyperq.linalg import _cleared, _symmetric_steps
 from hyperq.multiindex import unit
 from hyperq.restrict import embedding
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
@@ -426,3 +428,37 @@ def test_zero_matrix_inertia():
         assert _assert_matches_oracle([[GR_ZERO] * n for _ in range(n)]) == []
     for x in (Fraction(-5, 7), Fraction(12), Fraction(1, 12)):
         assert _assert_matches_oracle([[gr(x)]]) == [(1 if x > 0 else -1, abs(x), [gr(1)])]
+
+
+# -- clearing: the one rule that takes rationals to their Gaussian-integer view --
+
+
+def _coerced_cleared(values):
+    """The rule `_cleared` first ran, kept as its oracle: coerce each value to a GaussianRational,
+    take the lcm d of the denominators, and scale each numerator by d // q."""
+    vals = [GaussianRational.coerce(v) for v in values]
+    d = lcm(*(q for v in vals for q in (v.re.denominator, v.im.denominator)))
+    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals], d
+
+
+def _scalar(rng):
+    """An int, bool, Fraction, GaussianRational, float, Decimal or numeric str."""
+    p, q = rng.randint(-30, 30), rng.randint(1, 12)
+    return rng.choice([p, p > 0, Fraction(p, q), gr(Fraction(p, q), Fraction(rng.randint(-30, 30), rng.randint(1, 12))),
+                       p / 2 ** rng.randint(0, 6), Decimal(p) / 10 ** rng.randint(0, 3), f"{p}/{q}", f" {p} "])
+
+
+def test_cleared_matches_the_coercing_rule():
+    rng = Random(3301)
+    cases = [[], [0], [True, False], [7, -3], [Fraction(1, 3), Fraction(-5, 6)], [gr(0, Fraction(1, 7)), gr(2)],
+             [0.1, 1e-20, -2.5], [Decimal("0.125"), Decimal("-3")], ["1/3", " -2 ", "0.25", "1e-3"]]
+    cases += [[_scalar(rng) for _ in range(rng.randint(1, 12))] for _ in range(300)]
+    for values in cases:
+        pairs, d = _cleared(iter(values))
+        assert (pairs, d) == _coerced_cleared(values)
+        assert type(d) is int and all(type(x) is int for pair in pairs for x in pair)
+    for bad in ("x", None, 1j, "1/0"):  # refused as coercion refuses them
+        with pytest.raises((TypeError, ValueError, ZeroDivisionError)) as want:
+            _coerced_cleared([bad])
+        with pytest.raises(want.type):
+            _cleared([bad])
