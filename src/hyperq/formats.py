@@ -23,11 +23,12 @@ views, Gaussian integers (re, im) over one lcm: no GaussianRational here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
 from .forms import HermitianForm, _entries_side, _form_side, _from_side, _holo_side, _PairPoly
+from .linalg import _cleared
 from .multiindex import MultiIndex, grlex_key
 from .quadrics import QuadricMap, SignedRealPoly, _viewed
 from .scalars import Rat
@@ -97,8 +98,8 @@ def _exponents(tokens: Sequence[str], n: int, filename: str, lineno: int) -> Mul
 
 
 def parse_form(text: str, filename: str = "<form>") -> HermitianForm:
-    """The form of a form file, started from its integer view: the re and im tokens are put over the lcm
-    of their denominators, as parse_map does, and `_entries_side` sums, mirrors and checks them."""
+    """The form of a form file, started from its integer view: `_cleared` puts the re and im tokens over the
+    lcm of their denominators, as in parse_map, and `_entries_side` sums, mirrors and checks them."""
     fields, lineno, lines = _header(text, "form", ["n"], filename)
     n = _integer(fields["n"], filename, lineno)
     if n < 1:
@@ -114,13 +115,11 @@ def parse_form(text: str, filename: str = "<form>") -> HermitianForm:
         key = seen[parts[0]], seen[parts[1]]
         re, im = parts[2].strip(), parts[3].strip()
         try:  # where int() reads a token, _fraction reads the same value
-            rows.append((key, int(re), int(im)))
+            rows.append((key, (int(re), int(im))))
         except ValueError:
-            rows.append((key, _fraction(re, filename, lineno), _fraction(im, filename, lineno)))
-    d = lcm(*(v.denominator for _, re, im in rows for v in (re, im)))
-    listed = ((key, (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)))
-              for key, re, im in rows)
-    return _from_side(HermitianForm(n), "entries", _entries_side(listed, d))
+            rows.append((key, (_fraction(re, filename, lineno), _fraction(im, filename, lineno))))
+    pairs, d = _cleared(x for _, x in rows)
+    return _from_side(HermitianForm(n), "entries", _entries_side(((key, x) for (key, _), x in zip(rows, pairs)), d))
 
 
 def dump_form(form: HermitianForm) -> str:
@@ -223,11 +222,10 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
         )
     if denominator is not None and not (0 <= denominator < len(rows) and rows[denominator][0] < 0):
         raise ParseError(filename, header_lineno, f"denominator={denominator} names no negative component")
-    # the map's integer view: every coefficient over the lcm of their denominators, as _holo_side clears them
-    d = lcm(*(v.denominator for _, _, poly in rows for pair in poly.values() for v in pair))
-    side = d, tuple((sign, weight, {alpha: (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
-                                    for alpha, (re, im) in poly.items()}) for sign, weight, poly in rows)
-    return _viewed(a, b, homogeneous, denominator, side)
+    pairs, d = _cleared(x for _, _, poly in rows for x in poly.values())  # the map's integer view, as in _holo_side
+    it = iter(pairs)
+    return _viewed(a, b, homogeneous, denominator, (d, tuple((sign, weight, {alpha: next(it) for alpha in poly})
+                                                              for sign, weight, poly in rows)))
 
 
 def _ratio(x: int, d: int) -> str:

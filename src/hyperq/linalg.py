@@ -34,13 +34,14 @@ _GIPair = Tuple[int, int]
 
 
 def _cleared(values: Iterable[object]) -> Tuple[List[_GIPair], int]:
-    """Gaussian integers P and the lcm d of the denominators, with value k = P[k] / d.
-
-    Values may be GaussianRational, Fraction, or plain int.
-    """
-    vals = [GaussianRational.coerce(v) for v in values]
-    d = lcm(*(q for v in vals for q in (v.re.denominator, v.im.denominator)))
-    return [(v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator)) for v in vals], d
+    """Gaussian integers P and the lcm d of the denominators, with value k = P[k] / d: the package's one
+    clearing of rationals.  A value is an int, a Fraction, a GaussianRational or an (re, im) tuple of ints
+    and Fractions, each read as it is; any other (bool, float, Decimal, numeric str) is read by Fraction(),
+    as GaussianRational.coerce reads it."""
+    parts = [(v, 0) if type(v) in (int, Fraction) else (v.re, v.im) if isinstance(v, GaussianRational)
+             else v if type(v) is tuple else (Fraction(v), 0) for v in values]
+    d = lcm(*(x.denominator for pair in parts for x in pair))
+    return [(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)) for re, im in parts], d
 
 
 def solve(a: List[List[_GIPair]], b: List[List[_GIPair]]) -> List[List[GaussianRational]]:

@@ -56,6 +56,7 @@ from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, No
                      NotReached, NotVanishing)
 from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _form_side, _from_side, _holo_side,
                     decompose, norm_difference)
+from .linalg import _cleared
 from .multiindex import MultiIndex, grlex_key, unit, zero_index
 
 RealTerms = Dict[MultiIndex, Fraction]
@@ -166,8 +167,8 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
 
 def is_admissible(p: SignedRealPoly) -> Tuple[bool, SignaturePair]:
     """Whether s divides p, plus the signature (positive, negative counts)."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    terms = ((alpha[0], alpha[1:], c.numerator * (den // c.denominator)) for alpha, c in p.terms.items())
+    pairs, den = _cleared(p.terms.values())
+    terms = ((alpha[0], alpha[1:], c) for alpha, (c, _) in zip(p.terms, pairs))
     return (_divides(p.a, p.b, False, False, terms), p.signature())
 
 
@@ -204,9 +205,9 @@ def _routes(a: int, b: int) -> Dict[Tuple[int, int], Tuple]:
 
 def _pack(p: SignedRealPoly, width: int) -> Node:
     # x_1 in the top field: among monomials of one degree the grlex-first has the largest key
-    den, n = lcm(*(c.denominator for c in p.terms.values())), p.n
-    return p.degree(), den, {sum(x << width * (n - 1 - j) for j, x in enumerate(alpha)):
-                             c.numerator * (den // c.denominator) for alpha, c in p.terms.items()}
+    (pairs, den), n = _cleared(p.terms.values()), p.n
+    return p.degree(), den, {sum(x << width * (n - 1 - j) for j, x in enumerate(alpha)): c
+                             for alpha, (c, _) in zip(p.terms, pairs)}
 
 
 def _unpacked(n: int, width: int, terms: Dict[int, int]) -> Iterator[Tuple[MultiIndex, int]]:

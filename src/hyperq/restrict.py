@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .forms import HermitianForm, compose_linear, form_from_entries, form_rank
-from .linalg import solve
+from .linalg import _cleared, solve
 from .multiindex import unit
 from .scalars import GR_ZERO, GaussianRational, gr
 
@@ -171,9 +171,9 @@ def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRa
         for j in range(i + 1, n):
             x, y = signed(rng), signed(rng)
             S[i][j], S[j][i] = (x, y), (-x, y)
-    m = lcm(*(v.denominator for row in S for pair in row for v in pair))
-    plus, minus = ([[(int(i == j) * m + sign * int(re * m), sign * int(im * m)) for j, (re, im) in enumerate(row)]
-                    for i, row in enumerate(S)] for sign in (1, -1))
+    pairs, m = _cleared(x for row in S for x in row)
+    plus, minus = ([[(int(i == j) * m + sign * re, sign * im) for j, (re, im) in enumerate(pairs[i * n:i * n + n])]
+                    for i in range(n)] for sign in (1, -1))
     return solve(plus, minus)
 
 

@@ -95,3 +95,17 @@ def test_every_member_and_constant_is_used_by_src_or_exported():
                 if not _read_outside(reads, module, name, node):
                     unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def test_only_linalg_clears_denominators():
+    # one clearing rule, `linalg._cleared`: no other src module takes the lcm of `.denominator`s;
+    # lcms of weight denominators held as int pairs read no `.denominator` and stay where they are
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "lcm":
+                if any(isinstance(sub, ast.Attribute) and sub.attr == "denominator" for sub in ast.walk(node)):
+                    found.append(f"{path.stem}:{node.lineno}")
+    assert found == []

@@ -13,7 +13,8 @@ import pytest
 from dense import (bareiss_rank, cleared_solve, conj, full_symmetric_steps, identity, matmul, matrix_components,
                    matrix_form, rational_solve)
 from hyperq.errors import ConjugateMismatch, NonRealDiagonal
-from hyperq.forms import _elimination, compose_linear, decompose, form_from_entries, form_inertia, form_rank
+from hyperq.forms import (_elimination, compose_linear, decompose, form_from_entries, form_from_real_poly, form_inertia,
+                          form_rank)
 from hyperq.linalg import _cleared, _symmetric_steps
 from hyperq.multiindex import unit
 from hyperq.restrict import embedding
@@ -462,3 +463,28 @@ def test_cleared_matches_the_coercing_rule():
             _coerced_cleared([bad])
         with pytest.raises(want.type):
             _cleared([bad])
+
+
+def test_cleared_reads_pairs_as_their_gaussian_rationals():
+    rng = Random(3302)
+
+    def part():
+        return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 8))])
+
+    for _ in range(200):
+        pairs = [(part(), part()) for _ in range(rng.randint(1, 10))]
+        assert _cleared(pairs) == _coerced_cleared(gr(re, im) for re, im in pairs)
+
+
+def test_cleared_builds_no_gaussian_rational_from_ints_fractions_or_pairs(monkeypatch):
+    built = []
+    init = GaussianRational.__init__
+    monkeypatch.setattr(GaussianRational, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    values = [3, -1, Fraction(2, 3), (1, Fraction(-1, 5)), (Fraction(7, 2), 0)]
+    assert _cleared(values) == ([(90, 0), (-30, 0), (20, 0), (30, -6), (105, 0)], 30)
+    assert _cleared([gr(1, Fraction(1, 2))]) == ([(2, 1)], 2)
+    assert len(built) == 1  # the gr above, built by the test
+    form_from_real_poly({(k, 49 - k): (-1) ** k * k for k in range(50)})
+    assert len(built) == 1
+    embedding([[1, 2], [3, 4], [5, 6], [7, 9]])  # its own 8 coerced entries; the rank check's clearing builds none
+    assert len(built) == 9
