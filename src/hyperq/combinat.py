@@ -14,7 +14,7 @@ All arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Callable, Tuple
 
 
@@ -107,26 +107,8 @@ def green_G(n: int, d: int, N: int) -> int:
 
 
 def _min_degree_for(n: int, N: int) -> int:
-    """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N, for n >= 1.
-
-    n! binom(n + d, d) = (d + 1) ... (d + n) lies between (d + 1)^n and, by
-    AM-GM, (d + (n + 1) / 2)^n.  So with x = (N n!)^(1/n) the answer lies in
-    [x - (n + 1) / 2, max(1, x)].  Integers bracket it too: with r = floor(x),
-    the integer n-th root that Newton's method reaches from a power of two
-    above it, the walk starts at r - (n + 1) // 2 and takes at most
-    (n + 1) // 2 exact steps up.  Every N <= 1 gives 1, so N is taken as at
-    least 1, whose root Newton's method can find.  For n = 1 both bounds are
-    d + 1 and the root is N itself, one Newton step from above, so the walk
-    starts at the answer max(1, N - 1).
-    """
-    t = max(N, 1) * factorial(n)
-    r = 1 << -(-t.bit_length() // n)
-    while (s := ((n - 1) * r + t // r ** (n - 1)) // n) < r:
-        r = s
-    d = max(1, r - (n + 1) // 2)
-    while comb(n + d, d) < N:
-        d += 1
-    return d
+    """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N, for n >= 1: one gallop."""
+    return _last_true(lambda d: d < 1 or comb(n + d, d) < N, 0) + 1
 
 
 def green_K(n: int, k: int) -> int:

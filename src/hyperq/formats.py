@@ -41,12 +41,15 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _fraction(token: str, filename: str, lineno: int) -> Fraction:
-    try:  # int() skips Fraction's string parser, and reads every digit string as Fraction() would
-        num, slash, den = token.partition("/")
-        if num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den) if slash else 1)
-        if "e" not in token and "E" not in token:  # an exponent asks for any size of integer
+def _fraction(token: str, filename: str, lineno: int) -> Rat:
+    """The number a token writes: int(token) wherever int() reads it, else Fraction(token).  A token with an
+    exponent is refused, as it asks for any size of integer."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        if "e" not in token and "E" not in token:
             return Fraction(token)
     except (ValueError, ZeroDivisionError):
         pass
@@ -113,11 +116,7 @@ def parse_form(text: str, filename: str = "<form>") -> HermitianForm:
             if part not in seen:
                 seen[part] = _exponents(part.split(), n, filename, lineno)
         key = seen[parts[0]], seen[parts[1]]
-        re, im = parts[2].strip(), parts[3].strip()
-        try:  # where int() reads a token, _fraction reads the same value
-            rows.append((key, (int(re), int(im))))
-        except ValueError:
-            rows.append((key, (_fraction(re, filename, lineno), _fraction(im, filename, lineno))))
+        rows.append((key, tuple(_fraction(x.strip(), filename, lineno) for x in parts[2:])))
     pairs, d = _cleared(x for _, x in rows)
     return _from_side(HermitianForm(n), "entries", _entries_side(((key, x) for (key, _), x in zip(rows, pairs)), d))
 
@@ -199,10 +198,7 @@ def parse_map(text: str, filename: str = "<map>") -> QuadricMap:
             if "," not in tokens[0]:
                 raise ParseError(filename, lineno, "each term starts with `<re>,<im>`")
             re_tok, _, im_tok = tokens[0].partition(",")
-            try:  # the view wants ints; where int() reads a token, _fraction reads the same value
-                re, im = int(re_tok), int(im_tok)
-            except ValueError:
-                re, im = _fraction(re_tok, filename, lineno), _fraction(im_tok, filename, lineno)
+            re, im = _fraction(re_tok, filename, lineno), _fraction(im_tok, filename, lineno)
             alpha = _exponents(tokens[1:], n, filename, lineno)
             if alpha in poly:
                 re, im = re + poly[alpha][0], im + poly[alpha][1]

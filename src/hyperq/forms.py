@@ -264,21 +264,18 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
                 monomials: Iterable[MultiIndex]) -> Tuple[Dict[MultiIndex, _PairPoly], int]:
     """(P, M) with (Ez + t)^alpha = sum over gamma of P_alpha[gamma] z^gamma / M^|alpha|.
 
-    E and t are cleared together by the lcm M of their denominators over the
-    rows that some alpha uses, so P_alpha is over Z[i].  The powers of each
-    row are cached: a monomial costs one product per variable.
+    E and t are cleared together by the lcm M of their denominators, so
+    P_alpha is over Z[i].  The powers of each row are cached: a monomial
+    costs one product per variable.
     """
-    monomials = list(monomials)
     for i, row in enumerate(matrix):
         if len(row) != n_dst:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
-    used = [i for i in range(len(matrix)) if any(alpha[i] for alpha in monomials)]
-    pairs, m = _cleared(x for i in used for x in (*matrix[i], 0 if translation is None else translation[i]))
+    pairs, m = _cleared(x for row, t in zip(matrix, repeat(0) if translation is None else translation) for x in (*row, t))
     origin = zero_index(n_dst)
     one: _PairPoly = {origin: (1, 0)}
     keys = [unit(n_dst, j) for j in range(n_dst)] + [origin]
-    powers = {i: [one, {k: c for k, c in zip(keys, pairs[r * len(keys):]) if c != (0, 0)}]
-              for r, i in enumerate(used)}
+    powers = [[one, {k: c for k, c in zip(keys, pairs[i * len(keys):]) if c != (0, 0)}] for i in range(len(matrix))]
     table: Dict[MultiIndex, _PairPoly] = {}
     for alpha in monomials:
         out = one

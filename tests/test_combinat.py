@@ -237,10 +237,6 @@ def test_runs_match_level_walk():
         assert macaulay_lower(c, d) == rep.lower() == level_lower(c, d), (c, d)
 
 
-def gallop_min_degree(n, N):
-    return 1 + _last_true(lambda e: e == 0 or comb(n + e, e) < N, 0)
-
-
 def test_min_degree_matches_scan():
     # n = 1 too: green_K asks for the least degree in n - 1 variables
     for n in range(1, 8):
@@ -248,16 +244,14 @@ def test_min_degree_matches_scan():
             assert _min_degree_for(n, N) == scan_min_degree(n, N), (n, N)
 
 
-def test_min_degree_matches_gallop():
-    # the integer root only starts an exact walk; it must agree with the gallop
-    # near powers of ten, where a float root errs by many degrees (10^60, 10^300),
-    # and past float range (10^400)
-    for n in range(1, 9):
-        for N in [*range(5000), *(10**k + s for k in range(1, 41) for s in (-1, 1))]:
-            assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
-    for n in (1, 2, 5):
-        for N in (10**60 - 1, 10**60, 10**300 + 1, 10**400 - 1, 10**400):
-            assert _min_degree_for(n, N) == gallop_min_degree(n, N), (n, N)
+def test_min_degree_is_least():
+    # the defining property, binom(n + d, d) >= N and d = 1 or binom(n + d - 1, d - 1) < N,
+    # near powers of ten and past float range (10^400)
+    cases = [(n, N) for n in range(1, 9) for N in [*range(5000), *(10**k + s for k in range(1, 41) for s in (-1, 1))]]
+    cases += [(n, N) for n in (1, 2, 5) for N in (10**60 - 1, 10**60, 10**300 + 1, 10**400 - 1, 10**400)]
+    for n, N in cases:
+        d = _min_degree_for(n, N)
+        assert comb(n + d, d) >= N and (d == 1 or comb(n + d - 1, d - 1) < N), (n, N)
 
 
 def gallop_K(n, k):

@@ -133,7 +133,7 @@ def test_parse_error_positions():
 
 
 def test_number_tokens_read_as_fraction_reads_them():
-    # integer tokens go through int(), the rest through Fraction(str): same values, same errors,
+    # tokens that int() reads give an int, the rest go through Fraction(str): same values, same errors,
     # except that exponents are refused, since 1e10000000 would build a 33-million-bit integer
     tokens = ["3", "+3", "-0", "007", "1_0", "\u0663", "1.5", "1e3", "1E3", "-3/6", "2/1", "+-5", "--5", "\u00b2",
               "1/0", "one", "0x10", "-", "3/", "", "5 ", "+3/4", "3/04", "2/-1", "+-3/4", "\u0663/4", "3/\u00b2",
@@ -150,8 +150,14 @@ def test_number_tokens_read_as_fraction_reads_them():
             assert (exc.value.lineno, exc.value.message) == (4, f"expected a rational number, got {token!r}")
         else:
             got = _fraction(token, "m.txt", 4)
-            assert type(got) is Fraction and got == want
-        # a map coefficient goes through int() first, and reads the same value or the same error
+            try:
+                int(token)
+            except ValueError:
+                kind = Fraction
+            else:
+                kind = int
+            assert type(got) is kind and got == want
+        # a map coefficient reads the same value or the same error
         if token.strip() == token and token:
             text = f"map n=1 a=1 b=0 A=1 B=0 homogeneous=0 denominator=none\n+ 1 :: 1,{token} 1\n"
             if want is not None:
