@@ -157,9 +157,12 @@ class WeightedHoloMap:
 
 def _holo_side(holo: WeightedHoloMap) -> HoloSide:
     """(d, rows), memoized on the components: component k is rows[k] = (sign, (wn, wd), {alpha: (re, im)}),
-    its weight wn / wd in lowest terms and its coefficients (re + i im) / d over one lcm d, cleared once."""
+    its weight wn / wd in lowest terms and its coefficients (re + i im) / d over one lcm d, cleared once.
+    Hand-built components have each distinct exponent checked here, at their first read."""
     side = holo._memo.get("side")
     if side is None:
+        for alpha in dict.fromkeys(alpha for _, _, poly in holo.components for alpha in poly):
+            _check_index(alpha, holo.n)
         pairs, d = _cleared(c for _, _, poly in holo.components for c in poly.values())
         it = iter(pairs)
         side = holo._memo["side"] = d, tuple((sign, (w.numerator, w.denominator), {alpha: next(it) for alpha in poly})
@@ -319,11 +322,14 @@ def _entries_side(listed: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair]],
 
 
 def _form_side(form: HermitianForm) -> _FormSide:
-    """(support, flat, D), memoized (see `_entries_side`).  A form built directly from entries clears
-    them here, at its first read, where a missing mirror reads as a listed 0; a refused one memoizes nothing."""
+    """(support, flat, D), memoized (see `_entries_side`).  A form built directly from entries has each
+    distinct exponent checked and its entries cleared here, at its first read, where a missing mirror reads
+    as a listed 0; a refused one memoizes nothing."""
     side = form._memo.get("side")
     if side is None:
         entries = form.entries
+        for alpha in dict.fromkeys(alpha for key in entries for alpha in key):
+            _check_index(alpha, form.n)
         pairs, d = _cleared(entries.values())
         missing = [((b, a), (0, 0)) for a, b in entries if (b, a) not in entries]
         side = form._memo["side"] = _entries_side([*zip(entries, pairs), *missing], d)

@@ -32,7 +32,7 @@ from hyperq.forms import (
 from hyperq.formats import dump_form, load_form
 from hyperq.linalg import _cleared
 from hyperq.multiindex import sorted_grlex, unit, zero_index
-from hyperq.restrict import cayley_unitary
+from hyperq.restrict import cayley_unitary, generic_restriction_rank
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 from test_linalg import _gr_ldl_components
 from tuple_polys import monomials_up_to, poly_mul
@@ -421,6 +421,20 @@ def test_rank_refuses_a_hand_built_form_that_is_not_hermitian():
         form_rank(compose_linear(one_sided, swap))
     with pytest.raises(NonRealDiagonal):
         form_rank(compose_linear(complex_diagonal, swap))
+
+
+def test_a_hand_built_form_with_a_bad_exponent_is_refused_at_its_first_read():
+    # form_from_entries checks every exponent at build; a hand-built form has each distinct one checked at its
+    # first read, so it gives no rank, no file that parse_form refuses and no IndexError from _composed
+    negative = HermitianForm(2, {((-1, 0), (-1, 0)): gr(1), ((0, 1), (0, 1)): gr(1)})
+    short = HermitianForm(2, {((1,), (1,)): gr(1), ((0, 1), (0, 1)): gr(1)})
+    identity = [[gr(1), gr(0)], [gr(0), gr(1)]]
+    calls = (form_rank, dump_form, lambda f: compose_linear(f, identity), lambda f: generic_restriction_rank(f, 1))
+    for form, error in ((negative, ValueError), (short, DimensionMismatch)):
+        for call in calls:
+            with pytest.raises(error) as exc:
+                call(form)
+            assert exc.type is error
 
 
 def test_integer_norm_difference_matches_gaussian_rational_loop():

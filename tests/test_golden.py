@@ -11,7 +11,11 @@ import argparse
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from hyperq.cli import _build_parser, main
 
@@ -37,15 +41,31 @@ def run_case(argv):
     return code, out.getvalue().encode("utf-8")
 
 
-def test_golden_outputs():
-    cases = list(golden_cases())
-    assert len(cases) >= 40
+def wrong_cases():
+    """Every case that does not exit 0 or whose stdout differs from its expected file."""
     wrong = []
-    for name, argv in cases:
+    for name, argv in golden_cases():
         code, out = run_case(argv)
         if code != 0 or out != (GOLDEN / "expected" / name).read_bytes():
             wrong.append(f"{name} (exit {code})")
+    return wrong
+
+
+def test_golden_outputs():
+    assert len(list(golden_cases())) >= 40
+    wrong = wrong_cases()
     assert not wrong, f"outputs differ from tests/golden/expected: {wrong}"
+
+
+@pytest.mark.parametrize("seed", ["1", "4242"])
+def test_golden_outputs_under_other_hash_seeds(seed):
+    # identical invocations give byte-identical output: every case again in a fresh interpreter, where the
+    # hash seed changes the hashes of strings and so the order of any set or dict keyed by them
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    done = subprocess.run([sys.executable, "-c", "from test_golden import wrong_cases; print(wrong_cases())"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stdout + done.stderr
 
 
 def leaves(parser, path=()):
