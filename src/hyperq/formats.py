@@ -116,7 +116,8 @@ def parse_form(text: str, filename: str = "<form>") -> HermitianForm:
             if part not in seen:
                 seen[part] = _exponents(part.split(), n, filename, lineno)
         key = seen[parts[0]], seen[parts[1]]
-        rows.append((key, tuple(_fraction(x.strip(), filename, lineno) for x in parts[2:])))
+        re, im = parts[2].strip(), parts[3].strip()
+        rows.append((key, (_fraction(re, filename, lineno), _fraction(im, filename, lineno))))
     pairs, d = _cleared(x for _, x in rows)
     return _from_side(HermitianForm(n), "entries", _entries_side(((key, x) for (key, _), x in zip(rows, pairs)), d))
 

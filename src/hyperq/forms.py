@@ -161,7 +161,7 @@ def _holo_side(holo: WeightedHoloMap) -> HoloSide:
     Hand-built components have each distinct exponent checked here, at their first read."""
     side = holo._memo.get("side")
     if side is None:
-        for alpha in dict.fromkeys(alpha for _, _, poly in holo.components for alpha in poly):
+        for alpha in dict.fromkeys(a for _, _, poly in holo.components for a in poly):
             _check_index(alpha, holo.n)
         pairs, d = _cleared(c for _, _, poly in holo.components for c in poly.values())
         it = iter(pairs)
@@ -274,7 +274,8 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
     for i, row in enumerate(matrix):
         if len(row) != n_dst:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
-    pairs, m = _cleared(x for row, t in zip(matrix, repeat(0) if translation is None else translation) for x in (*row, t))
+    rows = zip(matrix, repeat(0) if translation is None else translation)
+    pairs, m = _cleared(x for row, t in rows for x in (*row, t))
     origin = zero_index(n_dst)
     one: _PairPoly = {origin: (1, 0)}
     keys = [unit(n_dst, j) for j in range(n_dst)] + [origin]
@@ -328,7 +329,7 @@ def _form_side(form: HermitianForm) -> _FormSide:
     side = form._memo.get("side")
     if side is None:
         entries = form.entries
-        for alpha in dict.fromkeys(alpha for key in entries for alpha in key):
+        for alpha in dict.fromkeys(a for key in entries for a in key):
             _check_index(alpha, form.n)
         pairs, d = _cleared(entries.values())
         missing = [((b, a), (0, 0)) for a, b in entries if (b, a) not in entries]

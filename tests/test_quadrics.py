@@ -969,7 +969,8 @@ def test_quadric_map_validation():
     with pytest.raises(DimensionMismatch):
         QuadricMap(2, 1, False, short, None)
     # nor a negative exponent, or verify_map would give a verdict: the map is refused at its first read
-    negative = WeightedHoloMap(3, ((1, F1, {(-1, 0, 0): gr(1)}), (1, F1, {(0, 1, 0): gr(1)}), (-1, F1, {(0, 0, 1): gr(1)})))
+    negative = WeightedHoloMap(3, ((1, F1, {(-1, 0, 0): gr(1)}), (1, F1, {(0, 1, 0): gr(1)}),
+                                   (-1, F1, {(0, 0, 1): gr(1)})))
     with pytest.raises(ValueError) as exc:
         QuadricMap(2, 1, False, negative, None)
     assert exc.type is ValueError and "nonnegative" in str(exc.value)
