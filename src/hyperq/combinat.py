@@ -30,26 +30,28 @@ class MacaulayRep:
     ks: Tuple[int, ...]
 
     def terms(self):
-        """Yield (k_i, i) pairs, i running d down to 1."""
-        for pos, k in enumerate(self.ks):
-            yield k, self.d - pos
+        """The (k_i, i) pairs, i running d down to 1."""
+        return zip(self.ks, range(self.d, 0, -1))
 
     def lower(self) -> int:
         """Value after replacing every binom(k_i, i) by binom(k_i - 1, i)."""
         return macaulay_lower(self.c, self.d)
 
 
-def _last_true(pred, lo: int, hi: int | None = None) -> int:
-    """Largest x >= lo with pred(x), for pred true at lo and false from some
-    point on (at hi, if given): gallop up by doubling steps, then bisect."""
+def _gallop(m: int, r: int, lo: int, hi: int | None = None) -> int:
+    """Largest x >= lo with binom(x + m, m) <= r, for that true at lo and false at hi,
+    if given: gallop up by doubling steps, then bisect, the test inline."""
     if hi is None:
-        step, hi = 1, lo + 1
-        while pred(hi):
-            lo, step = hi, 2 * step
-            hi = lo + step
+        hi = lo + 1
+        while comb(hi + m, m) <= r:  # double the step
+            lo, hi = hi, hi + 2 * (hi - lo)
+    mid = hi - 1  # probe hi - 1 first: at large d, s most often falls by one from run to run
     while hi - lo > 1:
+        if comb(mid + m, m) <= r:
+            lo = mid
+        else:
+            hi = mid
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
     return lo
 
 
@@ -57,8 +59,9 @@ def _runs(c: int, d: int) -> list[tuple[int, int, int]]:
     """The rep of c as runs (i, j, s): k_l = l + s for l = i down to j, s falling
     from run to run.  Level i with rem > i takes the largest s with binom(i + s, i)
     <= rem, so s >= 1.  By the hockey-stick identity level l < i of the run starts
-    with rem = base + binom(l + s + 1, s + 1), base = rem_i - binom(i + s + 1, s + 1),
-    and keeps s while base + binom(l + s, s + 1) >= 0 (then rem > l), a gallop's test.
+    with rem = base + binom(l + s + 1, s + 1), base = rem_i - binom(i + s + 1, s + 1) < 0 by
+    the choice of s, and keeps s while binom(l + s, s + 1) > -base - 1 (then rem > l): j = x + 2
+    for the largest x >= -1 whose level x + 1 does not (0 at x = -1), and x < i - 2.
     The tail then takes k = l for rem levels (s = 0), then l - 1 (s = -1)."""
     if c < 0:
         raise ValueError("c must be nonnegative")
@@ -66,11 +69,11 @@ def _runs(c: int, d: int) -> list[tuple[int, int, int]]:
         raise ValueError("d must be positive")
     runs, rem, i, s = [], c, d, None
     while rem > i:
-        s = rem - 1 if i == 1 else _last_true(lambda t: comb(i + t, i) <= rem, 1, s)
+        s = rem - 1 if i == 1 else _gallop(i, rem, 1, s)
         rem, j = rem - comb(i + s, s), i
         if comb(i - 1 + s, s) <= rem:  # level i - 1 keeps s too
             base = rem - comb(i + s, s + 1)
-            j = i - _last_true(lambda t: t < i and base + comb(i - t + s, s + 1) >= 0, 1)
+            j = 2 + _gallop(s + 1, -base - 1, -1, i - 2)
             rem = base + comb(j + s, s + 1)
         runs.append((i, j, s))
         i = j - 1
@@ -79,7 +82,10 @@ def _runs(c: int, d: int) -> list[tuple[int, int, int]]:
 
 def macaulay_rep(c: int, d: int) -> MacaulayRep:
     """Greedy: each k_i is the largest k with binom(k, i) <= rem."""
-    return MacaulayRep(c, d, tuple([l + s for i, j, s in _runs(c, d) for l in range(i, j - 1, -1)]))
+    ks: list[int] = []
+    for i, j, s in _runs(c, d):
+        ks.extend(range(i + s, j + s - 1, -1))
+    return MacaulayRep(c, d, tuple(ks))
 
 
 def macaulay_lower(c: int, d: int) -> int:
@@ -108,7 +114,7 @@ def green_G(n: int, d: int, N: int) -> int:
 
 def _min_degree_for(n: int, N: int) -> int:
     """Smallest d >= 1 whose monomial count binom(n + d, d) reaches N, for n >= 1: one gallop."""
-    return _last_true(lambda d: d < 1 or comb(n + d, d) < N, 0) + 1
+    return _gallop(n, N - 1, 0) + 1
 
 
 def green_K(n: int, k: int) -> int:

@@ -81,7 +81,7 @@ def _check_index(idx: Tuple[int, ...], n: int) -> MultiIndex:
     idx = tuple(idx)
     if len(idx) != n:
         raise DimensionMismatch(f"multi-index {idx} has length {len(idx)}, expected {n}")
-    if any((not isinstance(e, int)) or e < 0 for e in idx):
+    if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in idx):
         raise ValueError(f"multi-index {idx} must consist of nonnegative integers")
     return idx
 

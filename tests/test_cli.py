@@ -147,11 +147,12 @@ def test_restrict_smallest_legal_values_finish():
 
 
 def test_cli_imports_only_the_standard_library():
-    # isolated (-I) and without site (-S), so only what importing hyperq.cli loads is new
+    # isolated (-I) and without site (-S), so only what importing hyperq.cli loads is new; -B writes no
+    # .pyc into src, which -I would otherwise do whatever PYTHONDONTWRITEBYTECODE says
     src = str(Path(__file__).parent.parent / "src")
     code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); import hyperq.cli; "
             "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     tops = done.stdout.split()
     assert "hyperq" in tops

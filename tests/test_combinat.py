@@ -10,7 +10,7 @@ import pytest
 
 from dense import bareiss_rank
 from hyperq.combinat import (
-    _last_true,
+    _gallop,
     _min_degree_for,
     compose_K,
     green_G,
@@ -207,6 +207,54 @@ def test_rep_matches_scan():
                 assert comb(k, i) <= rem < comb(k + 1, i), (c, d)
                 rem -= comb(k, i)
             assert rem == 0
+
+
+def _last_true(pred, lo, hi=None):
+    """Largest x >= lo with pred(x), for pred true at lo and false from some
+    point on (at hi, if given): gallop up by doubling steps, then bisect."""
+    if hi is None:
+        step, hi = 1, lo + 1
+        while pred(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo
+
+
+def test_gallop_matches_last_true():
+    # the three call shapes: a level's s (m = i, lo = 1), a run's end (m = s + 1, lo = -1,
+    # hi = i - 2) and the least degree (m = n, r = N - 1, lo = 0); hi is None or above the answer
+    rng = Random(35)
+    cases = [(m, r, lo) for m in range(1, 9) for r in range(-3, 400) for lo in (-1, 0, 1)]
+    cases += [(rng.randint(1, 40), rng.randrange(10 ** rng.randint(1, 60)), rng.choice((-1, 0, 1))) for _ in range(2000)]
+    for m, r, lo in cases:
+        want = _last_true(lambda x: comb(x + m, m) <= r, lo)
+        assert _gallop(m, r, lo) == want, (m, r, lo)
+        for hi in (want + 1, want + 2, want + 1 + rng.randrange(1000)):
+            assert _gallop(m, r, lo, hi) == _last_true(lambda x: comb(x + m, m) <= r, lo, hi) == want, (m, r, lo, hi)
+
+
+def test_gallop_edges():
+    # lo = -1 with r < 0: nothing fits past lo, whatever hi is
+    for m in range(1, 6):
+        assert _gallop(m, -1, -1) == _gallop(m, -5, -1, 7) == -1
+    # N <= 1: the least degree is 1, as is the gallop's at r = N - 1 <= 0
+    for n in range(1, 6):
+        for N in (0, 1):
+            assert _gallop(n, N - 1, 0) + 1 == _min_degree_for(n, N) == 1
+    # lo + 1 == hi: lo, with hi trusted to fail even where it would fit
+    for m, r, lo in ((3, 10**9, 4), (2, 0, -1), (7, 10**40, 0)):
+        assert _gallop(m, r, lo, lo + 1) == lo
+    # m near 10^150 with a small answer: every probe is a binomial with a small bottom
+    m = 10**150 + 7
+    start = time.perf_counter()
+    assert _gallop(m, 5, 0) == 0
+    assert _gallop(m, m + 1, 0) == 1
+    assert _gallop(m, comb(m + 3, 3), 0) == 3
+    assert _gallop(m, comb(m + 3, 3), 1, 40) == 3
+    assert time.perf_counter() - start < 0.05
 
 
 def level_rep(c, d):

@@ -437,6 +437,20 @@ def test_a_hand_built_form_with_a_bad_exponent_is_refused_at_its_first_read():
             assert exc.type is error
 
 
+def test_a_bool_exponent_is_refused():
+    # True passes isinstance(e, int), but dump_form would print it as a token parse_form refuses
+    bad = (True, 0)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        form_from_entries(2, [(bad, bad, 1)])
+    form = HermitianForm(2, {(bad, bad): gr(1), ((0, 1), (0, 1)): gr(1)})
+    for call in (form_rank, dump_form):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            call(form)
+    holo = WeightedHoloMap(2, ((1, Fraction(1), {bad: gr(1)}),))
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        norm_difference(holo, False)
+
+
 def test_integer_norm_difference_matches_gaussian_rational_loop():
     rng = Random(77)
     for _ in range(30):
