@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .forms import HermitianForm, compose_linear, form_from_entries, form_rank
@@ -78,6 +78,22 @@ def _check_sampling(form: HermitianForm, sub_dim: int, name: str, count: int, co
         raise ValueError("coeff_bound must be at least 1")
 
 
+def _sampled_rank(form: HermitianForm, draws: Iterable[Tuple[list, Optional[list]]], ceiling: int) -> int:
+    """Largest form_rank(compose_linear(form, E, t)) over the draws (E, t), stopping at a bound on every draw.
+
+    Two such bounds hold: ceiling, a count of the monomials the restricted matrix can live on, and
+    form_rank(form), as that matrix is T*CT with C the form's.  Once the best rank so far reaches one, no later
+    draw can raise it, so the answer is the maximum over every draw.  form_rank(form), one memoized
+    elimination, is read only while a draw remains.
+    """
+    best = 0
+    for t, (rows, trans) in enumerate(draws):
+        if t and (best == ceiling or best == form_rank(form)):
+            break
+        best = max(best, form_rank(compose_linear(form, rows, trans)))
+    return best
+
+
 def generic_restriction_rank(
     form: HermitianForm,
     sub_dim: int,
@@ -87,21 +103,21 @@ def generic_restriction_rank(
 ) -> int:
     """Rank of the restriction to a generic linear subspace of dimension sub_dim.
 
-    Takes the maximum of `trials` exact ranks at independent random
-    Gaussian-integer specializations; specialization can only lose rank,
-    so the maximum is a lower bound that equals the generic value except
-    with probability at most sz_failure_bound(...).  A draw without full
-    column rank is ranked like any other; the bound already counts it.
+    Takes the maximum of at most `trials` exact ranks at independent random Gaussian-integer specializations;
+    specialization can only lose rank, so the maximum is a lower bound that equals the generic value except
+    with probability at most sz_failure_bound(...).  A draw without full column rank is ranked like any other;
+    the bound already counts it.  (Ew)^alpha is homogeneous of degree |alpha| in sub_dim variables, so no
+    draw's rank exceeds the sum of C(sub_dim - 1 + e, e) over the distinct |alpha| = e of the support, where
+    drawing stops (`_sampled_rank`).  The answer is the one every draw gives, and the bound still holds: a
+    stop is exact, and without one every draw runs.
     """
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     if coeff_bound == 1 and sub_dim >= 2:  # every entry would be 1 + i: no draw has full rank
         raise ValueError("coeff_bound must be at least 2 when sub_dim >= 2")
-    best = 0
-    for t in range(trials):
-        rng = Random(f"{seed}:generic:{t}")
-        rows = [[_random_scalar(rng, coeff_bound) for _ in range(sub_dim)] for _ in range(form.n)]
-        best = max(best, form_rank(compose_linear(form, rows)))
-    return best
+    rngs = (Random(f"{seed}:generic:{t}") for t in range(trials))
+    draws = (([[_random_scalar(rng, coeff_bound) for _ in range(sub_dim)] for _ in range(form.n)], None)
+             for rng in rngs)
+    return _sampled_rank(form, draws, sum(comb(sub_dim - 1 + e, e) for e in set(map(sum, form.support()))))
 
 
 def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound: int) -> Fraction:
@@ -114,12 +130,12 @@ def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound
     at most 2Dr, and a trial undershoots, rank-deficient draws included,
     only if that minor vanishes at the draw: with x and y uniform on
     {1..coeff_bound}, Schwartz-Zippel bounds that by 2Dr/coeff_bound.
-    Trials are independent; r is at most the support size of the form
-    and the restricted matrix's size.
+    Trials are independent; r is at most form_rank(form), the restricted
+    matrix being T*CT, and at most that matrix's size C(sub_dim + D, D).
     """
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     D = form.max_degree()
-    r = min(len(form.support()), comb(sub_dim + D, D))
+    r = min(form_rank(form), comb(sub_dim + D, D))
     per_trial = min(Fraction(1), Fraction(2 * D * r, coeff_bound))
     return per_trial**trials
 
@@ -131,24 +147,20 @@ def max_affine_rank(
     seed: int = 0,
     coeff_bound: int = 10**6,
 ) -> int:
-    """Largest restriction rank seen over sampled affine subspaces.
+    """Largest restriction rank seen over at most `samples` sampled affine subspaces.
 
-    Samples graph-form subspaces: the first sub_dim ambient coordinates
-    are free and the rest are random affine functions of them.  This is
-    a lower bound for the true supremum that reaches the generic value
-    for generic samples.
+    Samples graph-form subspaces: the first sub_dim ambient coordinates are free and the rest are random
+    affine functions of them.  This is a lower bound for the true supremum that reaches the generic value for
+    generic samples.  (Ew + t)^alpha has degree at most D, the form's top degree, in sub_dim variables, so no
+    sample's rank exceeds C(sub_dim + D, D), where sampling stops (`_sampled_rank`).
     """
     _check_sampling(form, sub_dim, "samples", samples, coeff_bound)
-    best = 0
-    for t in range(samples):
-        rng = Random(f"{seed}:affine:{t}")
-        rows = [[gr(int(j == i)) for j in range(sub_dim)] for i in range(sub_dim)]
-        trans: List[GaussianRational] = [GR_ZERO] * sub_dim
-        for _ in range(form.n - sub_dim):
-            rows.append([_random_scalar(rng, coeff_bound) for _ in range(sub_dim)])
-            trans.append(_random_scalar(rng, coeff_bound))
-        best = max(best, form_rank(compose_linear(form, rows, trans)))
-    return best
+    free = [[gr(int(j == i)) for j in range(sub_dim)] for i in range(sub_dim)]
+    extras = ([[_random_scalar(rng, coeff_bound) for _ in range(sub_dim + 1)] for _ in range(form.n - sub_dim)]
+              for rng in (Random(f"{seed}:affine:{t}") for t in range(samples)))  # each row is E's, then t's
+    draws = ((free + [row[:-1] for row in extra], [GR_ZERO] * sub_dim + [row[-1] for row in extra])
+             for extra in extras)
+    return _sampled_rank(form, draws, comb(sub_dim + form.max_degree(), sub_dim))
 
 
 def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRational]]:

@@ -2,6 +2,8 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import product
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -9,6 +11,7 @@ import pytest
 
 from dense import conj, evaluate, form_matrix, identity, matmul
 from hyperq import forms, restrict
+from hyperq.cli import _build_parser
 from hyperq.errors import ConjugateMismatch, DimensionMismatch
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
@@ -25,6 +28,7 @@ from hyperq.restrict import (
     sz_failure_bound,
 )
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
+from test_golden import golden_cases
 from tuple_polys import restriction_matrix
 
 
@@ -256,6 +260,83 @@ def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
         generic_restriction_rank(form, 2)
     with pytest.raises(ConjugateMismatch):
         max_affine_rank(form, 2)
+
+
+def _signed_squares(n, *squares):
+    """The form sum of sign |sum of c z^alpha|^2 over the squares (sign, {alpha: c})."""
+    return form_from_entries(n, [(a, b, gr(sign) * x * conj(gr(0) + y))
+                                 for sign, p in squares for a, x in p.items() for b, y in p.items()])
+
+
+def _every_draw(form, sampler, sub_dim, count, seed, bound):
+    """The sampler's answer rebuilt as the max over all count draws of its seeded streams."""
+    stream, draw = {generic_restriction_rank: ("generic", _generic_embedding),
+                    max_affine_rank: ("affine", _affine_embedding)}[sampler]
+    return max(form_rank(restrict_form(form, draw(Random(f"{seed}:{stream}:{t}"), form.n, sub_dim, bound)))
+               for t in range(count))
+
+
+def test_samplers_stop_at_a_ceiling_with_the_answer_of_every_draw(monkeypatch):
+    x = _signed_squares(3, *((1, {unit(3, i): 1}) for i in range(3)))  # |z1|^2 + |z2|^2 + |z3|^2, rank 3
+
+    def pair(n):  # |z1 + z2|^2 - |z3|^2 in n variables: support 3, rank 2
+        return _signed_squares(n, (1, {unit(n, 0): 1, unit(n, 1): 1}), (-1, {unit(n, 2): 1}))
+
+    sheared = {(1, 0): gr(1, 1), (0, 1): -1}  # (1 + i) z1 - z2, constant on every draw at coeff_bound 1
+    cases = [  # form, sampler, sub_dim, coeff_bound, calls of compose_linear out of 4
+        (x, generic_restriction_rank, 2, 10**6, 1),  # monomial ceiling C(2 - 1 + 1, 1) = 2 < rank 3
+        (x, max_affine_rank, 1, 10**6, 1),  # monomial ceiling C(1 + 1, 1) = 2 < rank 3
+        (pair(4), generic_restriction_rank, 3, 10**6, 1),  # rank 2 < C(3 - 1 + 1, 1) = 3
+        (pair(3), max_affine_rank, 2, 10**6, 1),  # rank 2 < C(2 + 1, 1) = 3
+        (_signed_squares(2, (1, {(1, 0): 1}), (-1, {(0, 1): 1})), generic_restriction_rank, 1, 1, 4),  # rank 0
+        # the constant, w and w + 1 span 2 < rank 3 = C(1 + 2, 2) of p, z1 p and z2 p for p = (1 + i) z1 - z2
+        (_signed_squares(2, *((1, {tuple(a + b for a, b in zip(alpha, m)): c for alpha, c in sheared.items()})
+                              for m in ((0, 0), (1, 0), (0, 1)))), max_affine_rank, 1, 1, 4),
+    ]
+    want = [_every_draw(form, sampler, sub_dim, 4, 5, bound) for form, sampler, sub_dim, bound, _ in cases]
+    assert want == [2, 2, 2, 2, 0, 2]
+    calls = []
+    composed = restrict.compose_linear
+    monkeypatch.setattr(restrict, "compose_linear", lambda *args: calls.append(args) or composed(*args))
+    for (form, sampler, sub_dim, bound, count), value in zip(cases, want):
+        calls.clear()
+        assert sampler(form, sub_dim, 4, 5, bound) == value
+        assert len(calls) == count, (sampler.__name__, sub_dim)
+
+
+def _support_bound(form, sub_dim, trials, coeff_bound):
+    """sz_failure_bound as first written, with r = min(support size, C(sub_dim + D, D))."""
+    D = form.max_degree()
+    r = min(len(form.support()), comb(sub_dim + D, D))
+    return min(Fraction(1), Fraction(2 * D * r, coeff_bound)) ** trials
+
+
+def test_sz_failure_bound_takes_the_form_rank():
+    # never above the support-size bound, below it on seeded forms whose support exceeds their rank,
+    # and equal to it on every golden restrict generic case, whose forms have support = rank
+    rng = Random(36)
+    tighter = 0
+    for _ in range(20):
+        n, d = rng.randint(3, 4), rng.randint(1, 3)
+        monos = [alpha for alpha in product(range(d + 1), repeat=n) if 0 < sum(alpha) <= d]
+        squares = [(rng.choice((-1, 1)), {alpha: gr(rng.randint(-3, 3), rng.randint(-3, 3))
+                                          for alpha in rng.sample(monos, min(len(monos), 4))}) for _ in range(2)]
+        form = _signed_squares(n, *squares)
+        assert len(form.support()) > form_rank(form)
+        for sub_dim in range(1, n):
+            new, old = sz_failure_bound(form, sub_dim, 2, 10**6), _support_bound(form, sub_dim, 2, 10**6)
+            assert 0 < new <= old
+            tighter += new < old
+    assert tighter > 20
+    parser = _build_parser()
+    golden = Path(__file__).parent / "golden"
+    cases = [parser.parse_args(argv) for _, argv in golden_cases() if argv[:2] == ["restrict", "generic"]]
+    assert len(cases) == 5
+    for args in cases:
+        form = load_form(str(golden / args.file))
+        assert len(form.support()) == form_rank(form)
+        assert (sz_failure_bound(form, args.dim, args.trials, args.coeff_bound)
+                == _support_bound(form, args.dim, args.trials, args.coeff_bound))
 
 
 def test_sz_failure_bound_shrinks():
