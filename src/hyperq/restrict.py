@@ -114,9 +114,8 @@ def generic_restriction_rank(
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     if coeff_bound == 1 and sub_dim >= 2:  # every entry would be 1 + i: no draw has full rank
         raise ValueError("coeff_bound must be at least 2 when sub_dim >= 2")
-    rngs = (Random(f"{seed}:generic:{t}") for t in range(trials))
     draws = (([[_random_scalar(rng, coeff_bound) for _ in range(sub_dim)] for _ in range(form.n)], None)
-             for rng in rngs)
+             for rng in (Random(f"{seed}:generic:{t}") for t in range(trials)))
     return _sampled_rank(form, draws, sum(comb(sub_dim - 1 + e, e) for e in set(map(sum, form.support()))))
 
 

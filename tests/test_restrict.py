@@ -264,7 +264,7 @@ def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
 
 def _signed_squares(n, *squares):
     """The form sum of sign |sum of c z^alpha|^2 over the squares (sign, {alpha: c})."""
-    return form_from_entries(n, [(a, b, gr(sign) * x * conj(gr(0) + y))
+    return form_from_entries(n, [(a, b, gr(sign) * x * conj(GaussianRational.coerce(y)))
                                  for sign, p in squares for a, x in p.items() for b, y in p.items()])
 
 
@@ -282,16 +282,16 @@ def test_samplers_stop_at_a_ceiling_with_the_answer_of_every_draw(monkeypatch):
     def pair(n):  # |z1 + z2|^2 - |z3|^2 in n variables: support 3, rank 2
         return _signed_squares(n, (1, {unit(n, 0): 1, unit(n, 1): 1}), (-1, {unit(n, 2): 1}))
 
-    sheared = {(1, 0): gr(1, 1), (0, 1): -1}  # (1 + i) z1 - z2, constant on every draw at coeff_bound 1
+    # p, z1 p and z2 p for p = (1 + i) z1 - z2, which is constant on every affine draw at coeff_bound 1
+    shears = [{(1, 0): gr(1, 1), (0, 1): -1}, {(2, 0): gr(1, 1), (1, 1): -1}, {(1, 1): gr(1, 1), (0, 2): -1}]
     cases = [  # form, sampler, sub_dim, coeff_bound, calls of compose_linear out of 4
         (x, generic_restriction_rank, 2, 10**6, 1),  # monomial ceiling C(2 - 1 + 1, 1) = 2 < rank 3
         (x, max_affine_rank, 1, 10**6, 1),  # monomial ceiling C(1 + 1, 1) = 2 < rank 3
         (pair(4), generic_restriction_rank, 3, 10**6, 1),  # rank 2 < C(3 - 1 + 1, 1) = 3
         (pair(3), max_affine_rank, 2, 10**6, 1),  # rank 2 < C(2 + 1, 1) = 3
         (_signed_squares(2, (1, {(1, 0): 1}), (-1, {(0, 1): 1})), generic_restriction_rank, 1, 1, 4),  # rank 0
-        # the constant, w and w + 1 span 2 < rank 3 = C(1 + 2, 2) of p, z1 p and z2 p for p = (1 + i) z1 - z2
-        (_signed_squares(2, *((1, {tuple(a + b for a, b in zip(alpha, m)): c for alpha, c in sheared.items()})
-                              for m in ((0, 0), (1, 0), (0, 1)))), max_affine_rank, 1, 1, 4),
+        # there they restrict to multiples of 1, w and w + 1, which span 2 < rank 3 = C(1 + 2, 2)
+        (_signed_squares(2, *((1, q) for q in shears)), max_affine_rank, 1, 1, 4),
     ]
     want = [_every_draw(form, sampler, sub_dim, 4, 5, bound) for form, sampler, sub_dim, bound, _ in cases]
     assert want == [2, 2, 2, 2, 0, 2]
