@@ -8,24 +8,24 @@ denominator, which `_entries_side` builds from listed (re, im) int pairs and
 checks Hermitian once; its GaussianRational entries are reduced only when
 read.  Rank, inertia and weighted holomorphic squares are exact and read one
 elimination per form, memoized with that view.  Substitution (in two passes,
-with E and t cleared by one lcm) and norm differences sum Gaussian integers
-over one denominator, in the upper triangle of a sum that is Hermitian by
-construction, and list it as the new form's entries.  The monomial basis is
-graded lexicographic everywhere, so matrices, files and decompositions are
-reproducible byte for byte.
+with E and t cleared by one lcm, on monomials keyed by packed ints) and norm
+differences sum Gaussian integers over one denominator, in the upper triangle
+of a sum that is Hermitian by construction, and read the new form's view off
+that triangle.  The monomial basis is graded lexicographic everywhere, so
+matrices, files and decompositions are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd, lcm
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _GIPair as _Pair, _cleared, _components, _signs, _symmetric_steps
-from .multiindex import MultiIndex, add as mi_add, sorted_grlex, unit, zero_index
+from .multiindex import MultiIndex, grlex_key, sorted_grlex, zero_index
 from .scalars import GaussianRational
 
 
@@ -227,11 +227,11 @@ _FormSide = Tuple[List[MultiIndex], Dict[Tuple[int, int], _Pair], int]
 HoloSide = Tuple[int, Tuple[Tuple[int, Tuple[int, int], _PairPoly], ...]]  # see _holo_side
 
 
-def _pair_mul(p: _PairPoly, q: _PairPoly) -> _PairPoly:
-    out: _PairPoly = {}
+def _pair_mul(p: Dict[int, _Pair], q: Dict[int, _Pair]) -> Dict[int, _Pair]:
+    out: Dict[int, _Pair] = {}
     for ka, (ar, ai) in p.items():
         for kb, (br, bi) in q.items():
-            k = mi_add(ka, kb)
+            k = ka + kb
             r, i = out.get(k, (0, 0))
             out[k] = (r + ar * br - ai * bi, i + ar * bi + ai * br)
     return out
@@ -249,11 +249,13 @@ def _sandwich(acc: _Rows, c: _Pair, left: Dict[int, _Pair], right: List[_Pair]) 
 
 def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> HermitianForm:
     """The form with entry acc[i][j - i] / den at (basis[i], basis[j]), j >= i, from the upper triangle
-    acc of a sum that the check never refuses, as it is Hermitian by construction: `_composed` adds
+    acc of a sum that is Hermitian by construction, so it needs no check: `_composed` adds
     C_ab M^e P_a[x] conj(P_b[y]) at (x, y) for each entry C_ab of a checked form, and C_ba = conj(C_ab)
-    its conjugate at (y, x); `norm_difference` adds k P[x] conj(P[y]), k real."""
-    upper = (((basis[i], basis[j]), x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0))
-    return _from_side(HermitianForm(n), "entries", _entries_side(upper, den))
+    its conjugate at (y, x); `norm_difference` adds k P[x] conj(P[y]), k real.  So the view is read off
+    the triangle, each nonzero entry once, on the basis indices that carry one, in the basis' grlex order."""
+    upper = [((i, j), x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0)]
+    used = sorted({k for key, _ in upper for k in key})
+    return _from_side(HermitianForm(n), "entries", _reduced(basis, used, upper, den))
 
 
 def _from_side(value: Any, name: str, side: Any) -> Any:
@@ -264,23 +266,28 @@ def _from_side(value: Any, name: str, side: Any) -> Any:
 
 
 def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]], n_dst: int,
-                monomials: Iterable[MultiIndex]) -> Tuple[Dict[MultiIndex, _PairPoly], int]:
-    """(P, M) with (Ez + t)^alpha = sum over gamma of P_alpha[gamma] z^gamma / M^|alpha|.
+                monomials: Sequence[MultiIndex]) -> Tuple[List[Dict[int, _Pair]], int, int]:
+    """(P, M, w) with (Ez + t)^alpha = sum over gamma of P_k[key(gamma)] z^gamma / M^|alpha|, alpha = monomials[k].
 
-    E and t are cleared together by the lcm M of their denominators, so
-    P_alpha is over Z[i].  The powers of each row are cached: a monomial
-    costs one product per variable.
+    E and t are cleared together by the lcm M of their denominators, so P_k is over Z[i].  A monomial gamma of
+    the n = n_dst new variables is keyed by the int key(gamma) = |gamma| B^n - sum_i gamma_i B^(n-1-i), B = 2^w,
+    w = max(D.bit_length(), 1) for D the top |alpha|.  key is linear, so a term product adds two keys.  Each
+    gamma that P reaches has every gamma_i <= |gamma| <= D < B, so the sum reads gamma as n base-B digits,
+    gamma_1 on top, in [0, B^n), and key(gamma) lies in ((|gamma| - 1) B^n, |gamma| B^n]: a lower degree has the
+    smaller key, and within a degree the larger key is the lexicographically smaller gamma.  So ascending keys
+    are grlex order (`multiindex.grlex_key`), and the digits of -key mod B^n are gamma.  The powers of each row
+    are cached: a monomial costs one product per variable.
     """
     for i, row in enumerate(matrix):
         if len(row) != n_dst:
             raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
     rows = zip(matrix, repeat(0) if translation is None else translation)
     pairs, m = _cleared(x for row, t in rows for x in (*row, t))
-    origin = zero_index(n_dst)
-    one: _PairPoly = {origin: (1, 0)}
-    keys = [unit(n_dst, j) for j in range(n_dst)] + [origin]
+    w = max(max(map(sum, monomials), default=0).bit_length(), 1)
+    one: Dict[int, _Pair] = {0: (1, 0)}
+    keys = [(1 << w * n_dst) - (1 << w * (n_dst - 1 - j)) for j in range(n_dst)] + [0]
     powers = [[one, {k: c for k, c in zip(keys, pairs[i * len(keys):]) if c != (0, 0)}] for i in range(len(matrix))]
-    table: Dict[MultiIndex, _PairPoly] = {}
+    table = []
     for alpha in monomials:
         out = one
         for i, e in enumerate(alpha):
@@ -288,8 +295,8 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
                 while len(powers[i]) <= e:
                     powers[i].append(_pair_mul(powers[i][-1], powers[i][1]))
                 out = _pair_mul(out, powers[i][e])
-        table[alpha] = out
-    return table, m
+        table.append(out)
+    return table, m, w
 
 
 def _entries_side(listed: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair]], den: int) -> _FormSide:
@@ -304,22 +311,29 @@ def _entries_side(listed: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair]],
         y = acc.get(key)
         acc[key] = x if y is None else (x[0] + y[0], x[1] + y[1])
     listed_at = list(first)
-    support = sorted_grlex({listed_at[k] for key, x in acc.items() if x != (0, 0) for k in key})
-    at = {alpha: k for k, alpha in enumerate(support)}
-    to = [at.get(alpha) for alpha in listed_at]
-    g = gcd(den, *(v for x in acc.values() for v in x)) if den > 1 else 1
-    flat: Dict[Tuple[int, int], _Pair] = {}
+    used = sorted({k for key, x in acc.items() if x != (0, 0) for k in key}, key=lambda k: grlex_key(listed_at[k]))
     for (i, j), (re, im) in acc.items():
-        c = (re, -im)
-        if acc.get((j, i), c) != c:
+        if acc.get((j, i), (re, -im)) != (re, -im):
             a, b = listed_at[i], listed_at[j]
             if i == j:
                 raise NonRealDiagonal(f"diagonal entry at {a} has imaginary part {Fraction(im, den)}")
             raise ConjugateMismatch(f"entries at ({a}, {b}) and ({b}, {a}) are not mutual conjugates")
+    return _reduced(listed_at, used, acc.items(), den)
+
+
+def _reduced(monomials: Sequence[MultiIndex], used: List[int], listed: Iterable[Tuple[Tuple[int, int], _Pair]],
+             den: int) -> _FormSide:
+    """(support, flat, D), the one reducer of both writers: support lists monomials[k] for k in used, and each
+    nonzero x listed at (i, j) puts x / g at flat[used.index(i), used.index(j)] and its conjugate at the mirror,
+    g = gcd(den, every part), D = den / g.  A Hermitian sum lists no other mirror value; `listed` is read twice."""
+    to = dict(zip(used, count()))
+    g = gcd(den, *(v for _, x in listed for v in x)) if den > 1 else 1
+    flat: Dict[Tuple[int, int], _Pair] = {}
+    for (i, j), (re, im) in listed:
         if re or im:
             a, b = to[i], to[j]
-            flat[a, b], flat[b, a] = ((re, im), c) if g == 1 else ((re // g, im // g), (re // g, -im // g))
-    return support, flat, den // g
+            flat[a, b], flat[b, a] = ((re, im), (re, -im)) if g == 1 else ((re // g, im // g), (re // g, -im // g))
+    return [monomials[k] for k in used], flat, den // g
 
 
 def _form_side(form: HermitianForm) -> _FormSide:
@@ -349,8 +363,8 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     V_alpha[delta], then acc[gamma][delta] += P_alpha[gamma] conj(V_alpha[delta]):
     nnz k + |support| k^2 products for k terms per P, not nnz k^2, and pass 2 sums
     only delta >= gamma, as the sum is Hermitian (see `_to_form`).  gamma and delta
-    are indices in one grlex basis of the monomials the P reach, and each V_alpha
-    is a dense row over that basis.
+    are indices in one grlex basis of the monomials the P reach, their sorted keys
+    each decoded once, and each V_alpha is a dense row over that basis.
     """
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
@@ -360,10 +374,11 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
         )
     n_dst = len(matrix[0]) if form.n else 0
     support, flat, d = _form_side(form)
-    table, m = _expansions(matrix, translation, n_dst, support)
-    basis = sorted_grlex({g for p in table.values() for g in p})
-    at = {g: i for i, g in enumerate(basis)}
-    table = [{at[g]: x for g, x in table[alpha].items()} for alpha in support]
+    table, m, w = _expansions(matrix, translation, n_dst, support)
+    keys = sorted({k for p in table for k in p})
+    at = dict(zip(keys, count()))
+    table = [{at[k]: x for k, x in p.items()} for p in table]
+    basis = [tuple(-k >> w * j & (1 << w) - 1 for j in range(n_dst - 1, -1, -1)) for k in keys]
     size = [sum(alpha) for alpha in support]  # |alpha|
     top = max((size[i] + size[j] for i, j in flat), default=0)
     scale = [m**e for e in range(top + 1)]

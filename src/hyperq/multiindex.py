@@ -24,10 +24,6 @@ def sorted_grlex(indices: Iterable[MultiIndex]) -> List[MultiIndex]:
     return sorted(indices, key=grlex_key)
 
 
-def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(map(operator.add, alpha, beta))
-
-
 def unit(n_vars: int, i: int) -> MultiIndex:
     """The exponent tuple of the single variable with 0-based index i."""
     return tuple(1 if j == i else 0 for j in range(n_vars))

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from random import Random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .forms import HermitianForm, compose_linear, form_from_entries, form_rank
 from .linalg import _cleared, solve
 from .multiindex import unit
-from .scalars import GR_ZERO, GaussianRational, gr
+from .scalars import GR_ZERO, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,9 @@ def restrict_form(form: HermitianForm, E: AffineEmbedding) -> HermitianForm:
     return compose_linear(form, E.linear, E.translation)
 
 
-def _random_scalar(rng: Random, bound: int) -> GaussianRational:
-    return gr(rng.randint(1, bound), rng.randint(1, bound))
+def _random_scalar(rng: Random, bound: int) -> Tuple[int, int]:
+    """x + iy as the (x, y) ints that `linalg._cleared` reads, 1 <= x, y <= bound."""
+    return rng.randint(1, bound), rng.randint(1, bound)
 
 
 def _check_sampling(form: HermitianForm, sub_dim: int, name: str, count: int, coeff_bound: int) -> None:
@@ -78,19 +79,20 @@ def _check_sampling(form: HermitianForm, sub_dim: int, name: str, count: int, co
         raise ValueError("coeff_bound must be at least 1")
 
 
-def _sampled_rank(form: HermitianForm, draws: Iterable[Tuple[list, Optional[list]]], ceiling: int) -> int:
-    """Largest form_rank(compose_linear(form, E, t)) over the draws (E, t), stopping at a bound on every draw.
+def _sampled_rank(form: HermitianForm, stream: str, count: int, draw: Callable[[Random], tuple], ceiling: int) -> int:
+    """Largest form_rank(compose_linear(form, E, t)) over the draws (E, t) = draw(Random(f"{stream}:{k}")),
+    k < count, stopping at a bound on every draw.
 
     Two such bounds hold: ceiling, a count of the monomials the restricted matrix can live on, and
     form_rank(form), as that matrix is T*CT with C the form's.  Once the best rank so far reaches one, no later
-    draw can raise it, so the answer is the maximum over every draw.  form_rank(form), one memoized
-    elimination, is read only while a draw remains.
+    draw can raise it, so the answer is the maximum over every draw.  Both are tested before a draw is built,
+    and form_rank(form), one memoized elimination, is read only while a draw remains.
     """
     best = 0
-    for t, (rows, trans) in enumerate(draws):
-        if t and (best == ceiling or best == form_rank(form)):
+    for k in range(count):
+        if k and (best == ceiling or best == form_rank(form)):
             break
-        best = max(best, form_rank(compose_linear(form, rows, trans)))
+        best = max(best, form_rank(compose_linear(form, *draw(Random(f"{stream}:{k}")))))
     return best
 
 
@@ -114,9 +116,9 @@ def generic_restriction_rank(
     _check_sampling(form, sub_dim, "trials", trials, coeff_bound)
     if coeff_bound == 1 and sub_dim >= 2:  # every entry would be 1 + i: no draw has full rank
         raise ValueError("coeff_bound must be at least 2 when sub_dim >= 2")
-    draws = (([[_random_scalar(rng, coeff_bound) for _ in range(sub_dim)] for _ in range(form.n)], None)
-             for rng in (Random(f"{seed}:generic:{t}") for t in range(trials)))
-    return _sampled_rank(form, draws, sum(comb(sub_dim - 1 + e, e) for e in set(map(sum, form.support()))))
+    ceiling = sum(comb(sub_dim - 1 + e, e) for e in set(map(sum, form.support())))
+    return _sampled_rank(form, f"{seed}:generic", trials, lambda rng: (
+        [[_random_scalar(rng, coeff_bound) for _ in range(sub_dim)] for _ in range(form.n)], None), ceiling)
 
 
 def sz_failure_bound(form: HermitianForm, sub_dim: int, trials: int, coeff_bound: int) -> Fraction:
@@ -154,12 +156,13 @@ def max_affine_rank(
     sample's rank exceeds C(sub_dim + D, D), where sampling stops (`_sampled_rank`).
     """
     _check_sampling(form, sub_dim, "samples", samples, coeff_bound)
-    free = [[gr(int(j == i)) for j in range(sub_dim)] for i in range(sub_dim)]
-    extras = ([[_random_scalar(rng, coeff_bound) for _ in range(sub_dim + 1)] for _ in range(form.n - sub_dim)]
-              for rng in (Random(f"{seed}:affine:{t}") for t in range(samples)))  # each row is E's, then t's
-    draws = ((free + [row[:-1] for row in extra], [GR_ZERO] * sub_dim + [row[-1] for row in extra])
-             for extra in extras)
-    return _sampled_rank(form, draws, comb(sub_dim + form.max_degree(), sub_dim))
+    free = [[int(j == i) for j in range(sub_dim)] for i in range(sub_dim)]
+
+    def draw(rng: Random) -> tuple:
+        extra = [[_random_scalar(rng, coeff_bound) for _ in range(sub_dim + 1)] for _ in range(form.n - sub_dim)]
+        return free + [row[:-1] for row in extra], [0] * sub_dim + [row[-1] for row in extra]  # E's, then t's
+
+    return _sampled_rank(form, f"{seed}:affine", samples, draw, comb(sub_dim + form.max_degree(), sub_dim))
 
 
 def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRational]]:

@@ -4,6 +4,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -17,6 +18,7 @@ from hyperq.forms import (
     SignaturePair,
     _composed,
     _elimination,
+    _entries_side,
     _expansions,
     _form_side,
     _to_form,
@@ -35,7 +37,7 @@ from hyperq.multiindex import sorted_grlex, unit, zero_index
 from hyperq.restrict import cayley_unitary, generic_restriction_rank
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 from test_linalg import _gr_ldl_components
-from tuple_polys import monomials_up_to, poly_mul
+from tuple_polys import mi_add, monomials_up_to, poly_mul
 
 
 def _random_form(rng, n, terms, span=5):
@@ -326,12 +328,48 @@ def test_integer_compose_matches_gaussian_rational_loop():
     assert cases == 12 * 3 * 3
 
 
+def _tuple_pair_mul(p, q):
+    out = {}
+    for ka, (ar, ai) in p.items():
+        for kb, (br, bi) in q.items():
+            k = mi_add(ka, kb)
+            r, i = out.get(k, (0, 0))
+            out[k] = (r + ar * br - ai * bi, i + ar * bi + ai * br)
+    return out
+
+
+def _tuple_expansions(matrix, translation, n_dst, monomials):
+    """_expansions as it was before its keys were packed: (P, M) with P_alpha keyed by the
+    exponent tuples gamma, each term product an mi_add and a tuple hash."""
+    rows = zip(matrix, [0] * len(matrix) if translation is None else translation)
+    pairs, m = _cleared(x for row, t in rows for x in (*row, t))
+    origin = zero_index(n_dst)
+    one = {origin: (1, 0)}
+    keys = [unit(n_dst, j) for j in range(n_dst)] + [origin]
+    powers = [[one, {k: c for k, c in zip(keys, pairs[i * len(keys):]) if c != (0, 0)}] for i in range(len(matrix))]
+    table = {}
+    for alpha in monomials:
+        out = one
+        for i, e in enumerate(alpha):
+            if e:
+                while len(powers[i]) <= e:
+                    powers[i].append(_tuple_pair_mul(powers[i][-1], powers[i][1]))
+                out = _tuple_pair_mul(out, powers[i][e])
+        table[alpha] = out
+    return table, m
+
+
+def _unpacked(key, n, w):
+    """The exponent tuple of a packed grlex key: the base-2^w digits of -key mod 2^(w n), first variable on top."""
+    return tuple(-key >> w * (n - 1 - i) & (1 << w) - 1 for i in range(n))
+
+
 def _one_pass_composed(form, matrix, translation):
     """The full square accumulator of _composed summed entry by entry, both triangles: nnz k^2
     products, no regrouping.  Its rows are keyed by the monomials gamma themselves, not by
     their basis indices."""
     n_dst = len(matrix[0]) if form.n else 0
-    table, m = _expansions(matrix, translation, n_dst, form.support())
+    table, m = _tuple_expansions(matrix, translation, n_dst, form.support())
     pairs, d = _cleared(form.entries.values())
     top = max((sum(alpha) + sum(beta) for alpha, beta in form.entries), default=0)
     acc = {}
@@ -363,36 +401,129 @@ def _mirrored(upper):
     return {**upper, **{(b, a): (re, -im) for (a, b), (re, im) in upper.items()}}
 
 
-def test_two_pass_compose_matches_the_one_pass_loop():
-    # _composed sums the upper triangle only: mirrored, it is the full square the one-pass
-    # loop sums, and the form _to_form builds from it has that square's entries, with the
-    # side that clearing those entries gives
+def _compose_cases():
+    """The seeded (form, E, t) of the two-pass test: 7 forms, 2 x 3 embeddings each, t = None or not."""
     rng = Random(1313)
     mixed = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
     c = gr(Fraction(2, 7), Fraction(-5, 3))
     # top |alpha| + |beta| is 3, below twice the top degree 3
     short = form_from_entries(2, [((3, 0), (0, 0), c), ((0, 0), (3, 0), conj(c))])
     forms = [mixed, short, HermitianForm(3, {})] + [_mixed_form(rng, n, rng.randint(2, 9)) for n in (1, 2, 3, 3)]
-    cases = 0
     for form in forms:
         for _ in range(2):
             for E in _embeddings(rng, form.n):
                 for trans in (None, [_gaussian(rng) for _ in range(form.n)]):
-                    full, den = _one_pass_composed(form, E, trans)
-                    want = _nonzero(full)
-                    n_dst, basis, acc, got_den = _composed(form, E, trans)
-                    assert n_dst == len(E[0]) and got_den == den
-                    assert basis == sorted_grlex(basis)
-                    assert _mirrored(_upper(acc, basis)) == want
-                    got = _to_form(n_dst, basis, acc, den)
-                    assert got.entries == {key: gr(Fraction(re, den), Fraction(im, den))
-                                           for key, (re, im) in want.items()}
-                    assert _form_side(got) == _form_side(HermitianForm(n_dst, dict(got.entries)))
-                    # form reads its memoized side from the first call on; a fresh copy has none
-                    _, basis, acc, _ = _composed(HermitianForm(form.n, form.entries), E, trans)
-                    assert _mirrored(_upper(acc, basis)) == want
-                    cases += 1
+                    yield form, E, trans
+
+
+def test_two_pass_compose_matches_the_one_pass_loop():
+    # _composed sums the upper triangle only: mirrored, it is the full square the one-pass
+    # loop sums, and the form _to_form builds from it has that square's entries, with the
+    # side that clearing those entries gives
+    cases = 0
+    for form, E, trans in _compose_cases():
+        full, den = _one_pass_composed(form, E, trans)
+        want = _nonzero(full)
+        n_dst, basis, acc, got_den = _composed(form, E, trans)
+        assert n_dst == len(E[0]) and got_den == den
+        assert basis == sorted_grlex(basis)
+        assert _mirrored(_upper(acc, basis)) == want
+        got = _to_form(n_dst, basis, acc, den)
+        assert got.entries == {key: gr(Fraction(re, den), Fraction(im, den))
+                               for key, (re, im) in want.items()}
+        assert _form_side(got) == _form_side(HermitianForm(n_dst, dict(got.entries)))
+        # form reads its memoized side from the first call on; a fresh copy has none
+        _, basis, acc, _ = _composed(HermitianForm(form.n, form.entries), E, trans)
+        assert _mirrored(_upper(acc, basis)) == want
+        cases += 1
     assert cases == 7 * 2 * 3 * 2
+
+
+def _packed(gamma, w):
+    """key(gamma) = |gamma| B^n - sum_i gamma_i B^(n-1-i), B = 2^w, written out."""
+    n = len(gamma)
+    return sum(gamma) * (1 << w * n) - sum(e * (1 << w * (n - 1 - i)) for i, e in enumerate(gamma))
+
+
+def test_packed_keys_sort_as_grlex_and_add():
+    # _expansions of the identity keys z^alpha by key(alpha) alone, built by adding the keys of its
+    # factors; keys sort as sorted_grlex and decode back, up to an exponent equal to the top degree D
+    rng = Random(37)
+    for n in range(1, 7):
+        for top in (0, 1, 2, 7, 8, 40):
+            if comb(n + top, n) <= 600:
+                base = monomials_up_to(n, top)
+            else:  # the pure powers z_i^D and 300 monomials of stratified degree
+                base = [tuple(top * (j == i) for j in range(n)) for i in range(n)]
+                for k in range(300):
+                    cuts = sorted(rng.randint(0, k % (top + 1)) for _ in range(n - 1))
+                    base.append(tuple(b - a for a, b in zip([0, *cuts], [*cuts, k % (top + 1)])))
+            pairs = [(a, b) for a, b in ((rng.choice(base), rng.choice(base)) for _ in range(60))
+                     if sum(a) + sum(b) <= top]
+            monos = list(dict.fromkeys(base + [mi_add(a, b) for a, b in pairs]))
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            table, m, w = _expansions(identity, None, n, monos)
+            assert m == 1 and w == max(top.bit_length(), 1)
+            assert all(list(p.values()) == [(1, 0)] for p in table)
+            key = {alpha: k for alpha, p in zip(monos, table) for k in p}
+            assert all(k == _packed(alpha, w) and _unpacked(k, n, w) == alpha for alpha, k in key.items())
+            assert sorted(monos, key=key.get) == sorted_grlex(monos)
+            assert all(key[a] + key[b] == key[mi_add(a, b)] for a, b in pairs)
+            assert max(max(alpha) for alpha in monos) == top
+
+
+def test_packed_expansions_match_the_tuple_keyed_routine():
+    cases = 0
+    for form, E, trans in _compose_cases():
+        n_dst, support = len(E[0]), form.support()
+        table, m, w = _expansions(E, trans, n_dst, support)
+        want, want_m = _tuple_expansions(E, trans, n_dst, support)
+        assert m == want_m and w == max(form.max_degree().bit_length(), 1)
+        assert [{_unpacked(k, n_dst, w): x for k, x in p.items()} for p in table] == [want[al] for al in support]
+        cases += 1
+    assert cases == 7 * 2 * 3 * 2
+
+
+def test_the_composed_view_is_that_of_its_listed_triangle():
+    # _to_form reads the view off the triangle: it is the view _entries_side builds from the same
+    # triangle, listed with monomial keys, also where the basis has monomials the sum cancels
+    row = [gr(Fraction(2, 3), Fraction(-5, 7)), gr(Fraction(1, 12), 4)]
+    difference = form_from_entries(2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1)])  # |z1|^2 - |z2|^2
+    squares = form_from_entries(3, [((1, 0, 0), (1, 0, 0), 1), ((0, 1, 0), (0, 1, 0), -1), ((0, 0, 1), (0, 0, 1), 1),
+                                    ((2, 0, 0), (0, 0, 1), gr(1, 2)), ((0, 0, 1), (2, 0, 0), gr(1, -2))])
+    cancelling = [
+        (HermitianForm(2, {}), [row, row], None),
+        (difference, [row, row], None),
+        (difference, [row, row], [gr(Fraction(1, 3), 1)] * 2),
+        (squares, [row, row, [0, gr(3, 1)]], None),  # w1 survives only in the cross term's square
+        (squares, [[gr(2), 0], [gr(2), 0], [gr(1, 1), 0]], [1, 1, 0]),  # E has a zero column
+        (squares, [[1, 0], [1, 0], [0, 0]], None),  # and a zero row: every entry cancels
+    ]
+    lost = 0
+    for form, E, trans in [*_compose_cases(), *cancelling]:
+        n_dst, basis, acc, den = _composed(form, E, trans)
+        listed = [((basis[i], basis[j]), x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0)]
+        side = _form_side(compose_linear(form, E, trans))
+        assert side == _entries_side(listed, den)
+        lost += len(side[0]) < len(basis)
+    assert lost >= 4
+
+
+def test_compose_and_norm_difference_list_no_entries(monkeypatch):
+    # both build their view from their triangle: only listed input goes through _entries_side
+    form = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
+    holo = decompose(form)
+    E = [[gr(Fraction(1, 3), 2), gr(0, 1)], [gr(1), gr(-2, Fraction(1, 5))], [gr(3), gr(1)]][:form.n]
+    E += [[gr(k), gr(1, k)] for k in range(form.n - len(E))]
+    calls = []
+    listed = forms_module._entries_side
+    monkeypatch.setattr(forms_module, "_entries_side", lambda *args: calls.append(args) or listed(*args))
+    built = [compose_linear(form, E), compose_linear(form, E, [gr(1, -1)] * form.n),
+             norm_difference(holo, False), norm_difference(holo, True)]
+    assert [form_rank(f) for f in built[2:]] == [form_rank(form), form_rank(built[3])] and calls == []
+    assert all(f.entries for f in built) and calls == []
+    form_from_entries(1, [((1,), (1,), 1)])
+    assert len(calls) == 1
 
 
 def test_integer_compose_cancels_to_the_zero_form():

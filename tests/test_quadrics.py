@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import count
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -26,7 +27,7 @@ from hyperq.formats import dump_map, parse_map
 from hyperq.forms import (HermitianForm, WeightedHoloMap, _form_side, _holo_side, compose_linear, decompose,
                           form_from_entries, form_from_real_poly, norm_difference)
 from hyperq.linalg import _cleared
-from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
+from hyperq.multiindex import grlex_key, unit, zero_index
 from hyperq.quadrics import (
     _SEARCHES,
     QuadricMap,
@@ -52,8 +53,8 @@ from hyperq.quadrics import (
 )
 from hyperq.restrict import cayley_unitary
 from hyperq.scalars import GaussianRational, gr
-from tuple_polys import (criterion_8_seeds, diagonal_map, poly_add_inplace, poly_mul, poly_shift, scanning_pivot,
-                         tuple_corner_move, tuple_grow)
+from tuple_polys import (criterion_8_seeds, diagonal_map, mi_add, poly_add_inplace, poly_mul, poly_shift,
+                         scanning_pivot, tuple_corner_move, tuple_grow)
 
 F1 = Fraction(1)
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -1412,3 +1413,38 @@ def test_sector_round_trip_reduces_no_component(monkeypatch):
     assert reduced == [] and cleared == []
     assert maps[0] == maps[1] and reduced == ["components"] * 2
     _clear_search_cache()
+
+
+def _group_invariant(r):
+    """D'Angelo's group-invariant polynomial for m = 2r + 1, homogenized by t on HQ(2, 1): y^m plus
+    (m / (m - k)) C(m - k, k) x^(m - 2k) y^k t^k for k = 0..r, minus t^m.  It is 1 on x + y = 1."""
+    m = 2 * r + 1
+    terms = {(0, m, 0): 1, (0, 0, m): -1}
+    for k in range(r + 1):
+        terms[(m - 2 * k, k, k)] = Fraction(m, m - k) * comb(m - k, k)
+    return SignedRealPoly(2, 1, terms)
+
+
+def test_group_invariant_sphere_maps_reach_degree_2n_minus_3():
+    # with x = |z|^2 and y = |w|^2 each is a monomial map from the ball in C^2 into the ball in C^N,
+    # N = r + 2, of degree 2N - 3: the sharp degree of D'Angelo, Kos and Riehl (2003), checked here
+    # on these maps, not proved
+    for r in range(1, 6):
+        N, p = r + 2, _group_invariant(r)
+        assert all(c.denominator == 1 for c in p.terms.values())
+        assert is_admissible(p) == (True, (N, 1))
+        ball = dehomogenize(p)
+        assert (ball.a, ball.b, ball.target()) == (2, 0, (N, 0)) and verify_map(ball)
+        assert max(sum(alpha) for *_, poly in ball.components.components for alpha in poly) == 2 * N - 3
+        for alpha, c in p.terms.items():  # one coefficient changed
+            assert not is_admissible(SignedRealPoly(2, 1, {**p.terms, alpha: c + 1}))[0]
+        comps = ball.components.components
+        for k, (sign, weight, poly) in enumerate(comps):  # one component's weight changed
+            bent = comps[:k] + ((sign, weight * Fraction(8, 7), poly),) + comps[k + 1:]
+            assert not verify_map(QuadricMap(2, 0, False, WeightedHoloMap(2, bent), ball.denominator))
+    # (z^3, sqrt(3) zw, w^3) tensored at any of its components maps the ball into Q(4, 0)
+    ball = dehomogenize(_group_invariant(1))
+    for k in range(len(ball.components.components)):
+        if k != ball.denominator:
+            wider = tensor_extend(ball, k)
+            assert wider.target() == (4, 0) and verify_map(wider)

@@ -179,7 +179,7 @@ def test_sz_failure_bound_checks_dimension_and_trials():
 
 def _generic_embedding(rng, n, sub_dim, bound):
     """The linear subspace that generic_restriction_rank draws from rng, unchecked as there."""
-    rows = tuple(tuple(_random_scalar(rng, bound) for _ in range(sub_dim)) for _ in range(n))
+    rows = tuple(tuple(gr(*_random_scalar(rng, bound)) for _ in range(sub_dim)) for _ in range(n))
     return AffineEmbedding(rows, (gr(0),) * n)
 
 
@@ -188,8 +188,8 @@ def _affine_embedding(rng, n, sub_dim, bound):
     rows = [[gr(int(j == i)) for j in range(sub_dim)] for i in range(sub_dim)]
     trans = [gr(0)] * sub_dim
     for _ in range(n - sub_dim):
-        rows.append([_random_scalar(rng, bound) for _ in range(sub_dim)])
-        trans.append(_random_scalar(rng, bound))
+        rows.append([gr(*_random_scalar(rng, bound)) for _ in range(sub_dim)])
+        trans.append(gr(*_random_scalar(rng, bound)))
     return embedding(rows, trans)
 
 
@@ -295,13 +295,17 @@ def test_samplers_stop_at_a_ceiling_with_the_answer_of_every_draw(monkeypatch):
     ]
     want = [_every_draw(form, sampler, sub_dim, 4, 5, bound) for form, sampler, sub_dim, bound, _ in cases]
     assert want == [2, 2, 2, 2, 0, 2]
-    calls = []
-    composed = restrict.compose_linear
+    calls, built = [], []
+    composed, seeded = restrict.compose_linear, restrict.Random
     monkeypatch.setattr(restrict, "compose_linear", lambda *args: calls.append(args) or composed(*args))
+    monkeypatch.setattr(restrict, "Random", lambda stream: built.append(stream) or seeded(stream))
     for (form, sampler, sub_dim, bound, count), value in zip(cases, want):
         calls.clear()
+        built.clear()
         assert sampler(form, sub_dim, 4, 5, bound) == value
         assert len(calls) == count, (sampler.__name__, sub_dim)
+        # the ceilings are tested before the next draw is built: every draw built is ranked
+        assert len(built) == count, (sampler.__name__, sub_dim)
 
 
 def _support_bound(form, sub_dim, trials, coeff_bound):

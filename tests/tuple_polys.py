@@ -3,18 +3,25 @@
 The sparse helpers and the tuple/Fraction lattice moves that
 hyperq.quadrics replaced with packed-integer ones, kept as test oracles,
 with the monomial lists and the Veronese restriction matrix that left
-hyperq when restriction became a substitution.  Coefficients only need
+hyperq when restriction became a substitution, and the exponent-tuple
+sum that left it when substitution keyed its monomials by packed ints.  Coefficients only need
 ring arithmetic and truthiness, so the helpers serve Fraction and
 GaussianRational polynomials alike; zero coefficients are never stored.
 """
 
+import operator
 from random import Random
 
 from hyperq.errors import NoPivotMonomial, NotAdmissible
 from hyperq.forms import WeightedHoloMap
-from hyperq.multiindex import add as mi_add, grlex_key, unit, zero_index
+from hyperq.multiindex import grlex_key, unit, zero_index
 from hyperq.quadrics import QuadricMap, SignedRealPoly, _require_admissible, _routes, is_admissible, s_poly
 from hyperq.scalars import gr
+
+
+def mi_add(alpha, beta):
+    """The exponent tuple of the product z^alpha z^beta."""
+    return tuple(map(operator.add, alpha, beta))
 
 
 def monomials_of_degree(n_vars, d):
