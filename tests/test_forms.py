@@ -495,7 +495,7 @@ def test_the_composed_view_is_that_of_its_listed_triangle():
         (HermitianForm(2, {}), [row, row], None),
         (difference, [row, row], None),
         (difference, [row, row], [gr(Fraction(1, 3), 1)] * 2),
-        (squares, [row, row, [0, gr(3, 1)]], None),  # w1 survives only in the cross term's square
+        (squares, [row, row, [0, gr(3, 1)]], None),  # w1 cancels; w1^2 and w1 w2 stay in the cross term
         (squares, [[gr(2), 0], [gr(2), 0], [gr(1, 1), 0]], [1, 1, 0]),  # E has a zero column
         (squares, [[1, 0], [1, 0], [0, 0]], None),  # and a zero row: every entry cancels
     ]
@@ -513,8 +513,7 @@ def test_compose_and_norm_difference_list_no_entries(monkeypatch):
     # both build their view from their triangle: only listed input goes through _entries_side
     form = load_form(str(Path(__file__).parent / "golden" / "inputs" / "mixed.form"))
     holo = decompose(form)
-    E = [[gr(Fraction(1, 3), 2), gr(0, 1)], [gr(1), gr(-2, Fraction(1, 5))], [gr(3), gr(1)]][:form.n]
-    E += [[gr(k), gr(1, k)] for k in range(form.n - len(E))]
+    E = [[gr(Fraction(1, 3), 2), gr(0, 1)], [gr(1), gr(-2, Fraction(1, 5))], [gr(3), gr(1)]]  # mixed.form has n = 3
     calls = []
     listed = forms_module._entries_side
     monkeypatch.setattr(forms_module, "_entries_side", lambda *args: calls.append(args) or listed(*args))

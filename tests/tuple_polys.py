@@ -4,9 +4,10 @@ The sparse helpers and the tuple/Fraction lattice moves that
 hyperq.quadrics replaced with packed-integer ones, kept as test oracles,
 with the monomial lists and the Veronese restriction matrix that left
 hyperq when restriction became a substitution, and the exponent-tuple
-sum that left it when substitution keyed its monomials by packed ints.  Coefficients only need
-ring arithmetic and truthiness, so the helpers serve Fraction and
-GaussianRational polynomials alike; zero coefficients are never stored.
+sum that left it when substitution keyed its monomials by packed ints.
+Coefficients only need ring arithmetic and truthiness, so the helpers
+serve Fraction and GaussianRational polynomials alike; zero
+coefficients are never stored.
 """
 
 import operator
