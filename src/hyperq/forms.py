@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tu
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _GIPair as _Pair, _cleared, _components, _signs, _symmetric_steps
-from .multiindex import MultiIndex, grlex_key, sorted_grlex, zero_index
+from .multiindex import MultiIndex, grlex_key, places, sorted_grlex, unpack, zero_index
 from .scalars import GaussianRational
 
 
@@ -270,13 +270,13 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
     """(P, M, w) with (Ez + t)^alpha = sum over gamma of P_k[key(gamma)] z^gamma / M^|alpha|, alpha = monomials[k].
 
     E and t are cleared together by the lcm M of their denominators, so P_k is over Z[i].  A monomial gamma of
-    the n = n_dst new variables is keyed by the int key(gamma) = |gamma| B^n - sum_i gamma_i B^(n-1-i), B = 2^w,
-    w = max(D.bit_length(), 1) for D the top |alpha|.  key is linear, so a term product adds two keys.  Each
-    gamma that P reaches has every gamma_i <= |gamma| <= D < B, so the sum reads gamma as n base-B digits,
-    gamma_1 on top, in [0, B^n), and key(gamma) lies in ((|gamma| - 1) B^n, |gamma| B^n]: a lower degree has the
-    smaller key, and within a degree the larger key is the lexicographically smaller gamma.  So ascending keys
-    are grlex order (`multiindex.grlex_key`), and the digits of -key mod B^n are gamma.  The powers of each row
-    are cached: a monomial costs one product per variable.
+    the n = n_dst new variables is keyed by the int key(gamma) = |gamma| B^n - pack(gamma), B = 2^w, pack the
+    `multiindex.places(n, w)` layout, w = max(D.bit_length(), 1) for D the top |alpha|.  key is linear, so a
+    term product adds two keys.  Each gamma that P reaches has every gamma_i <= |gamma| <= D < B, so pack reads
+    gamma as n base-B digits, gamma_1 on top, in [0, B^n), and key(gamma) lies in ((|gamma| - 1) B^n, |gamma| B^n]:
+    a lower degree has the smaller key, and within a degree the larger key is the lexicographically smaller
+    gamma.  So ascending keys are grlex order (`multiindex.grlex_key`), and -key mod B^n unpacks to gamma.  The
+    powers of each row are cached: a monomial costs one product per variable.
     """
     for i, row in enumerate(matrix):
         if len(row) != n_dst:
@@ -285,7 +285,7 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
     pairs, m = _cleared(x for row, t in rows for x in (*row, t))
     w = max(max(map(sum, monomials), default=0).bit_length(), 1)
     one: Dict[int, _Pair] = {0: (1, 0)}
-    keys = [(1 << w * n_dst) - (1 << w * (n_dst - 1 - j)) for j in range(n_dst)] + [0]
+    keys = [places(n_dst + 1, w)[0] - u for u in places(n_dst, w)] + [0]  # the degree unit B^n minus x_j's key
     powers = [[one, {k: c for k, c in zip(keys, pairs[i * len(keys):]) if c != (0, 0)}] for i in range(len(matrix))]
     table = []
     for alpha in monomials:
@@ -378,7 +378,7 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     keys = sorted({k for p in table for k in p})
     at = dict(zip(keys, count()))
     table = [{at[k]: x for k, x in p.items()} for p in table]
-    basis = [tuple(-k >> w * j & (1 << w) - 1 for j in range(n_dst - 1, -1, -1)) for k in keys]
+    basis = [unpack(-k, n_dst, w) for k in keys]
     size = [sum(alpha) for alpha in support]  # |alpha|
     top = max((size[i] + size[j] for i, j in flat), default=0)
     scale = [m**e for e in range(top + 1)]

@@ -17,17 +17,16 @@ divisibility verification of any candidate map, tensor extensions, and
 dehomogenization to rational maps between affine hyperquadrics.
 
 The moves and the divisibility routine run on integer coefficients and
-packed exponents: an exponent tuple is one int of fixed-width fields, so
-multiplying monomials adds ints.  The search ranks each child by the
-degree and term count `_key` reads off its parent and the parent's
-`_summary`, taken once when it settles; it moves (`_move`) only the
-children it settles and keeps them packed.  `grow` and `corner_move`
-pack, move, unpack.  Maps keep the integers they are built from: every
-builder (construct_map, dehomogenize, tensor_extend, map_from_form,
-identity_map, parse_map) gives a map only the integer view of its
-components (forms._holo_side), on which QuadricMap checks it and which
-verify_map and dump_map read; its Fraction and GaussianRational
-components are reduced on demand.
+exponents packed by `multiindex.places`, so multiplying monomials adds
+ints.  The search ranks each child by the degree and term count `_key`
+reads off its parent and the parent's `_summary`, taken once when it
+settles; it moves (`_move`) only the children it settles and keeps them
+packed.  `grow` and `corner_move` pack, move, unpack.  Maps keep the
+integers they are built from: every builder (construct_map,
+dehomogenize, tensor_extend, map_from_form, identity_map, parse_map)
+gives a map only the integer view of its components (forms._holo_side),
+on which QuadricMap checks it and which verify_map and dump_map read;
+its Fraction and GaussianRational components are reduced on demand.
 
 Admissibility and verification share one divisibility routine: solve
 s = c (1 on Q(a, b), 0 on HQ(a, b)) for x_1, or for z_1 w_1 once zbar
@@ -49,7 +48,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 from operator import mul
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .combinat import stability_region
 from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
@@ -57,7 +56,7 @@ from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, No
 from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _form_side, _from_side, _holo_side,
                     decompose, norm_difference)
 from .linalg import _cleared
-from .multiindex import MultiIndex, grlex_key, unit, zero_index
+from .multiindex import MultiIndex, grlex_key, places, unit, unpack, zero_index
 
 RealTerms = Dict[MultiIndex, Fraction]
 Term = Tuple[int, MultiIndex, object]
@@ -132,19 +131,18 @@ def _divides(a: int, b: int, affine: bool, complexified: bool, terms: Iterable[T
     sum_{e<top} (R_e - P_e) q^e = P - R_0, with R_0 free of q: q - L
     divides P exactly when R_0 = 0, the intermediates are the quotient's
     coefficients, and the cost is |Q| |L|, not the top e: while R = 0 the
-    loop skips to the next nonempty P_e.  Exponents are packed into one
-    int of `bits`-bit fields, where 2^bits exceeds the largest e + sum(rest):
+    loop skips to the next nonempty P_e.  rest is packed by `places` into
+    `bits`-bit fields, where 2^bits exceeds the largest e + sum(rest):
     a field of R_e comes from a term with e' >= e times L^(e' - e), so it
     stays below e' + sum(rest) and no field carries into the next.
     """
-    terms = list(terms)
-    n = a + b
+    terms, n = list(terms), a + b
     bits = max((e + sum(rest) for e, rest, _ in terms), default=1).bit_length() or 1
+    units = places(2 * n - 1 if complexified else n - 1, bits)
     rel = [(0, 1)] if affine else []  # L as (packed monomial, coefficient) pairs
     for j in range(1, n):
-        rel.append((sum(1 << bits * f for f in ((j, n + j - 1) if complexified else (j - 1,))), -1 if j < a else 1))
-    places = [1 << bits * i for i in range(2 * n)]
-    shifts = [sum(map(mul, rest, places)) for _, rest, _ in terms]
+        rel.append((units[j] + units[n + j - 1] if complexified else units[j - 1], -1 if j < a else 1))
+    shifts = [sum(map(mul, rest, units)) for _, rest, _ in terms]
     coeffs = [c for _, _, c in terms]
     for part in ([re for re, _ in coeffs], [im for _, im in coeffs]) if complexified else (coeffs,):
         rows: Dict[int, Dict[int, int]] = {}
@@ -204,32 +202,24 @@ def _routes(a: int, b: int) -> Dict[Tuple[int, int], Tuple]:
 
 
 def _pack(p: SignedRealPoly, width: int) -> Node:
-    # x_1 in the top field: among monomials of one degree the grlex-first has the largest key
-    (pairs, den), n = _cleared(p.terms.values()), p.n
-    return p.degree(), den, {sum(x << width * (n - 1 - j) for j, x in enumerate(alpha)): c
-                             for alpha, (c, _) in zip(p.terms, pairs)}
-
-
-def _unpacked(n: int, width: int, terms: Dict[int, int]) -> Iterator[Tuple[MultiIndex, int]]:
-    """The packed terms as (exponent tuple, numerator) pairs."""
-    mask = (1 << width) - 1
-    return ((tuple(key >> width * (n - 1 - j) & mask for j in range(n)), c) for key, c in terms.items())
+    (pairs, den), units = _cleared(p.terms.values()), places(p.n, width)
+    return p.degree(), den, {sum(map(mul, alpha, units)): c for alpha, (c, _) in zip(p.terms, pairs)}
 
 
 def _unpack(a: int, b: int, width: int, node: Node) -> SignedRealPoly:
-    return SignedRealPoly(a, b, {alpha: Fraction(c, node[1]) for alpha, c in _unpacked(a + b, width, node[2])})
+    return SignedRealPoly(a, b, {unpack(key, a + b, width): Fraction(c, node[1]) for key, c in node[2].items()})
 
 
-def _summary(n: int, width: int, terms: Dict[int, int]) -> Summary:
+def _summary(units: List[int], terms: Dict[int, int]) -> Summary:
     """(e, common, pivot) by (elimination, positive pivot): what every corner move reads off a node.
 
     For x_1 ("first", e = 0) and x_n ("last", e = n - 1): the power of x_e dividing every
     term, and the grlex-first term of each sign at that power (one degree: the largest key).
     """
-    field, mask = width * (n - 1), (1 << width) - 1
+    n, mask = len(units), units[-2] - 1  # the x_n field
     keys = sorted(terms, reverse=True)  # x_1 holds the top field: the least keys have its least power
-    top, low = keys[-1] >> field, min(map(mask.__and__, keys))
-    first = keys[bisect_right(keys, -(top + 1) << field, key=int.__neg__):]
+    top, low = keys[-1] // units[0], min(map(mask.__and__, keys))
+    first = keys[bisect_right(keys, -(top + 1) * units[0], key=int.__neg__):]
     out = {}
     for positive in (True, False):
         out["first", positive] = (0, top, next((k for k in first if (terms[k] > 0) == positive), None))
@@ -246,7 +236,7 @@ def _pivot(shift: Tuple[int, int], route: Tuple, summary: Summary) -> Tuple[int,
     return e, common, pivot
 
 
-def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node,
+def _key(a: int, b: int, units: List[int], shift: Tuple[int, int], route: Tuple, node: Node,
          summary: Summary) -> Tuple[int, int]:
     """The degree and term count of `_move`'s output, read off the node and its `_summary` without building it.
 
@@ -258,7 +248,6 @@ def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node:
     if route[0] != "grow":
         common = _pivot(shift, route, summary)[1]
         return m - common + 1, len(terms) + n - (2 if route[0] == "tilde" else 1)
-    units = [1 << width * (n - 1 - j) for j in range(n)]
     head, tail = (units[1], units[0]) if route[1] else (units[0], units[1])
     # x_head^(k-m) p meets x_j x_tail^(k-1) exactly when p holds x_j x_tail^(k-1) / x_head^(k-m)
     k = m + 1
@@ -267,7 +256,7 @@ def _key(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node:
     return k, len(terms) + n
 
 
-def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node: Node,
+def _move(a: int, b: int, units: List[int], shift: Tuple[int, int], route: Tuple, node: Node,
           summary: Summary) -> Node:
     """The move `route` of _routes(a, b), realizing `shift`, on a packed polynomial.
 
@@ -275,12 +264,11 @@ def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node
     the pivot's coefficient: den and every other numerator double.
     """
     (m, den, terms), n = node, a + b
-    units = [1 << width * (n - 1 - j) for j in range(n)]
     s = [(units[j], 1 if j < a else -1) for j in range(n)]
     if route[0] == "grow":
         # x_1^{k-m} p + x_2^{k-1} s, or x_2^{k-m} p - x_1^{k-1} s when mirrored, k minimal
         head, tail, sign = (units[1], units[0], -1) if route[1] else (units[0], units[1], 1)
-        k = _key(a, b, width, shift, route, node, summary)[0]
+        k = _key(a, b, units, shift, route, node, summary)[0]
         out = {key + (k - m) * head: c for key, c in terms.items()}
         out.update((u + (k - 1) * tail, sign * c * den) for u, c in s)
         return k, den, out
@@ -303,8 +291,8 @@ def _move(a: int, b: int, width: int, shift: Tuple[int, int], route: Tuple, node
 def _moved(p: SignedRealPoly, shift: Tuple[int, int], route: Tuple, sig: SignaturePair) -> SignedRealPoly:
     # a move raises the degree by at most 2, so fields this wide hold every exponent it makes
     width = (p.degree() + 2).bit_length()
-    node = _pack(p, width)
-    out = _unpack(p.a, p.b, width, _move(p.a, p.b, width, shift, route, node, _summary(p.n, width, node[2])))
+    node, units = _pack(p, width), places(p.n, width)
+    out = _unpack(p.a, p.b, width, _move(p.a, p.b, units, shift, route, node, _summary(units, node[2])))
     assert out.signature() == (sig.pos + shift[0], sig.neg + shift[1])
     return out
 
@@ -487,6 +475,7 @@ class _LatticeSearch:
         # (a grow's k = m + 1 fails only on x_2^m, or x_1^m mirrored), so from the degree-1 seeds
         # every node has degree <= A + B - (a + b) + 1 <= total: this width holds every exponent.
         self.width = total.bit_length()
+        self.units = places(a + b, self.width)
         self.witnesses: Dict[Sig, Node] = {}
         self.pending: Dict[Sig, Tuple[Tuple[int, int], Optional[Sig], Optional[Tuple], Any]] = {}
         self.heap: List[Tuple[int, int, int, Sig]] = []
@@ -537,7 +526,7 @@ class _LatticeSearch:
                 continue
             key, shift, route, node = self.pending.pop(sig)
             if route is not None:
-                node = _move(a, b, self.width, shift, route, *node)
+                node = _move(a, b, self.units, shift, route, *node)
                 assert (node[0], len(node[2])) == key
             self.witnesses[sig] = node
             assert (sum(map((0).__lt__, node[2].values())), len(node[2])) == (sig[0], sig[0] + sig[1])
@@ -547,14 +536,14 @@ class _LatticeSearch:
             else:
                 outside += 1
             spent += 1
-            summary = _summary(a + b, self.width, node[2])
+            summary = _summary(self.units, node[2])
             for shift, route in self.routes.items():
                 nsig = (sig[0] + shift[0], sig[1] + shift[1])
                 if not self.holds(nsig) or nsig in self.witnesses:
                     continue
                 if inside(nsig) and nsig not in self.pending:
                     live += 1
-                self._push(nsig, _key(a, b, self.width, shift, route, node, summary), shift, route, (node, summary))
+                self._push(nsig, _key(a, b, self.units, shift, route, node, summary), shift, route, (node, summary))
         if goal in self.witnesses and found.index(goal) <= budget:
             return {sig: self.witnesses[sig] for sig in found[: found.index(goal) + 1]}, False, self.width
         return {sig: self.witnesses[sig] for sig in found[: budget + 1]}, len(found) > budget, self.width
@@ -650,7 +639,7 @@ def construct_map(a: int, b: int, A: int, B: int, search_budget: int = 10**5) ->
             "and the move search exhausted the box without reaching it"
         )
     den, terms = nodes[(A, B)][1:]
-    out = _monomial_map(a, b, True, ((alpha, k, den) for alpha, k in _unpacked(a + b, width, terms)))
+    out = _monomial_map(a, b, True, ((unpack(key, a + b, width), k, den) for key, k in terms.items()))
     if not verify_map(out):
         raise NotVanishing("constructed map failed verification")
     return out

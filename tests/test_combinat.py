@@ -123,6 +123,20 @@ def test_rigidity_pinned():
     assert rigidity_bound(2, 1, 1) == 3
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: _chain runs K_{m+1}(...K_n(k)), not K_n(...K_{m+1}(k)); "
+                   "its fix waits for a change that also moves the bench pin rigidity(2, 1, 1) == 3 in "
+                   "bench/checks.py check_rigidity_sweep")
+def test_chained_bounds_stay_above_exact_ranks():
+    # identity_map(a, b) verifies with A = a for these 26 pairs (tests/test_quadrics.py), and
+    # |1|^2 + |z1|^2 + ... + |z5|^2 (rank 6) and |1|^2 + ... + |z3|^2 (rank 4) restrict to rank 3 on
+    # affine 2-planes and 2 on lines (tests/test_restrict.py): no bound may fall below those ranks
+    pairs = [(a, b) for b in range(1, 5) for a in range(b + 3, 12)]
+    assert len(pairs) == 26
+    assert all(rigidity_bound(a, b, b) >= a for a, b in pairs)
+    assert hermitian_R(2, 5, 3) >= 6
+    assert compose_K(1, 3, 2) >= 4
+
+
 def test_rigidity_validation():
     with pytest.raises(ValueError):
         rigidity_bound(2, 2, 1)

@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -33,7 +34,7 @@ from hyperq.forms import (
 )
 from hyperq.formats import dump_form, load_form
 from hyperq.linalg import _cleared
-from hyperq.multiindex import sorted_grlex, unit, zero_index
+from hyperq.multiindex import places, sorted_grlex, unit, unpack, zero_index
 from hyperq.restrict import cayley_unitary, generic_restriction_rank
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 from test_linalg import _gr_ldl_components
@@ -470,6 +471,14 @@ def test_packed_keys_sort_as_grlex_and_add():
             assert sorted(monos, key=key.get) == sorted_grlex(monos)
             assert all(key[a] + key[b] == key[mi_add(a, b)] for a, b in pairs)
             assert max(max(alpha) for alpha in monos) == top
+            # the multiindex layout under those keys: key = |alpha| B^n - pack(alpha), B^n the top unit of n + 1
+            units, degree = places(n, w), places(n + 1, w)[0]
+            pack = {alpha: sum(map(mul, alpha, units)) for alpha in monos}
+            for alpha, k in pack.items():
+                assert degree * sum(alpha) - k == _packed(alpha, w)
+                assert unpack(k, n, w) == unpack(-key[alpha], n, w) == _unpacked(key[alpha], n, w) == alpha
+            assert all(pack[a] + pack[b] == pack[mi_add(a, b)] for a, b in pairs)
+            assert sorted(monos, key=lambda alpha: (sum(alpha), -pack[alpha])) == sorted_grlex(monos)
 
 
 def test_packed_expansions_match_the_tuple_keyed_routine():

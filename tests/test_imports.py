@@ -109,3 +109,17 @@ def test_only_linalg_clears_denominators():
                 if any(isinstance(sub, ast.Attribute) and sub.attr == "denominator" for sub in ast.walk(node)):
                     found.append(f"{path.stem}:{node.lineno}")
     assert found == []
+
+
+def test_only_multiindex_packs_exponents():
+    # one packed-monomial layout, `multiindex.places` and `unpack`: no other src module shifts by a
+    # product, the hand-written `1 << w * k` field that each packing once spelled out for itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "multiindex":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift))
+                    and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []

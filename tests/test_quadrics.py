@@ -27,7 +27,7 @@ from hyperq.formats import dump_map, parse_map
 from hyperq.forms import (HermitianForm, WeightedHoloMap, _form_side, _holo_side, compose_linear, decompose,
                           form_from_entries, form_from_real_poly, norm_difference)
 from hyperq.linalg import _cleared
-from hyperq.multiindex import grlex_key, unit, zero_index
+from hyperq.multiindex import grlex_key, places, unit, unpack, zero_index
 from hyperq.quadrics import (
     _SEARCHES,
     QuadricMap,
@@ -316,10 +316,11 @@ def test_search_field_width_holds_every_exponent():
 
 def _key_and_build(a, b, width, shift, route, node):
     """_key's prediction and the (degree, term count) _move builds, or each one's NoPivotMonomial."""
-    out, summary = [], quadrics._summary(a + b, width, node[2])
+    units = places(a + b, width)
+    out, summary = [], quadrics._summary(units, node[2])
     for call in (quadrics._key, quadrics._move):
         try:
-            got = call(a, b, width, shift, route, node, summary)
+            got = call(a, b, units, shift, route, node, summary)
         except NoPivotMonomial as exc:
             got = ("NoPivotMonomial", str(exc))
         out.append(got if len(got) == 2 else (got[0], len(got[2])))
@@ -386,7 +387,7 @@ def test_summary_matches_scanning_pivot():
             q = SignedRealPoly(a, b, {al: c for al, c in s_poly(a, b).terms.items() if c * keep > 0})
             nodes.append((2, _pack(q, 2)[2]))
         for width, terms in nodes:
-            summary = quadrics._summary(a + b, width, terms)
+            summary = quadrics._summary(places(a + b, width), terms)
             for shift, route in state.routes.items():
                 if route[0] != "grow":
                     got = _pivot_outcome(quadrics._pivot, shift, route, summary)
@@ -654,7 +655,10 @@ def test_search_argument_messages():
 
 
 def test_verify_identity_map():
-    for a, b in [(2, 1), (2, 2), (3, 2)]:
+    # the 26 pairs b <= 4, b + 3 <= a <= 11 are the ones whose rigidity bound ROADMAP item 23 finds below a
+    pairs = [(2, 1), (2, 2), (3, 2)] + [(a, b) for b in range(1, 5) for a in range(b + 3, 12)]
+    assert len(pairs) == 3 + 26
+    for a, b in pairs:
         assert verify_map(identity_map(a, b))
 
 
@@ -1113,19 +1117,21 @@ def test_diagonal_verify_matches_the_sandwich(monkeypatch):
 
 
 def test_construct_unpacks_only_the_returned_witness(monkeypatch):
-    # _unpacked reads a packed witness's exponent tuples, for construct_map and _unpack alike
+    # quadrics reads a packed witness's exponent tuples through multiindex.unpack, one key per term,
+    # for construct_map and _unpack alike; a witness of (A, B) has A + B terms
     calls = []
-    unpacked = quadrics._unpacked
-    monkeypatch.setattr(quadrics, "_unpacked", lambda *args: calls.append(args) or unpacked(*args))
+    monkeypatch.setattr(quadrics, "unpack", lambda *args: calls.append(args) or unpack(*args))
     _clear_search_cache()
     # cold, warm, a rebuilt region, another split
     for a, b, A, B in [(4, 2, 10, 14), (4, 2, 9, 8), (4, 2, 12, 12), (4, 2, 30, 10), (3, 3, 9, 8)]:
         calls.clear()
-        assert construct_map(a, b, A, B).target() == (A, B)
-        assert len(calls) == 1
+        m = construct_map(a, b, A, B)
+        assert m.target() == (A, B)
+        monomials = [next(iter(poly)) for _, _, poly in m.components.components]
+        assert sorted(unpack(*args) for args in calls) == sorted(monomials) and len(calls) == A + B
     calls.clear()
     witnesses, _ = reachable_signatures(4, 2, 12)
-    assert len(calls) == len(witnesses) > 50
+    assert len(calls) == sum(len(p.terms) for p in witnesses.values()) and len(witnesses) > 50
     _clear_search_cache()
 
 

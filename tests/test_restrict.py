@@ -15,7 +15,7 @@ from hyperq.cli import _build_parser
 from hyperq.errors import ConjugateMismatch, DimensionMismatch
 from hyperq.formats import load_form
 from hyperq.forms import HermitianForm, compose_linear, form_from_entries, form_from_real_poly, form_rank
-from hyperq.multiindex import unit
+from hyperq.multiindex import unit, zero_index
 from hyperq.restrict import (
     AffineEmbedding,
     _random_scalar,
@@ -163,6 +163,16 @@ def test_generic_rank_refuses_bound_one_above_dimension_one():
         generic_restriction_rank(f, 2, coeff_bound=1)
     assert generic_restriction_rank(f, 1, trials=1, coeff_bound=1) == 1
     assert max_affine_rank(f, 2, samples=1, coeff_bound=1) == 3
+
+
+def test_restriction_ceilings_of_sums_of_squares():
+    # |1|^2 + |z1|^2 + ... + |zn|^2 has rank n + 1, yet its restriction to any affine d-plane is a sum of
+    # squares of polynomials of degree <= 1 in d variables, a space of dimension d + 1: the rank drops to
+    # d + 1, which a generic affine plane attains; two exact facts a chained rank bound must stay above
+    for n, sub_dim, rank, restricted in ((5, 2, 6, 3), (3, 1, 4, 2)):
+        form = form_from_entries(n, [(zero_index(n), zero_index(n), 1)] + [(unit(n, j), unit(n, j), 1) for j in range(n)])
+        assert form_rank(form) == rank == n + 1
+        assert max_affine_rank(form, sub_dim) == restricted == sub_dim + 1
 
 
 def test_sz_failure_bound_checks_dimension_and_trials():
