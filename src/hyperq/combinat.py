@@ -13,21 +13,24 @@ All arithmetic is arbitrary-precision integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Tuple
 
+from .scalars import _Record
 
-@dataclass(frozen=True)
-class MacaulayRep:
+
+class MacaulayRep(_Record):
     """The unique strictly decreasing binomial expansion of c in degree d.
 
     ks holds (k_d, k_{d-1}, ..., k_1).
     """
 
-    c: int
-    d: int
-    ks: Tuple[int, ...]
+    _fields = ("c", "d", "ks")
+
+    def __init__(self, c: int, d: int, ks: Tuple[int, ...]):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ks", ks)
 
     def terms(self):
         """The (k_i, i) pairs, i running d down to 1."""

@@ -17,7 +17,6 @@ matrices, files and decompositions are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, repeat
 from math import gcd, lcm
@@ -26,7 +25,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tu
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _GIPair as _Pair, _cleared, _components, _signs, _symmetric_steps
 from .multiindex import MultiIndex, grlex_key, places, sorted_grlex, unpack, zero_index
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _Record
 
 
 class SignaturePair(NamedTuple):
@@ -43,8 +42,7 @@ class SignaturePair(NamedTuple):
         return f"({self.pos}, {self.neg})"
 
 
-@dataclass(frozen=True)
-class HermitianForm:
+class HermitianForm(_Record):
     """Sparse Hermitian coefficient matrix of a real-valued polynomial.
 
     entries maps (alpha, beta) to the coefficient of z^alpha zbar^beta.
@@ -54,9 +52,12 @@ class HermitianForm:
     entries are reduced from it, or cleared into it, on first read.
     """
 
-    n: int
-    entries: Dict[Tuple[MultiIndex, MultiIndex], GaussianRational] = field(default_factory=dict)
-    _memo: Dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("n", "entries")
+
+    def __init__(self, n: int, entries: Optional[Dict[Tuple[MultiIndex, MultiIndex], GaussianRational]] = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", {} if entries is None else entries)
+        object.__setattr__(self, "_memo", {})
 
     def __getattr__(self, name: str) -> Any:
         """Only reached for the entries of a form that starts from its side: reduced from it once."""
@@ -122,8 +123,7 @@ def _elimination(form: HermitianForm) -> Tuple[int, list]:
 Poly = Dict[MultiIndex, object]  # a sparse polynomial: exponent tuple -> coefficient
 
 
-@dataclass(frozen=True)
-class WeightedHoloMap:
+class WeightedHoloMap(_Record):
     """Signed, weighted holomorphic components representing a form.
 
     Each component is (sign, weight, poly) with sign +1 or -1, weight a
@@ -135,9 +135,12 @@ class WeightedHoloMap:
     on first read.
     """
 
-    n: int
-    components: Tuple[Tuple[int, Fraction, Poly], ...]
-    _memo: Dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("n", "components")
+
+    def __init__(self, n: int, components: Tuple[Tuple[int, Fraction, Poly], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_memo", {})
 
     def __getattr__(self, name: str) -> Any:
         """Only reached for components that start from their view: reduced from it once."""

@@ -43,7 +43,6 @@ import heapq
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -57,6 +56,7 @@ from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _fo
                     decompose, norm_difference)
 from .linalg import _cleared
 from .multiindex import MultiIndex, grlex_key, places, unit, unpack, zero_index
+from .scalars import _Record
 
 RealTerms = Dict[MultiIndex, Fraction]
 Term = Tuple[int, MultiIndex, object]
@@ -65,26 +65,25 @@ Node = Tuple[int, int, Dict[int, int]]
 Summary = Dict[Tuple[str, bool], Tuple[int, int, Optional[int]]]  # see _summary
 
 
-@dataclass(frozen=True)
-class SignedRealPoly:
+class SignedRealPoly(_Record):
     """Homogeneous real polynomial in x_1..x_{a+b} with signed terms.
 
     The split (a, b) names the source hyperquadric; the terms map
     exponent tuples to nonzero rationals.
     """
 
-    a: int
-    b: int
-    terms: RealTerms
+    _fields = ("a", "b", "terms")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int, terms: RealTerms):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if a < 1 or b < 1:
             raise ValueError("source split needs a >= 1 and b >= 1")
-        n = self.a + self.b
+        n = a + b
         cleaned: RealTerms = {}
         degrees = set()
         pos = 0
-        for alpha, c in self.terms.items():
+        for alpha, c in terms.items():
             if len(alpha) != n:
                 raise DimensionMismatch(f"exponent tuple {alpha} has length {len(alpha)}, expected {n}")
             if min(alpha) < 0:
@@ -332,8 +331,7 @@ def corner_move(p: SignedRealPoly, shift: Tuple[int, int]) -> SignedRealPoly:
     return out
 
 
-@dataclass(frozen=True)
-class QuadricMap:
+class QuadricMap(_Record):
     """A signed, weighted holomorphic map between hyperquadrics.
 
     Source is HQ(a, b) when homogeneous, Q(a, b) otherwise.  Components
@@ -348,20 +346,19 @@ class QuadricMap:
     components of a map that `_viewed` builds are reduced from it on first read.
     """
 
-    a: int
-    b: int
-    homogeneous: bool
-    components: WeightedHoloMap
-    denominator: Optional[int] = None
+    _fields = ("a", "b", "homogeneous", "components", "denominator")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 0:
+    def __init__(self, a: int, b: int, homogeneous: bool, components: WeightedHoloMap, denominator: Optional[int] = None):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "homogeneous", homogeneous)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "denominator", denominator)
+        if a < 1 or b < 0:
             raise ValueError("source split needs a >= 1 and b >= 0")
-        if self.components.n != self.a + self.b:
-            raise DimensionMismatch(
-                f"components use {self.components.n} variables, source split needs {self.a + self.b}"
-            )
-        rows = _holo_side(self.components)[1]
+        if components.n != a + b:
+            raise DimensionMismatch(f"components use {components.n} variables, source split needs {a + b}")
+        rows = _holo_side(components)[1]
         lengths = set()
         for sign, (wn, _), poly in rows:
             if sign not in (1, -1):
@@ -371,12 +368,12 @@ class QuadricMap:
             if not poly:
                 raise ValueError("components must be nonzero polynomials")
             lengths.update(map(len, poly))
-        if lengths - {self.components.n}:
-            raise DimensionMismatch(f"component exponents must have {self.components.n} entries")
-        if self.denominator is not None:
-            if not 0 <= self.denominator < len(rows):
-                raise IndexOutOfRange(f"denominator index {self.denominator} out of range")
-            if rows[self.denominator][0] > 0:
+        if lengths - {components.n}:
+            raise DimensionMismatch(f"component exponents must have {components.n} entries")
+        if denominator is not None:
+            if not 0 <= denominator < len(rows):
+                raise IndexOutOfRange(f"denominator index {denominator} out of range")
+            if rows[denominator][0] > 0:
                 raise ValueError("the denominator must be a negative component")
 
     @property

@@ -10,7 +10,6 @@ per-trial failure probability has a computable Schwartz-Zippel bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -20,19 +19,21 @@ from .errors import DimensionMismatch
 from .forms import HermitianForm, compose_linear, form_from_entries, form_rank
 from .linalg import _cleared, solve
 from .multiindex import unit
-from .scalars import GR_ZERO, GaussianRational
+from .scalars import GR_ZERO, GaussianRational, _Record
 
 
-@dataclass(frozen=True)
-class AffineEmbedding:
+class AffineEmbedding(_Record):
     """The map w -> Ew + t from subspace coordinates into ambient ones.
 
     linear has one row per ambient variable and one column per subspace
     variable, and must have full column rank.
     """
 
-    linear: Tuple[Tuple[GaussianRational, ...], ...]
-    translation: Tuple[GaussianRational, ...]
+    _fields = ("linear", "translation")
+
+    def __init__(self, linear: Tuple[Tuple[GaussianRational, ...], ...], translation: Tuple[GaussianRational, ...]):
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "translation", translation)
 
 
 def embedding(linear: Sequence[Sequence[object]], translation: Optional[Sequence[object]] = None) -> AffineEmbedding:

@@ -15,6 +15,32 @@ Rat = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 
+class _Record:
+    """Base of the package's immutable value types: a subclass names its fields in `_fields` and stores
+    them with object.__setattr__; equality, hashing, repr and __match_args__ follow from them."""
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, _):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class GaussianRational:
     __slots__ = ("re", "im")
 
@@ -24,6 +50,9 @@ class GaussianRational:
 
     def __setattr__(self, *_):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     # -- constructors ------------------------------------------------
 

@@ -157,6 +157,8 @@ def test_cli_imports_only_the_standard_library():
     tops = done.stdout.split()
     assert "hyperq" in tops
     assert [name for name in tops if name != "hyperq" and name not in sys.stdlib_module_names] == []
+    # nor the heavier standard modules that frozen dataclasses would pull in at every cold start
+    assert {"dataclasses", "inspect"} & set(tops) == set()
 
 
 def test_construct_verify_roundtrip(capsys, tmp_path):

@@ -68,12 +68,7 @@ def test_value_type(name):
     assert cls(**{f: getattr(value, f) for f in fields}) == value
 
 
-_HOLDS_GAUSSIAN = pytest.mark.xfail(strict=True, reason="GaussianRational's __setattr__ refuses the slot state "
-                                    "that pickle and deepcopy restore")
-
-
-@pytest.mark.parametrize("name", [pytest.param(name, marks=_HOLDS_GAUSSIAN)
-                                  if name not in ("MacaulayRep", "SignedRealPoly") else name for name in CASES])
+@pytest.mark.parametrize("name", CASES)
 def test_value_round_trips(name):
     make, _, text, _, _ = CASES[name]
     value = make()
