@@ -52,7 +52,7 @@ def test_value_type(name):
     assert value == twin and not value != twin
     assert value != other and other == make_other()
     assert value != tuple(getattr(value, f) for f in fields)
-    assert all(value != make() for case, (make, *_) in CASES.items() if case != name)
+    assert all(value != build() for case, (build, *_) in CASES.items() if case != name)
     if hashable:
         assert hash(value) == hash(twin)
     else:
