@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tu
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from .linalg import _GIPair as _Pair, _cleared, _components, _signs, _symmetric_steps
-from .multiindex import MultiIndex, grlex_key, places, sorted_grlex, unpack, zero_index
+from .multiindex import MultiIndex, grlex_key, places, sorted_grlex, unit, unpack, zero_index
 from .scalars import GaussianRational, _Record
 
 
@@ -105,8 +105,9 @@ def form_rank(form: HermitianForm) -> int:
 
 
 def form_inertia(form: HermitianForm) -> SignaturePair:
-    """Signature pair (positive count, negative count) of the matrix."""
-    return SignaturePair(*_signs(_elimination(form)[1]))
+    """Signature pair (positive count, negative count) of the matrix; a form that compose_linear built by a
+    change of variables onto the source space reads its source's, the same by Sylvester's law of inertia."""
+    return SignaturePair(*_signs(_elimination(form._memo.get("congruent", form))[1]))
 
 
 def _elimination(form: HermitianForm) -> Tuple[int, list]:
@@ -209,6 +210,13 @@ def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
         p = {at[alpha]: c for alpha, c in poly.items()}
         _sandwich(acc, (k if sign > 0 else -k, 0), p, [p.get(i, (0, 0)) for i in range(len(basis))])
     return _to_form(holo.n, basis, acc, w * d * d)
+
+
+def _linear_rank(matrix: Sequence[Sequence[object]]) -> int:
+    """rank E as form_rank of |Ew|^2 (matrix E*E), a norm difference of E's rows, so compose_linear may call it."""
+    units = [unit(len(matrix[0]), j) for j in range(len(matrix[0]))]
+    rows = tuple((1, 1, dict(zip(units, row))) for row in matrix)
+    return form_rank(norm_difference(WeightedHoloMap(len(units), rows), False))
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -359,15 +367,16 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     """(n_dst, basis, acc, den): entry (basis[i], basis[j]) of r(Ez + t) is acc[i][j] / den.
 
     With c = C / D over the lcm of the form's denominators, P and M from
-    _expansions and K the top |alpha| + |beta|, entry c at (alpha, beta) adds
-    C M^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in Z[i] at
-    (gamma, delta), all over den = D M^K.  Two passes group the sum by alpha: each
+    _expansions and K the top |alpha| + |beta| (read once per form), entry c at
+    (alpha, beta) adds C M^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in
+    Z[i] at (gamma, delta), all over den = D M^K.  Two passes group the sum by alpha: each
     entry of the form side adds conj(C) M^(K-|alpha|-|beta|) P_beta[delta] to
     V_alpha[delta], then acc[gamma][delta] += P_alpha[gamma] conj(V_alpha[delta]):
     nnz k + |support| k^2 products for k terms per P, not nnz k^2, and pass 2 sums
     only delta >= gamma, as the sum is Hermitian (see `_to_form`).  gamma and delta
     are indices in one grlex basis of the monomials the P reach, their sorted keys
-    each decoded once, and each V_alpha is a dense row over that basis.
+    each decoded once, and each V_alpha is a dense row over that basis.  Any K' >= K
+    gives the same reduced (support, flat, D): `_reduced`'s gcd divides out M^(K'-K).
     """
     if len(matrix) != form.n:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
@@ -383,7 +392,8 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     table = [{at[k]: x for k, x in p.items()} for p in table]
     basis = [unpack(-k, n_dst, w) for k in keys]
     size = [sum(alpha) for alpha in support]  # |alpha|
-    top = max((size[i] + size[j] for i, j in flat), default=0)
+    if (top := form._memo.get("top")) is None:
+        top = form._memo["top"] = max((size[i] + size[j] for i, j in flat), default=0)
     scale = [m**e for e in range(top + 1)]
     v = [[(0, 0)] * len(basis) for _ in support]  # v[i][delta] = V_support[i][delta]
     for (i, j), (cr, ci) in flat.items():
@@ -406,8 +416,13 @@ def compose_linear(
 ) -> HermitianForm:
     """Coefficient matrix of r(Ez + t) by exact substitution.
 
-    E has one row per source variable and one column per new variable.
-    When E is square invertible and t = 0 the rank and inertia are
-    preserved; a thin E restricts the form to a subspace.
+    E has one row per source variable and one column per new variable.  An E of full
+    row rank maps onto the source space for any t, so p -> p(Ez + t) is injective and
+    the rank and inertia are kept (Sylvester's law): after one exact rank test of E the
+    new form reads them off the root of its chain of such changes.  A thin E, never
+    tested, restricts the form to a subspace.
     """
-    return _to_form(*_composed(form, matrix, translation))
+    changed = _to_form(*_composed(form, matrix, translation))
+    if form.n and len(matrix[0]) >= form.n and _linear_rank(matrix) == form.n:
+        changed._memo["congruent"] = form._memo.get("congruent", form)
+    return changed

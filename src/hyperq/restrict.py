@@ -16,7 +16,7 @@ from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .forms import HermitianForm, compose_linear, form_from_entries, form_rank
+from .forms import HermitianForm, _linear_rank, compose_linear, form_rank
 from .linalg import _cleared, solve
 from .multiindex import unit
 from .scalars import GR_ZERO, GaussianRational, _Record
@@ -54,9 +54,7 @@ def embedding(linear: Sequence[Sequence[object]], translation: Optional[Sequence
                 f"translation has {len(translation)} entries, embedding has {len(rows)} rows"
             )
         trans = tuple(GaussianRational.coerce(x) for x in translation)
-    # |Ew|^2 has the matrix E*E, whose rank is that of E
-    n = len(rows)
-    if form_rank(compose_linear(form_from_entries(n, ((unit(n, i), unit(n, i), 1) for i in range(n))), rows)) != n_sub:
+    if _linear_rank(rows) != n_sub:
         raise ValueError("embedding matrix must have full column rank")
     return AffineEmbedding(tuple(rows), trans)
 

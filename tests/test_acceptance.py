@@ -28,12 +28,14 @@ from hyperq.combinat import (
 from hyperq.errors import NoPivotMonomial
 from hyperq.forms import (
     WeightedHoloMap,
+    _elimination,
     compose_linear,
     form_from_entries,
     form_from_real_poly,
     form_inertia,
     form_rank,
 )
+from hyperq.linalg import _signs
 from hyperq.quadrics import (
     QuadricMap,
     SignedRealPoly,
@@ -189,6 +191,7 @@ def test_criterion_5(criterion):
                 g = compose_linear(f, change)
                 assert form_rank(g) == rk
                 assert form_inertia(g) == sig
+                assert _signs(_elimination(g)[1]) == sig  # g's own elimination, not the carried inertia
 
 
 def test_criterion_6(criterion):

@@ -33,7 +33,7 @@ from hyperq.forms import (
     WeightedHoloMap,
 )
 from hyperq.formats import dump_form, load_form
-from hyperq.linalg import _cleared
+from hyperq.linalg import _cleared, _signs
 from hyperq.multiindex import places, sorted_grlex, unit, unpack, zero_index
 from hyperq.restrict import cayley_unitary, generic_restriction_rank
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
@@ -176,6 +176,7 @@ def test_compose_preserves_rank_and_inertia():
         g = compose_linear(f, mat)
         assert form_rank(g) == form_rank(f)
         assert form_inertia(g) == form_inertia(f)
+        assert _matrix_path(g)["inertia"] == form_inertia(f)  # g's own elimination, not the carried inertia
 
 
 def test_compose_scaling_diagonal():
@@ -637,13 +638,17 @@ def test_gram_rank_equals_symmetric_kernel_rank():
     rng = Random(1105)
     for n, top, size in [(3, 3, 8), (3, 3, 12), (3, 3, 16), (3, 3, 20), (4, 2, 9), (4, 2, 15)]:
         f = _dense_form(rng, n, top, size)
-        lower = [[1 if i == j else (rng.choice((-1, 1)) if i > j else 0) for j in range(n)] for i in range(n)]
-        upper = [[1 if i == j else (rng.choice((-1, 1)) if i < j else 0) for j in range(n)] for i in range(n)]
-        change = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        g = compose_linear(f, change)
+        g = compose_linear(f, _unimodular(rng, n))
         for h in (f, g):
             assert form_rank(h) == form_inertia(h).rank == bareiss_rank(form_matrix(h))
-        assert form_inertia(g) == form_inertia(f)
+        assert form_inertia(g) == form_inertia(f) == _signs(_elimination(g)[1])  # g eliminated on its own
+
+
+def _unimodular(rng, n):
+    """L U with unit-diagonal triangular factors and off-diagonal entries of L and U in {-1, 1}."""
+    lower = [[1 if i == j else (rng.choice((-1, 1)) if i > j else 0) for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else (rng.choice((-1, 1)) if i < j else 0) for j in range(n)] for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def _zero_diagonal_form(rng, n, terms):
@@ -806,3 +811,61 @@ def test_threads_share_one_inertia():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [[want] * 8 for want in wants]
+
+
+def test_a_full_row_rank_change_carries_the_source_inertia():
+    # E of full row rank makes p -> p(Ew + t) injective for any t, so the changed form reads its source's
+    # inertia (Sylvester's law of inertia); every carried answer is checked against g's own dense LDL*
+    rng = Random(1522)
+    cases = 0
+    for n in (1, 2, 3, 3):
+        f = _mixed_form(rng, n, rng.randint(4, 9), top=2)
+        square = _unimodular(rng, n)
+        wide = [row + [_gaussian(rng)] for row in square]  # n x (n + 1), its first n columns invertible
+        for E in (square, wide):
+            for t in (None, [_gaussian(rng) for _ in range(n)]):
+                g = compose_linear(f, E, t)
+                assert g._memo["congruent"] is f
+                assert (form_rank(g), form_inertia(g)) == (_matrix_path(g)["rank"], _matrix_path(g)["inertia"])
+                assert form_inertia(g) == _matrix_path(f)["inertia"]
+                h = compose_linear(g, _unimodular(rng, g.n), [_gaussian(rng) for _ in range(g.n)])
+                assert h._memo["congruent"] is f  # a chain of changes is one hop to its root
+                assert form_inertia(h) == _matrix_path(h)["inertia"]
+                cases += 1
+    assert cases == 16
+
+
+def test_a_singular_or_thin_change_is_eliminated_on_its_own(monkeypatch):
+    tests = []
+    linear_rank = forms_module._linear_rank
+    monkeypatch.setattr(forms_module, "_linear_rank", lambda m: tests.append(len(m[0])) or linear_rank(m))
+    f = form_from_entries(2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1)])  # |z1|^2 - |z2|^2
+    g = compose_linear(f, [[1, 0], [0, 0]])
+    assert "congruent" not in g._memo
+    assert form_inertia(g) == _matrix_path(g)["inertia"] == SignaturePair(1, 0) != form_inertia(f)
+    rng = Random(1523)
+    for n in (2, 3, 4):
+        f = _mixed_form(rng, n, 8, top=2)
+        singular = [row[:-1] + row[:1] for row in _unimodular(rng, n)]  # its last column repeats its first
+        thin = [[_gaussian(rng) for _ in range(n - 1)] for _ in range(n)]
+        for E in (singular, thin):
+            tests.clear()
+            for t in (None, [_gaussian(rng) for _ in range(n)]):
+                g = compose_linear(f, E, t)
+                assert "congruent" not in g._memo
+                assert form_inertia(g) == _matrix_path(g)["inertia"]
+            assert tests == ([n, n] if E is singular else [])  # a thin E is refused on its shape alone
+
+
+def test_a_carried_inertia_walks_no_matrix_of_the_changed_size(monkeypatch):
+    walks = []
+    steps = forms_module._symmetric_steps
+    monkeypatch.setattr(forms_module, "_symmetric_steps", lambda x: walks.append(len(x)) or steps(x))
+    rng = Random(1524)
+    f = _dense_form(rng, 3, 3, 14)
+    g = compose_linear(f, _unimodular(rng, 3))
+    sig = form_inertia(g)
+    assert (form_rank(g), sig) == (form_rank(f), form_inertia(f))
+    assert walks == [3, len(f.support())] and len(g.support()) > len(f.support())  # E's rank test, then f's
+    assert _signs(_elimination(g)[1]) == sig
+    assert walks[-1] == len(g.support())
