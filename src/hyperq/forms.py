@@ -7,7 +7,8 @@ Every form starts from one view, its entries as Gaussian integers over one
 denominator, which `_entries_side` builds from listed (re, im) int pairs and
 checks Hermitian once; its GaussianRational entries are reduced only when
 read.  Rank, inertia and weighted holomorphic squares are exact and read one
-elimination per form, memoized with that view.  Substitution (in two passes,
+elimination per form, memoized with that view; a substitution by an E of full
+row rank reads its source's rank and inertia.  Substitution (in two passes,
 with E and t cleared by one lcm, on monomials keyed by packed ints) and norm
 differences sum Gaussian integers over one denominator, in the upper triangle
 of a sum that is Hermitian by construction, and read the new form's view off
