@@ -24,8 +24,8 @@ from math import gcd, lcm
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
-from .linalg import _GIPair as _Pair, _cleared, _components, _signs, _symmetric_steps
-from .multiindex import MultiIndex, grlex_key, places, sorted_grlex, unit, unpack, zero_index
+from .linalg import _GIPair as _Pair, _cleared, _components, _gauss_jordan, _signs, _symmetric_steps
+from .multiindex import MultiIndex, grlex_key, places, sorted_grlex, unpack, zero_index
 from .scalars import GaussianRational, _Record
 
 
@@ -211,13 +211,6 @@ def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
         p = {at[alpha]: c for alpha, c in poly.items()}
         _sandwich(acc, (k if sign > 0 else -k, 0), p, [p.get(i, (0, 0)) for i in range(len(basis))])
     return _to_form(holo.n, basis, acc, w * d * d)
-
-
-def _linear_rank(matrix: Sequence[Sequence[object]]) -> int:
-    """rank E as form_rank of |Ew|^2 (matrix E*E), a norm difference of E's rows, so compose_linear may call it."""
-    units = [unit(len(matrix[0]), j) for j in range(len(matrix[0]))]
-    rows = tuple((1, 1, dict(zip(units, row))) for row in matrix)
-    return form_rank(norm_difference(WeightedHoloMap(len(units), rows), False))
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -424,6 +417,6 @@ def compose_linear(
     tested, restricts the form to a subspace.
     """
     changed = _to_form(*_composed(form, matrix, translation))
-    if form.n and len(matrix[0]) >= form.n and _linear_rank(matrix) == form.n:
+    if form.n and len(matrix[0]) >= form.n and _gauss_jordan(matrix, len(matrix[0]))[0] == form.n:
         changed._memo["congruent"] = form._memo.get("congruent", form)
     return changed

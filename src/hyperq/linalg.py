@@ -14,18 +14,20 @@ common to all entries: the pivots are those of an elimination over Q(i), and the
 p / (prev L) has the sign of p times that of prev.  By Sylvester's law of inertia the sign counts do
 not depend on the pivot order.
 
-`solve` runs Gauss-Jordan the same way on [a | b], cleared by one lcm: a step on p = X_ii sets every
-other row's X_kl to (p X_kl - X_ki X_il) / prev, prev the previous pivot.  Each entry is then, up to
-sign, a minor of the row-swapped [a | b], a Gaussian integer, so dividing by the Gaussian prev, as
-z conj(prev) // |prev|^2 on each part, is exact.  The left block ends as d I, d the last pivot, so X
-is the right block divided once by d.
+`_gauss_jordan` reduces every other matrix, its rows cleared by one lcm: on p = X_rc, the first nonzero
+entry at or below row r of the next column c (a column with none is dropped), every other row's X_kl becomes
+(p X_kl - X_kc X_rl) / prev.  With pivots on rows R and columns C, X_kl is up to sign the minor on rows R + k
+and columns C + l (k below R), or on R and C with k's pivot column traded for l (k in R), and prev is the
+minor on R and C, so Sylvester's identity is the step.  No later minor reads a dropped column, so each entry
+stays a Gaussian integer and z conj(prev) // |prev|^2 on each part is exact.  The pivot count r is the rank
+of the columns stepped over; `solve`'s [a | b] ends as [d I | d X], d the last pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .scalars import GaussianRational
 
@@ -44,24 +46,34 @@ def _cleared(values: Iterable[object]) -> Tuple[List[_GIPair], int]:
     return [(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)) for re, im in parts], d
 
 
-def solve(a: List[List[_GIPair]], b: List[List[_GIPair]]) -> List[List[GaussianRational]]:
-    """X with a X = b for a square invertible a, both over Z[i] (clear [a | b] by one lcm first):
-    one fraction-free Gauss-Jordan pass, each row keeping its columns right of the pivot."""
-    n, x, (qr, qi, nq) = len(a), [ra + rb for ra, rb in zip(a, b)], (1, 0, 1)  # conj(prev), |prev|^2
-    for i in range(n):
-        piv = next((j for j in range(i, n) if x[j][0] != (0, 0)), None)
+def _gauss_jordan(rows: Sequence[Sequence[object]], width: int) -> Tuple[int, List[List[_GIPair]], _GIPair]:
+    """(r, x, d): the pass over the first `width` columns of rows of any values `_cleared` reads; r is the
+    rank of those columns, x the rows without them, d the last pivot (1 if none)."""
+    pairs = iter(_cleared(v for row in rows for v in row)[0])
+    x, r, (qr, qi, nq) = [[next(pairs) for _ in row] for row in rows], 0, (1, 0, 1)  # conj(prev), |prev|^2
+    for _ in range(width):
+        piv = next((j for j in range(r, len(x)) if x[j][0] != (0, 0)), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        x[i], x[piv] = x[piv], x[i]
-        (pr, pi), *top = x[i]
-        x = [top if j == i else
+            x = [row[1:] for row in x]
+            continue
+        x[r], x[piv] = x[piv], x[r]
+        (pr, pi), *top = x[r]
+        x = [top if j == r else
              [((zr * qr - zi * qi) // nq, (zr * qi + zi * qr) // nq)
               for (vr, vi), (ur, ui) in zip(row[1:], top)
               for zr, zi in ((pr * vr - pi * vi - fr * ur + fi * ui, pr * vi + pi * vr - fr * ui - fi * ur),)]
              for j, row in enumerate(x) for fr, fi in (row[0],)]
-        qr, qi, nq = pr, -pi, pr * pr + pi * pi
-    return [[GaussianRational(Fraction(vr * qr - vi * qi, nq), Fraction(vr * qi + vi * qr, nq)) for vr, vi in row]
-            for row in x]
+        qr, qi, nq, r = pr, -pi, pr * pr + pi * pi, r + 1
+    return r, x, (qr, -qi)
+
+
+def solve(a: Sequence[Sequence[object]], b: Sequence[Sequence[object]]) -> List[List[GaussianRational]]:
+    """X with a X = b for a square invertible a: the pass on [a | b] leaves d X."""
+    r, x, (dr, di) = _gauss_jordan([[*ra, *rb] for ra, rb in zip(a, b)], len(a))
+    if r < len(a):
+        raise ValueError("matrix is singular")
+    return [[GaussianRational(Fraction(vr * dr + vi * di, nd), Fraction(vi * dr - vr * di, nd)) for vr, vi in row]
+            for nd in (dr * dr + di * di,) for row in x]
 
 
 def _column(x: List[List[_GIPair]], t: int) -> List[_GIPair]:

@@ -16,8 +16,8 @@ from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .forms import HermitianForm, _linear_rank, compose_linear, form_rank
-from .linalg import _cleared, solve
+from .forms import HermitianForm, compose_linear, form_rank
+from .linalg import _gauss_jordan, solve
 from .multiindex import unit
 from .scalars import GR_ZERO, GaussianRational, _Record
 
@@ -46,15 +46,10 @@ def embedding(linear: Sequence[Sequence[object]], translation: Optional[Sequence
         raise ValueError("embedding rows have inconsistent lengths")
     if n_sub < 1:
         raise ValueError("embedding needs at least one subspace variable")
-    if translation is None:
-        trans = tuple(GR_ZERO for _ in rows)
-    else:
-        if len(translation) != len(rows):
-            raise DimensionMismatch(
-                f"translation has {len(translation)} entries, embedding has {len(rows)} rows"
-            )
-        trans = tuple(GaussianRational.coerce(x) for x in translation)
-    if _linear_rank(rows) != n_sub:
+    if translation is not None and len(translation) != len(rows):
+        raise DimensionMismatch(f"translation has {len(translation)} entries, embedding has {len(rows)} rows")
+    trans = (GR_ZERO,) * len(rows) if translation is None else tuple(GaussianRational.coerce(x) for x in translation)
+    if _gauss_jordan(rows, n_sub)[0] != n_sub:
         raise ValueError("embedding matrix must have full column rank")
     return AffineEmbedding(tuple(rows), trans)
 
@@ -170,7 +165,7 @@ def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRa
     U = (I - S)(I + S)^{-1} for a random skew-Hermitian S; I + S is
     always invertible, and unitarity is an identity, not an
     approximation.  I - S commutes with (I + S)^{-1}, so U is solved
-    from (I + S) U = I - S in one pass, both sides cleared by one lcm.
+    from (I + S) U = I - S in one pass.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -178,15 +173,13 @@ def cayley_unitary(n: int, rng: Random, bound: int = 99) -> List[List[GaussianRa
     def signed(r: Random) -> Fraction:
         return Fraction(r.randint(1, bound) * r.choice((-1, 1)), r.randint(1, bound))
 
-    S = [[(0, 0)] * n for _ in range(n)]  # (re, im) of each entry, cleared below by their lcm m
+    plus = [[(0, 0)] * n for _ in range(n)]  # I + S as (re, im) pairs
     for i in range(n):
-        S[i][i] = (0, signed(rng))
+        plus[i][i] = (1, signed(rng))
         for j in range(i + 1, n):
             x, y = signed(rng), signed(rng)
-            S[i][j], S[j][i] = (x, y), (-x, y)
-    pairs, m = _cleared(x for row in S for x in row)
-    plus, minus = ([[(int(i == j) * m + sign * re, sign * im) for j, (re, im) in enumerate(pairs[i * n:i * n + n])]
-                    for i in range(n)] for sign in (1, -1))
+            plus[i][j], plus[j][i] = (x, y), (-x, y)
+    minus = [[(re, -im) if i == j else (-re, -im) for j, (re, im) in enumerate(row)] for i, row in enumerate(plus)]
     return solve(plus, minus)
 
 

@@ -1,5 +1,5 @@
 """Exact solve, the fraction-free symmetric LDL* kernel read through forms, and
-embedding's column rank, all against dense oracles; the one-triangle kernel and
+the Gauss-Jordan pass's rank of E, all against dense oracles; the one-triangle kernel and
 the Gaussian-integer solve against the full-square kernel and the Q(i) solve
 they replaced."""
 
@@ -15,7 +15,7 @@ from dense import (bareiss_rank, cleared_solve, conj, full_symmetric_steps, iden
 from hyperq.errors import ConjugateMismatch, NonRealDiagonal
 from hyperq.forms import (_elimination, compose_linear, decompose, form_from_entries, form_from_real_poly, form_inertia,
                           form_rank)
-from hyperq.linalg import _cleared, _symmetric_steps
+from hyperq.linalg import _cleared, _gauss_jordan, _symmetric_steps
 from hyperq.multiindex import unit
 from hyperq.restrict import embedding
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
@@ -40,19 +40,26 @@ def _hermitian(rng, n, span=9):
 
 
 def test_rank_matches_bareiss_on_products():
-    # embedding's column rank, the pivot count of the form |A B w|^2, against the
-    # Bareiss rank of A B with A n x k and B k x m, which is at most k: square, wide,
-    # tall, and rank-deficient; embedding accepts exactly the products of rank m
-    rng = Random(1201)
-    shapes = set()
-    for _ in range(60):
+    # the Gauss-Jordan pass's pivot count, the rank that compose_linear's carry test and embedding
+    # read, against the Bareiss rank of A B with A n x k and B k x m, which is at most k: square, wide,
+    # tall, and rank-deficient, given as GaussianRationals and with each entry written as an int, a
+    # Fraction, a GaussianRational or an (re, im) pair where it can be; the pass over [A B | I] leaves
+    # Y with Y A B = d R, R the reduced echelon form, so every division was exact; the pivot count of
+    # the form |A B w|^2 agrees, and embedding accepts exactly the products of rank m
+    rng, mix = Random(1201), Random(1202)
+    shapes, kinds = set(), set()
+    for real in [False] * 60 + [True] * 30:
         n, m = rng.randint(1, 7), rng.randint(1, 7)
         k = rng.randint(0, min(n, m) + 1)
-        a = [[_rand_gr(rng, 4) for _ in range(k)] for _ in range(n)]
-        b = [[_rand_gr(rng, 4) for _ in range(m)] for _ in range(k)]
+        a, b = ([[_rand_real(rng) if real else _rand_gr(rng, 4) for _ in range(cols)] for _ in range(rows)]
+                for rows, cols in ((n, k), (k, m)))
         mat = matmul(a, b) if k else [[GR_ZERO] * m for _ in range(n)]
         want = bareiss_rank(mat)
-        assert form_rank(compose_linear(_squares(n), mat)) == want <= k
+        mixed = [[_written(mix, x) for x in row] for row in mat]
+        kinds.update(type(x) for row in mixed for x in row)
+        assert _gauss_jordan(mat, m)[0] == _gauss_jordan(mixed, m)[0] == want <= k
+        _assert_echelon(mixed, m, want)
+        assert form_rank(compose_linear(_squares(n), mat)) == want
         try:
             embedding(mat)
         except ValueError:
@@ -60,14 +67,56 @@ def test_rank_matches_bareiss_on_products():
         else:
             assert want == m
         shapes.add(("square" if n == m else "wide" if n < m else "tall", want < min(n, m)))
-    assert len(shapes) == 6
-    # a column that is i times another: dependent over C, though not over R
+    assert len(shapes) == 6 and kinds == {int, Fraction, GaussianRational, tuple}
+    # a column that is i times another: dependent over C, though not over R; a repeated column; all zero
     for _ in range(10):
         col = [_rand_gr(rng, 4) for _ in range(4)]
-        mat = [[x, gr(0, 1) * x, _rand_gr(rng, 4)] for x in col]
-        assert bareiss_rank(mat) == 2
-        with pytest.raises(ValueError, match="full column rank"):
-            embedding(mat)
+        for mat in ([[x, gr(0, 1) * x, _rand_gr(rng, 4)] for x in col], [[x, _rand_gr(rng, 4), x] for x in col]):
+            assert _gauss_jordan(mat, 3)[0] == bareiss_rank(mat) == 2
+            _assert_echelon(mat, 3, 2)
+            with pytest.raises(ValueError, match="full column rank"):
+                embedding(mat)
+    zero = [[0, Fraction(0), GR_ZERO, (0, Fraction(0))]] * 3
+    assert _gauss_jordan(zero, 4) == (0, [[], [], []], (1, 0)) and bareiss_rank([[_value(x) for x in row] for row in zero]) == 0
+    _assert_echelon(zero, 4, 0)
+    assert _gauss_jordan([], 0) == (0, [], (1, 0))
+
+
+def _rand_real(rng):
+    return gr(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3))))
+
+
+def _written(rng, x):
+    """x as an int, a Fraction, a GaussianRational or an (re, im) pair, each where it can be."""
+    real = [] if x.im else [x.re] + ([int(x.re)] if x.re.denominator == 1 else [])
+    return rng.choice([x, (x.re, x.im)] + real * 2)
+
+
+def _assert_echelon(mat, m, r):
+    """The pass over [mat | I] leaves the right block Y with Y mat = d R: R's rows over the first r rows,
+    d the last pivot, and zero rows after them, R the reduced echelon form of mat over Q(i)."""
+    n = len(mat)
+    rank, y, d = _gauss_jordan([[*row, *((int(i == j), 0) for j in range(n))] for i, row in enumerate(mat)], m)
+    prod = matmul([[gr(*v) for v in row] for row in y], [[_value(x) for x in row] for row in mat])
+    want = [[gr(*d) * x for x in row] for row in _reduced_echelon(mat)]
+    assert rank == r and prod == want + [[GR_ZERO] * m for _ in range(n - r)]
+
+
+def _value(x):
+    return gr(*x) if type(x) is tuple else GaussianRational.coerce(x)
+
+
+def _reduced_echelon(mat):
+    """The nonzero rows of the reduced row echelon form of mat over Q(i), by Gauss-Jordan over GaussianRationals."""
+    rows, done = [[_value(x) for x in row] for row in mat], []
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((row for row in rows if row[c]), None)
+        if piv is not None:
+            rows.remove(piv)
+            piv = [x / piv[c] for x in piv]
+            done, rows = ([[x - row[c] * p for x, p in zip(row, piv)] for row in part] for part in (done, rows))
+            done.append(piv)
+    return done
 
 
 def _squares(n):
