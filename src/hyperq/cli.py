@@ -64,6 +64,17 @@ def _lines(*values) -> str:
     return "".join(f"{word}\n" for word in words)
 
 
+def _whole(render, *args, **kwargs):
+    """render(*args, **kwargs) with no limit on the digits of an int printed: the limit bounds int() of
+    input, all parsed by then, and a computed value prints exactly at any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render(*args, **kwargs)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _map_output(doc: dict, m: QuadricMap) -> Tuple[dict, str]:
     """doc with the map's fields added, and the map file text."""
     doc.update(
@@ -103,7 +114,7 @@ def cmd_bound(args) -> Tuple[dict, str]:
     func, names, _ = _BOUNDS[args.subcommand]
     inputs = {name: getattr(args, name) for name in names}
     value = func(*inputs.values())
-    return {**inputs, "value": value}, _lines(value)
+    return {**inputs, "value": value}, _whole(_lines, value)
 
 
 def cmd_form_rank(args) -> Tuple[dict, str]:
@@ -328,7 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         leaf = [args.command] + ([args.subcommand] if "subcommand" in args else [])
         doc.update(command=".".join(leaf), schema=1)
-        print(json.dumps(doc, sort_keys=True, default=str))
+        print(_whole(json.dumps, doc, sort_keys=True, default=str))
     else:
         sys.stdout.write(text)
     return 0

@@ -1,8 +1,9 @@
 """Exact complex rational scalars.
 
 A GaussianRational is a complex number whose real and imaginary parts are
-Python Fractions.  It is the coefficient field for every matrix and
-polynomial in this package; no floating point enters anywhere.
+Python Fractions: the value that enters and leaves the package.  Inside it,
+every computation runs on Gaussian integers held as (re, im) int pairs, so
+the class has no arithmetic.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -54,64 +55,14 @@ class GaussianRational:
     def __reduce__(self):
         return GaussianRational, (self.re, self.im)
 
-    # -- constructors ------------------------------------------------
-
     @staticmethod
     def coerce(x: "GaussianRational | Rat") -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
         return GaussianRational(x)
 
-    # -- predicates --------------------------------------------------
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    # -- arithmetic --------------------------------------------------
-
-    def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
-
-    def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussianRational.coerce(other)
-        n = o.norm_sq()
-        if not n:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
-
-    def norm_sq(self) -> Fraction:
-        """|z|^2 = re^2 + im^2, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
-    # -- comparison / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -124,8 +75,6 @@ class GaussianRational:
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    # -- rendering ----------------------------------------------------
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -143,5 +92,5 @@ GR_ZERO = GaussianRational(0)
 
 
 def gr(re: Rat = 0, im: Rat = 0) -> GaussianRational:
-    """Shorthand constructor used heavily in tests."""
+    """Shorthand for GaussianRational(re, im)."""
     return GaussianRational(re, im)

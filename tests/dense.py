@@ -1,8 +1,15 @@
-"""Dense GaussianRational matrices in tests: products, a general rank,
+"""The tests' arithmetic of Q(i) and dense matrices over it: the field
+operations that left hyperq's GaussianRational, products, a general rank,
 matrices read as forms and forms read as matrices, the rational reading
-of the symmetric elimination's components, and the full-square
-elimination and Q(i) solve that linalg's one-triangle kernel and
-Gaussian-integer solve replaced, kept as oracles.
+of the symmetric elimination's components, and the GaussianRational LDL*,
+full-square elimination and Q(i) solve that linalg's one-triangle kernel
+and Gaussian-integer solve replaced, kept as oracles.
+
+hyperq computes on Gaussian-integer pairs, and its GaussianRational is
+only the value that enters and leaves it.  Here `Qi` is a GaussianRational
+with + - * / and norm_sq, `gr` builds one, and `lift` turns a value hyperq
+returns into one before a test computes on it.  A Qi is still a
+GaussianRational, so hyperq reads it as one and compares it with its own.
 
 hyperq enters its symmetric elimination only through a form.  A square
 matrix M is the one-variable form sum of M[i][j] z^i zbar^j, whose
@@ -15,12 +22,77 @@ from math import lcm
 from hyperq.errors import DimensionMismatch
 from hyperq.forms import HermitianForm, decompose
 from hyperq.linalg import solve
-from hyperq.scalars import GR_ZERO, GaussianRational, gr
+from hyperq.scalars import GaussianRational
+
+
+class Qi(GaussianRational):
+    """A GaussianRational with the field operations of Q(i); each returns a Qi, and an int, a
+    Fraction or any GaussianRational on either side is read by its value."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        o = lift(other)
+        return Qi(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Qi(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = lift(other)
+        return Qi(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return lift(other) - self
+
+    def __mul__(self, other):
+        o = lift(other)
+        return Qi(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = lift(other)
+        n = o.norm_sq()
+        if not n:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return Qi(
+            (self.re * o.re + self.im * o.im) / n,
+            (self.im * o.re - self.re * o.im) / n,
+        )
+
+    def __rtruediv__(self, other):
+        return lift(other) / self
+
+    def norm_sq(self) -> Fraction:
+        """|z|^2 = re^2 + im^2, an exact nonnegative rational."""
+        return self.re * self.re + self.im * self.im
+
+
+def lift(x):
+    """An int, a Fraction or a GaussianRational, hyperq's own included, as a Qi."""
+    if isinstance(x, Qi):
+        return x
+    x = GaussianRational.coerce(x)
+    return Qi(x.re, x.im)
+
+
+def gr(re=0, im=0):
+    """The tests' shorthand for Qi(re, im), as hyperq.gr is the package's for GaussianRational."""
+    return Qi(re, im)
+
+
+ZERO = Qi(0)
 
 
 def conj(x):
     """The complex conjugate of a GaussianRational, Fraction or int."""
-    x = GaussianRational.coerce(x)
+    x = lift(x)
     return gr(x.re, -x.im)
 
 
@@ -29,7 +101,7 @@ def identity(n):
 
 
 def matmul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), GR_ZERO) for col in zip(*b)] for row in a]
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a]
 
 
 def matrix_form(mat):
@@ -41,7 +113,7 @@ def matrix_form(mat):
 def matrix_components(mat):
     """decompose of the matrix's form as (sign, weight, vector) over the unit basis."""
     n = len(mat)
-    return [(s, w, [poly.get((k,), GR_ZERO) for k in range(n)]) for s, w, poly in decompose(matrix_form(mat)).components]
+    return [(s, w, [lift(poly.get((k,), 0)) for k in range(n)]) for s, w, poly in decompose(matrix_form(mat)).components]
 
 
 def rational_components(den, n, steps):
@@ -55,18 +127,18 @@ def rational_components(den, n, steps):
     comps = []
     for act, prev, piv, cols in steps:
         if len(cols) == 1:
-            vec = [GR_ZERO] * n
+            vec = [ZERO] * n
             for k, (re, im) in zip(act, cols[0]):
-                vec[k] = GaussianRational(Fraction(re, piv), Fraction(im, piv))
+                vec[k] = Qi(Fraction(re, piv), Fraction(im, piv))
             comps.append((1 if (piv > 0) == (prev > 0) else -1, Fraction(abs(piv), abs(prev) * den), vec))
             continue
         (cr, ci), a = piv, prev * den
         nc = cr * cr + ci * ci
         for sign in (1, -1):
-            vec = [GR_ZERO] * n
+            vec = [ZERO] * n
             for k, (pr, pi), (qr, qi) in zip(act, *cols):
                 ur, ui = sign * a * (cr * pr - ci * pi), sign * a * (cr * pi + ci * pr)
-                vec[k] = GaussianRational(Fraction(qr * nc + ur, a * nc), Fraction(qi * nc + ui, a * nc))
+                vec[k] = Qi(Fraction(qr * nc + ur, a * nc), Fraction(qi * nc + ui, a * nc))
             comps.append((sign, Fraction(1, 2), vec))
     return comps
 
@@ -75,7 +147,7 @@ def form_matrix(form, basis=None):
     """The form's dense coefficient matrix over the given (default: support) basis."""
     if basis is None:
         basis = form.support()
-    return [[form.entries.get((a, b), GR_ZERO) for b in basis] for a in basis]
+    return [[lift(form.entries.get((a, b), 0)) for b in basis] for a in basis]
 
 
 def evaluate(form, point):
@@ -92,7 +164,7 @@ def evaluate(form, point):
 
     total = gr(0)
     for (alpha, beta), c in form.entries.items():
-        term = c
+        term = lift(c)
         for i, e in enumerate(alpha):
             if e:
                 term = term * pw(i, e)
@@ -206,10 +278,95 @@ def full_symmetric_steps(x):
         act = [act[k] for k in keep]
 
 
+def gr_ldl_components(mat):
+    """Split a Hermitian matrix into signed weighted rank-one pieces by an LDL* over Q(i): the
+    elimination linalg's fraction-free kernel replaced, kept as the reference for its components.
+
+    Pivot policy: take the nonzero diagonal pivot of largest magnitude
+    (ties: smallest index); fall back to a 2x2 off-diagonal block only
+    when every remaining diagonal entry is zero.
+    """
+    n = len(mat)
+    m = [[lift(x) for x in row] for row in mat]
+    active = list(range(n))
+    comps = []
+    while active:
+        best = None
+        best_mag = None
+        for i in active:
+            d = m[i][i].re
+            if d:
+                mag = abs(d)
+                if best_mag is None or mag > best_mag:
+                    best, best_mag = i, mag
+        if best is not None:
+            i = best
+            d = m[i][i].re
+            d_gr = Qi(d)
+            vec = [ZERO] * n
+            col = {}
+            for k in active:
+                col[k] = m[k][i]
+                vec[k] = m[k][i] / d_gr
+            comps.append((1 if d > 0 else -1, abs(d), vec))
+            active.remove(i)
+            for j in active:
+                cji = col[j]
+                if not cji:
+                    continue
+                f = cji / d_gr
+                row_j = m[j]
+                row_i = m[i]
+                for k in active:
+                    if row_i[k]:
+                        row_j[k] = row_j[k] - f * row_i[k]
+            continue
+        # every remaining diagonal is zero: look for a 2x2 block
+        pair = None
+        for ip in range(len(active)):
+            for jp in range(ip + 1, len(active)):
+                if m[active[ip]][active[jp]]:
+                    pair = (active[ip], active[jp])
+                    break
+            if pair:
+                break
+        if pair is None:
+            break  # remaining block is identically zero
+        i, j = pair
+        c = m[i][j]
+        gamma = c / Qi(c.norm_sq())
+        gbar = conj(gamma)
+        p_col = {k: m[k][i] for k in active}
+        q_col = {k: m[k][j] for k in active}
+        vec_p = [ZERO] * n
+        vec_m = [ZERO] * n
+        for k in active:
+            gp = gamma * p_col[k]
+            vec_p[k] = q_col[k] + gp
+            vec_m[k] = q_col[k] - gp
+        comps.append((1, Fraction(1, 2), vec_p))
+        comps.append((-1, Fraction(1, 2), vec_m))
+        active.remove(i)
+        active.remove(j)
+        for k in active:
+            pk = p_col[k]
+            qk = q_col[k]
+            if not pk and not qk:
+                continue
+            row_k = m[k]
+            for l in active:
+                row_k[l] = (
+                    row_k[l]
+                    - gamma * pk * conj(q_col[l])
+                    - gbar * qk * conj(p_col[l])
+                )
+    return comps
+
+
 def rational_solve(a, b):
     """X with a X = b for a square invertible a: one Gauss-Jordan pass on [a | b] over Q(i)."""
     n = len(a)
-    x = [[GaussianRational.coerce(v) for v in ra + rb] for ra, rb in zip(a, b)]
+    x = [[lift(v) for v in ra + rb] for ra, rb in zip(a, b)]
     for i in range(n):
         piv = next((j for j in range(i, n) if x[j][i]), None)
         if piv is None:
@@ -229,4 +386,5 @@ def cleared_solve(a, b):
     n = len(a)
     rows = _cleared_row([v for ra, rb in zip(a, b) for v in (*ra, *rb)])
     w = len(rows) // n if n else 0
-    return solve([rows[i * w:i * w + n] for i in range(n)], [rows[i * w + n:(i + 1) * w] for i in range(n)])
+    x = solve([rows[i * w:i * w + n] for i in range(n)], [rows[i * w + n:(i + 1) * w] for i in range(n)])
+    return [[lift(v) for v in row] for row in x]

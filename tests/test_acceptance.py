@@ -15,7 +15,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from dense import bareiss_rank, conj, matrix_form
+from dense import bareiss_rank, conj, gr, matrix_form
 from hyperq.cli import main
 from hyperq.combinat import (
     green_G,
@@ -52,7 +52,6 @@ from hyperq.restrict import (
     quadric_subspace,
     restrict_form,
 )
-from hyperq.scalars import gr
 from tuple_polys import monomials_of_degree, restriction_matrix
 
 

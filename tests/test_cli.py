@@ -12,7 +12,7 @@ import pytest
 
 from hyperq import forms, quadrics
 from hyperq.cli import main
-from hyperq.combinat import green_G
+from hyperq.combinat import green_G, green_K
 from hyperq.formats import dump_map, dump_realpoly, parse_map
 from hyperq.quadrics import identity_map, s_poly
 
@@ -71,6 +71,33 @@ def test_bound_k_of_large_rank_finishes(capsys):
     code, out, err = run(capsys, ["bound", "k", "5", str(10**20)])
     assert time.perf_counter() - start < 1
     assert code == 0 and err == "" and int(out) >= 10**20
+
+
+def test_bound_prints_a_value_past_the_digit_limit(capsys):
+    # K_2(10^2200) has about 4,400 digits, more than the 4,300 that Python lets str() print by
+    # default; the value prints exactly in text and JSON, and the limit is back in force after
+    want, limit = green_K(2, 10**2200), sys.get_int_max_str_digits()
+    argv = ["bound", "k", "2", "1" + "0" * 2200]
+    code, out, err = run(capsys, argv)
+    code_json, doc, err_json = run(capsys, argv + ["--json"])
+    assert sys.get_int_max_str_digits() == limit == 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (code, err, code_json, err_json) == (0, "", 0, "")
+        assert out == f"{want}\n" and len(out) > 4301
+        assert json.loads(doc)["value"] == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_input_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    # the limit keeps int() of input bounded: a 4,301-digit argv int or file token exits 2
+    code, out, err = run(capsys, ["bound", "k", "2", "9" * 4301])
+    assert (code, out) == (2, "") and "invalid int value" in err
+    path = tmp_path / "long.form"
+    path.write_text(f"form n=1\n1 ; 1 ; {'9' * 4301} ; 0\n", encoding="utf-8")
+    code, out, err = run(capsys, ["form", "rank", str(path)])
+    assert (code, out) == (2, "") and err.startswith("parse error:")
 
 
 def test_form_commands(capsys, tmp_path):

@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from dense import bareiss_rank, conj, evaluate, form_matrix, rational_components
+from dense import ZERO, bareiss_rank, conj, evaluate, form_matrix, gr, gr_ldl_components, lift, rational_components
 import hyperq.forms as forms_module
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.forms import (
@@ -36,8 +36,7 @@ from hyperq.formats import dump_form, load_form
 from hyperq.linalg import _cleared, _signs
 from hyperq.multiindex import places, sorted_grlex, unit, unpack, zero_index
 from hyperq.restrict import cayley_unitary, generic_restriction_rank
-from hyperq.scalars import GR_ZERO, GaussianRational, gr
-from test_linalg import _gr_ldl_components
+from hyperq.scalars import GR_ZERO, GaussianRational
 from tuple_polys import mi_add, monomials_up_to, poly_mul
 
 
@@ -151,7 +150,7 @@ def test_evaluate_matches_decomposition():
         for sign, weight, poly in holo.components:
             val = gr(0)
             for alpha, c in poly.items():
-                term = c
+                term = lift(c)
                 for i, e in enumerate(alpha):
                     for _ in range(e):
                         term = term * point[i]
@@ -241,10 +240,10 @@ def _gr_compose_linear(form, matrix, translation=None):
     for (alpha, beta), c in form.entries.items():
         anti = table[beta]
         for gamma, u in table[alpha].items():
-            cu = c * u
+            cu = lift(c) * u
             for delta, v in anti.items():
                 key = (gamma, delta)
-                w = acc.get(key, GR_ZERO) + cu * conj(v)
+                w = acc.get(key, ZERO) + cu * conj(v)
                 if w:
                     acc[key] = w
                 else:
@@ -663,9 +662,9 @@ def _zero_diagonal_form(rng, n, terms):
 
 
 def _matrix_path(form):
-    """(rank, inertia, components) of the dense matrix by test_linalg's GaussianRational LDL* oracle."""
+    """(rank, inertia, components) of the dense matrix by the GaussianRational LDL* oracle in dense."""
     basis = form.support()
-    comps = _gr_ldl_components(form_matrix(form, basis))
+    comps = gr_ldl_components(form_matrix(form, basis))
     pos = sum(s > 0 for s, _, _ in comps)
     return {
         "rank": len(comps),
@@ -693,7 +692,7 @@ def _pivot_forms(rng):
     mixed = [_mixed_form(rng, n, rng.randint(1, 12)) for n in (1, 2, 3, 3, 4, 4)]
     hollow = [_zero_diagonal_form(rng, n, rng.randint(2, 10)) for n in (2, 2, 3, 3, 4)]
     dense = [_dense_form(rng, 3, 2, 8), _dense_form(rng, 2, 3, 9)]
-    negated = [form_from_entries(f.n, ((alpha, beta, -c) for (alpha, beta), c in f.entries.items()))
+    negated = [form_from_entries(f.n, ((alpha, beta, -lift(c)) for (alpha, beta), c in f.entries.items()))
                for f in mixed + dense]
     return mixed + hollow + dense + negated + [HermitianForm(2, {})]
 

@@ -10,15 +10,15 @@ from random import Random
 
 import pytest
 
-from dense import (bareiss_rank, cleared_solve, conj, full_symmetric_steps, identity, matmul, matrix_components,
-                   matrix_form, rational_solve)
+from dense import (ZERO, bareiss_rank, cleared_solve, conj, full_symmetric_steps, gr, gr_ldl_components, identity,
+                   lift, matmul, matrix_components, matrix_form, rational_solve)
 from hyperq.errors import ConjugateMismatch, NonRealDiagonal
 from hyperq.forms import (_elimination, compose_linear, decompose, form_from_entries, form_from_real_poly, form_inertia,
                           form_rank)
 from hyperq.linalg import _cleared, _gauss_jordan, _symmetric_steps
 from hyperq.multiindex import unit
 from hyperq.restrict import embedding
-from hyperq.scalars import GR_ZERO, GaussianRational, gr
+from hyperq.scalars import GR_ZERO, GaussianRational
 
 
 def _rand_gr(rng, span=9):
@@ -53,7 +53,7 @@ def test_rank_matches_bareiss_on_products():
         k = rng.randint(0, min(n, m) + 1)
         a, b = ([[_rand_real(rng) if real else _rand_gr(rng, 4) for _ in range(cols)] for _ in range(rows)]
                 for rows, cols in ((n, k), (k, m)))
-        mat = matmul(a, b) if k else [[GR_ZERO] * m for _ in range(n)]
+        mat = matmul(a, b) if k else [[ZERO] * m for _ in range(n)]
         want = bareiss_rank(mat)
         mixed = [[_written(mix, x) for x in row] for row in mat]
         kinds.update(type(x) for row in mixed for x in row)
@@ -87,9 +87,9 @@ def _rand_real(rng):
 
 
 def _written(rng, x):
-    """x as an int, a Fraction, a GaussianRational or an (re, im) pair, each where it can be."""
+    """x as an int, a Fraction, hyperq's GaussianRational or an (re, im) pair, each where it can be."""
     real = [] if x.im else [x.re] + ([int(x.re)] if x.re.denominator == 1 else [])
-    return rng.choice([x, (x.re, x.im)] + real * 2)
+    return rng.choice([GaussianRational(x.re, x.im), (x.re, x.im)] + real * 2)
 
 
 def _assert_echelon(mat, m, r):
@@ -99,11 +99,11 @@ def _assert_echelon(mat, m, r):
     rank, y, d = _gauss_jordan([[*row, *((int(i == j), 0) for j in range(n))] for i, row in enumerate(mat)], m)
     prod = matmul([[gr(*v) for v in row] for row in y], [[_value(x) for x in row] for row in mat])
     want = [[gr(*d) * x for x in row] for row in _reduced_echelon(mat)]
-    assert rank == r and prod == want + [[GR_ZERO] * m for _ in range(n - r)]
+    assert rank == r and prod == want + [[ZERO] * m for _ in range(n - r)]
 
 
 def _value(x):
-    return gr(*x) if type(x) is tuple else GaussianRational.coerce(x)
+    return gr(*x) if type(x) is tuple else lift(x)
 
 
 def _reduced_echelon(mat):
@@ -166,9 +166,9 @@ def test_solve_matches_the_rational_pass():
     kinds = set()
     for _ in range(150):
         n, m = rng.randint(1, 6), rng.randint(1, 4)
-        a = [[_rand_gr(rng, 4) if rng.random() > 0.3 else GR_ZERO for _ in range(n)] for _ in range(n)]
+        a = [[_rand_gr(rng, 4) if rng.random() > 0.3 else ZERO for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.4:
-            a[0][0] = GR_ZERO
+            a[0][0] = ZERO
         if n > 1 and rng.random() < 0.2:
             a[-1] = [x * gr(0, 2) for x in a[0]]  # singular
         b = [[_rand_gr(rng, 4) for _ in range(m)] for _ in range(n)]
@@ -298,93 +298,6 @@ def test_inertia_refuses_a_matrix_that_is_not_hermitian():
             decompose(matrix_form(mat))
 
 
-# -- the GaussianRational LDL* the fraction-free kernel replaced, kept as the reference --
-
-
-def _gr_ldl_components(mat):
-    """Split a Hermitian matrix into signed weighted rank-one pieces.
-
-    Pivot policy: take the nonzero diagonal pivot of largest magnitude
-    (ties: smallest index); fall back to a 2x2 off-diagonal block only
-    when every remaining diagonal entry is zero.
-    """
-    n = len(mat)
-    m = [row[:] for row in mat]
-    active = list(range(n))
-    comps = []
-    while active:
-        best = None
-        best_mag = None
-        for i in active:
-            d = m[i][i].re
-            if d:
-                mag = abs(d)
-                if best_mag is None or mag > best_mag:
-                    best, best_mag = i, mag
-        if best is not None:
-            i = best
-            d = m[i][i].re
-            d_gr = GaussianRational(d)
-            vec = [GR_ZERO] * n
-            col = {}
-            for k in active:
-                col[k] = m[k][i]
-                vec[k] = m[k][i] / d_gr
-            comps.append((1 if d > 0 else -1, abs(d), vec))
-            active.remove(i)
-            for j in active:
-                cji = col[j]
-                if not cji:
-                    continue
-                f = cji / d_gr
-                row_j = m[j]
-                row_i = m[i]
-                for k in active:
-                    if row_i[k]:
-                        row_j[k] = row_j[k] - f * row_i[k]
-            continue
-        # every remaining diagonal is zero: look for a 2x2 block
-        pair = None
-        for ip in range(len(active)):
-            for jp in range(ip + 1, len(active)):
-                if m[active[ip]][active[jp]]:
-                    pair = (active[ip], active[jp])
-                    break
-            if pair:
-                break
-        if pair is None:
-            break  # remaining block is identically zero
-        i, j = pair
-        c = m[i][j]
-        gamma = c / GaussianRational(c.norm_sq())
-        gbar = conj(gamma)
-        p_col = {k: m[k][i] for k in active}
-        q_col = {k: m[k][j] for k in active}
-        vec_p = [GR_ZERO] * n
-        vec_m = [GR_ZERO] * n
-        for k in active:
-            gp = gamma * p_col[k]
-            vec_p[k] = q_col[k] + gp
-            vec_m[k] = q_col[k] - gp
-        comps.append((1, Fraction(1, 2), vec_p))
-        comps.append((-1, Fraction(1, 2), vec_m))
-        active.remove(i)
-        active.remove(j)
-        for k in active:
-            pk = p_col[k]
-            qk = q_col[k]
-            if not pk and not qk:
-                continue
-            row_k = m[k]
-            for l in active:
-                row_k[l] = (
-                    row_k[l]
-                    - gamma * pk * conj(q_col[l])
-                    - gbar * qk * conj(p_col[l])
-                )
-    return comps
-
-
 def _oracle_inertia(comps):
     return sum(1 for s, _, _ in comps if s > 0), sum(1 for s, _, _ in comps if s < 0)
 
@@ -395,7 +308,7 @@ def _step_kinds(mat):
 
 
 def _assert_matches_oracle(mat):
-    want = _gr_ldl_components(mat)
+    want = gr_ldl_components(mat)
     assert matrix_components(mat) == want
     assert form_inertia(matrix_form(mat)) == _oracle_inertia(want)
     return want
@@ -407,11 +320,11 @@ def _rational(rng, span=9, den=12):
 
 def _dense(rng, n, zero_diagonal=False):
     """Hermitian, denominators up to 12, about a fifth of the off-diagonal pairs zero."""
-    mat = [[GR_ZERO] * n for _ in range(n)]
+    mat = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        mat[i][i] = GR_ZERO if zero_diagonal else gr(_rational(rng))
+        mat[i][i] = ZERO if zero_diagonal else gr(_rational(rng))
         for j in range(i + 1, n):
-            x = gr(_rational(rng), _rational(rng)) if rng.random() > 0.2 else GR_ZERO
+            x = gr(_rational(rng), _rational(rng)) if rng.random() > 0.2 else ZERO
             mat[i][j], mat[j][i] = x, conj(x)
     return mat
 
@@ -460,7 +373,7 @@ def test_fraction_free_ldl_matches_oracle_on_rank_deficient_sums():
     for _ in range(40):
         n = rng.randint(2, 9)
         k = rng.randint(1, n - 1)
-        mat = [[GR_ZERO] * n for _ in range(n)]
+        mat = [[ZERO] * n for _ in range(n)]
         signs = [rng.choice((1, -1)) for _ in range(k)]
         for s in signs:
             v = [gr(_rational(rng, 4, 6), _rational(rng, 4, 6)) for _ in range(n)]
@@ -475,7 +388,7 @@ def test_zero_matrix_inertia():
     assert form_inertia(matrix_form([[gr(0)] * 3 for _ in range(3)])) == (0, 0)
     assert matrix_components([[gr(0)] * 3 for _ in range(3)]) == []
     for n in (0, 1, 2, 5):
-        assert _assert_matches_oracle([[GR_ZERO] * n for _ in range(n)]) == []
+        assert _assert_matches_oracle([[ZERO] * n for _ in range(n)]) == []
     for x in (Fraction(-5, 7), Fraction(12), Fraction(1, 12)):
         assert _assert_matches_oracle([[gr(x)]]) == [(1 if x > 0 else -1, abs(x), [gr(1)])]
 

