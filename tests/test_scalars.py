@@ -4,7 +4,7 @@ arithmetic of Q(i) on it (`dense.Qi`), which the tests compute with."""
 from fractions import Fraction
 from random import Random
 
-from dense import Qi, conj
+from dense import Qi, conj, lift
 from hyperq.scalars import GR_ZERO, GaussianRational, gr
 
 
@@ -57,6 +57,17 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert 2 * x == x * 2
     assert x - Fraction(1, 2) == gr(0, 1)
     assert x / 2 == gr(Fraction(1, 4), Fraction(1, 2))
+
+
+def test_oracle_reads_the_package_values_on_either_side():
+    # hyperq's own GaussianRational has no operators: next to a Qi it is read by its value, either
+    # side, and the result is a Qi
+    x, g = Qi(Fraction(1, 2), 1), gr(3, -1)
+    cases = [(g + x, gr(Fraction(7, 2))), (g - x, gr(Fraction(5, 2), -2)), (x - g, gr(Fraction(-5, 2), 2)),
+             (g * x, gr(Fraction(5, 2), Fraction(5, 2))), (g / x, gr(Fraction(2, 5), Fraction(-14, 5))),
+             (GR_ZERO - x, -x), (lift(g), g)]
+    for got, want in cases:
+        assert type(got) is Qi and got == want
 
 
 def test_fraction_parts_are_kept_and_others_converted():
