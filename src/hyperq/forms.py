@@ -8,11 +8,12 @@ denominator, which `_entries_side` builds from listed (re, im) int pairs and
 checks Hermitian once; its GaussianRational entries are reduced only when
 read.  Rank, inertia and weighted holomorphic squares are exact and read one
 elimination per form, memoized with that view; a substitution by an E of full
-row rank reads its source's rank and inertia.  Substitution (in two passes,
-with E and t cleared by one lcm, on monomials keyed by packed ints) and norm
-differences sum Gaussian integers over one denominator, in the upper triangle
-of a sum that is Hermitian by construction, and read the new form's view off
-that triangle.  The monomial basis is graded lexicographic everywhere, so
+row rank reads its source's rank and inertia.  Substitution checks its input
+and clears E and t by one lcm at the call, and runs (in two passes, on
+monomials keyed by packed ints) at the new form's first read of its view.  It
+and norm differences sum Gaussian integers over one denominator, in the upper
+triangle of a sum that is Hermitian by construction, and read the new form's
+view off that triangle.  The monomial basis is graded lexicographic everywhere, so
 matrices, files and decompositions are reproducible byte for byte.
 """
 
@@ -49,8 +50,8 @@ class HermitianForm(_Record):
     entries maps (alpha, beta) to the coefficient of z^alpha zbar^beta.
     Both mirror entries are stored; zero entries are omitted.  Treat
     instances as immutable: a private memo keeps their integer view
-    (`_form_side`) and elimination.  Every form starts from its view: its
-    entries are reduced from it, or cleared into it, on first read.
+    (`_form_side`) and elimination.  Every form starts from its view, or from a change that
+    builds it: its entries are reduced from it, or cleared into it, on first read.
     """
 
     _fields = ("n", "entries")
@@ -61,10 +62,10 @@ class HermitianForm(_Record):
         object.__setattr__(self, "_memo", {})
 
     def __getattr__(self, name: str) -> Any:
-        """Only reached for the entries of a form that starts from its side: reduced from it once."""
+        """Only reached for the entries of a form that starts from its side, or a change: reduced once."""
         if name != "entries":
             raise AttributeError(name)
-        support, flat, d = self._memo["side"]
+        support, flat, d = _form_side(self)
         entries = {(support[i], support[j]): GaussianRational(Fraction(re, d), Fraction(im, d))
                    for (i, j), (re, im) in flat.items()}
         object.__setattr__(self, "entries", entries)
@@ -107,7 +108,8 @@ def form_rank(form: HermitianForm) -> int:
 
 def form_inertia(form: HermitianForm) -> SignaturePair:
     """Signature pair (positive count, negative count) of the matrix; a form that compose_linear built by a
-    change of variables onto the source space reads its source's, the same by Sylvester's law of inertia."""
+    change of variables onto the source space reads its source's, the same by Sylvester's law of inertia,
+    and never builds its own substitution (compose_linear raised any error of the change at its call)."""
     return SignaturePair(*_signs(_elimination(form._memo.get("congruent", form))[1]))
 
 
@@ -210,7 +212,7 @@ def norm_difference(holo: WeightedHoloMap, subtract_one: bool) -> HermitianForm:
         k = wn * (w // wd)
         p = {at[alpha]: c for alpha, c in poly.items()}
         _sandwich(acc, (k if sign > 0 else -k, 0), p, [p.get(i, (0, 0)) for i in range(len(basis))])
-    return _to_form(holo.n, basis, acc, w * d * d)
+    return _from_side(HermitianForm(holo.n), "entries", _to_side(basis, acc, w * d * d))
 
 
 def form_from_real_poly(terms: Dict[Tuple[int, ...], object], n: Optional[int] = None) -> HermitianForm:
@@ -252,15 +254,15 @@ def _sandwich(acc: _Rows, c: _Pair, left: Dict[int, _Pair], right: List[_Pair]) 
                       for (r, i), (vr, vi) in zip(acc.get(gamma) or repeat((0, 0)), right[gamma:])]
 
 
-def _to_form(n: int, basis: Sequence[MultiIndex], acc: _Rows, den: int) -> HermitianForm:
-    """The form with entry acc[i][j - i] / den at (basis[i], basis[j]), j >= i, from the upper triangle
+def _to_side(basis: Sequence[MultiIndex], acc: _Rows, den: int) -> _FormSide:
+    """The view with entry acc[i][j - i] / den at (basis[i], basis[j]), j >= i, from the upper triangle
     acc of a sum that is Hermitian by construction, so it needs no check: `_composed` adds
     C_ab M^e P_a[x] conj(P_b[y]) at (x, y) for each entry C_ab of a checked form, and C_ba = conj(C_ab)
     its conjugate at (y, x); `norm_difference` adds k P[x] conj(P[y]), k real.  So the view is read off
     the triangle, each nonzero entry once, on the basis indices that carry one, in the basis' grlex order."""
     upper = [((i, j), x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0)]
     used = sorted({k for key, _ in upper for k in key})
-    return _from_side(HermitianForm(n), "entries", _reduced(basis, used, upper, den))
+    return _reduced(basis, used, upper, den)
 
 
 def _from_side(value: Any, name: str, side: Any) -> Any:
@@ -270,28 +272,23 @@ def _from_side(value: Any, name: str, side: Any) -> Any:
     return value
 
 
-def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]], n_dst: int,
-                monomials: Sequence[MultiIndex]) -> Tuple[List[Dict[int, _Pair]], int, int]:
-    """(P, M, w) with (Ez + t)^alpha = sum over gamma of P_k[key(gamma)] z^gamma / M^|alpha|, alpha = monomials[k].
+def _expansions(rows: Sequence[Sequence[_Pair]], n_dst: int, monomials: Sequence[MultiIndex]
+                ) -> Tuple[List[Dict[int, _Pair]], int]:
+    """(P, w) with (Ez + t)^alpha = sum over gamma of P_k[key(gamma)] z^gamma / M^|alpha|, alpha = monomials[k].
 
-    E and t are cleared together by the lcm M of their denominators, so P_k is over Z[i].  A monomial gamma of
-    the n = n_dst new variables is keyed by the int key(gamma) = |gamma| B^n - pack(gamma), B = 2^w, pack the
-    `multiindex.places(n, w)` layout, w = max(D.bit_length(), 1) for D the top |alpha|.  key is linear, so a
-    term product adds two keys.  Each gamma that P reaches has every gamma_i <= |gamma| <= D < B, so pack reads
-    gamma as n base-B digits, gamma_1 on top, in [0, B^n), and key(gamma) lies in ((|gamma| - 1) B^n, |gamma| B^n]:
-    a lower degree has the smaller key, and within a degree the larger key is the lexicographically smaller
-    gamma.  So ascending keys are grlex order (`multiindex.grlex_key`), and -key mod B^n unpacks to gamma.  The
-    powers of each row are cached: a monomial costs one product per variable.
+    rows[i] is row i of E then t_i, cleared together by the lcm M of their denominators, so P_k is over Z[i].  A
+    monomial gamma of the n = n_dst new variables is keyed by the int key(gamma) = |gamma| B^n - pack(gamma),
+    B = 2^w, pack the `multiindex.places(n, w)` layout, w = max(D.bit_length(), 1) for D the top |alpha|.  key is
+    linear, so a term product adds two keys.  Each gamma that P reaches has every gamma_i <= |gamma| <= D < B, so
+    pack reads gamma as n base-B digits, gamma_1 on top, in [0, B^n), and key(gamma) lies in ((|gamma| - 1) B^n,
+    |gamma| B^n]: a lower degree has the smaller key, and within a degree the larger key is the lexicographically
+    smaller gamma.  So ascending keys are grlex order (`multiindex.grlex_key`), and -key mod B^n unpacks to gamma.
+    The powers of each row are cached: a monomial costs one product per variable.
     """
-    for i, row in enumerate(matrix):
-        if len(row) != n_dst:
-            raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
-    rows = zip(matrix, repeat(0) if translation is None else translation)
-    pairs, m = _cleared(x for row, t in rows for x in (*row, t))
     w = max(max(map(sum, monomials), default=0).bit_length(), 1)
     one: Dict[int, _Pair] = {0: (1, 0)}
     keys = [places(n_dst + 1, w)[0] - u for u in places(n_dst, w)] + [0]  # the degree unit B^n minus x_j's key
-    powers = [[one, {k: c for k, c in zip(keys, pairs[i * len(keys):]) if c != (0, 0)}] for i in range(len(matrix))]
+    powers = [[one, {k: c for k, c in zip(keys, row) if c != (0, 0)}] for row in rows]
     table = []
     for alpha in monomials:
         out = one
@@ -301,7 +298,7 @@ def _expansions(matrix: Sequence[Sequence[object]], translation: Optional[Sequen
                     powers[i].append(_pair_mul(powers[i][-1], powers[i][1]))
                 out = _pair_mul(out, powers[i][e])
         table.append(out)
-    return table, m, w
+    return table, w
 
 
 def _entries_side(listed: Iterable[Tuple[Tuple[MultiIndex, MultiIndex], _Pair]], den: int) -> _FormSide:
@@ -342,10 +339,12 @@ def _reduced(monomials: Sequence[MultiIndex], used: List[int], listed: Iterable[
 
 
 def _form_side(form: HermitianForm) -> _FormSide:
-    """(support, flat, D), memoized (see `_entries_side`).  A form built directly from entries has each
-    distinct exponent checked and its entries cleared here, at its first read, where a missing mirror reads
-    as a listed 0; a refused one memoizes nothing."""
+    """(support, flat, D), memoized (see `_entries_side`), built at the form's first read: substituted from the
+    change `compose_linear` kept, or, for a form built directly from entries, with each distinct exponent checked
+    and its entries cleared, where a missing mirror reads as a listed 0; a refused one memoizes nothing."""
     side = form._memo.get("side")
+    if side is None and "change" in form._memo:
+        side = form._memo["side"] = _to_side(*_composed(*form._memo["change"]))
     if side is None:
         entries = form.entries
         for alpha in dict.fromkeys(a for key in entries for a in key):
@@ -356,31 +355,24 @@ def _form_side(form: HermitianForm) -> _FormSide:
     return side
 
 
-def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translation: Optional[Sequence[object]]
-              ) -> Tuple[int, List[MultiIndex], _Rows, int]:
-    """(n_dst, basis, acc, den): entry (basis[i], basis[j]) of r(Ez + t) is acc[i][j] / den.
+def _composed(form: HermitianForm, rows: Sequence[Sequence[_Pair]], m: int, n_dst: int
+              ) -> Tuple[List[MultiIndex], _Rows, int]:
+    """(basis, acc, den): entry (basis[i], basis[j]) of r(Ez + t) is acc[i][j] / den, rows as compose_linear keeps them.
 
-    With c = C / D over the lcm of the form's denominators, P and M from
+    With c = C / D over the lcm of the form's denominators, P from
     _expansions and K the top |alpha| + |beta| (read once per form), entry c at
     (alpha, beta) adds C M^(K-|alpha|-|beta|) P_alpha[gamma] conj(P_beta[delta]) in
     Z[i] at (gamma, delta), all over den = D M^K.  Two passes group the sum by alpha: each
     entry of the form side adds conj(C) M^(K-|alpha|-|beta|) P_beta[delta] to
     V_alpha[delta], then acc[gamma][delta] += P_alpha[gamma] conj(V_alpha[delta]):
     nnz k + |support| k^2 products for k terms per P, not nnz k^2, and pass 2 sums
-    only delta >= gamma, as the sum is Hermitian (see `_to_form`).  gamma and delta
+    only delta >= gamma, as the sum is Hermitian (see `_to_side`).  gamma and delta
     are indices in one grlex basis of the monomials the P reach, their sorted keys
     each decoded once, and each V_alpha is a dense row over that basis.  Any K' >= K
     gives the same reduced (support, flat, D): `_reduced`'s gcd divides out M^(K'-K).
     """
-    if len(matrix) != form.n:
-        raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
-    if translation is not None and len(translation) != form.n:
-        raise DimensionMismatch(
-            f"translation has {len(translation)} entries, form has {form.n} variables"
-        )
-    n_dst = len(matrix[0]) if form.n else 0
     support, flat, d = _form_side(form)
-    table, m, w = _expansions(matrix, translation, n_dst, support)
+    table, w = _expansions(rows, n_dst, support)
     keys = sorted({k for p in table for k in p})
     at = dict(zip(keys, count()))
     table = [{at[k]: x for k, x in p.items()} for p in table]
@@ -400,7 +392,7 @@ def _composed(form: HermitianForm, matrix: Sequence[Sequence[object]], translati
     acc: _Rows = {}
     for i, row in enumerate(v):
         _sandwich(acc, (1, 0), table[i], row)
-    return n_dst, basis, acc, d * scale[top]
+    return basis, acc, d * scale[top]
 
 
 def compose_linear(
@@ -408,15 +400,32 @@ def compose_linear(
     matrix: Sequence[Sequence[object]],
     translation: Optional[Sequence[object]] = None,
 ) -> HermitianForm:
-    """Coefficient matrix of r(Ez + t) by exact substitution.
+    """Coefficient matrix of r(Ez + t) by exact substitution, deferred to the new form's first read.
 
-    E has one row per source variable and one column per new variable.  An E of full
-    row rank maps onto the source space for any t, so p -> p(Ez + t) is injective and
-    the rank and inertia are kept (Sylvester's law): after one exact rank test of E the
-    new form reads them off the root of its chain of such changes.  A thin E, never
-    tested, restricts the form to a subspace.
+    E has one row per source variable and one column per new variable.  Every error is raised here: the shapes
+    of E and t, the source's view (read, so checked, unless it is a change checked at its own call) and the one
+    clearing of E and t by their lcm M.  The new form keeps the source, the cleared rows and M, which
+    `_form_side` substitutes once.  An E of full row rank maps onto the source space for any t, so p -> p(Ez + t)
+    is injective and the rank and inertia are kept (Sylvester's law): after one exact rank test of E the new
+    form reads them off the root of its chain of such changes and builds nothing.  A thin E, never tested,
+    restricts the form to a subspace.
     """
-    changed = _to_form(*_composed(form, matrix, translation))
-    if form.n and len(matrix[0]) >= form.n and _gauss_jordan(matrix, len(matrix[0]))[0] == form.n:
+    if len(matrix) != form.n:
+        raise DimensionMismatch(f"matrix has {len(matrix)} rows, form has {form.n} variables")
+    if translation is not None and len(translation) != form.n:
+        raise DimensionMismatch(f"translation has {len(translation)} entries, form has {form.n} variables")
+    n_dst = len(matrix[0]) if form.n else 0
+    if "change" not in form._memo:
+        _form_side(form)
+    for i, row in enumerate(matrix):
+        if len(row) != n_dst:
+            raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n_dst}")
+    ts = repeat(0) if translation is None else translation
+    pairs, m = _cleared(x for row, t in zip(matrix, ts) for x in (*row, t))
+    rows = [pairs[k:k + n_dst + 1] for k in range(0, len(pairs), n_dst + 1)]
+    changed = HermitianForm(n_dst)
+    object.__delattr__(changed, "entries")
+    changed._memo["change"] = form, rows, m, n_dst
+    if n_dst >= form.n > 0 and _gauss_jordan(rows, n_dst)[0] == form.n:
         changed._memo["congruent"] = form._memo.get("congruent", form)
     return changed

@@ -2,8 +2,9 @@
 operations that left hyperq's GaussianRational, products, a general rank,
 matrices read as forms and forms read as matrices, the rational reading
 of the symmetric elimination's components, and the GaussianRational LDL*,
-full-square elimination and Q(i) solve that linalg's one-triangle kernel
-and Gaussian-integer solve replaced, kept as oracles.
+full-square elimination, Q(i) solve and substitution that linalg's
+one-triangle kernel, its Gaussian-integer solve and forms' Gaussian-integer
+compose_linear replaced, kept as oracles.
 
 hyperq computes on Gaussian-integer pairs, and its GaussianRational is
 only the value that enters and leaves it.  Here `Qi` is a GaussianRational
@@ -22,7 +23,9 @@ from math import lcm
 from hyperq.errors import DimensionMismatch
 from hyperq.forms import HermitianForm, decompose
 from hyperq.linalg import solve
+from hyperq.multiindex import unit, zero_index
 from hyperq.scalars import GaussianRational
+from tuple_polys import poly_mul
 
 
 class Qi(GaussianRational):
@@ -388,3 +391,44 @@ def cleared_solve(a, b):
     w = len(rows) // n if n else 0
     x = solve([rows[i * w:i * w + n] for i in range(n)], [rows[i * w + n:(i + 1) * w] for i in range(n)])
     return [[lift(v) for v in row] for row in x]
+
+
+def _gr_expansions(matrix, translation, n_dst, monomials):
+    origin = zero_index(n_dst)
+    one = {origin: gr(1)}
+    powers = []
+    for i, row in enumerate(matrix):
+        li = {unit(n_dst, j): gr(0) + c for j, c in enumerate(row) if c}
+        if translation is not None and translation[i]:
+            li[origin] = gr(0) + translation[i]
+        powers.append([one, li])
+    table = {}
+    for alpha in monomials:
+        out = one
+        for i, e in enumerate(alpha):
+            if e:
+                while len(powers[i]) <= e:
+                    powers[i].append(poly_mul(powers[i][-1], powers[i][1]))
+                out = poly_mul(out, powers[i][e])
+        table[alpha] = out
+    return table
+
+
+def gr_compose_linear(form, matrix, translation=None):
+    """r(Ez + t) summed entry by entry in Q(i), eagerly: the substitution loop that compose_linear's
+    Gaussian-integer one replaced, kept as the reference."""
+    n_dst = len(matrix[0]) if form.n else 0
+    table = _gr_expansions(matrix, translation, n_dst, form.support())
+    acc = {}
+    for (alpha, beta), c in form.entries.items():
+        anti = table[beta]
+        for gamma, u in table[alpha].items():
+            cu = lift(c) * u
+            for delta, v in anti.items():
+                key = (gamma, delta)
+                w = acc.get(key, ZERO) + cu * conj(v)
+                if w:
+                    acc[key] = w
+                else:
+                    acc.pop(key, None)
+    return HermitianForm(n_dst, acc)

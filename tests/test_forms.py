@@ -11,7 +11,8 @@ from random import Random
 
 import pytest
 
-from dense import ZERO, bareiss_rank, conj, evaluate, form_matrix, gr, gr_ldl_components, lift, rational_components
+from dense import (bareiss_rank, conj, evaluate, form_matrix, gr, gr_compose_linear, gr_ldl_components, lift,
+                   rational_components)
 import hyperq.forms as forms_module
 from hyperq.errors import ConjugateMismatch, DimensionMismatch, NonRealDiagonal
 from hyperq.forms import (
@@ -22,7 +23,7 @@ from hyperq.forms import (
     _entries_side,
     _expansions,
     _form_side,
-    _to_form,
+    _to_side,
     compose_linear,
     decompose,
     form_from_entries,
@@ -37,7 +38,7 @@ from hyperq.linalg import _cleared, _signs
 from hyperq.multiindex import places, sorted_grlex, unit, unpack, zero_index
 from hyperq.restrict import cayley_unitary, generic_restriction_rank
 from hyperq.scalars import GR_ZERO, GaussianRational
-from tuple_polys import mi_add, monomials_up_to, poly_mul
+from tuple_polys import mi_add, monomials_up_to
 
 
 def _random_form(rng, n, terms, span=5):
@@ -212,45 +213,6 @@ def test_norm_difference_subtract_one():
 # -- the GaussianRational sandwich loops the integer ones replaced, kept as the reference --
 
 
-def _gr_expansions(matrix, translation, n_dst, monomials):
-    origin = zero_index(n_dst)
-    one = {origin: gr(1)}
-    powers = []
-    for i, row in enumerate(matrix):
-        li = {unit(n_dst, j): gr(0) + c for j, c in enumerate(row) if c}
-        if translation is not None and translation[i]:
-            li[origin] = gr(0) + translation[i]
-        powers.append([one, li])
-    table = {}
-    for alpha in monomials:
-        out = one
-        for i, e in enumerate(alpha):
-            if e:
-                while len(powers[i]) <= e:
-                    powers[i].append(poly_mul(powers[i][-1], powers[i][1]))
-                out = poly_mul(out, powers[i][e])
-        table[alpha] = out
-    return table
-
-
-def _gr_compose_linear(form, matrix, translation=None):
-    n_dst = len(matrix[0]) if form.n else 0
-    table = _gr_expansions(matrix, translation, n_dst, form.support())
-    acc = {}
-    for (alpha, beta), c in form.entries.items():
-        anti = table[beta]
-        for gamma, u in table[alpha].items():
-            cu = lift(c) * u
-            for delta, v in anti.items():
-                key = (gamma, delta)
-                w = acc.get(key, ZERO) + cu * conj(v)
-                if w:
-                    acc[key] = w
-                else:
-                    acc.pop(key, None)
-    return HermitianForm(n_dst, acc)
-
-
 def _gr_norm_difference(holo, subtract_one):
     acc = {}
     for sign, weight, poly in holo.components:
@@ -320,7 +282,7 @@ def test_integer_compose_matches_gaussian_rational_loop():
         for E in _embeddings(rng, n):
             for trans in (None, [_gaussian(rng) for _ in range(n)], [gr(0)] * (n - 1) + [_gaussian(rng)]):
                 got = compose_linear(form, E, trans)
-                want = _gr_compose_linear(form, E, trans)
+                want = gr_compose_linear(form, E, trans)
                 assert got.entries == want.entries
                 assert got.n == len(E[0])
                 _assert_hermitian(got)
@@ -417,24 +379,31 @@ def _compose_cases():
                     yield form, E, trans
 
 
+def _change(form, E, trans):
+    """(source, rows, M, n_dst): the deferred substitution that compose_linear keeps on the new form."""
+    return compose_linear(form, E, trans)._memo["change"]
+
+
 def test_two_pass_compose_matches_the_one_pass_loop():
     # _composed sums the upper triangle only: mirrored, it is the full square the one-pass
-    # loop sums, and the form _to_form builds from it has that square's entries, with the
-    # side that clearing those entries gives
+    # loop sums, and the form compose_linear builds from it has that square's entries, with
+    # the side that clearing those entries gives
     cases = 0
     for form, E, trans in _compose_cases():
         full, den = _one_pass_composed(form, E, trans)
         want = _nonzero(full)
-        n_dst, basis, acc, got_den = _composed(form, E, trans)
-        assert n_dst == len(E[0]) and got_den == den
+        source, rows, m, n_dst = _change(form, E, trans)
+        basis, acc, got_den = _composed(source, rows, m, n_dst)
+        assert source is form and n_dst == len(E[0]) and got_den == den
         assert basis == sorted_grlex(basis)
         assert _mirrored(_upper(acc, basis)) == want
-        got = _to_form(n_dst, basis, acc, den)
+        got = compose_linear(form, E, trans)
         assert got.entries == {key: gr(Fraction(re, den), Fraction(im, den))
                                for key, (re, im) in want.items()}
+        assert _form_side(got) == _to_side(basis, acc, den)
         assert _form_side(got) == _form_side(HermitianForm(n_dst, dict(got.entries)))
         # form reads its memoized side from the first call on; a fresh copy has none
-        _, basis, acc, _ = _composed(HermitianForm(form.n, form.entries), E, trans)
+        basis, acc, _ = _composed(HermitianForm(form.n, form.entries), rows, m, n_dst)
         assert _mirrored(_upper(acc, basis)) == want
         cases += 1
     assert cases == 7 * 2 * 3 * 2
@@ -462,9 +431,9 @@ def test_packed_keys_sort_as_grlex_and_add():
             pairs = [(a, b) for a, b in ((rng.choice(base), rng.choice(base)) for _ in range(60))
                      if sum(a) + sum(b) <= top]
             monos = list(dict.fromkeys(base + [mi_add(a, b) for a, b in pairs]))
-            identity = [[int(i == j) for j in range(n)] for i in range(n)]
-            table, m, w = _expansions(identity, None, n, monos)
-            assert m == 1 and w == max(top.bit_length(), 1)
+            identity = [[(int(i == j), 0) for j in range(n)] + [(0, 0)] for i in range(n)]  # E = I, t = 0
+            table, w = _expansions(identity, n, monos)
+            assert w == max(top.bit_length(), 1)
             assert all(list(p.values()) == [(1, 0)] for p in table)
             key = {alpha: k for alpha, p in zip(monos, table) for k in p}
             assert all(k == _packed(alpha, w) and _unpacked(k, n, w) == alpha for alpha, k in key.items())
@@ -485,7 +454,8 @@ def test_packed_expansions_match_the_tuple_keyed_routine():
     cases = 0
     for form, E, trans in _compose_cases():
         n_dst, support = len(E[0]), form.support()
-        table, m, w = _expansions(E, trans, n_dst, support)
+        _, rows, m, _ = _change(form, E, trans)
+        table, w = _expansions(rows, n_dst, support)
         want, want_m = _tuple_expansions(E, trans, n_dst, support)
         assert m == want_m and w == max(form.max_degree().bit_length(), 1)
         assert [{_unpacked(k, n_dst, w): x for k, x in p.items()} for p in table] == [want[al] for al in support]
@@ -494,7 +464,7 @@ def test_packed_expansions_match_the_tuple_keyed_routine():
 
 
 def test_the_composed_view_is_that_of_its_listed_triangle():
-    # _to_form reads the view off the triangle: it is the view _entries_side builds from the same
+    # _to_side reads the view off the triangle: it is the view _entries_side builds from the same
     # triangle, listed with monomial keys, also where the basis has monomials the sum cancels
     row = [gr(Fraction(2, 3), Fraction(-5, 7)), gr(Fraction(1, 12), 4)]
     difference = form_from_entries(2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1)])  # |z1|^2 - |z2|^2
@@ -510,7 +480,7 @@ def test_the_composed_view_is_that_of_its_listed_triangle():
     ]
     lost = 0
     for form, E, trans in [*_compose_cases(), *cancelling]:
-        n_dst, basis, acc, den = _composed(form, E, trans)
+        basis, acc, den = _composed(*_change(form, E, trans))
         listed = [((basis[i], basis[j]), x) for i, row in acc.items() for j, x in enumerate(row, i) if x != (0, 0)]
         side = _form_side(compose_linear(form, E, trans))
         assert side == _entries_side(listed, den)
@@ -540,7 +510,7 @@ def test_integer_compose_cancels_to_the_zero_form():
     row = [gr(Fraction(2, 3), Fraction(-5, 7)), gr(Fraction(1, 12), 4)]
     for trans in (None, [gr(Fraction(1, 3), 1)] * 2):
         assert compose_linear(form, [row, row], trans).entries == {}
-        assert _gr_compose_linear(form, [row, row], trans).entries == {}
+        assert gr_compose_linear(form, [row, row], trans).entries == {}
         assert form_rank(compose_linear(form, [row, row], trans)) == 0
 
 
@@ -771,7 +741,9 @@ def test_compose_built_form_reads_its_integers(monkeypatch):
         form = _mixed_form(rng, n, rng.randint(2, 9))
         for E in _embeddings(rng, n):
             for trans in (None, [_gaussian(rng) for _ in range(n)]):
+                clears.clear()
                 g = compose_linear(form, E, trans)
+                assert clears == [1]  # E and t together, by one lcm; the carry test reads the same pairs
                 clears.clear()
                 got = {name: call(g) for name, call in calls.items()}
                 assert not clears
@@ -868,3 +840,56 @@ def test_a_carried_inertia_walks_no_matrix_of_the_changed_size(monkeypatch):
     assert walks == [len(f.support())] and len(g.support()) > len(f.support())  # f's only: E's rank test walks none
     assert _signs(_elimination(g)[1]) == sig
     assert walks[-1] == len(g.support())
+
+
+def test_a_change_of_variables_is_substituted_at_its_first_read(monkeypatch):
+    # compose_linear keeps the substitution as data: a carried rank or inertia builds nothing, even down a chain
+    # of carried changes, and the first read of the new form's view builds it once, as the eager loop sums it
+    built = []
+    composed = forms_module._composed
+    monkeypatch.setattr(forms_module, "_composed", lambda *change: built.append(1) or composed(*change))
+    rng = Random(1525)
+    f = _mixed_form(rng, 3, 9, top=2)
+    want = (form_rank(f), form_inertia(f))
+    reads = (lambda g: g.entries, lambda g: g.support(), dump_form, decompose, lambda g: g == f)
+    for t in (None, [_gaussian(rng) for _ in range(3)]):
+        E = _unimodular(rng, 3)
+        built.clear()
+        g = compose_linear(f, E, t)
+        h = compose_linear(g, _unimodular(rng, 3), t)
+        wide = compose_linear(f, [row + [_gaussian(rng)] for row in E], t)
+        assert (form_rank(g), form_inertia(g)) == (form_rank(h), form_inertia(h)) == want
+        assert (form_rank(wide), form_inertia(wide)) == want
+        assert built == [] and not any("side" in x._memo for x in (g, h, wide))
+        for first in reads:
+            g = compose_linear(f, E, t)
+            built.clear()
+            first(g)
+            assert built == [1]
+            for read in (*reads, form_rank, form_inertia, repr, lambda g: g == compose_linear(f, E, t)):
+                read(g)
+            assert built == [1, 1]  # the last read builds the other form only
+            assert g.entries == gr_compose_linear(f, E, t).entries
+
+
+def test_compose_linear_raises_at_the_call():
+    # every check of a change runs in compose_linear itself, before any read of the new form, for thin and wide E
+    f = form_from_entries(2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1)])
+    one_sided = HermitianForm(2, {((1, 0), (0, 1)): gr(1)})
+    complex_diagonal = HermitianForm(2, {((1, 0), (1, 0)): gr(1, 1)})
+    negative = HermitianForm(2, {((-1, 0), (-1, 0)): gr(1)})
+    for width in (1, 3):
+        E = [[gr(1, 1)] * width, [Fraction(1, 3)] * width]
+        for form, matrix, t, error in (
+            (f, E[:1], None, DimensionMismatch),  # a row count that is not the form's n
+            (f, [E[0], E[1] + [0]], None, DimensionMismatch),  # a ragged row
+            (f, E, [0], DimensionMismatch),  # a translation of the wrong length
+            (f, [E[0], [None] * width], None, TypeError),  # an entry of E that cannot be read
+            (f, E, [0, "one"], ValueError),  # an entry of t that cannot be read
+            (one_sided, E, None, ConjugateMismatch),
+            (complex_diagonal, E, None, NonRealDiagonal),
+            (negative, E, [0, 0], ValueError),  # a bad exponent
+        ):
+            with pytest.raises(error) as exc:
+                compose_linear(form, matrix, t)
+            assert exc.type is error

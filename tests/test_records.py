@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from hyperq import (HermitianForm, MacaulayRep, QuadricMap, SignedRealPoly, WeightedHoloMap, decompose,
-                    embedding, form_from_entries, identity_map, macaulay_rep)
+from hyperq import (HermitianForm, MacaulayRep, QuadricMap, SignedRealPoly, WeightedHoloMap, compose_linear, decompose,
+                    embedding, form_from_entries, form_inertia, identity_map, macaulay_rep)
 
 
 def _gr(re):
@@ -75,6 +75,19 @@ def test_value_round_trips(name):
     assert repr(value) == text  # a form or a map reduces its integer view to GaussianRationals here
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is type(value) and copied == value and repr(copied) == text
+
+
+def test_an_unread_change_of_variables_round_trips():
+    # compose_linear keeps its substitution as plain data, so a form taken before its first read pickles and
+    # copies; each copy carries the inertia, and builds the same view at its own first read
+    text = (f"HermitianForm(n=1, entries={{((0,), (0,)): {_gr(1)}, ((0,), (1,)): {_gr(4)}, "
+            f"((1,), (0,)): {_gr(4)}, ((1,), (1,)): {_gr(8)}}})")
+    value = compose_linear(_form(), [[2]], [1])  # 2 |2z + 1|^2 - 1
+    copies = (pickle.loads(pickle.dumps(value)), copy.deepcopy(value))
+    assert [form_inertia(copied) for copied in copies] == [form_inertia(value)] * 2
+    assert not any("side" in x._memo for x in (value, *copies))
+    for copied in copies:
+        assert type(copied) is HermitianForm and copied == value and repr(copied) == repr(value) == text
 
 
 def test_value_defaults_and_private_memos():
