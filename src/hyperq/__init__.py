@@ -6,6 +6,8 @@ arithmetic; randomized operations take explicit seeds and report
 Schwartz-Zippel style failure bounds instead of hoping.
 """
 
+from types import ModuleType as _ModuleType
+
 from .combinat import (
     MacaulayRep,
     compose_K,
@@ -80,67 +82,5 @@ from .restrict import (
 )
 from .scalars import GaussianRational, gr
 
-__all__ = [
-    "AffineEmbedding",
-    "ConjugateMismatch",
-    "DimensionMismatch",
-    "GaussianRational",
-    "HermitianForm",
-    "HyperqError",
-    "IndexOutOfRange",
-    "MacaulayRep",
-    "NoNegativeComponent",
-    "NoPivotMonomial",
-    "NonRealDiagonal",
-    "NotAdmissible",
-    "NotReached",
-    "NotVanishing",
-    "ParseError",
-    "QuadricMap",
-    "SignaturePair",
-    "SignedRealPoly",
-    "WeightedHoloMap",
-    "cayley_unitary",
-    "compose_K",
-    "compose_linear",
-    "construct_map",
-    "corner_move",
-    "decompose",
-    "dehomogenize",
-    "dump_form",
-    "dump_map",
-    "dump_realpoly",
-    "embedding",
-    "form_from_entries",
-    "form_from_real_poly",
-    "form_inertia",
-    "form_rank",
-    "generic_restriction_rank",
-    "gr",
-    "green_G",
-    "green_K",
-    "grow",
-    "hermitian_R",
-    "identity_map",
-    "is_admissible",
-    "load_form",
-    "load_map",
-    "load_realpoly",
-    "macaulay_lower",
-    "macaulay_rep",
-    "map_from_form",
-    "max_affine_rank",
-    "norm_difference",
-    "parse_form",
-    "parse_map",
-    "parse_realpoly",
-    "quadric_subspace",
-    "reachable_signatures",
-    "restrict_form",
-    "rigidity_bound",
-    "s_poly",
-    "stability_region",
-    "sz_failure_bound",
-    "tensor_extend",
-    "verify_map",
-]
+# each public name is written once, in the imports above: every bound name without `_` that is no submodule
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType))

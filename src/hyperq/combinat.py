@@ -152,14 +152,19 @@ def green_K(n: int, k: int) -> int:
 
 
 def _chain(m: int, n: int, k: int, step: Callable[[int, int], int]) -> int:
-    """step(m + 1, ... step(n - 1, step(n, k))): one step per dimension from n down to m + 1."""
+    """step(m + 1, ... step(n - 1, step(n, k))): one step per dimension from n down to m + 1.
+
+    Lemma: K_j(k) = k for j >= k + 1.  In `green_K`, binom(j, 1) = j > k gives d = 1, then
+    t = j - k = binom(t, 1) and c* = binom(t + 1, 1) = t + 1, so K_j(k) = binom(j + 1, 1) - c* = k.
+    K_j and K_j twice both keep such a k, so the loop starts at min(n, k).
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     if n <= m:
         raise ValueError("n must exceed m")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    for j in range(n, m, -1):
+    for j in range(min(n, k), m, -1):
         k = step(j, k)
     return k
 

@@ -246,7 +246,7 @@ def _pair_mul(p: Dict[int, _Pair], q: Dict[int, _Pair]) -> Dict[int, _Pair]:
 
 def _sandwich(acc: _Rows, c: _Pair, left: Dict[int, _Pair], right: List[_Pair]) -> None:
     """acc[gamma][delta - gamma] += c u conj(v) over left[gamma] = u and the dense right[delta] = v, for
-    delta >= gamma only: every sum of these hyperq builds is Hermitian, and `_to_form` mirrors it."""
+    delta >= gamma only: every sum of these hyperq builds is Hermitian, and `_to_side` mirrors it."""
     cr, ci = c
     for gamma, (ur, ui) in left.items():
         xr, xi = cr * ur - ci * ui, cr * ui + ci * ur
@@ -340,18 +340,16 @@ def _reduced(monomials: Sequence[MultiIndex], used: List[int], listed: Iterable[
 
 def _form_side(form: HermitianForm) -> _FormSide:
     """(support, flat, D), memoized (see `_entries_side`), built at the form's first read: substituted from the
-    change `compose_linear` kept, or, for a form built directly from entries, with each distinct exponent checked
-    and its entries cleared, where a missing mirror reads as a listed 0; a refused one memoizes nothing."""
+    change `compose_linear` kept, or, for a form built directly from entries, by `form_from_entries` with each
+    missing mirror listed as 0, so that a one-sided entry is refused; a refused form memoizes nothing."""
     side = form._memo.get("side")
     if side is None and "change" in form._memo:
         side = form._memo["side"] = _to_side(*_composed(*form._memo["change"]))
     if side is None:
         entries = form.entries
-        for alpha in dict.fromkeys(a for key in entries for a in key):
-            _check_index(alpha, form.n)
-        pairs, d = _cleared(entries.values())
-        missing = [((b, a), (0, 0)) for a, b in entries if (b, a) not in entries]
-        side = form._memo["side"] = _entries_side([*zip(entries, pairs), *missing], d)
+        listed = [(a, b, x) for (a, b), x in entries.items()]
+        listed += [(b, a, 0) for a, b, _ in listed if (b, a) not in entries]
+        side = form._memo["side"] = _form_side(form_from_entries(form.n, listed))
     return side
 
 

@@ -52,8 +52,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from .combinat import stability_region
 from .errors import (DimensionMismatch, IndexOutOfRange, NoNegativeComponent, NoPivotMonomial, NotAdmissible,
                      NotReached, NotVanishing)
-from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _form_side, _from_side, _holo_side,
-                    decompose, norm_difference)
+from .forms import (HermitianForm, HoloSide, SignaturePair, WeightedHoloMap, _check_index, _form_side, _from_side,
+                    _holo_side, decompose, norm_difference)
 from .linalg import _cleared
 from .multiindex import MultiIndex, grlex_key, places, unit, unpack, zero_index
 from .scalars import _Record
@@ -84,13 +84,10 @@ class SignedRealPoly(_Record):
         degrees = set()
         pos = 0
         for alpha, c in terms.items():
-            if len(alpha) != n:
-                raise DimensionMismatch(f"exponent tuple {alpha} has length {len(alpha)}, expected {n}")
-            if min(alpha) < 0:
-                raise ValueError(f"negative exponent in {alpha}")
+            alpha = _check_index(alpha, n)
             v = c if type(c) is Fraction else Fraction(c)
             if v:
-                cleaned[tuple(alpha)] = v
+                cleaned[alpha] = v
                 degrees.add(sum(alpha))
                 pos += v.numerator > 0
         if len(degrees) > 1:
@@ -549,12 +546,6 @@ class _LatticeSearch:
 _SEARCHES: "OrderedDict[Tuple[int, int], _LatticeSearch]" = OrderedDict()
 _SEARCH_SPLITS = 4
 _SEARCH_LOCK = threading.Lock()
-
-
-def _clear_search_cache() -> None:
-    """Forget every shared search, so the next one starts cold."""
-    with _SEARCH_LOCK:
-        _SEARCHES.clear()
 
 
 def _search(a: int, b: int, box_a: int, box_b: int, budget: int, goal: Optional[Sig] = None

@@ -319,6 +319,21 @@ def test_file_and_parse_errors(capsys, tmp_path):
     assert code == 2 and err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["quadric", "admissible"], "realpoly n=2 a=1 b=1\n1 0 ; 1 ; 2\n", "expected `e1 ... en ; p/q`"),
+        (["quadric", "dehomogenize"], "realpoly n=2 a=1 b=1\n1 0 1\n", "expected `e1 ... en ; p/q`"),
+        (["quadric", "verify"], "map n=2 a=1 b=1 A=1 B=0 homogeneous=0 denominator=none\n+ 1 :: 1,0 1 0 ; \n",
+         "empty term in component"),
+    ],
+)
+def test_term_separator_errors(capsys, tmp_path, argv, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    assert run(capsys, argv + [str(bad)]) == (2, "", f"parse error: {bad}:2: {message}\n")
+
+
 def test_non_hermitian_form_is_domain_error(capsys, tmp_path):
     files = {
         "form n=2\n1 0 ; 1 0 ; 1 ; 1/2\n0 1 ; 0 1 ; 1 ; 0\n":

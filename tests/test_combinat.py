@@ -137,6 +137,48 @@ def test_chained_bounds_stay_above_exact_ranks():
     assert compose_K(1, 3, 2) >= 4
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (green_G, (2, 0, 1), "d must be positive"),
+        (green_G, (2, 1, -1), "N must be nonnegative"),
+        (green_K, (1, 3), "n must be at least 2"),
+        (green_K, (2, -1), "k must be nonnegative"),
+        (compose_K, (0, 3, 2), "m must be at least 1"),
+        (hermitian_R, (1, 3, -1), "k must be nonnegative"),
+        (rigidity_bound, (3, 1, -1), "B must be nonnegative"),
+    ],
+)
+def test_bound_refusals(call, args, message):
+    with pytest.raises(ValueError) as caught:
+        call(*args)
+    assert type(caught.value) is ValueError and str(caught.value) == message
+
+
+def stepwise_chain(m, n, k, step):
+    """step(m + 1, ... step(n, k)) with every step taken, none skipped."""
+    for j in range(n, m, -1):
+        k = step(j, k)
+    return k
+
+
+def test_green_K_keeps_k_at_or_above_k_plus_one():
+    # the lemma in `combinat._chain`: K_j(k) = k for j >= k + 1
+    assert all(green_K(j, k) == k for k in range(61) for j in range(max(k + 1, 2), k + 20))
+
+
+def test_chains_match_every_step():
+    # `_chain` starts at min(n, k), skipping only steps that keep k, so no value changes
+    def twice(j, x):
+        return green_K(j, green_K(j, x))
+
+    for m in range(1, 7):
+        for n in range(m + 1, 14):
+            for k in range(61):
+                assert compose_K(m, n, k) == stepwise_chain(m, n, k, green_K), (m, n, k)
+                assert hermitian_R(m, n, k) == stepwise_chain(m, n, k, twice), (m, n, k)
+
+
 def test_rigidity_validation():
     with pytest.raises(ValueError):
         rigidity_bound(2, 2, 1)
@@ -412,6 +454,8 @@ def test_lex_segments_attain_green_bound():
         (rigidity_bound, (6, 2, 10**5)),
         (green_K, (3, 10**300)),
         (hermitian_R, (2, 6, 10**12)),
+        (compose_K, (1, 10**6, 2)),
+        (rigidity_bound, (10**4299, 2, 3)),
     ],
     ids=[
         "K_2(10^6)",
@@ -424,6 +468,8 @@ def test_lex_segments_attain_green_bound():
         "rigidity_bound(6,2,10^5)",
         "K_3(10^300)",
         "hermitian_R(2,6,10^12)",
+        "compose_K(1,10^6,2)",
+        "rigidity_bound(10^4299,2,3)",
     ],
 )
 def test_large_bounds_finish(call, args):

@@ -107,6 +107,14 @@ def test_form_from_real_poly_rejects_complex():
     _refused(lambda: form_from_real_poly({(1, 0): gr(1, 1)}), NonRealDiagonal)
 
 
+def test_form_from_real_poly_needs_n_for_the_empty_polynomial():
+    with pytest.raises(ValueError) as caught:
+        form_from_real_poly({})
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "cannot infer the variable count from an empty polynomial"
+    assert form_from_real_poly({}, 3).n == 3
+
+
 def test_decompose_reconstructs():
     rng = Random(23)
     for _ in range(25):
@@ -514,8 +522,29 @@ def test_integer_compose_cancels_to_the_zero_form():
         assert form_rank(compose_linear(form, [row, row], trans)) == 0
 
 
+def test_a_hand_built_form_is_read_through_form_from_entries_once(monkeypatch):
+    # its first read lists its entries, and each missing mirror as 0, to form_from_entries, and memoizes that view
+    listed = {((1, 0), (0, 1)): gr(1, 2), ((0, 1), (1, 0)): gr(1, -2), ((0, 0), (0, 0)): gr(Fraction(3, 4))}
+    calls = []
+    original = forms_module.form_from_entries
+    monkeypatch.setattr(forms_module, "form_from_entries", lambda n, entries: calls.append(list(entries))
+                        or original(n, calls[-1]))
+    form = HermitianForm(2, listed)
+    assert calls == []
+    assert (form_rank(form), form_inertia(form), dump_form(form), form.support()) == (
+        3, SignaturePair(2, 1), dump_form(original(2, [(*key, x) for key, x in listed.items()])),
+        [(0, 0), (1, 0), (0, 1)])
+    decompose(form)
+    assert calls == [[(*key, x) for key, x in listed.items()]]
+    one_sided = HermitianForm(2, {((1, 0), (0, 1)): gr(1)})
+    with pytest.raises(ConjugateMismatch):
+        form_rank(one_sided)
+    assert calls[1:] == [[((1, 0), (0, 1), gr(1)), ((0, 1), (1, 0), 0)]]
+
+
 def test_rank_refuses_a_hand_built_form_that_is_not_hermitian():
-    # the dataclass does not validate; the kernels divide exactly only on Hermitian input
+    # a hand-built form is checked at its first read, not at construction; the kernels divide exactly only on
+    # Hermitian input
     one_sided = HermitianForm(2, {((1, 0), (0, 1)): gr(1)})
     not_conjugate = HermitianForm(2, {((1, 0), (0, 1)): gr(1), ((0, 1), (1, 0)): gr(2)})
     complex_diagonal = HermitianForm(2, {((1, 0), (1, 0)): gr(1, 1)})

@@ -29,10 +29,10 @@ from hyperq.forms import (HermitianForm, WeightedHoloMap, _form_side, _holo_side
 from hyperq.linalg import _cleared
 from hyperq.multiindex import grlex_key, places, unit, unpack, zero_index
 from hyperq.quadrics import (
+    _SEARCH_LOCK,
     _SEARCHES,
     QuadricMap,
     SignedRealPoly,
-    _clear_search_cache,
     _divides,
     _pack,
     _routes,
@@ -58,6 +58,12 @@ from tuple_polys import (criterion_8_seeds, diagonal_map, mi_add, poly_add_inpla
 
 F1 = Fraction(1)
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _clear_search_cache():
+    """Forget every shared search, so the next one starts cold."""
+    with _SEARCH_LOCK:
+        _SEARCHES.clear()
 
 
 def rp_mul(p, q):
@@ -119,6 +125,30 @@ def test_signed_real_poly_validation():
     assert q.terms == {(0, 1, 0): -2, (0, 0, 1): Fraction(-1, 3)}
     assert all(type(c) is Fraction for c in q.terms.values())
     assert q.signature() == (0, 2) and SignedRealPoly(2, 1, {}).signature() == (0, 0)
+
+
+def test_signed_real_poly_refuses_bool_and_float_exponents():
+    # the one exponent rule, `forms._check_index`: a (True, 0) term used to dump a file that parse_realpoly
+    # refuses, and a 1.0 exponent to end in an AttributeError inside is_admissible
+    for a, b, alpha in ((1, 1, (True, 0)), (2, 1, (1.0, 0, 0))):
+        with pytest.raises(ValueError) as caught:
+            SignedRealPoly(a, b, {alpha: 1})
+        assert str(caught.value) == f"multi-index {alpha} must consist of nonnegative integers"
+    with pytest.raises(DimensionMismatch, match=r"^multi-index \(1, 0\) has length 2, expected 3$"):
+        SignedRealPoly(2, 1, {(1, 0): 1})
+
+
+def test_zero_poly_has_degree_zero():
+    assert SignedRealPoly(2, 1, {}).degree() == 0
+
+
+def test_maps_refuse_an_empty_source():
+    holo = WeightedHoloMap(2, ((1, Fraction(1), {(1, 0): 1}), (-1, Fraction(1), {(0, 1): 1})))
+    form = form_from_real_poly({(1, 0): 1, (0, 1): -1})
+    for build in (lambda: QuadricMap(0, 2, True, holo), lambda: map_from_form(form, 0, 2)):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert type(caught.value) is ValueError and str(caught.value) == "source split needs a >= 1 and b >= 0"
 
 
 def test_is_admissible_examples():

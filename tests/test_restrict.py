@@ -452,3 +452,19 @@ def test_quadric_subspace_matches_copied_construction(monkeypatch):
 def test_quadric_subspace_needs_room():
     with pytest.raises(ValueError):
         quadric_subspace(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: embedding([]), "embedding needs at least one ambient variable"),
+        (lambda: embedding([[]]), "embedding needs at least one subspace variable"),
+        (lambda: cayley_unitary(0, Random(0)), "n must be positive"),
+        (lambda: quadric_subspace(2, 2), "the orthonormal-column family needs b + 1 <= a"),
+    ],
+    ids=["no-rows", "no-columns", "cayley-0", "subspace-2-2"],
+)
+def test_empty_and_crowded_refusals(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is ValueError and str(caught.value) == message

@@ -87,6 +87,8 @@ def test_equality_and_hash_for_real_values():
     assert gr(Fraction(3, 4)) == Fraction(3, 4)
     assert hash(gr(5)) == hash(5)
     assert gr(1, 1) != 1
+    # a str is no number: __eq__ declines it, and the comparison falls back to identity
+    assert (gr(1) == "1") is False
 
 
 def test_str_forms():
