@@ -525,17 +525,21 @@ def test_integer_compose_cancels_to_the_zero_form():
 def test_a_hand_built_form_is_read_through_form_from_entries_once(monkeypatch):
     # its first read lists its entries, and each missing mirror as 0, to form_from_entries, and memoizes that view
     listed = {((1, 0), (0, 1)): gr(1, 2), ((0, 1), (1, 0)): gr(1, -2), ((0, 0), (0, 0)): gr(Fraction(3, 4))}
+    triples = [(*key, x) for key, x in listed.items()]
     calls = []
     original = forms_module.form_from_entries
-    monkeypatch.setattr(forms_module, "form_from_entries", lambda n, entries: calls.append(list(entries))
-                        or original(n, calls[-1]))
+
+    def spy(n, entries):
+        calls.append(list(entries))
+        return original(n, calls[-1])
+
+    monkeypatch.setattr(forms_module, "form_from_entries", spy)
     form = HermitianForm(2, listed)
     assert calls == []
-    assert (form_rank(form), form_inertia(form), dump_form(form), form.support()) == (
-        3, SignaturePair(2, 1), dump_form(original(2, [(*key, x) for key, x in listed.items()])),
-        [(0, 0), (1, 0), (0, 1)])
+    assert (form_rank(form), form_inertia(form), form.support()) == (3, SignaturePair(2, 1), [(0, 0), (1, 0), (0, 1)])
     decompose(form)
-    assert calls == [[(*key, x) for key, x in listed.items()]]
+    assert dump_form(form) == dump_form(original(2, triples))
+    assert calls == [triples]
     one_sided = HermitianForm(2, {((1, 0), (0, 1)): gr(1)})
     with pytest.raises(ConjugateMismatch):
         form_rank(one_sided)

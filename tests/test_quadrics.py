@@ -118,7 +118,7 @@ def test_signed_real_poly_validation():
         SignedRealPoly(2, 1, {(-1, 1, 1): 1})
     p = SignedRealPoly(2, 1, {(1, 0, 0): 1, (0, 1, 0): 0})
     assert p.terms == {(1, 0, 0): 1}
-    assert not SignedRealPoly(2, 1, {}).terms
+    assert not SignedRealPoly(2, 1, {}).terms and SignedRealPoly(2, 1, {}).degree() == 0
     # the signature is counted once, at construction, and skips dropped zeros
     assert p.signature() == (1, 0)
     q = SignedRealPoly(2, 1, {(1, 0, 0): Fraction(0), (0, 1, 0): -2, (0, 0, 1): Fraction(-1, 3)})
@@ -128,18 +128,14 @@ def test_signed_real_poly_validation():
 
 
 def test_signed_real_poly_refuses_bool_and_float_exponents():
-    # the one exponent rule, `forms._check_index`: a (True, 0) term used to dump a file that parse_realpoly
-    # refuses, and a 1.0 exponent to end in an AttributeError inside is_admissible
+    # the one exponent rule, `forms._check_index`: a bool exponent would dump a file that parse_realpoly refuses,
+    # and a float one cannot be packed for is_admissible
     for a, b, alpha in ((1, 1, (True, 0)), (2, 1, (1.0, 0, 0))):
         with pytest.raises(ValueError) as caught:
             SignedRealPoly(a, b, {alpha: 1})
         assert str(caught.value) == f"multi-index {alpha} must consist of nonnegative integers"
     with pytest.raises(DimensionMismatch, match=r"^multi-index \(1, 0\) has length 2, expected 3$"):
         SignedRealPoly(2, 1, {(1, 0): 1})
-
-
-def test_zero_poly_has_degree_zero():
-    assert SignedRealPoly(2, 1, {}).degree() == 0
 
 
 def test_maps_refuse_an_empty_source():
